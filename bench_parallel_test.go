@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"ebda/internal/cdg"
+	"ebda/internal/core"
 	"ebda/internal/paper"
 	"ebda/internal/routing"
 	"ebda/internal/sim"
@@ -91,6 +92,55 @@ func BenchmarkVerifyRepeated(b *testing.B) {
 			check(b, cache.VerifyTurnSetJobs(net, vcs, ts, 0))
 		}
 	})
+}
+
+// BenchmarkVerifyShapeMix times verification over a rotation of more
+// distinct network shapes than any shape-keyed cache would hold: 2D meshes
+// and tori with sides 16..51 under the six-channel fully adaptive design,
+// and 3D meshes with sides 8..15 under a 3D chain — the mix a verification
+// service sees when every request names a new network. Networks are built
+// (and their link lists memoized) before timing, so the loop measures the
+// workspace pool, the graph fill, the edge build and the Kahn peel. Run
+// with -benchmem: allocations per op stay flat once the pool is warm.
+func BenchmarkVerifyShapeMix(b *testing.B) {
+	type shape struct {
+		net  *topology.Network
+		vcs  cdg.VCConfig
+		ts   *core.TurnSet
+		want cdg.Report
+	}
+	chain2 := paper.Figure7P1()
+	chain3 := core.MustParseChain("PA[X1+ Y1* Z1+] -> PB[X1- Y2* Z1-]")
+	var shapes []shape
+	add := func(net *topology.Network, chain *core.Chain) {
+		vcs := cdg.VCConfigFor(net.Dims(), chain.Channels())
+		ts := chain.AllTurns()
+		shapes = append(shapes, shape{net, vcs, ts, cdg.NewWorkspace(net, vcs).VerifyTurnSetJobs(ts, 1)})
+	}
+	for k := 16; k <= 51; k++ {
+		add(topology.NewMesh(k, k), chain2)
+		add(topology.NewTorus(k, k), chain2)
+	}
+	for k := 8; k <= 15; k++ {
+		add(topology.NewMesh(k, k, k), chain3)
+	}
+	// One untimed pass lets the pool grow its buffers to the largest
+	// shape, so the timed loop measures the steady state.
+	for _, s := range shapes {
+		cdg.VerifyTurnSetJobs(s.net, s.vcs, s.ts, 1)
+	}
+	channels := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := shapes[i%len(shapes)]
+		rep := cdg.VerifyTurnSetJobs(s.net, s.vcs, s.ts, 1)
+		if rep.Acyclic != s.want.Acyclic || rep.Edges != s.want.Edges {
+			b.Fatalf("%s: %s, want %s", s.net, rep, s.want)
+		}
+		channels += rep.Channels
+	}
+	b.ReportMetric(float64(channels)/b.Elapsed().Seconds(), "channels/s")
 }
 
 // BenchmarkAddEdges compares incremental single-edge insertion against the

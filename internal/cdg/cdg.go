@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -113,41 +114,70 @@ type Graph struct {
 // NewGraph enumerates the concrete channels of the network under the VC
 // configuration; the graph starts with no dependency edges.
 func NewGraph(net *topology.Network, vcs VCConfig) *Graph {
-	g := &Graph{
-		net:    net,
-		vcs:    vcs,
-		byHead: make([][]int32, net.Nodes()),
-		byTail: make([][]int32, net.Nodes()),
-		maxVC:  1,
+	g := &Graph{}
+	g.bind(net, vcs)
+	return g
+}
+
+// bind enumerates the concrete channels of the network under the VC
+// configuration, with no edges: the one fill path of NewGraph and of a
+// pooled Workspace's rebind. Tables are refilled in place and rows reused
+// by index, so binding to a shape the buffers already fit allocates nothing.
+func (g *Graph) bind(net *topology.Network, vcs VCConfig) {
+	dims, nodes := net.Dims(), net.Nodes()
+	g.net = net
+	g.vcs = g.vcs[:0]
+	g.maxVC = 1
+	for d := 0; d < dims; d++ {
+		v := vcs.VCs(channel.Dim(d))
+		g.vcs = append(g.vcs, v)
+		g.maxVC = max(g.maxVC, v)
 	}
-	for d := 0; d < net.Dims(); d++ {
-		if v := vcs.VCs(channel.Dim(d)); v > g.maxVC {
-			g.maxVC = v
-		}
-	}
-	g.tailIndex = make([]int32, net.Nodes()*net.Dims()*2*g.maxVC)
+	g.byHead = resizeRows(g.byHead, nodes)
+	g.byTail = resizeRows(g.byTail, nodes)
+	slots := nodes * dims * 2 * g.maxVC
+	g.tailIndex = slices.Grow(g.tailIndex[:0], slots)[:slots]
 	for i := range g.tailIndex {
 		g.tailIndex[i] = -1
 	}
-	dims := net.Dims()
-	g.coords = make([]int32, net.Nodes()*dims)
-	for v := 0; v < net.Nodes(); v++ {
-		c := net.Coord(topology.NodeID(v))
-		for d, x := range c {
-			g.coords[v*dims+d] = int32(x)
+	g.coords = slices.Grow(g.coords[:0], nodes*dims)[:nodes*dims] // net.Coord would allocate per node
+	for v := 0; v < nodes; v++ {
+		x := v
+		for d, size := range net.Sizes() {
+			g.coords[v*dims+d] = int32(x % size)
+			x /= size
 		}
 	}
-	for _, link := range net.Links() {
-		for vc := 1; vc <= vcs.VCs(link.Dim); vc++ {
-			idx := len(g.channels)
-			g.channels = append(g.channels, Channel{Link: link, VC: vc, Index: idx})
+	links := net.Links()
+	nc := 0
+	for _, link := range links {
+		nc += g.vcs[link.Dim]
+	}
+	g.channels = slices.Grow(g.channels[:0], nc)[:nc]
+	idx := 0
+	for _, link := range links {
+		for vc := 1; vc <= g.vcs[link.Dim]; vc++ {
+			ch := &g.channels[idx]
+			ch.Link, ch.VC, ch.Index = link, vc, idx
 			g.byHead[link.To] = append(g.byHead[link.To], int32(idx))
 			g.byTail[link.From] = append(g.byTail[link.From], int32(idx))
 			g.tailIndex[g.tailSlot(link.From, link.Dim, link.Sign, vc)] = int32(idx)
+			idx++
 		}
 	}
-	g.adj = make([][]int32, len(g.channels))
-	return g
+	g.adj = resizeRows(g.adj, len(g.channels))
+	g.edges = 0
+}
+
+// resizeRows returns rows with length n, reusing the backing array and
+// every row already in it, each truncated to length zero so it keeps its
+// capacity.
+func resizeRows(rows [][]int32, n int) [][]int32 {
+	rows = slices.Grow(rows[:cap(rows)], max(0, n-cap(rows)))[:n]
+	for i := range rows {
+		rows[i] = rows[i][:0]
+	}
+	return rows
 }
 
 // tailSlot computes the dense tailIndex position of (from, d, sign, vc).
@@ -162,7 +192,7 @@ func (g *Graph) tailSlot(from topology.NodeID, d channel.Dim, sign channel.Sign,
 // Net returns the underlying network.
 func (g *Graph) Net() *topology.Network { return g.net }
 
-// VCs returns the VC configuration.
+// VCs returns the effective per-dimension VC counts; do not modify them.
 func (g *Graph) VCs() VCConfig { return g.vcs }
 
 // Channels returns all concrete channels. The slice must not be modified.
@@ -728,9 +758,9 @@ func VerifyTurnSet(net *topology.Network, vcs VCConfig, ts *core.TurnSet) Report
 
 // VerifyTurnSetJobs is VerifyTurnSet over a bounded worker pool (jobs <= 0
 // means all cores); the report is identical for every jobs value. The
-// build runs in a pooled Workspace, so repeated verifications on the same
-// (network, VC configuration) shape reuse the channel table, adjacency
-// rows and acyclicity scratch instead of reallocating them.
+// build runs in a Workspace from DefaultPool, which serves every network
+// shape: the channel table, adjacency rows and acyclicity scratch of an
+// earlier verification are refilled in place instead of reallocated.
 //
 //ebda:hotpath
 func VerifyTurnSetJobs(net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) Report {

@@ -73,8 +73,6 @@ var (
 		"workspace pool checkouts satisfied from the free list")
 	obsPoolPuts = obs.NewCounter("ebda_workspace_pool_puts_total",
 		"workspaces returned to the pool")
-	obsPoolFlushes = obs.NewCounter("ebda_workspace_pool_flushes_total",
-		"workspace pool epoch flushes (distinct-shape bound exceeded)")
 
 	phaseMode   = obs.NewPhase("cdg.mode", "")
 	phaseVerify = obs.NewPhase("cdg.verify", "")

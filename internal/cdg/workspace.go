@@ -2,9 +2,7 @@ package cdg
 
 import (
 	"context"
-	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 
 	"ebda/internal/channel"
@@ -15,11 +13,11 @@ import (
 
 // Workspace owns a dependency graph plus all the scratch one verification
 // needs — the per-channel class-match lists and the Kahn/DFS state — so
-// repeated verifications on the same (network, VC configuration) shape
-// reset buffers instead of reallocating them. The channel table, head/tail
-// indices and coordinate table depend only on the shape and are built
-// once; only the adjacency rows change between turn sets, and Reset
-// truncates them in place, keeping their capacity.
+// repeated verifications reset buffers instead of reallocating them. The
+// channel table, head/tail indices and coordinate table depend only on the
+// (network, VC configuration) shape; rebinding to another shape refills
+// them in place. Adjacency and match rows are reused by index, truncated
+// in place so they keep their capacity.
 //
 // A Workspace is single-verification at a time: its methods must not be
 // called concurrently (the verification itself still fans out over the
@@ -34,6 +32,20 @@ type Workspace struct {
 // NewWorkspace builds a workspace for one network shape.
 func NewWorkspace(net *topology.Network, vcs VCConfig) *Workspace {
 	return &Workspace{g: NewGraph(net, vcs)}
+}
+
+// boundTo reports whether the workspace is bound to the same network
+// (geometry is immutable) with the same VC count in every dimension.
+func (ws *Workspace) boundTo(net *topology.Network, vcs VCConfig) bool {
+	if ws.g.net != net {
+		return false
+	}
+	for d, v := range ws.g.vcs {
+		if vcs.VCs(channel.Dim(d)) != v {
+			return false
+		}
+	}
+	return true
 }
 
 // Graph returns the workspace's graph. It reflects the most recent
@@ -99,9 +111,7 @@ func (ws *Workspace) VerifyTurnSetCtx(ctx context.Context, ts *core.TurnSet, job
 	vsp := tc.StartSpan("cdg.verify")
 	sp := phaseVerify.Start()
 	ws.Reset()
-	if ws.matched == nil {
-		ws.matched = make([][]int32, len(ws.g.channels))
-	}
+	ws.matched = resizeRows(ws.matched, len(ws.g.channels))
 	tesp := tc.StartSpan("cdg.edges")
 	esp := phaseEdges.Start()
 	ws.g.addTurnEdges(ts, jobs, ws.matched)
@@ -142,75 +152,56 @@ func (ws *Workspace) VerifyRelationJobs(route RoutingRelation, name string, jobs
 	return rep
 }
 
-// poolKey identifies a workspace shape: the network (by identity —
-// geometry is immutable after build) and the canonical VC configuration.
-type poolKey struct {
-	net *topology.Network
-	vcs string
-}
-
-// canonicalVCs renders the effective per-dimension VC counts, so
-// VCConfigs that differ only in representation (nil vs explicit ones,
-// trailing defaults) share workspaces.
-func canonicalVCs(net *topology.Network, vcs VCConfig) string {
-	var b strings.Builder
-	for d := 0; d < net.Dims(); d++ {
-		fmt.Fprintf(&b, "%d,", vcs.VCs(channel.Dim(d)))
-	}
-	return b.String()
-}
-
-// WorkspacePool is a goroutine-safe free list of workspaces keyed by
-// shape. Get returns a pooled workspace or builds a fresh one; Put
-// returns it for reuse. Growth is bounded: each shape keeps at most
-// GOMAXPROCS idle workspaces, and when the number of distinct shapes
-// exceeds maxPoolKeys the pool is cleared wholesale (an epoch flush —
-// correctness never depends on pool contents).
+// WorkspacePool is a goroutine-safe LIFO free list of at most GOMAXPROCS
+// idle workspaces, shared by every network shape. Get prefers an idle
+// workspace already bound to the requested shape and otherwise rebinds the
+// most recently returned one, so the buffers one verification grew serve
+// the next whatever its shape. Correctness never depends on pool contents.
 type WorkspacePool struct {
 	mu   sync.Mutex
-	free map[poolKey][]*Workspace
+	free []*Workspace
 }
-
-// maxPoolKeys bounds the number of distinct shapes the pool retains.
-const maxPoolKeys = 64
 
 // DefaultPool is the process-wide workspace pool used by VerifyTurnSet
 // and the verification cache.
 var DefaultPool = &WorkspacePool{}
 
-// Get returns a workspace for the shape, reusing a pooled one when
-// available.
+// Get returns a workspace bound to the shape, reusing a pooled one when
+// any is idle.
 func (p *WorkspacePool) Get(net *topology.Network, vcs VCConfig) *Workspace {
 	obsPoolGets.Inc()
-	key := poolKey{net, canonicalVCs(net, vcs)}
 	p.mu.Lock()
-	if list := p.free[key]; len(list) > 0 {
-		ws := list[len(list)-1]
-		list[len(list)-1] = nil
-		p.free[key] = list[:len(list)-1]
+	n := len(p.free)
+	if n == 0 {
 		p.mu.Unlock()
-		obsPoolReuses.Inc()
-		return ws
+		return NewWorkspace(net, vcs)
 	}
+	i := n - 1
+	for j := n - 1; j >= 0; j-- {
+		if p.free[j].boundTo(net, vcs) {
+			i = j
+			break
+		}
+	}
+	ws := p.free[i]
+	copy(p.free[i:], p.free[i+1:])
+	p.free[n-1] = nil
+	p.free = p.free[:n-1]
 	p.mu.Unlock()
-	return NewWorkspace(net, vcs)
+	obsPoolReuses.Inc()
+	if !ws.boundTo(net, vcs) {
+		ws.g.bind(net, vcs)
+	}
+	return ws
 }
 
 // Put returns a workspace to the pool. The caller must not use it (or any
 // Graph obtained from it) afterwards.
 func (p *WorkspacePool) Put(ws *Workspace) {
 	obsPoolPuts.Inc()
-	key := poolKey{ws.g.net, canonicalVCs(ws.g.net, ws.g.vcs)}
 	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.free == nil {
-		p.free = make(map[poolKey][]*Workspace)
+	if len(p.free) < runtime.GOMAXPROCS(0) {
+		p.free = append(p.free, ws)
 	}
-	if _, ok := p.free[key]; !ok && len(p.free) >= maxPoolKeys {
-		obsPoolFlushes.Inc()
-		p.free = make(map[poolKey][]*Workspace)
-	}
-	if list := p.free[key]; len(list) < runtime.GOMAXPROCS(0) {
-		p.free[key] = append(list, ws)
-	}
+	p.mu.Unlock()
 }

@@ -1,9 +1,15 @@
 package cdg
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
+	"ebda/internal/channel"
 	"ebda/internal/core"
 	"ebda/internal/topology"
 )
@@ -84,14 +90,215 @@ func TestWorkspacePoolReuse(t *testing.T) {
 	if got := pool.Get(net, VCConfig{1, 1}); got != ws {
 		t.Error("nil and explicit all-ones VCConfig must share workspaces")
 	}
-	// Different VC configurations must not.
+	// Any other shape rebinds the idle workspace rather than building a
+	// new one: a different VC configuration, then a distinct network.
 	pool.Put(ws)
-	if got := pool.Get(net, Uniform(2, 2)); got == ws {
-		t.Error("different VC configuration reused an incompatible workspace")
+	if got := pool.Get(net, Uniform(2, 2)); got != ws || got.Graph().NumChannels() != 2*24 {
+		t.Error("different VC configuration did not rebind the idle workspace")
 	}
-	// Different network instances are distinct shapes (identity keyed).
-	if got := pool.Get(topology.NewMesh(3, 3), nil); got == ws {
-		t.Error("distinct network instance reused another network's workspace")
+	pool.Put(ws)
+	other := topology.NewTorus(4, 3, 2)
+	if got := pool.Get(other, nil); got != ws || got.Graph().Net() != other {
+		t.Error("distinct network did not rebind the idle workspace")
+	}
+	// An idle workspace already bound to the requested shape wins over
+	// the most recently returned one, and at most GOMAXPROCS stay idle.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	fresh := pool.Get(net, nil)
+	pool.Put(ws)
+	pool.Put(fresh)
+	if got := pool.Get(other, nil); got != ws {
+		t.Error("pool rebound a workspace while one bound to the shape was idle")
+	}
+	pool.Put(ws)
+	pool.Put(NewWorkspace(net, nil))
+	if len(pool.free) != 2 {
+		t.Errorf("pool keeps %d idle workspaces, want GOMAXPROCS = 2", len(pool.free))
+	}
+}
+
+// sameGraph fails unless got (a rebound graph) holds exactly want's
+// channel tables and edges. Empty rows compare equal whether nil or
+// truncated, since rebinding keeps their capacity.
+func sameGraph(t *testing.T, step int, got, want *Graph) {
+	t.Helper()
+	rows := func(name string, a, b [][]int32) {
+		if len(a) != len(b) {
+			t.Fatalf("step %d: %s has %d rows, want %d", step, name, len(a), len(b))
+		}
+		for i := range a {
+			if len(a[i]) != len(b[i]) || (len(a[i]) > 0 && !reflect.DeepEqual(a[i], b[i])) {
+				t.Fatalf("step %d: %s[%d] = %v, want %v", step, name, i, a[i], b[i])
+			}
+		}
+	}
+	if got.net != want.net || got.maxVC != want.maxVC || got.edges != want.edges ||
+		!reflect.DeepEqual(got.vcs, want.vcs) || !reflect.DeepEqual(got.channels, want.channels) ||
+		!reflect.DeepEqual(got.tailIndex, want.tailIndex) || !reflect.DeepEqual(got.coords, want.coords) {
+		t.Fatalf("step %d: rebound graph tables differ from a fresh graph of %s", step, want.net)
+	}
+	rows("byHead", got.byHead, want.byHead)
+	rows("byTail", got.byTail, want.byTail)
+	rows("adj", got.adj, want.adj)
+}
+
+// cancelAfter is a context whose Err turns to context.Canceled after n
+// calls, so a verification can be cancelled between its Kahn rounds,
+// after the graph build has filled the workspace.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n <= 0 {
+		return context.Canceled
+	}
+	c.n--
+	return nil
+}
+
+// randomTurnSet draws a 90-degree turn relation over every class of the
+// VC configuration: dimension-ordered (acyclic on meshes) or a random
+// subset, sparse or dense (usually cyclic).
+func randomTurnSet(rng *rand.Rand, dims int, vcs VCConfig) *core.TurnSet {
+	var classes []channel.Class
+	for d := 0; d < dims; d++ {
+		for _, sign := range []channel.Sign{channel.Plus, channel.Minus} {
+			for vc := 1; vc <= vcs.VCs(channel.Dim(d)); vc++ {
+				classes = append(classes, channel.NewVC(channel.Dim(d), sign, vc))
+			}
+		}
+	}
+	mode := rng.Intn(3)
+	p := []float64{1, 0.3, 0.8}[mode]
+	ts := core.NewTurnSet()
+	for _, a := range classes {
+		for _, b := range classes {
+			if a.Dim == b.Dim || (mode == 0 && a.Dim > b.Dim) || rng.Float64() >= p {
+				continue
+			}
+			ts.Add(a, b, core.ByTheorem1)
+		}
+	}
+	return ts
+}
+
+// TestWorkspacePoolRebindMatchesFresh drives one pooled workspace through
+// a seeded sequence of shapes — 2D and 3D, mesh and torus, 1-3 VCs per
+// dimension, growing and shrinking, sometimes the same network with new
+// VCs — interleaving turn-set verifications,
+// routing-relation verifications and turn-set verifications cancelled
+// between Kahn rounds. Every report and every rebound graph must equal a
+// fresh workspace's.
+func TestWorkspacePoolRebindMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pool := &WorkspacePool{}
+	first := pool.Get(topology.NewMesh(2, 2), nil)
+	pool.Put(first)
+	var acyclic, cyclic, relations, cancelled int
+	var net *topology.Network
+	for step := 0; step < 80; step++ {
+		// A quarter of the steps keep the network and redraw only the
+		// VCs, so a bound network alone never passes for a bound shape.
+		if net == nil || rng.Intn(4) > 0 {
+			sizes := make([]int, 2+rng.Intn(2))
+			for d := range sizes {
+				sizes[d] = 2 + rng.Intn(10-3*(len(sizes)-2))
+			}
+			net = topology.NewMesh(sizes...)
+			if rng.Intn(2) == 0 {
+				net = topology.NewTorus(sizes...)
+			}
+		}
+		dims := net.Dims()
+		var vcs VCConfig
+		if rng.Intn(4) > 0 {
+			vcs = make(VCConfig, dims)
+			for d := range vcs {
+				vcs[d] = 1 + rng.Intn(3)
+			}
+		}
+		jobs := 1 + rng.Intn(3)
+		ws := pool.Get(net, vcs)
+		if ws != first {
+			t.Fatalf("step %d: pool handed out a second workspace", step)
+		}
+		ref := NewWorkspace(net, vcs)
+		var got, want Report
+		switch op := rng.Intn(6); {
+		case op == 0:
+			name := fmt.Sprintf("%s / dor", net)
+			got = ws.VerifyRelationJobs(xyRoute, name, jobs)
+			want = ref.VerifyRelationJobs(xyRoute, name, 1)
+			relations++
+		case op == 1:
+			ts := randomTurnSet(rng, dims, vcs)
+			rep, err := ws.VerifyTurnSetCtx(&cancelAfter{context.Background(), 1 + rng.Intn(3)}, ts, jobs)
+			if err == nil {
+				got, want = rep, ref.VerifyTurnSetJobs(ts, 1)
+				break
+			}
+			if !errors.Is(err, context.Canceled) || !reflect.DeepEqual(rep, Report{}) {
+				t.Fatalf("step %d: cancelled verify = %+v, %v", step, rep, err)
+			}
+			cancelled++
+			pool.Put(ws)
+			continue
+		default:
+			ts := randomTurnSet(rng, dims, vcs)
+			got = ws.VerifyTurnSetJobs(ts, jobs)
+			want = ref.VerifyTurnSetJobs(ts, 1)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d (%s, vcs %v): pooled %+v, fresh %+v", step, net, vcs, got, want)
+		}
+		sameGraph(t, step, ws.Graph(), ref.Graph())
+		if got.Acyclic {
+			acyclic++
+		} else {
+			cyclic++
+		}
+		pool.Put(ws)
+	}
+	if acyclic == 0 || cyclic == 0 || relations == 0 || cancelled == 0 {
+		t.Errorf("sequence missed a case: %d acyclic, %d cyclic, %d relations, %d cancelled",
+			acyclic, cyclic, relations, cancelled)
+	}
+}
+
+// TestWorkspacePoolRebindAllocs pins the rebind's allocation profile: once
+// a pooled workspace has grown on a larger shape, verifying smaller shapes
+// of any size through the pool costs the same small number of allocations
+// (the report's network name, the build's worker bookkeeping), not one per
+// channel. Every side has two digits, so the names cost the same.
+func TestWorkspacePoolRebindAllocs(t *testing.T) {
+	pool := &WorkspacePool{}
+	ws := pool.Get(topology.NewTorus(48, 48), nil)
+	ws.VerifyTurnSetJobs(allTurnSet(), 1) // every row grows to its torus degree
+	pool.Put(ws)
+	ts := xyTurnSet()
+	ts.Matrix()
+	allocs := func(a, b *topology.Network) float64 {
+		a.Links()
+		b.Links()
+		return testing.AllocsPerRun(20, func() {
+			for _, net := range []*topology.Network{a, b} {
+				ws := pool.Get(net, nil)
+				if rep := ws.VerifyTurnSetJobs(ts, 1); !rep.Acyclic {
+					t.Fatalf("XY on %s: %s", net, rep)
+				}
+				pool.Put(ws)
+			}
+		})
+	}
+	small := allocs(topology.NewMesh(10, 10), topology.NewMesh(12, 11))
+	large := allocs(topology.NewMesh(40, 40), topology.NewMesh(45, 38))
+	// Equal without the race detector; its runtime adds the odd
+	// allocation either side.
+	if large > small+2 || large > 32 {
+		t.Errorf("allocs per two rebinding verifies: %v on small meshes, %v on large; want equal and <= 32",
+			small, large)
 	}
 }
 

@@ -38,8 +38,8 @@ func Verify(net *topology.Network, vcs cdg.VCConfig, alg Algorithm) cdg.Report {
 
 // VerifyJobs is Verify over a bounded worker pool (jobs <= 0 means all
 // cores). The algorithm's Candidates is called concurrently when jobs > 1.
-// The build runs in a pooled cdg.Workspace, so repeated verifications on
-// the same network shape reuse the channel table and adjacency rows.
+// The build runs in a cdg.Workspace from cdg.DefaultPool, whose buffers
+// are refilled in place for whatever network shape comes next.
 func VerifyJobs(net *topology.Network, vcs cdg.VCConfig, alg Algorithm, jobs int) cdg.Report {
 	ws := cdg.DefaultPool.Get(net, vcs)
 	rep := ws.VerifyRelationJobs(Relation(alg), net.String()+" / "+alg.Name(), jobs)

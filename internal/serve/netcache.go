@@ -7,15 +7,15 @@ import (
 	"ebda/internal/topology"
 )
 
-// networkCache interns *topology.Network values by (kind, sizes). The
-// engine's workspace pool keys on network pointer identity, so two
-// requests naming the same shape must resolve to the same pointer to
-// share pooled workspaces — a fresh NewMesh per request would defeat the
-// pool (and its allocation-free repeat path) entirely.
+// networkCache interns *topology.Network values by (kind, sizes), so
+// repeat requests for a shape skip topology construction and link
+// enumeration. The engine's workspace pool serves every shape; interning
+// only lets it find an idle workspace still bound to the same network
+// pointer and skip the refill.
 //
 // The map is bounded like the verify cache: past maxNetworks it is
 // flushed wholesale. Correctness never depends on interning — a flush
-// only costs pool warmth.
+// only costs a rebuild.
 type networkCache struct {
 	mu sync.Mutex
 	m  map[string]*topology.Network

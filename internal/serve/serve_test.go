@@ -326,7 +326,7 @@ func TestNetworkCacheInterns(t *testing.T) {
 	a := nc.get("mesh", []int{6, 6})
 	b := nc.get("mesh", []int{6, 6})
 	if a != b {
-		t.Fatal("same shape resolved to distinct networks; the workspace pool cannot reuse")
+		t.Fatal("same shape resolved to distinct networks; every repeat request rebuilds its topology")
 	}
 	if c := nc.get("torus", []int{6, 6}); c == a {
 		t.Fatal("torus interned onto the mesh entry")

@@ -60,7 +60,8 @@ type Link struct {
 }
 
 // LinkFilter decides whether a physical link exists; used for irregular
-// networks. It receives the source coordinate and the direction.
+// networks. It receives the source coordinate and the direction; the
+// coordinate is only valid during the call and must not be modified.
 type LinkFilter func(from Coord, dim channel.Dim, sign channel.Sign) bool
 
 // Network is a (possibly irregular) n-dimensional grid network.
@@ -233,7 +234,12 @@ func (n *Network) InBounds(c Coord) bool {
 // and the irregularity filter). wrapped reports whether the hop used a
 // wraparound link.
 func (n *Network) Neighbor(id NodeID, d channel.Dim, sign channel.Sign) (to NodeID, wrapped, ok bool) {
-	c := n.Coord(id)
+	return n.step(id, n.Coord(id), d, sign)
+}
+
+// step is Neighbor for a node whose coordinate c is already known; c is
+// only read.
+func (n *Network) step(id NodeID, c Coord, d channel.Dim, sign channel.Sign) (to NodeID, wrapped, ok bool) {
 	if n.filter != nil && !n.filter(c, d, sign) {
 		return 0, false, false
 	}
@@ -252,8 +258,7 @@ func (n *Network) Neighbor(id NodeID, d channel.Dim, sign channel.Sign) (to Node
 		x = 0
 		wrapped = true
 	}
-	c[int(d)] = x
-	return n.ID(c), wrapped, true
+	return id + NodeID((x-c[int(d)])*n.strides[d]), wrapped, true
 }
 
 // HasLink reports whether the unidirectional link from id in direction
@@ -284,11 +289,14 @@ func (n *Network) FindLink(id NodeID, d channel.Dim, sign channel.Sign) (Link, b
 // computed once and shared; the returned slice must not be modified.
 func (n *Network) Links() []Link {
 	n.linksOnce.Do(func() {
-		var links []Link
+		links := make([]Link, 0, n.nodes*len(n.dims)*2)
+		// c walks the node coordinates odometer-style alongside id, so
+		// no per-node coordinate is allocated.
+		c := make(Coord, len(n.dims))
 		for id := NodeID(0); int(id) < n.nodes; id++ {
 			for d := 0; d < len(n.dims); d++ {
-				for _, sign := range []channel.Sign{channel.Plus, channel.Minus} {
-					to, wrapped, ok := n.Neighbor(id, channel.Dim(d), sign)
+				for _, sign := range [2]channel.Sign{channel.Plus, channel.Minus} {
+					to, wrapped, ok := n.step(id, c, channel.Dim(d), sign)
 					if !ok {
 						continue
 					}
@@ -298,6 +306,12 @@ func (n *Network) Links() []Link {
 						Wrap: wrapped,
 					})
 				}
+			}
+			for d := range c {
+				if c[d]++; c[d] < n.dims[d] {
+					break
+				}
+				c[d] = 0
 			}
 		}
 		n.links = links

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -92,6 +93,33 @@ func TestLinksCount(t *testing.T) {
 	}
 	if wraps != 2*2*4 {
 		t.Errorf("torus wrap links = %d, want 16", wraps)
+	}
+}
+
+// TestLinksMatchNeighbor pins the link enumeration (which walks node
+// coordinates incrementally) to Neighbor's per-node answer on regular,
+// wraparound, 2-ary, 3D, partial and faulty networks.
+func TestLinksMatchNeighbor(t *testing.T) {
+	mesh := NewMesh(5, 3)
+	nets := []*Network{
+		mesh, NewTorus(4, 3), NewTorus(2, 2), NewMesh(3, 2, 4), NewTorus(3, 2, 2),
+		NewPartialMesh3D(3, 3, 2, [][2]int{{1, 1}, {0, 2}}),
+		mesh.WithoutLinks([]Link{{From: 6, Dim: channel.X, Sign: channel.Plus}}),
+	}
+	for _, net := range nets {
+		var want []Link
+		for id := NodeID(0); int(id) < net.Nodes(); id++ {
+			for d := 0; d < net.Dims(); d++ {
+				for _, sign := range []channel.Sign{channel.Plus, channel.Minus} {
+					if to, wrapped, ok := net.Neighbor(id, channel.Dim(d), sign); ok {
+						want = append(want, Link{From: id, To: to, Dim: channel.Dim(d), Sign: sign, Wrap: wrapped})
+					}
+				}
+			}
+		}
+		if got := net.Links(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Links() = %v, want %v", net, got, want)
+		}
 	}
 }
 
