@@ -143,6 +143,40 @@ func BenchmarkVerifyShapeMix(b *testing.B) {
 	b.ReportMetric(float64(channels)/b.Elapsed().Seconds(), "channels/s")
 }
 
+// BenchmarkTurnEdges times verification through one warm workspace of the
+// designs with the most channel signatures, where the turn-edge build
+// weighs most: the Odd-Even design (parity-restricted Y classes) on a
+// 32x32 mesh and a 2-VC 3D chain on a 12x12x12 mesh. A signature is a
+// channel's dimension, sign and VC plus its tail's coordinate parities;
+// edge construction evaluates the turn relation once per signature pair.
+func BenchmarkTurnEdges(b *testing.B) {
+	cases := []struct {
+		name  string
+		net   *topology.Network
+		chain *core.Chain
+	}{
+		{"oddeven-32x32", topology.NewMesh(32, 32), paper.Table4Chain()},
+		{"3d-2vc-12x12x12", topology.NewMesh(12, 12, 12),
+			core.MustParseChain("PA[X1+ Y1* Z1+] -> PB[X1- Y2* Z1-] -> PC[X2* Z2+] -> PD[Z2-]")},
+	}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			vcs := cdg.VCConfigFor(c.net.Dims(), c.chain.Channels())
+			ts := c.chain.AllTurns()
+			ws := cdg.NewWorkspace(c.net, vcs)
+			want := ws.VerifyTurnSetJobs(ts, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if rep := ws.VerifyTurnSetJobs(ts, 1); rep.Edges != want.Edges || !rep.Acyclic {
+					b.Fatalf("%s: %s, want %d edges, acyclic", c.name, rep, want.Edges)
+				}
+			}
+			b.ReportMetric(float64(want.Channels)*float64(b.N)/b.Elapsed().Seconds(), "channels/s")
+		})
+	}
+}
+
 // BenchmarkAddEdges compares incremental single-edge insertion against the
 // batched sorted-merge path on interleaved batches (the worst case for
 // repeated O(n) inserts).

@@ -90,6 +90,11 @@ func (c Channel) String() string {
 // in order; the bulk constructors emit sorted runs), so membership tests
 // binary-search and all traversal output is independent of how many
 // workers built the graph.
+//
+// A channel's signature is its dimension, sign and VC plus its tail
+// coordinate parities. Its classes depend on nothing else, and a network
+// has few signatures (at most 32 in 2D with 2 VCs), so turn-edge
+// construction evaluates the turn relation per signature pair.
 type Graph struct {
 	net      *topology.Network
 	vcs      VCConfig
@@ -105,10 +110,13 @@ type Graph struct {
 	// per-dimension stride.
 	tailIndex []int32
 	maxVC     int
-	// coords[v*Dims()+d] is node v's coordinate in dimension d: a flat
-	// copy of net.Coord so parity tests in the class-matching hot loop
-	// are allocation-free.
-	coords []int32
+	// sig[i] is channel i's signature and sigs[s] the first channel with
+	// signature s. par[v] holds node v's coordinate parities (bit d set
+	// when odd); keySig maps a signature key to its index plus one.
+	sig, sigs, keySig []int32
+	par               []int
+	// tab is the turn-edge kernel's per-build signature table.
+	tab sigTable
 }
 
 // NewGraph enumerates the concrete channels of the network under the VC
@@ -140,20 +148,29 @@ func (g *Graph) bind(net *topology.Network, vcs VCConfig) {
 	for i := range g.tailIndex {
 		g.tailIndex[i] = -1
 	}
-	g.coords = slices.Grow(g.coords[:0], nodes*dims)[:nodes*dims] // net.Coord would allocate per node
+	g.par = slices.Grow(g.par[:0], nodes)[:nodes] // net.Coord would allocate per node
 	for v := 0; v < nodes; v++ {
-		x := v
+		x, p := v, 0
 		for d, size := range net.Sizes() {
-			g.coords[v*dims+d] = int32(x % size)
+			p |= (x % size & 1) << d
 			x /= size
 		}
+		g.par[v] = p
 	}
+	// A signature key is a channel's tail slot at node 0 (its dimension,
+	// sign and VC) shifted above its tail parities. Every network has at
+	// least 2^dims nodes, so keys stay below len(tailIndex) and fit an int.
+	keys := dims * 2 * g.maxVC << dims
+	g.keySig = slices.Grow(g.keySig[:0], keys)[:keys]
+	clear(g.keySig)
+	g.sigs = g.sigs[:0]
 	links := net.Links()
 	nc := 0
 	for _, link := range links {
 		nc += g.vcs[link.Dim]
 	}
 	g.channels = slices.Grow(g.channels[:0], nc)[:nc]
+	g.sig = slices.Grow(g.sig[:0], nc)[:nc]
 	idx := 0
 	for _, link := range links {
 		for vc := 1; vc <= g.vcs[link.Dim]; vc++ {
@@ -162,6 +179,12 @@ func (g *Graph) bind(net *topology.Network, vcs VCConfig) {
 			g.byHead[link.To] = append(g.byHead[link.To], int32(idx))
 			g.byTail[link.From] = append(g.byTail[link.From], int32(idx))
 			g.tailIndex[g.tailSlot(link.From, link.Dim, link.Sign, vc)] = int32(idx)
+			key := g.tailSlot(0, link.Dim, link.Sign, vc)<<dims | g.par[link.From]
+			if g.keySig[key] == 0 {
+				g.sigs = append(g.sigs, int32(idx))
+				g.keySig[key] = int32(len(g.sigs))
+			}
+			g.sig[idx] = g.keySig[key] - 1
 			idx++
 		}
 	}
@@ -331,27 +354,63 @@ func resolveJobs(jobs, shards int) int {
 	return jobs
 }
 
-// matchClassIdx appends to dst, for a concrete channel, the interned
-// indices of the matrix classes it instantiates, and returns the extended
-// slice (append-into form so callers can reuse scratch). Parity
-// restrictions are evaluated against the channel's tail-node coordinate in
-// the class's parity dimension (a channel does not move in dimensions
-// other than its own, so head and tail agree there except on its
-// own-dimension wraparound, which parity classes may not reference).
+// sigTable is the turn relation seen through a graph's signatures,
+// rebuilt per matrix by buildSigTable. cls[off[s]:off[s+1]] lists the
+// matrix classes signature s instantiates; id[s] interns identical lists,
+// first[k] being the first signature holding list k; allow[k*S+s] (S
+// signatures) says whether a channel with list k may depend on one with
+// signature s. Buffers are reused, so a warm table allocates nothing.
+type sigTable struct {
+	cls, off, id, first []int32
+	allow               []bool
+}
+
+// list returns the classes signature s instantiates.
+func (t *sigTable) list(s int32) []int32 { return t.cls[t.off[s]:t.off[s+1]] }
+
+// buildSigTable fills g.tab for the matrix: one class-matching pass per
+// signature and one AllowsAny per pair of distinct class lists, whose
+// verdict is then copied to every signature holding the second list. Parity
+// restrictions read the signature's tail parities (a channel does not move
+// in dimensions other than its own, so head and tail agree there except on
+// its own-dimension wraparound, which parity classes may not reference).
 //
 //ebda:hotpath
-func (g *Graph) matchClassIdx(dst []int32, ch Channel, m *core.AllowMatrix) []int32 {
-	base := int(ch.Link.From) * g.net.Dims()
-	for i, cls := range m.Classes() {
-		if cls.Dim != ch.Link.Dim || cls.Sign != ch.Link.Sign || cls.VC != ch.VC {
-			continue
+func (g *Graph) buildSigTable(m *core.AllowMatrix) {
+	t := &g.tab
+	t.cls, t.off, t.id, t.first = t.cls[:0], append(t.off[:0], 0), t.id[:0], t.first[:0]
+	for s, c := range g.sigs {
+		ch, start := &g.channels[c], len(t.cls)
+		for i, cls := range m.Classes() {
+			if cls.Dim != ch.Link.Dim || cls.Sign != ch.Link.Sign || cls.VC != ch.VC {
+				continue
+			}
+			if cls.Par != channel.Any && !cls.Par.Matches(g.par[ch.Link.From]>>cls.PDim&1) {
+				continue
+			}
+			t.cls = append(t.cls, int32(i))
 		}
-		if cls.Par != channel.Any && !cls.Par.Matches(int(g.coords[base+int(cls.PDim)])) {
-			continue
+		t.off = append(t.off, int32(len(t.cls)))
+		k := 0
+		for k < len(t.first) && !slices.Equal(t.list(t.first[k]), t.cls[start:]) {
+			k++
 		}
-		dst = append(dst, int32(i))
+		if k == len(t.first) {
+			t.first = append(t.first, int32(s))
+		}
+		t.id = append(t.id, int32(k))
 	}
-	return dst
+	n := len(g.sigs)
+	t.allow = slices.Grow(t.allow[:0], len(t.first)*n)[:len(t.first)*n]
+	for k, a := range t.first {
+		row := t.allow[k*n : (k+1)*n]
+		for _, b := range t.first {
+			row[b] = m.AllowsAny(t.list(a), t.list(b))
+		}
+		for s := range row {
+			row[s] = row[t.first[t.id[s]]]
+		}
+	}
 }
 
 // AddTurnEdges adds a dependency edge for every pair of concrete channels
@@ -360,50 +419,34 @@ func (g *Graph) matchClassIdx(dst []int32, ch Channel, m *core.AllowMatrix) []in
 func (g *Graph) AddTurnEdges(ts *core.TurnSet) int { return g.AddTurnEdgesJobs(ts, 0) }
 
 // AddTurnEdgesJobs is AddTurnEdges over a bounded worker pool (jobs <= 0
-// means all cores). Nodes shard perfectly: the dependency a->b exists via
-// the single node where a's head meets b's tail, so every channel's
-// successor list is owned by exactly one node and workers write disjoint
-// rows. The result — row contents and order — is identical for every
-// worker count.
-func (g *Graph) AddTurnEdgesJobs(ts *core.TurnSet, jobs int) int {
-	return g.addTurnEdges(ts, jobs, make([][]int32, len(g.channels)))
-}
-
-// addTurnEdges is the engine behind AddTurnEdgesJobs. matched is
-// caller-provided scratch of length NumChannels (entries are reset to
-// length zero and refilled, keeping capacity), so a Workspace can run
-// repeated extractions without reallocating the per-channel match lists.
+// means all cores). The turn relation is first evaluated once per
+// signature pair (buildSigTable); each channel pair then costs one table
+// lookup. Channel a's successors are the permitted channels out of its
+// head node, so every row is a function of one channel and workers own
+// disjoint ranges of rows. byTail rows are ascending, so an empty row
+// fills by appending and a non-empty one (a second build on the same
+// graph) takes one sorted merge. The result — row contents and order — is
+// identical for every worker count.
 //
 //ebda:hotpath
-func (g *Graph) addTurnEdges(ts *core.TurnSet, jobs int, matched [][]int32) int {
-	m := ts.Matrix()
-	nc := len(g.channels)
-	workers := resolveJobs(jobs, g.net.Nodes())
-	// Phase 1: intern class matches per channel (independent per channel).
-	parallelFor(workers, func(w int) {
-		for i := w; i < nc; i += workers {
-			matched[i] = g.matchClassIdx(matched[i][:0], g.channels[i], m)
-		}
-	})
-	// Phase 2: per-node edge construction. byTail rows are ascending, so
-	// each batch arrives sorted and merges into the row in one pass.
+func (g *Graph) AddTurnEdgesJobs(ts *core.TurnSet, jobs int) int {
+	g.buildSigTable(ts.Matrix())
+	t, n, nc := &g.tab, len(g.sigs), len(g.channels)
+	workers := resolveJobs(jobs, nc)
 	counts := make([]int, workers)
-	nodes := g.net.Nodes()
 	parallelFor(workers, func(w int) {
 		added := 0
 		var batch []int32
-		for v := w; v < nodes; v += workers {
-			for _, ai := range g.byHead[v] {
-				batch = batch[:0]
-				for _, bi := range g.byTail[v] {
-					if m.AllowsAny(matched[ai], matched[bi]) {
-						batch = append(batch, bi)
-					}
-				}
-				if len(batch) > 0 {
-					g.adj[ai] = mergeSorted(g.adj[ai], batch)
-					added += len(batch)
-				}
+		for a := nc * w / workers; a < nc*(w+1)/workers; a++ {
+			tails := g.byTail[g.channels[a].Link.To]
+			allow := t.allow[int(t.id[g.sig[a]])*n:][:n]
+			if row := g.adj[a]; len(row) == 0 {
+				g.adj[a] = appendAllowed(row, tails, g.sig, allow)
+				added += len(g.adj[a])
+			} else {
+				batch = appendAllowed(batch[:0], tails, g.sig, allow)
+				g.adj[a] = mergeSorted(row, batch)
+				added += len(batch)
 			}
 		}
 		counts[w] = added
@@ -414,6 +457,17 @@ func (g *Graph) addTurnEdges(ts *core.TurnSet, jobs int, matched [][]int32) int 
 	}
 	g.edges += added
 	return added
+}
+
+// appendAllowed appends to dst every out-channel in tails whose signature
+// the in-channel's allow row admits.
+func appendAllowed(dst, tails, sig []int32, allow []bool) []int32 {
+	for _, b := range tails {
+		if allow[sig[b]] {
+			dst = append(dst, b)
+		}
+	}
+	return dst
 }
 
 // parallelFor runs fn(w) for w in [0, workers) on separate goroutines

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -187,9 +188,9 @@ type savedRow struct {
 }
 
 // DeltaWorkspace retains one base verification — the built dependency
-// graph, the per-channel class-match lists, and the canonical final state
-// of the base peel — so perturbed variants of that design re-verify by
-// patching the structures in place instead of rebuilding them.
+// graph and the canonical final state of the base peel — so perturbed
+// variants of that design re-verify by patching the structures in place
+// instead of rebuilding them.
 //
 // Every VerifyDiff call patches the adjacency rows (journaling pristine
 // row contents), maintains the canonical peel state incrementally, renders
@@ -224,6 +225,9 @@ type DeltaWorkspace struct {
 	rowEpoch  uint32
 	saved     []savedRow
 	arena     []int32
+	// Per class list k of the graph's sigTable: from[k] holds a toggled
+	// turn's from-class, touched[k*S+s] a toggled turn into signature s.
+	from, touched []bool
 }
 
 // NewDeltaWorkspace builds a delta workspace over the base verification,
@@ -403,7 +407,8 @@ func (dw *DeltaWorkspace) planDiff(diff Diff) error {
 // in-channel instantiates class f and the out-channel class t; for each
 // such pair the full pair-level relation is re-evaluated against the
 // toggled matrix (a channel may instantiate several classes, and another
-// class pair can keep the edge alive).
+// class pair can keep the edge alive). Both tests are lookups in the
+// graph's signature table, built once per diff for the toggled matrix.
 func (dw *DeltaWorkspace) planTurnOps(diff Diff) error {
 	g, ts := dw.ws.g, dw.ts
 	m := ts.Matrix()
@@ -432,35 +437,49 @@ func (dw *DeltaWorkspace) planTurnOps(diff Diff) error {
 	if mm.NumClasses() != m.NumClasses() {
 		return fmt.Errorf("%w: toggles changed the declared class set", ErrBadDiff)
 	}
-	matched := dw.ws.matched
-	nodes := g.net.Nodes()
-	toggled := make([]core.Turn, 0, len(diff.DisableTurns)+len(diff.EnableTurns))
-	toggled = append(toggled, diff.DisableTurns...)
-	toggled = append(toggled, diff.EnableTurns...)
-	for _, t := range toggled {
-		fi, okF := m.Index(t.From)
-		ti, okT := m.Index(t.To)
-		if !okF || !okT {
-			return fmt.Errorf("%w: turn %s>%s class not interned", ErrBadDiff, t.From, t.To)
-		}
-		for v := 0; v < nodes; v++ {
-			for _, ai := range g.byHead[v] {
-				if dw.masked[ai] || !containsIdx(matched[ai], int32(fi)) {
+	g.buildSigTable(mm)
+	tab := &g.tab
+	n, lists := len(g.sigs), len(tab.first)
+	dw.from = slices.Grow(dw.from[:0], lists)[:lists]
+	dw.touched = slices.Grow(dw.touched[:0], lists*n)[:lists*n]
+	clear(dw.from)
+	clear(dw.touched)
+	for _, turns := range [][]core.Turn{diff.DisableTurns, diff.EnableTurns} {
+		for _, t := range turns {
+			fi, okF := m.Index(t.From)
+			ti, okT := m.Index(t.To)
+			if !okF || !okT {
+				return fmt.Errorf("%w: turn %s>%s class not interned", ErrBadDiff, t.From, t.To)
+			}
+			for k, a := range tab.first {
+				if !slices.Contains(tab.list(a), int32(fi)) {
 					continue
 				}
-				for _, bi := range g.byTail[v] {
-					if dw.masked[bi] || !containsIdx(matched[bi], int32(ti)) {
-						continue
-					}
-					had := g.HasEdge(int(ai), int(bi))
-					want := mm.AllowsAny(matched[ai], matched[bi])
-					switch {
-					case had && !want:
-						dw.rmOps = append(dw.rmOps, [2]int32{ai, bi})
-					case !had && want:
-						dw.addOps = append(dw.addOps, [2]int32{ai, bi})
+				dw.from[k] = true
+				for s := range g.sigs {
+					if slices.Contains(tab.list(int32(s)), int32(ti)) {
+						dw.touched[k*n+s] = true
 					}
 				}
+			}
+		}
+	}
+	for ai := range g.channels {
+		ka := int(tab.id[g.sig[ai]])
+		if dw.masked[ai] || !dw.from[ka] {
+			continue
+		}
+		for _, bi := range g.byTail[g.channels[ai].Link.To] {
+			kb := ka*n + int(g.sig[bi])
+			if dw.masked[bi] || !dw.touched[kb] {
+				continue
+			}
+			had := g.HasEdge(ai, int(bi))
+			switch want := tab.allow[kb]; {
+			case had && !want:
+				dw.rmOps = append(dw.rmOps, [2]int32{int32(ai), bi})
+			case !had && want:
+				dw.addOps = append(dw.addOps, [2]int32{int32(ai), bi})
 			}
 		}
 	}
@@ -707,18 +726,6 @@ func pairsIntersect(a, b [][2]int32) ([2]int32, bool) {
 		}
 	}
 	return [2]int32{}, false
-}
-
-// containsIdx reports whether the ascending index list contains v. Match
-// lists are tiny (a channel instantiates few classes), so a linear scan
-// beats a binary search.
-func containsIdx(list []int32, v int32) bool {
-	for _, x := range list {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // deleteSorted removes v from the ascending row, which must contain it.

@@ -12,21 +12,20 @@ import (
 )
 
 // Workspace owns a dependency graph plus all the scratch one verification
-// needs — the per-channel class-match lists and the Kahn/DFS state — so
+// needs — the graph's signature table and the Kahn/DFS state — so
 // repeated verifications reset buffers instead of reallocating them. The
-// channel table, head/tail indices and coordinate table depend only on the
-// (network, VC configuration) shape; rebinding to another shape refills
-// them in place. Adjacency and match rows are reused by index, truncated
-// in place so they keep their capacity.
+// channel table, head/tail indices and channel signatures depend only on
+// the (network, VC configuration) shape; rebinding to another shape
+// refills them in place. Adjacency rows are reused by index, truncated in
+// place so they keep their capacity.
 //
 // A Workspace is single-verification at a time: its methods must not be
 // called concurrently (the verification itself still fans out over the
 // worker pool internally). Use a WorkspacePool to share workspaces across
 // goroutines.
 type Workspace struct {
-	g       *Graph
-	st      acyclicState
-	matched [][]int32
+	g  *Graph
+	st acyclicState
 }
 
 // NewWorkspace builds a workspace for one network shape.
@@ -111,10 +110,9 @@ func (ws *Workspace) VerifyTurnSetCtx(ctx context.Context, ts *core.TurnSet, job
 	vsp := tc.StartSpan("cdg.verify")
 	sp := phaseVerify.Start()
 	ws.Reset()
-	ws.matched = resizeRows(ws.matched, len(ws.g.channels))
 	tesp := tc.StartSpan("cdg.edges")
 	esp := phaseEdges.Start()
-	ws.g.addTurnEdges(ts, jobs, ws.matched)
+	ws.g.AddTurnEdgesJobs(ts, jobs)
 	esp.End()
 	tesp.SetInt("edges", int64(ws.g.NumEdges()))
 	tesp.End()

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"ebda/internal/channel"
@@ -134,7 +135,8 @@ func sameGraph(t *testing.T, step int, got, want *Graph) {
 	}
 	if got.net != want.net || got.maxVC != want.maxVC || got.edges != want.edges ||
 		!reflect.DeepEqual(got.vcs, want.vcs) || !reflect.DeepEqual(got.channels, want.channels) ||
-		!reflect.DeepEqual(got.tailIndex, want.tailIndex) || !reflect.DeepEqual(got.coords, want.coords) {
+		!reflect.DeepEqual(got.tailIndex, want.tailIndex) || !reflect.DeepEqual(got.sig, want.sig) ||
+		!reflect.DeepEqual(got.sigs, want.sigs) {
 		t.Fatalf("step %d: rebound graph tables differ from a fresh graph of %s", step, want.net)
 	}
 	rows("byHead", got.byHead, want.byHead)
@@ -349,5 +351,54 @@ func TestMergeSorted(t *testing.T) {
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("mergeSorted(%v, %v) = %v, want %v", tc.row, tc.batch, got, tc.want)
 		}
+	}
+}
+
+// TestVerifyDesignAllocsFlat pins the turn-edge kernel's allocation
+// profile: once a pooled workspace has grown, verifying another design
+// costs the same small number of allocations whatever the design's class
+// count (4 to 8 classes, plain, parity-restricted and 2-VC) and whatever
+// the network's channel count. The signature table is workspace scratch,
+// so nothing in it is allocated per channel, per class or per verification.
+func TestVerifyDesignAllocsFlat(t *testing.T) {
+	oddEven := core.MustChain(
+		core.MustPartition("PA", channel.New(channel.X, channel.Minus),
+			channel.NewParity(channel.Y, channel.Plus, channel.X, channel.Even),
+			channel.NewParity(channel.Y, channel.Minus, channel.X, channel.Even)),
+		core.MustPartition("PB", channel.New(channel.X, channel.Plus),
+			channel.NewParity(channel.Y, channel.Plus, channel.X, channel.Odd),
+			channel.NewParity(channel.Y, channel.Minus, channel.X, channel.Odd)),
+	).AllTurns()
+	designs := []*core.TurnSet{
+		xyTurnSet(),
+		oddEven,
+		core.MustParseChain("PA[X1+ Y1+ Y1-] -> PB[X1- Y2+ Y2-]").AllTurns(),
+		core.MustParseChain("PA[X1+ X2+ Y1+ Y2+] -> PB[X1- X2- Y1- Y2-]").AllTurns(),
+	}
+	vcs := VCConfig{2, 2}
+	pool := &WorkspacePool{}
+	ws := pool.Get(topology.NewTorus(48, 48), vcs)
+	for _, ts := range designs {
+		ws.VerifyTurnSetJobs(ts, 1) // grow every buffer on the largest shape
+	}
+	pool.Put(ws)
+	var counts []float64
+	for _, net := range []*topology.Network{topology.NewMesh(10, 10), topology.NewMesh(40, 40), topology.NewMesh(45, 38)} {
+		net.Links()
+		for _, ts := range designs {
+			counts = append(counts, testing.AllocsPerRun(10, func() {
+				ws := pool.Get(net, vcs)
+				if rep := ws.VerifyTurnSetJobs(ts, 1); !rep.Acyclic {
+					t.Fatalf("chain design cyclic on %s: %s", net, rep)
+				}
+				pool.Put(ws)
+			}))
+		}
+	}
+	// Equal without the race detector; its runtime adds the odd
+	// allocation either side.
+	lo, hi := slices.Min(counts), slices.Max(counts)
+	if hi > lo+2 || hi > 12 {
+		t.Errorf("allocs per verify across designs and shapes: %v; want equal and <= 12", counts)
 	}
 }

@@ -60,7 +60,7 @@ func TestSuiteCleanOnEngine(t *testing.T) {
 // stays annotated: losing a directive silently un-guards the function.
 func TestHotpathAnnotationsPresent(t *testing.T) {
 	want := map[string][]string{
-		"internal/cdg":  {"VerifyTurnSetJobs", "kahnPeel", "AddEdges", "addTurnEdges", "matchClassIdx", "mergeSorted", "insertSorted"},
+		"internal/cdg":  {"VerifyTurnSetJobs", "kahnPeel", "AddEdges", "AddTurnEdgesJobs", "buildSigTable", "mergeSorted", "insertSorted"},
 		"internal/core": {"Matrix"},
 	}
 	for rel, names := range want {
