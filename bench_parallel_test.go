@@ -7,6 +7,7 @@
 package ebda_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -86,10 +87,12 @@ func BenchmarkVerifyRepeated(b *testing.B) {
 	b.Run("cached", func(b *testing.B) {
 		b.ReportAllocs()
 		cache := &cdg.VerifyCache{}
-		cache.VerifyTurnSetJobs(net, vcs, ts, 0)
+		ctx := context.Background()
+		cache.Verify(ctx, cdg.TurnSetQuery(net, vcs, ts), 0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			check(b, cache.VerifyTurnSetJobs(net, vcs, ts, 0))
+			rep, _ := cache.Verify(ctx, cdg.TurnSetQuery(net, vcs, ts), 0)
+			check(b, rep)
 		}
 	})
 }

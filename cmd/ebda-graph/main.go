@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -131,7 +132,7 @@ func cmdVerify(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	rep := cdg.DefaultModeCache.VerifyModeJobs(g.Edges, mode, g.Inputs, g.Outputs, escape, *jobs)
+	rep, _ := cdg.DefaultModeCache.Verify(context.Background(), cdg.ModeQuery(g.Edges, mode, g.Inputs, g.Outputs, escape), *jobs)
 	fmt.Fprintln(stdout, rep.String())
 	if rep.OK {
 		return 0

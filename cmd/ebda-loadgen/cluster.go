@@ -131,7 +131,7 @@ func runCluster(p clusterParams, out, errw io.Writer) int {
 	}
 	baseResults, baseWall := driveStream(client, solo.url, baseReqs, p.conc)
 	var snapshot bytes.Buffer
-	if _, err := soloCache.SaveSnapshot(&snapshot); err != nil {
+	if _, err := cdg.SaveSnapshot(soloCache, &snapshot); err != nil {
 		fmt.Fprintln(errw, "ebda-loadgen: snapshot:", err)
 		soloStop()
 		return 2
@@ -624,7 +624,7 @@ func clusterProbes(client *http.Client, errw io.Writer, procs []*replicaProc, ri
 	// Probe 3: snapshot warm start. A standalone replica loaded from the
 	// baseline snapshot answers its first hot-key request from cache.
 	warmCache := &cdg.VerifyCache{}
-	if _, err := warmCache.LoadSnapshot(bytes.NewReader(snapshot.Bytes())); err != nil {
+	if _, err := cdg.LoadSnapshot(warmCache, bytes.NewReader(snapshot.Bytes())); err != nil {
 		fail("warm-start load: %v", err)
 	} else {
 		warm, warmStop, err := startReplicaProc("warm", warmCache, cfg, nil)

@@ -163,7 +163,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "ebda-serve: snapshot-load:", err)
 			return 2
 		}
-		n, err := cdg.DefaultCache.LoadSnapshot(f)
+		n, err := cdg.LoadSnapshot(cdg.DefaultCache, f)
 		f.Close()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "ebda-serve: snapshot-load:", err)
@@ -221,7 +221,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, "ebda-serve: snapshot-save:", err)
 			return 1
 		}
-		n, err := cdg.DefaultCache.SaveSnapshot(f)
+		n, err := cdg.SaveSnapshot(cdg.DefaultCache, f)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}

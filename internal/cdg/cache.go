@@ -7,36 +7,50 @@ import (
 
 	"ebda/internal/channel"
 	"ebda/internal/core"
+	"ebda/internal/obs"
 	"ebda/internal/topology"
 )
 
-// VerifyCache memoizes verification Reports across turn sets, keyed by a
-// canonical 64-bit hash of (network shape, VC configuration, turn-set
-// transition relation). The experiment sweeps (E04/E05/E07, the partition
-// strategy searches, the paper-section turn-model enumerations) verify
-// many structurally identical designs — chains rebuilt per call produce
-// fresh TurnSet instances with identical relations — and the cache turns
-// those repeats into a map probe.
+// Cache memoizes verdicts of one report type, keyed by a canonical
+// 64-bit hash of the question asked (the *Key family: VerifyKey,
+// DeltaKey, EdgeKey, ModeKey). The experiment sweeps (E04/E05/E07, the
+// partition strategy searches, the paper-section turn-model
+// enumerations) verify many structurally identical designs — chains
+// rebuilt per call produce fresh TurnSet instances with identical
+// relations — and the cache turns those repeats into a map probe.
 //
 // The cache is goroutine-safe. Each entry stores a second, independently
 // derived 64-bit check hash: a probe whose key matches but whose check
 // differs is treated as a miss and recomputed, so a single-hash collision
-// can never surface a wrong report. Cached Reports share their Cycle
-// slice; callers must treat it as read-only (every in-repo consumer only
-// formats it).
-type VerifyCache struct {
+// can never surface a wrong report. Cached reports share their witness
+// slices; callers must treat them as read-only (every in-repo consumer
+// only formats them). The zero value is an empty cache.
+type Cache[R any] struct {
+	// entries, when set, publishes the live entry count. Only
+	// DefaultCache sets it: the gauge describes the process-wide cache,
+	// not the private caches of replicas and tests.
+	entries *obs.Gauge
+
 	mu sync.RWMutex
-	m  map[uint64]cacheEntry
+	m  map[uint64]cacheEntry[R]
 
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 }
 
-type cacheEntry struct {
+type cacheEntry[R any] struct {
 	check uint64
-	rep   Report
+	rep   R
 }
+
+// VerifyCache holds full and delta verification Reports, EdgeCache
+// abstract edge-set verdicts, ModeCache multi-mode graph verdicts.
+type (
+	VerifyCache = Cache[Report]
+	EdgeCache   = Cache[EdgeReport]
+	ModeCache   = Cache[ModeReport]
+)
 
 // maxCacheEntries bounds memory: past it the map is flushed wholesale (an
 // epoch flush — correctness never depends on cache contents). The
@@ -45,8 +59,18 @@ type cacheEntry struct {
 var maxCacheEntries = 1 << 15
 
 // DefaultCache is the process-wide verification cache behind
-// VerifyTurnSetCached and VerifyChainCached.
-var DefaultCache = &VerifyCache{}
+// VerifyTurnSetCached, VerifyChainCached and VerifyDeltaCached.
+var DefaultCache = &VerifyCache{entries: obsCacheEntries}
+
+// Query is one cacheable verification: its dual-hash identity, hashed
+// once when the query is built, and the computation that answers it on a
+// miss. Build one with TurnSetQuery, DeltaQuery, EdgeQuery or ModeQuery;
+// the same Key and Check serve the cache probe, singleflight coalescing
+// and shard routing.
+type Query[R any] struct {
+	Key, Check uint64
+	compute    func(ctx context.Context, jobs int) (R, error)
+}
 
 // CacheStats is a snapshot of cache effectiveness.
 type CacheStats struct {
@@ -65,9 +89,32 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
+// cacheSeries are the process-wide counters one report type's caches
+// feed: every VerifyCache instance counts into ebda_verify_cache_*, every
+// EdgeCache into ebda_edge_cache_*, every ModeCache into
+// ebda_mode_cache_*.
+type cacheSeries struct{ hits, misses, evictions *obs.Counter }
+
+var (
+	verifySeries = cacheSeries{obsCacheHits, obsCacheMisses, obsCacheEvictions}
+	edgeSeries   = cacheSeries{obsEdgeCacheHits, obsEdgeCacheMisses, obsEdgeCacheEvictions}
+	modeSeries   = cacheSeries{obsModeCacheHits, obsModeCacheMisses, obsModeCacheEvictions}
+)
+
+func (c *Cache[R]) series() *cacheSeries {
+	switch any((*R)(nil)).(type) {
+	case *Report:
+		return &verifySeries
+	case *EdgeReport:
+		return &edgeSeries
+	default:
+		return &modeSeries
+	}
+}
+
 // Stats returns current hit/miss/eviction counters and the live entry
 // count.
-func (c *VerifyCache) Stats() CacheStats {
+func (c *Cache[R]) Stats() CacheStats {
 	c.mu.RLock()
 	n := len(c.m)
 	c.mu.RUnlock()
@@ -82,15 +129,83 @@ func (c *VerifyCache) Stats() CacheStats {
 // Reset clears all entries and counters. Entries dropped here are not
 // counted as evictions: Reset marks an intentional epoch boundary (the
 // bench harness isolates experiments with it), not capacity pressure.
-func (c *VerifyCache) Reset() {
+func (c *Cache[R]) Reset() {
 	c.mu.Lock()
 	c.m = nil
 	c.mu.Unlock()
 	c.hits.Store(0)
 	c.misses.Store(0)
 	c.evictions.Store(0)
-	obsCacheEntries.Set(0)
+	c.publish(0)
 }
+
+// Lookup probes the cache by dual-hash identity without computing on a
+// miss. A hit counts as cache traffic (it answers a verification); a miss
+// counts nothing — the caller decides whether to compute, and Verify
+// records the miss. Serving layers use Lookup to report provenance
+// exactly (hit -> served from cache), and cluster replicas answer peer
+// probes with it: the check hash guarantees a collision is a miss, never
+// a wrong report.
+func (c *Cache[R]) Lookup(key, check uint64) (R, bool) {
+	c.mu.RLock()
+	e, ok := c.m[key]
+	c.mu.RUnlock()
+	if ok && e.check == check {
+		c.hits.Add(1)
+		c.series().hits.Inc()
+		return e.rep, true
+	}
+	var zero R
+	return zero, false
+}
+
+// Verify returns the memoized answer to q, computing and caching it on a
+// miss (jobs <= 0 means all cores). Answers are identical to the uncached
+// path for every jobs value. A hit is answered even when ctx has already
+// expired — it costs no work and the verdict is real. A miss that fails
+// (cancellation, an invalid diff) returns the error, counts as a miss and
+// stores nothing: partial peels never become cache entries.
+func (c *Cache[R]) Verify(ctx context.Context, q Query[R], jobs int) (R, error) {
+	if rep, ok := c.Lookup(q.Key, q.Check); ok {
+		return rep, nil
+	}
+	c.misses.Add(1)
+	c.series().misses.Inc()
+	rep, err := q.compute(ctx, jobs)
+	if err != nil {
+		var zero R
+		return zero, err
+	}
+	c.mu.Lock()
+	c.putLocked(q.Key, cacheEntry[R]{check: q.Check, rep: rep})
+	c.publish(len(c.m))
+	c.mu.Unlock()
+	return rep, nil
+}
+
+// putLocked stores one entry under c.mu, flushing the map wholesale first
+// when it is full; the flushed entries count as evictions.
+func (c *Cache[R]) putLocked(key uint64, e cacheEntry[R]) {
+	if c.m == nil || len(c.m) >= maxCacheEntries {
+		if n := len(c.m); n > 0 {
+			c.evictions.Add(uint64(n))
+			c.series().evictions.Add(uint64(n))
+		}
+		c.m = make(map[uint64]cacheEntry[R])
+	}
+	c.m[key] = e
+}
+
+// publish sets the entries gauge of a cache that owns one.
+func (c *Cache[R]) publish(n int) {
+	if c.entries != nil {
+		c.entries.Set(int64(n))
+	}
+}
+
+// reportOf drops the error of a computation that cannot fail (no
+// deadline, nothing to validate), for the error-free wrappers below.
+func reportOf[R any](rep R, _ error) R { return rep }
 
 // verifyKey derives the cache key and its independent check hash. The
 // network contributes its family name, per-dimension sizes and wraps (and,
@@ -162,86 +277,14 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Lookup probes the cache without computing on a miss. A hit counts as
-// cache traffic (it answers a verification); a miss counts nothing — the
-// caller decides whether to compute, and the computing entry point
-// records the miss. Serving layers use Lookup to report cache provenance
-// exactly: hit -> served from cache, miss -> computed (or coalesced onto
-// another request's computation).
-func (c *VerifyCache) Lookup(net *topology.Network, vcs VCConfig, ts *core.TurnSet) (Report, bool) {
+// TurnSetQuery is the cache query for one (network, VC configuration,
+// turn set) verification under VerifyKey, computed on a miss through the
+// pooled context-aware path.
+func TurnSetQuery(net *topology.Network, vcs VCConfig, ts *core.TurnSet) Query[Report] {
 	key, check := verifyKey(net, vcs, ts)
-	c.mu.RLock()
-	e, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok && e.check == check {
-		c.hits.Add(1)
-		obsCacheHits.Inc()
-		return e.rep, true
-	}
-	return Report{}, false
-}
-
-// LookupKey probes the cache by a raw dual-hash identity (a VerifyKey or
-// DeltaKey pair) without computing on a miss, with Lookup's accounting
-// contract: a hit counts as cache traffic, a miss counts nothing. It is
-// the peer-lookup entry point for cluster serving — a replica that owns
-// a key answers another replica's probe from its cache or not at all,
-// and the check hash guarantees a collision is a miss, never a wrong
-// report.
-func (c *VerifyCache) LookupKey(key, check uint64) (Report, bool) {
-	c.mu.RLock()
-	e, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok && e.check == check {
-		c.hits.Add(1)
-		obsCacheHits.Inc()
-		return e.rep, true
-	}
-	return Report{}, false
-}
-
-// VerifyTurnSetJobs returns the memoized report for the (network, vcs,
-// turn set) shape, computing and caching it on a miss via the pooled
-// verification path (jobs <= 0 means all cores). Reports are identical to
-// the uncached path for every jobs value.
-func (c *VerifyCache) VerifyTurnSetJobs(net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) Report {
-	rep, _ := c.VerifyTurnSetCtx(context.Background(), net, vcs, ts, jobs)
-	return rep
-}
-
-// VerifyTurnSetCtx is VerifyTurnSetJobs with a deadline. A cache hit is
-// answered even when ctx has already expired — it costs no work and the
-// verdict is real. A miss computes through the context-aware pooled path;
-// cancellation returns ctx's error, counts the probe as a miss, and
-// stores nothing (partial peels never become cache entries).
-func (c *VerifyCache) VerifyTurnSetCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) (Report, error) {
-	key, check := verifyKey(net, vcs, ts)
-	c.mu.RLock()
-	e, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok && e.check == check {
-		c.hits.Add(1)
-		obsCacheHits.Inc()
-		return e.rep, nil
-	}
-	c.misses.Add(1)
-	obsCacheMisses.Inc()
-	rep, err := VerifyTurnSetCtx(ctx, net, vcs, ts, jobs)
-	if err != nil {
-		return Report{}, err
-	}
-	c.mu.Lock()
-	if c.m == nil || len(c.m) >= maxCacheEntries {
-		if n := len(c.m); n > 0 {
-			c.evictions.Add(uint64(n))
-			obsCacheEvictions.Add(uint64(n))
-		}
-		c.m = make(map[uint64]cacheEntry)
-	}
-	c.m[key] = cacheEntry{check: check, rep: rep}
-	obsCacheEntries.Set(int64(len(c.m)))
-	c.mu.Unlock()
-	return rep, nil
+	return Query[Report]{Key: key, Check: check, compute: func(ctx context.Context, jobs int) (Report, error) {
+		return VerifyTurnSetCtx(ctx, net, vcs, ts, jobs)
+	}}
 }
 
 // DeltaKey derives the cache identity of a delta verification: the base
@@ -252,99 +295,55 @@ func (c *VerifyCache) VerifyTurnSetCtx(ctx context.Context, net *topology.Networ
 // verifications; the seeds keep the two key families decorrelated and the
 // check hash catches any residual collision.
 func DeltaKey(net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff) (key, check uint64) {
+	bk, bc := verifyKey(net, vcs, ts)
+	return deltaKey(bk, bc, diff)
+}
+
+func deltaKey(baseKey, baseCheck uint64, diff Diff) (key, check uint64) {
 	const (
 		deltaSeedA = 0x71c3a9d0f54bd137
 		deltaSeedB = 0x3c79ac492ba7b653
 	)
-	bk, bc := verifyKey(net, vcs, ts)
 	f1, f2 := diff.Fingerprint()
-	key = mix64(bk ^ mix64(f1^deltaSeedA))
-	check = mix64(bc*0x100000001b3 + mix64(f2^deltaSeedB))
-	return key, check
+	return mix64(baseKey ^ mix64(f1^deltaSeedA)), mix64(baseCheck*0x100000001b3 + mix64(f2^deltaSeedB))
 }
 
-// LookupDelta probes the cache for a delta verdict without computing on a
-// miss, with the same hit/miss accounting contract as Lookup: a hit counts
-// as cache traffic, a miss counts nothing.
-func (c *VerifyCache) LookupDelta(net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff) (Report, bool) {
-	key, check := DeltaKey(net, vcs, ts, diff)
-	c.mu.RLock()
-	e, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok && e.check == check {
-		c.hits.Add(1)
-		obsCacheHits.Inc()
-		return e.rep, true
-	}
-	return Report{}, false
-}
-
-// VerifyDeltaCtx returns the memoized report of the base design perturbed
-// by the diff, computing it on a miss through a pooled DeltaWorkspace
-// (jobs <= 0 means all cores) — the cache-layer delta entry point serving
-// code must use. A hit is answered even when ctx has expired; a miss that
-// is cancelled (or whose diff is invalid) returns the error and stores
-// nothing. Reports are bit-identical to a from-scratch verification of the
-// perturbed design for every jobs value.
-func (c *VerifyCache) VerifyDeltaCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff, jobs int) (Report, error) {
-	key, check := DeltaKey(net, vcs, ts, diff)
-	c.mu.RLock()
-	e, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok && e.check == check {
-		c.hits.Add(1)
-		obsCacheHits.Inc()
-		return e.rep, nil
-	}
-	c.misses.Add(1)
-	obsCacheMisses.Inc()
-	dw, err := DefaultDeltaPool.GetCtx(ctx, net, vcs, ts, jobs)
-	if err != nil {
-		return Report{}, err
-	}
-	rep, err := dw.VerifyDiffCtx(ctx, diff, jobs)
-	DefaultDeltaPool.Put(dw)
-	if err != nil {
-		return Report{}, err
-	}
-	c.mu.Lock()
-	if c.m == nil || len(c.m) >= maxCacheEntries {
-		if n := len(c.m); n > 0 {
-			c.evictions.Add(uint64(n))
-			obsCacheEvictions.Add(uint64(n))
+// DeltaQuery is the cache query for the base design perturbed by the
+// diff, under DeltaKey. A miss checks a retained workspace for the base
+// out of DefaultDeltaPool and re-verifies incrementally; an invalid diff
+// fails with ErrBadDiff. Reports are bit-identical to a from-scratch
+// verification of the perturbed design for every jobs value.
+func DeltaQuery(net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff) Query[Report] {
+	bk, bc := verifyKey(net, vcs, ts)
+	key, check := deltaKey(bk, bc, diff)
+	return Query[Report]{Key: key, Check: check, compute: func(ctx context.Context, jobs int) (Report, error) {
+		dw, err := DefaultDeltaPool.get(ctx, bk, bc, net, vcs, ts, jobs)
+		if err != nil {
+			return Report{}, err
 		}
-		c.m = make(map[uint64]cacheEntry)
-	}
-	c.m[key] = cacheEntry{check: check, rep: rep}
-	obsCacheEntries.Set(int64(len(c.m)))
-	c.mu.Unlock()
-	return rep, nil
+		defer DefaultDeltaPool.Put(dw)
+		return dw.VerifyDiffCtx(ctx, diff, jobs)
+	}}
 }
 
-// VerifyDeltaJobs is VerifyDeltaCtx without a deadline.
-func (c *VerifyCache) VerifyDeltaJobs(net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff, jobs int) (Report, error) {
-	return c.VerifyDeltaCtx(context.Background(), net, vcs, ts, diff, jobs)
-}
-
-// VerifyDeltaCached is VerifyDeltaJobs through the DefaultCache.
+// VerifyDeltaCached is a delta verification through the DefaultCache.
 func VerifyDeltaCached(net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff) (Report, error) {
-	return DefaultCache.VerifyDeltaJobs(net, vcs, ts, diff, 0)
+	return DefaultCache.Verify(context.Background(), DeltaQuery(net, vcs, ts, diff), 0)
 }
 
 // VerifyTurnSetCached is VerifyTurnSet through the DefaultCache.
 func VerifyTurnSetCached(net *topology.Network, vcs VCConfig, ts *core.TurnSet) Report {
-	return DefaultCache.VerifyTurnSetJobs(net, vcs, ts, 0)
+	return VerifyTurnSetCachedJobs(net, vcs, ts, 0)
 }
 
 // VerifyTurnSetCachedJobs is VerifyTurnSetJobs through the DefaultCache.
 func VerifyTurnSetCachedJobs(net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) Report {
-	return DefaultCache.VerifyTurnSetJobs(net, vcs, ts, jobs)
+	return reportOf(DefaultCache.Verify(context.Background(), TurnSetQuery(net, vcs, ts), jobs))
 }
 
 // VerifyChainCached is VerifyChain through the DefaultCache: the chain's
 // full turn set and derived VC configuration, memoized by relation — two
 // chains extracting equal turn sets share one verification.
 func VerifyChainCached(net *topology.Network, chain *core.Chain) Report {
-	vcs := VCConfigFor(net.Dims(), chain.Channels())
-	return DefaultCache.VerifyTurnSetJobs(net, vcs, chain.AllTurns(), 0)
+	return VerifyTurnSetCached(net, VCConfigFor(net.Dims(), chain.Channels()), chain.AllTurns())
 }

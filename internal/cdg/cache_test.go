@@ -1,6 +1,9 @@
 package cdg
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -14,8 +17,8 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	c := &VerifyCache{}
 	net := topology.NewMesh(4, 4)
 	ts := xyTurnSet()
-	first := c.VerifyTurnSetJobs(net, nil, ts, 0)
-	second := c.VerifyTurnSetJobs(net, nil, ts, 0)
+	first := cachedVerify(c, net, nil, ts, 0)
+	second := cachedVerify(c, net, nil, ts, 0)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("cached report diverged: %+v vs %+v", first, second)
 	}
@@ -33,8 +36,8 @@ func TestCacheHitsAcrossInstances(t *testing.T) {
 	// networks must share one entry — the sweeps rebuild both per
 	// candidate.
 	c := &VerifyCache{}
-	c.VerifyTurnSetJobs(topology.NewMesh(4, 4), nil, xyTurnSet(), 0)
-	rep := c.VerifyTurnSetJobs(topology.NewMesh(4, 4), nil, xyTurnSet(), 0)
+	cachedVerify(c, topology.NewMesh(4, 4), nil, xyTurnSet(), 0)
+	rep := cachedVerify(c, topology.NewMesh(4, 4), nil, xyTurnSet(), 0)
 	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Errorf("stats = %+v, want a cross-instance hit", s)
 	}
@@ -60,7 +63,7 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		{"other turns", mesh, nil, allTurnSet()},
 	}
 	for i, p := range probes {
-		c.VerifyTurnSetJobs(p.net, p.vcs, p.ts, 0)
+		cachedVerify(c, p.net, p.vcs, p.ts, 0)
 		s := c.Stats()
 		if want := base.Misses + uint64(i) + 1; s.Misses != want {
 			t.Fatalf("%s: misses = %d, want %d (keys must differ)", p.name, s.Misses, want)
@@ -75,7 +78,7 @@ func TestCacheInvalidatedByMutation(t *testing.T) {
 	c := &VerifyCache{}
 	net := topology.NewMesh(4, 4)
 	ts := xyTurnSet()
-	if rep := c.VerifyTurnSetJobs(net, nil, ts, 0); !rep.Acyclic {
+	if rep := cachedVerify(c, net, nil, ts, 0); !rep.Acyclic {
 		t.Fatalf("XY must be acyclic: %s", rep)
 	}
 	// Completing the turn set to every 90-degree turn makes it cyclic;
@@ -87,7 +90,7 @@ func TestCacheInvalidatedByMutation(t *testing.T) {
 			ts.Add(from, to, core.ByTheorem1)
 		}
 	}
-	rep := c.VerifyTurnSetJobs(net, nil, ts, 0)
+	rep := cachedVerify(c, net, nil, ts, 0)
 	if rep.Acyclic {
 		t.Fatal("full 2D turn set must be cyclic — stale cache entry served")
 	}
@@ -103,8 +106,8 @@ func TestCacheIrregularNetworksDistinct(t *testing.T) {
 	a := topology.NewPartialMesh3D(3, 3, 2, [][2]int{{0, 0}})
 	b := topology.NewPartialMesh3D(3, 3, 2, [][2]int{{0, 0}, {2, 2}})
 	ts := xyTurnSet()
-	ra := c.VerifyTurnSetJobs(a, nil, ts, 0)
-	rb := c.VerifyTurnSetJobs(b, nil, ts, 0)
+	ra := cachedVerify(c, a, nil, ts, 0)
+	rb := cachedVerify(c, b, nil, ts, 0)
 	if s := c.Stats(); s.Misses != 2 || s.Hits != 0 {
 		t.Fatalf("stats = %+v: different irregular networks must miss", s)
 	}
@@ -131,21 +134,55 @@ func TestCacheChainEntryPoint(t *testing.T) {
 	}
 }
 
+// cachedVerify is one full verification through cache c.
+func cachedVerify(c *VerifyCache, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) Report {
+	rep, _ := c.Verify(context.Background(), TurnSetQuery(net, vcs, ts), jobs)
+	return rep
+}
+
+// cacheCase is one Cache instantiation's fixture: three distinct
+// questions and their uncached answers.
+type cacheCase[R any] struct {
+	qs   []Query[R]
+	want []R
+}
+
+// cacheCases returns a fixture per report type: full verifications,
+// edge sets and graph modes.
+func cacheCases() (cacheCase[Report], cacheCase[EdgeReport], cacheCase[ModeReport]) {
+	mesh, mesh35, torus := topology.NewMesh(4, 4), topology.NewMesh(3, 5), topology.NewTorus(4, 4)
+	e, in, out := escapeOKGraph()
+	return cacheCase[Report]{
+			qs:   []Query[Report]{TurnSetQuery(mesh, nil, xyTurnSet()), TurnSetQuery(mesh35, nil, allTurnSet()), TurnSetQuery(torus, nil, parityTurnSet())},
+			want: []Report{freshReport(mesh, nil, xyTurnSet(), 1), freshReport(mesh35, nil, allTurnSet(), 1), freshReport(torus, nil, parityTurnSet(), 1)},
+		}, cacheCase[EdgeReport]{
+			qs:   []Query[EdgeReport]{EdgeQuery(ring(5)), EdgeQuery(ring(6)), EdgeQuery(NewEdgeSet(3))},
+			want: []EdgeReport{VerifyEdgeSet(ring(5)), VerifyEdgeSet(ring(6)), VerifyEdgeSet(NewEdgeSet(3))},
+		}, cacheCase[ModeReport]{
+			qs:   []Query[ModeReport]{ModeQuery(e, ModeLoop, in, out, nil), ModeQuery(e, ModeLiveness, in, out, nil), ModeQuery(e, ModeEscape, in, out, []int{4})},
+			want: []ModeReport{VerifyMode(e, ModeLoop, in, out, nil), VerifyMode(e, ModeLiveness, in, out, nil), VerifyMode(e, ModeEscape, in, out, []int{4})},
+		}
+}
+
 func TestCacheConcurrent(t *testing.T) {
-	// Hammer one cache from many goroutines across a mix of shapes; run
-	// under -race via `make check`. Every result must match the serial
-	// reference for its shape.
-	c := &VerifyCache{}
-	nets := []*topology.Network{
-		topology.NewMesh(4, 4),
-		topology.NewMesh(3, 5),
-		topology.NewTorus(4, 4),
+	// Hammer one cache from many goroutines across a mix of questions;
+	// run under -race via `make check`. Every result must match the
+	// uncached reference for its question.
+	v, e, m := cacheCases()
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T)
+	}{
+		{"verify", func(t *testing.T) { hammerCache(t, &VerifyCache{}, v) }},
+		{"edge", func(t *testing.T) { hammerCache(t, &EdgeCache{}, e) }},
+		{"mode", func(t *testing.T) { hammerCache(t, &ModeCache{}, m) }},
+	} {
+		t.Run(tc.name, tc.run)
 	}
-	sets := []*core.TurnSet{xyTurnSet(), allTurnSet(), parityTurnSet()}
-	var want []Report
-	for i, net := range nets {
-		want = append(want, freshReport(net, nil, sets[i], 1))
-	}
+}
+
+func hammerCache[R any](t *testing.T, c *Cache[R], cc cacheCase[R]) {
+	qs, want := cc.qs, cc.want
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for w := 0; w < 8; w++ {
@@ -153,11 +190,11 @@ func TestCacheConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				k := (w + i) % len(nets)
-				got := c.VerifyTurnSetJobs(nets[k], nil, sets[k], 2)
-				if !reflect.DeepEqual(got, want[k]) {
+				k := (w + i) % len(qs)
+				got, err := c.Verify(context.Background(), qs[k], 2)
+				if err != nil || !reflect.DeepEqual(got, want[k]) {
 					select {
-					case errs <- got.String() + " != " + want[k].String():
+					case errs <- fmt.Sprintf("%+v != %+v (err %v)", got, want[k], err):
 					default:
 					}
 				}
@@ -180,15 +217,25 @@ func TestCacheEvictionCounting(t *testing.T) {
 	old := maxCacheEntries
 	maxCacheEntries = 2
 	defer func() { maxCacheEntries = old }()
-
-	c := &VerifyCache{}
-	nets := []*topology.Network{
-		topology.NewMesh(4, 4),
-		topology.NewMesh(3, 5),
-		topology.NewMesh(5, 5),
+	v, e, m := cacheCases()
+	for _, tc := range []struct {
+		name string
+		run  func(*testing.T)
+	}{
+		{"verify", func(t *testing.T) { countEvictions(t, &VerifyCache{}, v) }},
+		{"edge", func(t *testing.T) { countEvictions(t, &EdgeCache{}, e) }},
+		{"mode", func(t *testing.T) { countEvictions(t, &ModeCache{}, m) }},
+	} {
+		t.Run(tc.name, tc.run)
 	}
-	for _, net := range nets {
-		c.VerifyTurnSetJobs(net, nil, xyTurnSet(), 1)
+}
+
+func countEvictions[R any](t *testing.T, c *Cache[R], cc cacheCase[R]) {
+	series := c.series().evictions.Value()
+	for _, q := range cc.qs {
+		if _, err := c.Verify(context.Background(), q, 1); err != nil {
+			t.Fatal(err)
+		}
 	}
 	s := c.Stats()
 	if s.Misses != 3 || s.Evictions != 2 {
@@ -197,9 +244,47 @@ func TestCacheEvictionCounting(t *testing.T) {
 	if s.Entries != 1 {
 		t.Fatalf("entries = %d, want 1 after the flush", s.Entries)
 	}
+	if got := c.series().evictions.Value() - series; got != 2 {
+		t.Fatalf("process-wide eviction series moved by %d, want 2", got)
+	}
 	// Reset is an intentional epoch boundary, not capacity pressure.
 	c.Reset()
 	if s := c.Stats(); s.Evictions != 0 || s.Entries != 0 {
 		t.Fatalf("stats after reset = %+v, want zeroed", s)
+	}
+}
+
+func TestCacheHitAllocFree(t *testing.T) {
+	// A hit through a prebuilt query is a map probe: no allocation.
+	c := &VerifyCache{}
+	q := TurnSetQuery(topology.NewMesh(4, 4), nil, xyTurnSet())
+	ctx := context.Background()
+	if _, err := c.Verify(ctx, q, 1); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { c.Verify(ctx, q, 1) }); n != 0 {
+		t.Fatalf("cache hit allocates %v times per call, want 0", n)
+	}
+}
+
+func TestCacheEntriesGaugeIsDefaultCacheOnly(t *testing.T) {
+	// ebda_verify_cache_entries describes DefaultCache; a private cache
+	// (a cluster replica's, a test's) must not overwrite it.
+	VerifyTurnSetCached(topology.NewMesh(4, 4), nil, xyTurnSet())
+	want := int64(DefaultCache.Stats().Entries)
+	c := &VerifyCache{}
+	for _, net := range []*topology.Network{topology.NewMesh(3, 3), topology.NewMesh(3, 4), topology.NewMesh(5, 3)} {
+		cachedVerify(c, net, nil, xyTurnSet(), 1)
+	}
+	var snap bytes.Buffer
+	if _, err := SaveSnapshot(c, &snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSnapshot(&VerifyCache{}, &snap); err != nil {
+		t.Fatal(err)
+	}
+	(&VerifyCache{}).Reset()
+	if got := obsCacheEntries.Value(); got != want {
+		t.Fatalf("ebda_verify_cache_entries = %d after private-cache traffic, want DefaultCache's %d", got, want)
 	}
 }

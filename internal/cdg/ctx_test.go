@@ -39,7 +39,7 @@ func TestVerifyCtxAlreadyCancelled(t *testing.T) {
 	}
 
 	cache := &VerifyCache{}
-	if _, err := cache.VerifyTurnSetCtx(ctx, net, vcs, ts, 1); !errors.Is(err, context.Canceled) {
+	if _, err := cache.Verify(ctx, TurnSetQuery(net, vcs, ts), 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cache: err = %v, want context.Canceled", err)
 	}
 	if st := cache.Stats(); st.Entries != 0 {
@@ -115,17 +115,17 @@ func TestCacheLookupProvenance(t *testing.T) {
 	vcs := VCConfigFor(net.Dims(), chain.Channels())
 	cache := &VerifyCache{}
 
-	if _, ok := cache.Lookup(net, vcs, ts); ok {
+	if _, ok := cache.Lookup(VerifyKey(net, vcs, ts)); ok {
 		t.Fatal("Lookup hit on an empty cache")
 	}
 	if st := cache.Stats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("Lookup miss moved counters: %+v", st)
 	}
-	want, err := cache.VerifyTurnSetCtx(context.Background(), net, vcs, ts, 1)
+	want, err := cache.Verify(context.Background(), TurnSetQuery(net, vcs, ts), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := cache.Lookup(net, vcs, ts)
+	got, ok := cache.Lookup(VerifyKey(net, vcs, ts))
 	if !ok {
 		t.Fatal("Lookup miss after a computed verification")
 	}

@@ -1,6 +1,7 @@
 package cdg
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -240,12 +241,18 @@ func NewDeltaWorkspace(net *topology.Network, vcs VCConfig, ts *core.TurnSet) (*
 // (jobs <= 0 means all cores) and retains its state for incremental
 // re-verification. Cancellation returns ctx's error and no workspace.
 func NewDeltaWorkspaceCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) (*DeltaWorkspace, error) {
+	key, check := verifyKey(net, vcs, ts)
+	return newDeltaWorkspace(ctx, key, check, net, vcs, ts, jobs)
+}
+
+// newDeltaWorkspace is NewDeltaWorkspaceCtx for a base whose VerifyKey
+// identity the caller already holds.
+func newDeltaWorkspace(ctx context.Context, key, check uint64, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) (*DeltaWorkspace, error) {
 	ws := NewWorkspace(net, vcs)
 	rep, err := ws.VerifyTurnSetCtx(ctx, ts, jobs)
 	if err != nil {
 		return nil, err
 	}
-	key, check := verifyKey(net, vcs, ts)
 	nc := ws.g.NumChannels()
 	dw := &DeltaWorkspace{
 		ws:        ws,
@@ -693,11 +700,11 @@ func (dw *DeltaWorkspace) reachable(start, target int32, budget int) (bool, int)
 
 // sortPairs orders edge operations by (from, to).
 func sortPairs(ps [][2]int32) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i][0] != ps[j][0] {
-			return ps[i][0] < ps[j][0]
+	slices.SortFunc(ps, func(a, b [2]int32) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return ps[i][1] < ps[j][1]
+		return cmp.Compare(a[1], b[1])
 	})
 }
 
@@ -762,8 +769,15 @@ var DefaultDeltaPool = &DeltaPool{}
 // configuration, turn set), reusing a pooled one when available and
 // building the base verification otherwise (jobs <= 0 means all cores).
 func (p *DeltaPool) GetCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) (*DeltaWorkspace, error) {
-	obsDeltaPoolGets.Inc()
 	key, check := verifyKey(net, vcs, ts)
+	return p.get(ctx, key, check, net, vcs, ts, jobs)
+}
+
+// get is GetCtx for a base whose VerifyKey identity the caller already
+// holds (DeltaQuery hashes the base once for both the delta key and the
+// pool).
+func (p *DeltaPool) get(ctx context.Context, key, check uint64, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) (*DeltaWorkspace, error) {
+	obsDeltaPoolGets.Inc()
 	p.mu.Lock()
 	list := p.free[key]
 	for len(list) > 0 {
@@ -781,7 +795,7 @@ func (p *DeltaPool) GetCtx(ctx context.Context, net *topology.Network, vcs VCCon
 		p.free[key] = list
 	}
 	p.mu.Unlock()
-	return NewDeltaWorkspaceCtx(ctx, net, vcs, ts, jobs)
+	return newDeltaWorkspace(ctx, key, check, net, vcs, ts, jobs)
 }
 
 // Put returns a workspace to the pool. The caller must not use it (or its

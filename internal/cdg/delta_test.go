@@ -497,10 +497,10 @@ func TestDeltaCache(t *testing.T) {
 	}
 
 	c := &VerifyCache{}
-	if _, ok := c.LookupDelta(net, nil, ts, diff); ok {
+	if _, ok := c.Lookup(DeltaKey(net, nil, ts, diff)); ok {
 		t.Fatal("empty cache must miss")
 	}
-	rep, err := c.VerifyDeltaJobs(net, nil, ts, diff, 1)
+	rep, err := c.Verify(context.Background(), DeltaQuery(net, nil, ts, diff), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func TestDeltaCache(t *testing.T) {
 	if !reportsIdentical(rep, want) {
 		t.Fatalf("cached delta verdict wrong:\ndelta: %s\nfresh: %s", rep, want)
 	}
-	hit, ok := c.LookupDelta(net, nil, ts, diff)
+	hit, ok := c.Lookup(DeltaKey(net, nil, ts, diff))
 	if !ok || !reportsIdentical(hit, rep) {
 		t.Fatalf("second probe must hit with the same report")
 	}
@@ -518,7 +518,7 @@ func TestDeltaCache(t *testing.T) {
 	}
 	// An invalid diff returns the error and stores nothing.
 	badLink := topology.Link{From: net.ID(topology.Coord{5, 0}), Dim: channel.X, Sign: channel.Plus}
-	if _, err := c.VerifyDeltaJobs(net, nil, ts, Diff{RemoveLinks: []topology.Link{badLink}}, 1); !errors.Is(err, ErrBadDiff) {
+	if _, err := c.Verify(context.Background(), DeltaQuery(net, nil, ts, Diff{RemoveLinks: []topology.Link{badLink}}), 1); !errors.Is(err, ErrBadDiff) {
 		t.Fatalf("invalid diff: %v", err)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // This file is the engine's first topology-free surface: an EdgeSet is a
@@ -153,24 +151,6 @@ func VerifyEdgeSetJobs(e *EdgeSet, jobs int) EdgeReport {
 	return rep
 }
 
-// EdgeCache memoizes edge-set verdicts by the set's order-independent
-// fingerprint, with the same dual-hash discipline as VerifyCache: each
-// entry stores an independently derived check hash, and a key match with
-// a check mismatch is a miss, never a wrong report. Cached reports share
-// their Cycle slice; callers must treat it as read-only.
-type EdgeCache struct {
-	mu sync.RWMutex
-	m  map[uint64]edgeCacheEntry
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-type edgeCacheEntry struct {
-	check uint64
-	rep   EdgeReport
-}
-
 // DefaultEdgeCache is the process-wide edge-set cache behind
 // VerifyEdgeSetCached.
 var DefaultEdgeCache = &EdgeCache{}
@@ -187,46 +167,13 @@ func EdgeKey(e *EdgeSet) (key, check uint64) {
 	return mix64(f1 ^ edgeKeySeedA), mix64(f2*0x100000001b3 + edgeKeySeedB)
 }
 
-// Stats returns current hit/miss counters and the live entry count.
-func (c *EdgeCache) Stats() CacheStats {
-	c.mu.RLock()
-	n := len(c.m)
-	c.mu.RUnlock()
-	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
-}
-
-// Reset clears all entries and counters.
-func (c *EdgeCache) Reset() {
-	c.mu.Lock()
-	c.m = nil
-	c.mu.Unlock()
-	c.hits.Store(0)
-	c.misses.Store(0)
-}
-
-// VerifyEdgeSetJobs returns the memoized verdict for the edge set,
-// computing and caching it on a miss (jobs <= 0 means all cores).
-// Reports are identical to the uncached path for every jobs value.
-func (c *EdgeCache) VerifyEdgeSetJobs(e *EdgeSet, jobs int) EdgeReport {
+// EdgeQuery is the cache query for an edge-set verification under
+// EdgeKey. The peel is not cancellable, so a miss always completes.
+func EdgeQuery(e *EdgeSet) Query[EdgeReport] {
 	key, check := EdgeKey(e)
-	c.mu.RLock()
-	ent, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok && ent.check == check {
-		c.hits.Add(1)
-		obsEdgeCacheHits.Inc()
-		return ent.rep
-	}
-	c.misses.Add(1)
-	obsEdgeCacheMisses.Inc()
-	rep := VerifyEdgeSetJobs(e, jobs)
-	c.mu.Lock()
-	if c.m == nil || len(c.m) >= maxCacheEntries {
-		c.m = make(map[uint64]edgeCacheEntry)
-	}
-	c.m[key] = edgeCacheEntry{check: check, rep: rep}
-	c.mu.Unlock()
-	return rep
+	return Query[EdgeReport]{Key: key, Check: check, compute: func(_ context.Context, jobs int) (EdgeReport, error) {
+		return VerifyEdgeSetJobs(e, jobs), nil
+	}}
 }
 
 // VerifyEdgeSetCached is VerifyEdgeSet through the DefaultEdgeCache — the
@@ -235,5 +182,5 @@ func (c *EdgeCache) VerifyEdgeSetJobs(e *EdgeSet, jobs int) EdgeReport {
 // discipline of "verdicts come from the cached engine" applies to the
 // checker itself).
 func VerifyEdgeSetCached(e *EdgeSet) EdgeReport {
-	return DefaultEdgeCache.VerifyEdgeSetJobs(e, 0)
+	return reportOf(DefaultEdgeCache.Verify(context.Background(), EdgeQuery(e), 0))
 }

@@ -1,6 +1,7 @@
 package cdg
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -144,13 +145,13 @@ func TestEdgeSetFingerprintOrderIndependent(t *testing.T) {
 func TestEdgeCacheHitsAndEquivalence(t *testing.T) {
 	cache := &EdgeCache{}
 	e := ring(10)
-	first := cache.VerifyEdgeSetJobs(e, 0)
+	first, _ := cache.Verify(context.Background(), EdgeQuery(e), 0)
 	// A structurally identical set built in a different order must hit.
 	f := NewEdgeSet(10)
 	for i := 9; i >= 0; i-- {
 		f.AddEdge(i, (i+1)%10)
 	}
-	second := cache.VerifyEdgeSetJobs(f, 0)
+	second, _ := cache.Verify(context.Background(), EdgeQuery(f), 0)
 	st := cache.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)

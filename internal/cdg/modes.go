@@ -3,10 +3,8 @@ package cdg
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // This file extends the topology-free EdgeSet surface from plain
@@ -189,7 +187,7 @@ func canonSet(ids []int, n int, what string) []int32 {
 		}
 		out = append(out, int32(v))
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	w := 0
 	for i, v := range out {
 		if i == 0 || v != out[w-1] {
@@ -220,19 +218,17 @@ func VerifyMode(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) ModeR
 // VerifyModeJobs is VerifyMode over a bounded worker pool (jobs <= 0
 // means all cores). The report is identical for every jobs value.
 func VerifyModeJobs(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int, jobs int) ModeReport {
-	rep, _ := verifyModeCtx(context.Background(), e, mode, inputs, outputs, escape, jobs)
-	return rep
+	n := len(e.adj)
+	return reportOf(verifyModeCtx(context.Background(), e, mode,
+		canonSet(inputs, n, "input"), canonSet(outputs, n, "output"), canonSet(escape, n, "escape"), jobs))
 }
 
-// verifyModeCtx is the ctx-aware mode dispatcher. Cancellation is
-// observed by the Kahn peels (once per frontier round) and by the BFS
-// sweeps (every bfsCtxStride pops); a cancelled verification's partial
-// report must not be used.
-func verifyModeCtx(ctx context.Context, e *EdgeSet, mode GraphMode, inputs, outputs, escape []int, jobs int) (ModeReport, error) {
+// verifyModeCtx is the ctx-aware mode dispatcher over canonical id sets.
+// Cancellation is observed by the Kahn peels (once per frontier round)
+// and by the BFS sweeps (every bfsCtxStride pops); a cancelled
+// verification's partial report must not be used.
+func verifyModeCtx(ctx context.Context, e *EdgeSet, mode GraphMode, in, out, esc []int32, jobs int) (ModeReport, error) {
 	n := len(e.adj)
-	in := canonSet(inputs, n, "input")
-	out := canonSet(outputs, n, "output")
-	esc := canonSet(escape, n, "escape")
 	isOut := markSet(n, out)
 	obsModeVerify(mode)
 	msp := phaseMode.Start()
@@ -619,6 +615,17 @@ func toInts(v []int32) []int {
 // share keys (pinned by test), and none collides with the EdgeKey of
 // the bare edge set.
 func ModeKey(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) (key, check uint64) {
+	n := len(e.adj)
+	var esc []int32
+	if mode == ModeEscape {
+		esc = canonSet(escape, n, "escape")
+	}
+	return modeKey(e, mode, canonSet(inputs, n, "input"), canonSet(outputs, n, "output"), esc)
+}
+
+// modeKey is ModeKey over canonical id sets; esc counts only in
+// ModeEscape.
+func modeKey(e *EdgeSet, mode GraphMode, in, out, esc []int32) (key, check uint64) {
 	const (
 		modeKeySeedA = 0x71c9d37af3b26d61
 		modeKeySeedB = 0x4cf5ad432745937f
@@ -626,12 +633,10 @@ func ModeKey(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) (key, ch
 		outSeed      = 0xc3a5c85c97cb3127
 		escSeed      = 0xb492b66fbe98f273
 	)
-	n := len(e.adj)
 	f1, f2 := e.Fingerprint()
-	s1 := setDigest(canonSet(inputs, n, "input"), inSeed) +
-		setDigest(canonSet(outputs, n, "output"), outSeed)
+	s1 := setDigest(in, inSeed) + setDigest(out, outSeed)
 	if mode == ModeEscape {
-		s1 += setDigest(canonSet(escape, n, "escape"), escSeed)
+		s1 += setDigest(esc, escSeed)
 	}
 	m := uint64(mode) * 0x9e3779b97f4a7c15
 	key = mix64(f1 ^ modeKeySeedA ^ m ^ s1)
@@ -648,96 +653,25 @@ func setDigest(ids []int32, seed uint64) uint64 {
 	return h
 }
 
-// ModeCache memoizes mode verdicts under ModeKey with the engine-wide
-// dual-hash discipline: a key match with a check mismatch is a miss,
-// never a wrong report. Cached reports share their witness slices;
-// callers must treat them as read-only.
-type ModeCache struct {
-	mu sync.RWMutex
-	m  map[uint64]modeCacheEntry
-
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-type modeCacheEntry struct {
-	check uint64
-	rep   ModeReport
+// ModeQuery is the cache query for one mode verification under ModeKey.
+// The id sets are canonicalized once, for both the key and the compute;
+// a cancelled verification returns ctx's error and is never cached.
+func ModeQuery(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) Query[ModeReport] {
+	n := len(e.adj)
+	in, out, esc := canonSet(inputs, n, "input"), canonSet(outputs, n, "output"), canonSet(escape, n, "escape")
+	key, check := modeKey(e, mode, in, out, esc)
+	return Query[ModeReport]{Key: key, Check: check, compute: func(ctx context.Context, jobs int) (ModeReport, error) {
+		return verifyModeCtx(ctx, e, mode, in, out, esc, jobs)
+	}}
 }
 
 // DefaultModeCache is the process-wide mode-verdict cache behind
 // VerifyModeCached.
 var DefaultModeCache = &ModeCache{}
 
-// Stats returns current hit/miss counters and the live entry count.
-func (c *ModeCache) Stats() CacheStats {
-	c.mu.RLock()
-	n := len(c.m)
-	c.mu.RUnlock()
-	return CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
-}
-
-// Reset clears all entries and counters.
-func (c *ModeCache) Reset() {
-	c.mu.Lock()
-	c.m = nil
-	c.mu.Unlock()
-	c.hits.Store(0)
-	c.misses.Store(0)
-}
-
-// Lookup probes the cache without computing. It is the serving layer's
-// fast path: a hit is a verdict with zero engine work.
-func (c *ModeCache) Lookup(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) (ModeReport, bool) {
-	key, check := ModeKey(e, mode, inputs, outputs, escape)
-	c.mu.RLock()
-	ent, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok && ent.check == check {
-		c.hits.Add(1)
-		obsModeCacheHits.Inc()
-		return ent.rep, true
-	}
-	return ModeReport{}, false
-}
-
-// VerifyModeJobs returns the memoized mode verdict, computing and
-// caching it on a miss (jobs <= 0 means all cores).
-func (c *ModeCache) VerifyModeJobs(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int, jobs int) ModeReport {
-	rep, _ := c.VerifyModeCtx(context.Background(), e, mode, inputs, outputs, escape, jobs)
-	return rep
-}
-
-// VerifyModeCtx is VerifyModeJobs under a context: a cancelled
-// verification returns ctx's error and is never cached.
-func (c *ModeCache) VerifyModeCtx(ctx context.Context, e *EdgeSet, mode GraphMode, inputs, outputs, escape []int, jobs int) (ModeReport, error) {
-	key, check := ModeKey(e, mode, inputs, outputs, escape)
-	c.mu.RLock()
-	ent, ok := c.m[key]
-	c.mu.RUnlock()
-	if ok && ent.check == check {
-		c.hits.Add(1)
-		obsModeCacheHits.Inc()
-		return ent.rep, nil
-	}
-	c.misses.Add(1)
-	obsModeCacheMisses.Inc()
-	rep, err := verifyModeCtx(ctx, e, mode, inputs, outputs, escape, jobs)
-	if err != nil {
-		return ModeReport{}, err
-	}
-	c.mu.Lock()
-	if c.m == nil || len(c.m) >= maxCacheEntries {
-		c.m = make(map[uint64]modeCacheEntry)
-	}
-	c.m[key] = modeCacheEntry{check: check, rep: rep}
-	c.mu.Unlock()
-	return rep, nil
-}
-
 // VerifyModeCached is VerifyMode through the DefaultModeCache — the
 // blessed entry point for tooling that proves liveness/escape/
 // subrelation properties of imported channel dependence graphs.
 func VerifyModeCached(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) ModeReport {
-	return DefaultModeCache.VerifyModeJobs(e, mode, inputs, outputs, escape, 0)
+	return reportOf(DefaultModeCache.Verify(context.Background(), ModeQuery(e, mode, inputs, outputs, escape), 0))
 }

@@ -315,15 +315,15 @@ func TestModeKeyNoCollisions(t *testing.T) {
 func TestModeCache(t *testing.T) {
 	e, in, out := escapeOKGraph()
 	c := &ModeCache{}
-	if _, ok := c.Lookup(e, ModeLiveness, in, out, nil); ok {
+	if _, ok := c.Lookup(ModeKey(e, ModeLiveness, in, out, nil)); ok {
 		t.Fatal("hit on empty cache")
 	}
 	want := VerifyMode(e, ModeLiveness, in, out, nil)
-	got := c.VerifyModeJobs(e, ModeLiveness, in, out, nil, 0)
+	got, _ := c.Verify(context.Background(), ModeQuery(e, ModeLiveness, in, out, nil), 0)
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("cached %+v != direct %+v", got, want)
 	}
-	if rep, ok := c.Lookup(e, ModeLiveness, in, out, nil); !ok || !reflect.DeepEqual(rep, want) {
+	if rep, ok := c.Lookup(ModeKey(e, ModeLiveness, in, out, nil)); !ok || !reflect.DeepEqual(rep, want) {
 		t.Fatalf("lookup after fill: ok=%v %+v", ok, rep)
 	}
 	st := c.Stats()
@@ -331,14 +331,14 @@ func TestModeCache(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 	// A second compute is a hit.
-	if got := c.VerifyModeJobs(e, ModeLiveness, in, out, nil, 0); !reflect.DeepEqual(want, got) {
+	if got, _ := c.Verify(context.Background(), ModeQuery(e, ModeLiveness, in, out, nil), 0); !reflect.DeepEqual(want, got) {
 		t.Fatalf("second verify: %+v", got)
 	}
 	if st := c.Stats(); st.Hits != 2 {
 		t.Fatalf("stats after repeat: %+v", st)
 	}
 	// Different mode, same graph: distinct entry.
-	c.VerifyModeJobs(e, ModeLoop, in, out, nil, 0)
+	c.Verify(context.Background(), ModeQuery(e, ModeLoop, in, out, nil), 0)
 	if st := c.Stats(); st.Entries != 2 {
 		t.Fatalf("modes share an entry: %+v", st)
 	}
@@ -353,14 +353,14 @@ func TestModeCacheCancelledNotCached(t *testing.T) {
 	c := &ModeCache{}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.VerifyModeCtx(ctx, e, ModeLiveness, in, out, nil, 1); err == nil {
+	if _, err := c.Verify(ctx, ModeQuery(e, ModeLiveness, in, out, nil), 1); err == nil {
 		t.Fatal("cancelled verification returned no error")
 	}
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("cancelled verdict cached: %+v", st)
 	}
 	// The same question answers fine afterwards.
-	rep, err := c.VerifyModeCtx(context.Background(), e, ModeLiveness, in, out, nil, 1)
+	rep, err := c.Verify(context.Background(), ModeQuery(e, ModeLiveness, in, out, nil), 1)
 	if err != nil || rep.Mode != ModeLiveness {
 		t.Fatalf("post-cancel verify: %+v err=%v", rep, err)
 	}

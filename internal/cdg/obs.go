@@ -27,6 +27,8 @@ var (
 		"edge-set cache probes answered from a memoized verdict")
 	obsEdgeCacheMisses = obs.NewCounter("ebda_edge_cache_misses_total",
 		"edge-set cache probes that recomputed the verdict")
+	obsEdgeCacheEvictions = obs.NewCounter("ebda_edge_cache_evictions_total",
+		"entries dropped by edge-set cache epoch flushes")
 
 	obsModeLoop = obs.NewCounter(obs.Label("ebda_cdg_mode_verifies_total", "mode", "loop"),
 		"loop-mode (full-graph acyclicity) verifications of imported channel graphs")
@@ -42,6 +44,8 @@ var (
 		"mode cache probes answered from a memoized verdict")
 	obsModeCacheMisses = obs.NewCounter("ebda_mode_cache_misses_total",
 		"mode cache probes that recomputed the verdict")
+	obsModeCacheEvictions = obs.NewCounter("ebda_mode_cache_evictions_total",
+		"entries dropped by mode cache epoch flushes")
 
 	obsCacheHits = obs.NewCounter("ebda_verify_cache_hits_total",
 		"verify cache probes answered from a memoized report")

@@ -2,11 +2,12 @@ package cdg
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"ebda/internal/channel"
 	"ebda/internal/topology"
@@ -59,6 +60,8 @@ const (
 	snapMaxEntries = 1 << 24
 	snapMaxCycle   = 1 << 20
 	snapMaxName    = 1 << 12
+	// snapCycleBytes is the encoded size of one cycle channel.
+	snapCycleBytes = 3*8 + 2 + 2*8
 )
 
 var snapshotMagic = [8]byte{'E', 'B', 'D', 'A', 'S', 'N', 'A', 'P'}
@@ -93,23 +96,25 @@ func (f *fnvReader) Read(p []byte) (int, error) {
 
 const fnvOffset = 0xcbf29ce484222325
 
+// keyedEntry is one verify-cache entry with its key, the snapshot's unit.
+type keyedEntry struct {
+	key uint64
+	e   cacheEntry[Report]
+}
+
 // SaveSnapshot writes the cache's current entries to w and returns how
 // many it wrote. The entry set is captured under the lock, then encoded
 // outside it, so concurrent verifications are never blocked on I/O.
 // Reports are deep-copied by encoding; the snapshot shares no memory
 // with live cache entries.
-func (c *VerifyCache) SaveSnapshot(w io.Writer) (int, error) {
-	type keyed struct {
-		key uint64
-		e   cacheEntry
-	}
+func SaveSnapshot(c *VerifyCache, w io.Writer) (int, error) {
 	c.mu.RLock()
-	entries := make([]keyed, 0, len(c.m))
+	entries := make([]keyedEntry, 0, len(c.m))
 	for k, e := range c.m {
-		entries = append(entries, keyed{key: k, e: e})
+		entries = append(entries, keyedEntry{key: k, e: e})
 	}
 	c.mu.RUnlock()
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+	slices.SortFunc(entries, func(a, b keyedEntry) int { return cmp.Compare(a.key, b.key) })
 
 	fw := &fnvWriter{w: bufio.NewWriter(w), sum: fnvOffset}
 	if _, err := fw.Write(snapshotMagic[:]); err != nil {
@@ -163,7 +168,7 @@ func (c *VerifyCache) SaveSnapshot(w io.Writer) (int, error) {
 // concurrent verifications and eviction flushes; a load never replaces
 // an entry with a report for a different verification (keys carry their
 // independent check hashes through the file).
-func (c *VerifyCache) LoadSnapshot(r io.Reader) (int, error) {
+func LoadSnapshot(c *VerifyCache, r io.Reader) (int, error) {
 	fr := &fnvReader{r: bufio.NewReader(r), sum: fnvOffset}
 	var magic [8]byte
 	if _, err := io.ReadFull(fr, magic[:]); err != nil {
@@ -186,11 +191,10 @@ func (c *VerifyCache) LoadSnapshot(r io.Reader) (int, error) {
 	if count > snapMaxEntries {
 		return 0, fmt.Errorf("%w: implausible entry count %d", ErrSnapshotCorrupt, count)
 	}
-	type keyed struct {
-		key uint64
-		e   cacheEntry
-	}
-	entries := make([]keyed, 0, count)
+	// Capacity grows with the entries actually read, never with the
+	// stream's own count field: a short file must not drive a large
+	// allocation.
+	entries := make([]keyedEntry, 0, min(count, 1024))
 	for i := uint64(0); i < count; i++ {
 		key, err := getU64(fr)
 		if err != nil {
@@ -207,15 +211,18 @@ func (c *VerifyCache) LoadSnapshot(r io.Reader) (int, error) {
 		if replen > snapMaxName+snapMaxCycle*48+64 {
 			return 0, fmt.Errorf("%w: entry %d: implausible report length %d", ErrSnapshotCorrupt, i, replen)
 		}
-		buf := make([]byte, replen)
-		if _, err := io.ReadFull(fr, buf); err != nil {
+		buf, err := io.ReadAll(io.LimitReader(fr, int64(replen)))
+		if err == nil && len(buf) < int(replen) {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
 			return 0, fmt.Errorf("%w: entry %d: short report: %v", ErrSnapshotCorrupt, i, err)
 		}
 		rep, err := decodeReport(buf)
 		if err != nil {
 			return 0, fmt.Errorf("%w: entry %d: %v", ErrSnapshotCorrupt, i, err)
 		}
-		entries = append(entries, keyed{key: key, e: cacheEntry{check: check, rep: rep}})
+		entries = append(entries, keyedEntry{key: key, e: cacheEntry[Report]{check: check, rep: rep}})
 	}
 	// The trailer hash covers everything read so far; capture the sum
 	// before the trailer itself passes through the hashing reader.
@@ -232,20 +239,10 @@ func (c *VerifyCache) LoadSnapshot(r io.Reader) (int, error) {
 	}
 
 	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[uint64]cacheEntry, len(entries))
-	}
 	for _, kv := range entries {
-		if len(c.m) >= maxCacheEntries {
-			if n := len(c.m); n > 0 {
-				c.evictions.Add(uint64(n))
-				obsCacheEvictions.Add(uint64(n))
-			}
-			c.m = make(map[uint64]cacheEntry)
-		}
-		c.m[kv.key] = kv.e
+		c.putLocked(kv.key, kv.e)
 	}
-	obsCacheEntries.Set(int64(len(c.m)))
+	c.publish(len(c.m))
 	c.mu.Unlock()
 	obsSnapshotLoaded.Add(uint64(len(entries)))
 	return len(entries), nil
@@ -318,7 +315,9 @@ func decodeReport(buf []byte) (Report, error) {
 	}
 	buf = buf[1:]
 	cyclen, buf, err := takeU32(buf)
-	if err != nil || cyclen > snapMaxCycle {
+	// Each cycle channel encodes in snapCycleBytes; a length the buffer
+	// cannot hold is rejected before it sizes an allocation.
+	if err != nil || cyclen > snapMaxCycle || uint64(len(buf)) < uint64(cyclen)*snapCycleBytes {
 		return rep, fmt.Errorf("bad cycle length")
 	}
 	if cyclen > 0 {

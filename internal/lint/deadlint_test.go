@@ -35,7 +35,7 @@ func TestRepoLockGraphAcyclic(t *testing.T) {
 	// caches' mutexes, the pools, the flight group, the worker
 	// WaitGroups); zero nodes would mean extraction silently broke. Edges
 	// are NOT required: as of this writing every lock region in the repo
-	// is call-free and wait-free, so the graph is 28 nodes and 0 edges —
+	// is call-free and wait-free, so the graph is 34 nodes and 0 edges —
 	// trivially acyclic, which is the strongest possible verdict.
 	if len(lg.Nodes) == 0 {
 		t.Fatal("repo lock graph has no nodes — extraction is broken")

@@ -51,7 +51,7 @@ const (
 // LockNode is one vertex of the lock/wait graph.
 type LockNode struct {
 	// Key canonically names the node, e.g.
-	// "ebda/internal/cdg.VerifyCache.mu" or "chan ebda/internal/serve.flightCall.done".
+	// "ebda/internal/cdg.Cache.mu" or "chan ebda/internal/serve.flightCall.done".
 	Key string
 	// Kind is one of mutex, rwmutex, chan, waitgroup, cond. Only mutex
 	// and rwmutex nodes can be held, so only they have outgoing edges.

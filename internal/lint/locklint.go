@@ -15,7 +15,7 @@ import (
 //     sync/atomic values, which carry their own synchronisation. Every
 //     read or write of a guarded field must be preceded, somewhere
 //     earlier in the same function, by a Lock or RLock call on the same
-//     receiver's mu. This is how cdg.VerifyCache.m, the WorkspacePool
+//     receiver's mu. This is how cdg.Cache.m, the WorkspacePool
 //     free lists, core.TurnSet's memoized matrix and routing.FromChain's
 //     reachability memo stay race-free;
 //   - goroutines launched inside loops must receive loop variables as

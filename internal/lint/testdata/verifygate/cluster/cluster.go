@@ -57,20 +57,21 @@ func forgedPeerVerdict(channels, edges int, acyclic bool) cdg.Report {
 }
 
 // cachedRouteVerdict is the blessed path for a replica that owns the
-// key: Lookup for hits, the cache's compute for misses.
+// key: Lookup for hits, the cache's Verify for misses.
 func cachedRouteVerdict(ctx context.Context, c *cdg.VerifyCache, net *topology.Network, ts *core.TurnSet) (cdg.Report, error) {
-	if rep, ok := c.Lookup(net, nil, ts); ok {
+	q := cdg.TurnSetQuery(net, nil, ts)
+	if rep, ok := c.Lookup(q.Key, q.Check); ok {
 		return rep, nil
 	}
-	return c.VerifyTurnSetCtx(ctx, net, nil, ts, 1)
+	return c.Verify(ctx, q, 1)
 }
 
 // peerProbe is the blessed path for a replica that does not own the
-// key: the dual-hash identity routes the request and LookupKey answers
+// key: the dual-hash identity routes the request and Lookup answers
 // from the owner's memoized verdicts without recomputing.
 func peerProbe(c *cdg.VerifyCache, net *topology.Network, ts *core.TurnSet) (cdg.Report, bool) {
 	key, check := cdg.VerifyKey(net, nil, ts)
-	return c.LookupKey(key, check)
+	return c.Lookup(key, check)
 }
 
 // routeErrorPath returns the zero-value Report beside a non-nil error;

@@ -27,14 +27,15 @@ func debugCachedVerify(net *topology.Network, ts *core.TurnSet) bool {
 	return cdg.VerifyTurnSetCached(net, nil, ts).Acyclic // want `verification call cdg.VerifyTurnSetCached from the observability layer`
 }
 
-// debugCacheCompute reaches the engine through a VerifyCache method; the
-// ban covers methods as well as package functions.
+// debugCacheCompute reaches the engine through a cache method; the ban
+// covers methods as well as package functions.
 func debugCacheCompute(ctx context.Context, cache *cdg.VerifyCache, net *topology.Network, ts *core.TurnSet) (cdg.Report, error) {
-	return cache.VerifyTurnSetCtx(ctx, net, nil, ts, 1) // want `verification call cdg.VerifyTurnSetCtx from the observability layer`
+	return cache.Verify(ctx, cdg.TurnSetQuery(net, nil, ts), 1) // want `verification call cdg.Verify from the observability layer`
 }
 
 // publishedState is the sanctioned read: a cache lookup only ever
 // returns verdicts the serving layer already produced.
 func publishedState(cache *cdg.VerifyCache, net *topology.Network, ts *core.TurnSet) (cdg.Report, bool) {
-	return cache.Lookup(net, nil, ts)
+	q := cdg.TurnSetQuery(net, nil, ts)
+	return cache.Lookup(q.Key, q.Check)
 }

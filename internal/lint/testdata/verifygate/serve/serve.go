@@ -63,16 +63,17 @@ func uncachedModeJobs(e *cdg.EdgeSet, in, out []int) bool {
 	return cdg.VerifyModeJobs(e, cdg.ModeSubrel, in, out, nil, 4).OK // want `uncached verify call cdg.VerifyModeJobs in`
 }
 
-// cachedMode is the blessed multi-mode path: ModeCache.Lookup for hits,
-// the cache's context-aware compute for misses, cdg.ModeKey for
-// coalescing.
+// cachedMode is the blessed multi-mode path: a cdg.ModeQuery whose key
+// serves coalescing, ModeCache.Lookup for hits, the cache's
+// context-aware Verify for misses.
 func cachedMode(ctx context.Context, c *cdg.ModeCache, e *cdg.EdgeSet, in, out []int) (cdg.ModeReport, error) {
-	if rep, ok := c.Lookup(e, cdg.ModeEscape, in, out, nil); ok {
+	q := cdg.ModeQuery(e, cdg.ModeEscape, in, out, nil)
+	if rep, ok := c.Lookup(q.Key, q.Check); ok {
 		return rep, nil
 	}
 	key, _ := cdg.ModeKey(e, cdg.ModeEscape, in, out, nil)
 	_ = key
-	return c.VerifyModeCtx(ctx, e, cdg.ModeEscape, in, out, nil, 1)
+	return c.Verify(ctx, q, 1)
 }
 
 // cachedModeWrapper shows the process-wide cached wrapper is sanctioned.
@@ -117,12 +118,14 @@ func deltaPoolVerdict(ctx context.Context, net *topology.Network, ts *core.TurnS
 }
 
 // cachedDeltaVerdict is the blessed serving path for incremental
-// verdicts: LookupDelta for hits, the cache's delta compute for misses.
+// verdicts: a cdg.DeltaQuery, Lookup for hits, the cache's Verify (a
+// pooled delta re-peel) for misses.
 func cachedDeltaVerdict(ctx context.Context, c *cdg.VerifyCache, net *topology.Network, ts *core.TurnSet, diff cdg.Diff) (cdg.Report, error) {
-	if rep, ok := c.LookupDelta(net, nil, ts, diff); ok {
+	q := cdg.DeltaQuery(net, nil, ts, diff)
+	if rep, ok := c.Lookup(q.Key, q.Check); ok {
 		return rep, nil
 	}
-	return c.VerifyDeltaCtx(ctx, net, nil, ts, diff, 1)
+	return c.Verify(ctx, q, 1)
 }
 
 // cachedDeltaHelpers shows the other sanctioned delta entry points: the
@@ -133,13 +136,14 @@ func cachedDeltaHelpers(net *topology.Network, ts *core.TurnSet, diff cdg.Diff) 
 	return key, err
 }
 
-// cachedVerdict is the blessed serving path: Lookup for hits, then the
-// cache's context-aware compute for misses.
+// cachedVerdict is the blessed serving path: a cdg.TurnSetQuery, Lookup
+// for hits, then the cache's context-aware Verify for misses.
 func cachedVerdict(ctx context.Context, c *cdg.VerifyCache, net *topology.Network, ts *core.TurnSet) (cdg.Report, error) {
-	if rep, ok := c.Lookup(net, nil, ts); ok {
+	q := cdg.TurnSetQuery(net, nil, ts)
+	if rep, ok := c.Lookup(q.Key, q.Check); ok {
 		return rep, nil
 	}
-	return c.VerifyTurnSetCtx(ctx, net, nil, ts, 1)
+	return c.Verify(ctx, q, 1)
 }
 
 // cachedHelpers shows the other sanctioned entry points: the dual-hash

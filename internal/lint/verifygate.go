@@ -23,14 +23,15 @@ const cdgPath = "ebda/internal/cdg"
 // anything whose import path ends in "/serve" or "/cluster" — the shard
 // router forwards served verdicts, so it carries the same contract)
 // are held to a stricter rule: every verdict they hand a
-// client must flow through the verify cache — VerifyCache.Lookup plus a
-// cache-computing entry point — so responses are memoized, coalescible
+// client must flow through the verify cache — Cache.Lookup plus
+// Cache.Verify on a cdg query (TurnSetQuery, DeltaQuery, ModeQuery) or
+// a *Cached wrapper — so responses are memoized, coalescible
 // and identical across requests. In those packages the uncached pooled
 // entry points (cdg.VerifyTurnSet / VerifyTurnSetJobs / VerifyTurnSetCtx,
 // VerifyChain, VerifyRelation, BuildFromTurnSet and the Workspace verify
 // methods) are also forbidden. The same contract covers incremental
-// verdicts: serving code reaches them only through the cache-layer delta
-// entry points (VerifyCache.LookupDelta / VerifyDeltaCtx and friends),
+// verdicts: serving code reaches them only through the cache with a
+// cdg.DeltaQuery (Cache.Lookup / Cache.Verify) or VerifyDeltaCached,
 // never by constructing a cdg.DeltaWorkspace, checking one out of a
 // cdg.DeltaPool, or calling its Verify methods directly — a bypassed
 // delta verdict would be unmemoized and uncoalescible.
@@ -118,10 +119,10 @@ func runVerifygate(pass *Pass) error {
 				}
 				if sig.Recv() == nil {
 					if serving && uncachedVerifyFuncs[fn.Name()] {
-						pass.Reportf(x.Pos(), "uncached verify call cdg.%s in a serving package; served verdicts must flow through the verify cache (VerifyCache.Lookup / VerifyTurnSetCtx or the Cached entry points)", fn.Name())
+						pass.Reportf(x.Pos(), "uncached verify call cdg.%s in a serving package; served verdicts must flow through the verify cache (Cache.Lookup / Cache.Verify on a cdg query, or the Cached entry points)", fn.Name())
 					}
 					if serving && deltaBypassFuncs[fn.Name()] {
-						pass.Reportf(x.Pos(), "direct delta workspace construction cdg.%s in a serving package; served delta verdicts must flow through the delta cache entry points (VerifyCache.LookupDelta / VerifyDeltaCtx)", fn.Name())
+						pass.Reportf(x.Pos(), "direct delta workspace construction cdg.%s in a serving package; served delta verdicts must flow through the verify cache (Cache.Lookup / Cache.Verify on a cdg.DeltaQuery)", fn.Name())
 					}
 					return true
 				}
@@ -133,10 +134,10 @@ func runVerifygate(pass *Pass) error {
 					pass.Reportf(x.Pos(), "workspace verify call cdg.Workspace.%s in a serving package; served verdicts must flow through the verify cache", fn.Name())
 				}
 				if serving && recv == "DeltaWorkspace" && strings.HasPrefix(fn.Name(), "Verify") {
-					pass.Reportf(x.Pos(), "delta workspace verify call cdg.DeltaWorkspace.%s in a serving package; served delta verdicts must flow through the delta cache entry points (VerifyCache.LookupDelta / VerifyDeltaCtx)", fn.Name())
+					pass.Reportf(x.Pos(), "delta workspace verify call cdg.DeltaWorkspace.%s in a serving package; served delta verdicts must flow through the verify cache (Cache.Lookup / Cache.Verify on a cdg.DeltaQuery)", fn.Name())
 				}
 				if serving && recv == "DeltaPool" && strings.HasPrefix(fn.Name(), "Get") {
-					pass.Reportf(x.Pos(), "delta pool checkout cdg.DeltaPool.%s in a serving package; served delta verdicts must flow through the delta cache entry points (VerifyCache.LookupDelta / VerifyDeltaCtx)", fn.Name())
+					pass.Reportf(x.Pos(), "delta pool checkout cdg.DeltaPool.%s in a serving package; served delta verdicts must flow through the verify cache (Cache.Lookup / Cache.Verify on a cdg.DeltaQuery)", fn.Name())
 				}
 			case *ast.CompositeLit:
 				// The zero value cdg.Report{} carries no verdict (error

@@ -9,7 +9,7 @@
 // identity — so a burst of identical requests costs one computation.
 //
 // Every served verdict flows through the cached verify API
-// (VerifyCache.Lookup / VerifyCache.VerifyTurnSetCtx); the verifygate
+// (cdg.Cache.Lookup / cdg.Cache.Verify); the verifygate
 // lint analyzer enforces that no handler reaches the uncached entry
 // points directly.
 package serve
@@ -261,12 +261,15 @@ func (req *VerifyRequest) validate() error {
 	return nil
 }
 
-// builtVerify is a decoded request resolved against interned topology:
-// everything verdict() needs.
+// builtVerify is a decoded request resolved against interned topology,
+// with its cache query: the design's identity is hashed once, and that
+// key serves the cache probe, the flight, shard routing and the
+// response.
 type builtVerify struct {
 	net *topology.Network
 	vcs cdg.VCConfig
 	ts  *core.TurnSet
+	q   cdg.Query[cdg.Report]
 }
 
 // build parses the design and resolves the network through the interning
@@ -303,6 +306,7 @@ func (req *VerifyRequest) build(nets *networkCache) (*builtVerify, error) {
 			return nil, fmt.Errorf("design implies %d VCs in dimension %d, limit %d", v, d, maxVCsPerDim)
 		}
 	}
+	b.q = cdg.TurnSetQuery(net, b.vcs, b.ts)
 	return b, nil
 }
 

@@ -162,7 +162,7 @@ func (s *Server) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lsp := trace.FromContext(r.Context()).StartSpan("cache.lookup")
-	rep, ok := s.cache.LookupKey(key, check)
+	rep, ok := s.cache.Lookup(key, check)
 	if !ok {
 		lsp.SetInt("hit", 0)
 		lsp.End()
@@ -172,17 +172,7 @@ func (s *Server) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
 	lsp.SetInt("hit", 1)
 	lsp.End()
 	obsPeerLookupHits.Inc()
-	resp := &PeerLookupResponse{
-		Found:    true,
-		Network:  rep.Network,
-		Channels: rep.Channels,
-		Edges:    rep.Edges,
-		Acyclic:  rep.Acyclic,
-	}
-	if !rep.Acyclic {
-		resp.Cycle = cdg.FormatCycle(rep.Cycle)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, verdictFields(rep))
 }
 
 // lookup probes the owner's cache for a key. A nil response with a nil
@@ -263,19 +253,20 @@ func (cp *clusterPeers) forward(ctx context.Context, owner, path string, body []
 	return resp.StatusCode, respBody, nil
 }
 
-// routeVerify decides whether a /v1/verify request for a key this
-// replica does not own is answered off-path (local cache, peer cache,
-// or a forward to the owner). It returns true when it wrote the
-// response; false falls through to the normal local pipeline — either
-// because this replica owns the key, the request already made its one
-// hop, or every remote path failed (degrade to local compute).
-func (s *Server) routeVerify(w http.ResponseWriter, r *http.Request, b *builtVerify, body []byte) bool {
+// route decides whether a /v1/verify or /v1/verify/delta request for a
+// key this replica does not own is answered off-path (local cache, peer
+// cache, or a forward of body to the owner's path). It returns true when
+// it wrote the response; false falls through to the normal local
+// pipeline — either because this replica owns the key, the request
+// already made its one hop, or every remote path failed (degrade to
+// local compute). reply renders verdict fields as the endpoint's
+// response under a provenance; fwd receives an owner's forwarded answer.
+func (s *Server) route(w http.ResponseWriter, r *http.Request, q cdg.Query[cdg.Report], path string, body []byte, reply func(*PeerLookupResponse, string) any, fwd relayed) bool {
 	cp := s.cluster
 	if cp == nil {
 		return false
 	}
-	key, check := cdg.VerifyKey(b.net, b.vcs, b.ts)
-	owner := cp.ring.Owner(key)
+	owner := cp.ring.Owner(q.Key)
 	if owner == cp.self {
 		return false
 	}
@@ -288,19 +279,19 @@ func (s *Server) routeVerify(w http.ResponseWriter, r *http.Request, b *builtVer
 	tc := trace.FromContext(r.Context())
 	// Step 1: this replica's own cache (seeded by snapshots, earlier
 	// forwards, or degraded computes).
-	if rep, ok := s.cache.Lookup(b.net, b.vcs, b.ts); ok {
+	if rep, ok := s.cache.Lookup(q.Key, q.Check); ok {
 		obsVerdictCache.Inc()
 		tc.SetProvenance(provCache)
-		writeJSON(w, http.StatusOK, respond(b, rep, provCache, key))
+		writeJSON(w, http.StatusOK, reply(verdictFields(rep), provCache))
 		return true
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
 	// Step 2: the owner's cache, one GET away.
-	if pl, err := cp.lookup(ctx, owner, key, check); err == nil && pl != nil {
+	if pl, err := cp.lookup(ctx, owner, q.Key, q.Check); err == nil && pl != nil {
 		obsVerdictPeer.Inc()
 		tc.SetProvenance(provPeer)
-		writeJSON(w, http.StatusOK, respondPeerVerify(b, pl, key))
+		writeJSON(w, http.StatusOK, reply(pl, provPeer))
 		return true
 	}
 	if cp.noForward {
@@ -308,7 +299,7 @@ func (s *Server) routeVerify(w http.ResponseWriter, r *http.Request, b *builtVer
 	}
 	// Step 3: proxy to the owner, which computes and memoizes in the
 	// shard the key belongs to.
-	status, respBody, err := cp.forward(ctx, owner, "/v1/verify", body)
+	status, respBody, err := cp.forward(ctx, owner, path, body)
 	if err != nil {
 		obsClusterForwardFails.Inc()
 		return false
@@ -321,122 +312,71 @@ func (s *Server) routeVerify(w http.ResponseWriter, r *http.Request, b *builtVer
 		w.Write(respBody)
 		return true
 	}
-	var resp VerifyResponse
-	if err := json.Unmarshal(respBody, &resp); err != nil {
+	if err := json.Unmarshal(respBody, fwd); err != nil {
 		obsClusterForwardFails.Inc()
 		return false
 	}
-	resp.Provenance = provForwarded
+	fwd.relabel(provForwarded)
 	tc.SetProvenance(provForwarded)
 	obsVerdictForwarded.Inc()
-	writeJSON(w, http.StatusOK, &resp)
+	writeJSON(w, http.StatusOK, fwd)
 	return true
 }
 
-// routeDelta is routeVerify for /v1/verify/delta, keyed by the delta
-// cache identity.
-func (s *Server) routeDelta(w http.ResponseWriter, r *http.Request, b *builtVerify, diff cdg.Diff, baseKey uint64, body []byte) bool {
-	cp := s.cluster
-	if cp == nil {
-		return false
+// relayed is a response body a non-owner relays from the owner under its
+// own provenance.
+type relayed interface{ relabel(prov string) }
+
+func (r *VerifyResponse) relabel(prov string) { r.Provenance = prov }
+func (r *DeltaResponse) relabel(prov string)  { r.Provenance = prov }
+
+// verdictFields carries a report's verdict in peer-lookup form, the one
+// shape every response builder reads — whether the verdict came from
+// this replica's engine or an owner's cache. Cycle is pre-formatted.
+func verdictFields(rep cdg.Report) *PeerLookupResponse {
+	v := &PeerLookupResponse{
+		Found:    true,
+		Network:  rep.Network,
+		Channels: rep.Channels,
+		Edges:    rep.Edges,
+		Acyclic:  rep.Acyclic,
 	}
-	key, check := cdg.DeltaKey(b.net, b.vcs, b.ts, diff)
-	owner := cp.ring.Owner(key)
-	if owner == cp.self {
-		return false
+	if !rep.Acyclic {
+		v.Cycle = cdg.FormatCycle(rep.Cycle)
 	}
-	if r.Header.Get(ForwardHeader) != "" {
-		obsClusterForwardServed.Inc()
-		return false
-	}
-	tc := trace.FromContext(r.Context())
-	if rep, ok := s.cache.LookupDelta(b.net, b.vcs, b.ts, diff); ok {
-		obsVerdictCache.Inc()
-		tc.SetProvenance(provCache)
-		writeJSON(w, http.StatusOK, respondPeerDelta(&PeerLookupResponse{
-			Found:    true,
-			Network:  rep.Network,
-			Channels: rep.Channels,
-			Edges:    rep.Edges,
-			Acyclic:  rep.Acyclic,
-			Cycle:    formatIfCyclic(rep),
-		}, provCache, key, baseKey))
-		return true
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	if pl, err := cp.lookup(ctx, owner, key, check); err == nil && pl != nil {
-		obsVerdictPeer.Inc()
-		tc.SetProvenance(provPeer)
-		writeJSON(w, http.StatusOK, respondPeerDelta(pl, provPeer, key, baseKey))
-		return true
-	}
-	if cp.noForward {
-		return false
-	}
-	status, respBody, err := cp.forward(ctx, owner, "/v1/verify/delta", body)
-	if err != nil {
-		obsClusterForwardFails.Inc()
-		return false
-	}
-	if status != http.StatusOK {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.WriteHeader(status)
-		w.Write(respBody)
-		return true
-	}
-	var resp DeltaResponse
-	if err := json.Unmarshal(respBody, &resp); err != nil {
-		obsClusterForwardFails.Inc()
-		return false
-	}
-	resp.Provenance = provForwarded
-	tc.SetProvenance(provForwarded)
-	obsVerdictForwarded.Inc()
-	writeJSON(w, http.StatusOK, &resp)
-	return true
+	return v
 }
 
-// respondPeerVerify builds a /v1/verify response from a peer cache hit.
-// The verdict fields come from the owner's report; the request-shaped
-// fields (network rendering, turn counts, key) are derived locally from
-// the built request — no cdg.Report is ever materialized outside the
-// engine.
-func respondPeerVerify(b *builtVerify, pl *PeerLookupResponse, key uint64) *VerifyResponse {
+// respondVerify builds a /v1/verify response. The verdict fields come
+// from the report (local or the owner's); the request-shaped fields
+// (network rendering, turn counts, key) are derived locally from the
+// built request — no cdg.Report is ever materialized outside the engine.
+func respondVerify(b *builtVerify, v *PeerLookupResponse, prov string) *VerifyResponse {
 	n90, nU, nI := b.ts.Counts()
 	return &VerifyResponse{
 		Network:    b.net.String(),
-		Channels:   pl.Channels,
-		Edges:      pl.Edges,
-		Acyclic:    pl.Acyclic,
-		Cycle:      pl.Cycle,
+		Channels:   v.Channels,
+		Edges:      v.Edges,
+		Acyclic:    v.Acyclic,
+		Cycle:      v.Cycle,
 		Turns:      TurnCounts{Deg90: n90, U: nU, I: nI},
-		Provenance: provPeer,
-		Key:        strconv.FormatUint(key, 16),
+		Provenance: prov,
+		Key:        strconv.FormatUint(b.q.Key, 16),
 	}
 }
 
-// respondPeerDelta builds a /v1/verify/delta response from cached
-// verdict fields. Delta reports name the perturbed network (the
-// "-faulty" rendering), so Network comes from the cached report, not
-// the base request.
-func respondPeerDelta(pl *PeerLookupResponse, prov string, key, baseKey uint64) *DeltaResponse {
+// respondDelta builds a /v1/verify/delta response. Delta reports name the
+// perturbed network (the "-faulty" rendering), so Network comes from the
+// verdict, not the base request.
+func respondDelta(v *PeerLookupResponse, prov string, key, baseKey uint64) *DeltaResponse {
 	return &DeltaResponse{
-		Network:    pl.Network,
-		Channels:   pl.Channels,
-		Edges:      pl.Edges,
-		Acyclic:    pl.Acyclic,
-		Cycle:      pl.Cycle,
+		Network:    v.Network,
+		Channels:   v.Channels,
+		Edges:      v.Edges,
+		Acyclic:    v.Acyclic,
+		Cycle:      v.Cycle,
 		Provenance: prov,
 		Key:        strconv.FormatUint(key, 16),
 		BaseKey:    strconv.FormatUint(baseKey, 16),
 	}
-}
-
-// formatIfCyclic renders a report's cycle witness, empty when acyclic.
-func formatIfCyclic(rep cdg.Report) string {
-	if rep.Acyclic {
-		return ""
-	}
-	return cdg.FormatCycle(rep.Cycle)
 }

@@ -429,13 +429,13 @@ func TestClusterWarmStartServesFromCache(t *testing.T) {
 	}
 
 	var snap strings.Builder
-	if _, err := reps["r0"].cache.SaveSnapshot(&snap); err != nil {
+	if _, err := cdg.SaveSnapshot(reps["r0"].cache, &snap); err != nil {
 		t.Fatal(err)
 	}
 
 	// A fresh replica under the same name, warm-started from the file.
 	cache := &cdg.VerifyCache{}
-	if _, err := cache.LoadSnapshot(strings.NewReader(snap.String())); err != nil {
+	if _, err := cdg.LoadSnapshot(cache, strings.NewReader(snap.String())); err != nil {
 		t.Fatal(err)
 	}
 	warm := NewReplica(Config{}, cache)

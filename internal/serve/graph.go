@@ -9,7 +9,6 @@ import (
 
 	"ebda/internal/cdg"
 	"ebda/internal/graphio"
-	"ebda/internal/obs/trace"
 )
 
 // POST /v1/verify/graph: multi-mode verification of an arbitrary
@@ -65,118 +64,44 @@ type GraphVerifyResponse struct {
 	Key              string `json:"key"`
 }
 
-// builtGraph is a decoded, validated graph request ready for the
-// verdict pipeline.
-type builtGraph struct {
-	g      *graphio.Graph
-	mode   cdg.GraphMode
-	escape []int
-}
-
-// build validates the request and parses the graph. Like
-// VerifyRequest.build it returns client errors only — everything here
-// maps to a 400.
-func (req *GraphVerifyRequest) build() (*builtGraph, error) {
+// build validates the request, parses the graph and returns its cache
+// query. Like VerifyRequest.build it returns client errors only —
+// everything here maps to a 400.
+func (req *GraphVerifyRequest) build() (cdg.Query[cdg.ModeReport], error) {
+	var none cdg.Query[cdg.ModeReport]
 	mode, err := cdg.ParseGraphMode(req.Mode)
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	var g *graphio.Graph
 	switch {
 	case req.Graph != nil && req.CDG != "":
-		return nil, errors.New("use either graph or cdg, not both")
+		return none, errors.New("use either graph or cdg, not both")
 	case req.Graph != nil:
 		g, err = graphio.New(req.Graph.Channels, req.Graph.Inputs, req.Graph.Outputs, req.Graph.Edges)
 	case req.CDG != "":
 		g, err = graphio.ParseCDG([]byte(req.CDG))
 	default:
-		return nil, errors.New("one of graph or cdg is required")
+		return none, errors.New("one of graph or cdg is required")
 	}
 	if err != nil {
-		return nil, err
+		return none, err
 	}
 	if n := g.Edges.NumNodes(); n > maxGraphChannels {
-		return nil, fmt.Errorf("graph has %d channels, limit %d", n, maxGraphChannels)
+		return none, fmt.Errorf("graph has %d channels, limit %d", n, maxGraphChannels)
 	}
 	if n := g.Edges.NumEdges(); n > maxGraphEdges {
-		return nil, fmt.Errorf("graph has %d edges, limit %d", n, maxGraphEdges)
+		return none, fmt.Errorf("graph has %d edges, limit %d", n, maxGraphEdges)
 	}
 	if mode == cdg.ModeEscape && len(req.Escape) == 0 {
-		return nil, errors.New("mode escape requires a non-empty escape set")
+		return none, errors.New("mode escape requires a non-empty escape set")
 	}
 	for _, v := range req.Escape {
 		if v < 0 || v >= g.Edges.NumNodes() {
-			return nil, fmt.Errorf("escape channel %d outside [0, %d)", v, g.Edges.NumNodes())
+			return none, fmt.Errorf("escape channel %d outside [0, %d)", v, g.Edges.NumNodes())
 		}
 	}
-	return &builtGraph{g: g, mode: mode, escape: req.Escape}, nil
-}
-
-// graphVerdict produces one mode verdict: mode cache probe first, then
-// a coalesced flight whose leader computes on a queue worker.
-func (s *Server) graphVerdict(ctx context.Context, b *builtGraph) (cdg.ModeReport, string, error) {
-	tc := trace.FromContext(ctx)
-	lsp := tc.StartSpan("cache.lookup")
-	if rep, ok := s.modes.Lookup(b.g.Edges, b.mode, b.g.Inputs, b.g.Outputs, b.escape); ok {
-		lsp.SetInt("hit", 1)
-		lsp.End()
-		obsVerdictCache.Inc()
-		return rep, provCache, nil
-	}
-	lsp.SetInt("hit", 0)
-	lsp.End()
-	key, check := cdg.ModeKey(b.g.Edges, b.mode, b.g.Inputs, b.g.Outputs, b.escape)
-	fsp := tc.StartSpan("flight")
-	rep, leader, err := s.gflight.do(ctx, key, check, s.cfg.Timeout, func(fctx context.Context) (cdg.ModeReport, error) {
-		return s.computeGraph(fctx, b)
-	})
-	if err != nil {
-		fsp.End()
-		return cdg.ModeReport{}, "", err
-	}
-	if leader {
-		fsp.SetStr("role", "leader")
-		fsp.End()
-		obsVerdictComputed.Inc()
-		return rep, provComputed, nil
-	}
-	fsp.SetStr("role", "follower")
-	fsp.End()
-	obsVerdictCoalesced.Inc()
-	return rep, provCoalesced, nil
-}
-
-// computeGraph runs one mode verification on a queue worker under ctx.
-func (s *Server) computeGraph(ctx context.Context, b *builtGraph) (cdg.ModeReport, error) {
-	type result struct {
-		rep cdg.ModeReport
-		err error
-	}
-	res := make(chan result, 1)
-	tc := trace.FromContext(ctx)
-	tc.Retain()
-	qsp := tc.StartSpan("queue.wait")
-	err := s.submit(func() {
-		qsp.End()
-		obsQueueDepth.Add(-1)
-		rep, err := s.modes.VerifyModeCtx(ctx, b.g.Edges, b.mode, b.g.Inputs, b.g.Outputs, b.escape, s.cfg.Jobs)
-		res <- result{rep, err}
-		tc.Release()
-	})
-	if err != nil {
-		qsp.SetInt("rejected", 1)
-		qsp.End()
-		tc.Release()
-		return cdg.ModeReport{}, err
-	}
-	select {
-	case r := <-res:
-		return r.rep, r.err
-	case <-ctx.Done():
-		// The queued task still runs (quickly, its context is dead) and
-		// parks its result in the buffered channel for the collector.
-		return cdg.ModeReport{}, ctx.Err()
-	}
+	return cdg.ModeQuery(g.Edges, mode, g.Inputs, g.Outputs, req.Escape), nil
 }
 
 func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
@@ -196,7 +121,7 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, sanitizeErr(err))
 		return
 	}
-	b, err := req.build()
+	q, err := req.build()
 	if err != nil {
 		obsRejectBad.Inc()
 		writeError(w, http.StatusBadRequest, sanitizeErr(err))
@@ -204,13 +129,12 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-	rep, prov, err := s.graphVerdict(ctx, b)
+	rep, prov, err := verdict(ctx, s, s.modes, s.gflight, q, provComputed)
 	if err != nil {
 		writeError(w, statusFor(err), sanitizeErr(err))
 		return
 	}
 	t.SetProvenance(prov)
-	key, _ := cdg.ModeKey(b.g.Edges, b.mode, b.g.Inputs, b.g.Outputs, b.escape)
 	resp := &GraphVerifyResponse{
 		Mode:       rep.Mode.String(),
 		Channels:   rep.Nodes,
@@ -218,7 +142,7 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 		OK:         rep.OK,
 		Reason:     rep.Reason,
 		Provenance: prov,
-		Key:        strconv.FormatUint(key, 16),
+		Key:        strconv.FormatUint(q.Key, 16),
 	}
 	if len(rep.Path) > 0 {
 		resp.Path = cdg.FormatNodeChain(rep.Path)

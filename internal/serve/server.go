@@ -271,13 +271,16 @@ const (
 	provDelta     = "delta"
 )
 
-// verdict produces one verification verdict: cache probe first, then a
+// verdict produces one verdict for q: cache probe first, then a
 // coalesced flight whose leader computes on a queue worker. The
-// provenance string reports which path answered.
-func (s *Server) verdict(ctx context.Context, b *builtVerify) (cdg.Report, string, error) {
+// provenance string reports which path answered; lead is the leader's
+// ("delta" when the verdict came from a retained workspace's region
+// re-peel, "computed" otherwise). Every endpoint's verdicts — full,
+// delta and graph mode — flow through here.
+func verdict[R any](ctx context.Context, s *Server, c *cdg.Cache[R], fg *flightGroup[R], q cdg.Query[R], lead string) (R, string, error) {
 	tc := trace.FromContext(ctx)
 	lsp := tc.StartSpan("cache.lookup")
-	if rep, ok := s.cache.Lookup(b.net, b.vcs, b.ts); ok {
+	if rep, ok := c.Lookup(q.Key, q.Check); ok {
 		lsp.SetInt("hit", 1)
 		lsp.End()
 		obsVerdictCache.Inc()
@@ -285,32 +288,33 @@ func (s *Server) verdict(ctx context.Context, b *builtVerify) (cdg.Report, strin
 	}
 	lsp.SetInt("hit", 0)
 	lsp.End()
-	key, check := cdg.VerifyKey(b.net, b.vcs, b.ts)
 	fsp := tc.StartSpan("flight")
-	rep, leader, err := s.flight.do(ctx, key, check, s.cfg.Timeout, func(fctx context.Context) (cdg.Report, error) {
-		return s.compute(fctx, b)
+	defer fsp.End()
+	rep, leader, err := fg.do(ctx, q.Key, q.Check, s.cfg.Timeout, func(fctx context.Context) (R, error) {
+		return compute(fctx, s, c, q)
 	})
-	if err != nil {
-		fsp.End()
-		return cdg.Report{}, "", err
+	switch {
+	case err != nil:
+		return rep, "", err
+	case !leader:
+		fsp.SetStr("role", "follower")
+		obsVerdictCoalesced.Inc()
+		return rep, provCoalesced, nil
 	}
-	if leader {
-		fsp.SetStr("role", "leader")
-		fsp.End()
+	fsp.SetStr("role", "leader")
+	if lead == provDelta {
+		obsVerdictDelta.Inc()
+	} else {
 		obsVerdictComputed.Inc()
-		return rep, provComputed, nil
 	}
-	fsp.SetStr("role", "follower")
-	fsp.End()
-	obsVerdictCoalesced.Inc()
-	return rep, provCoalesced, nil
+	return rep, lead, nil
 }
 
-// compute runs one verification on a queue worker under ctx, reporting
-// admission failures to the caller.
-func (s *Server) compute(ctx context.Context, b *builtVerify) (cdg.Report, error) {
+// compute answers q through the cache on a queue worker under ctx,
+// reporting admission failures to the caller.
+func compute[R any](ctx context.Context, s *Server, c *cdg.Cache[R], q cdg.Query[R]) (R, error) {
 	type result struct {
-		rep cdg.Report
+		rep R
 		err error
 	}
 	res := make(chan result, 1)
@@ -323,15 +327,16 @@ func (s *Server) compute(ctx context.Context, b *builtVerify) (cdg.Report, error
 	err := s.submit(func() {
 		qsp.End()
 		obsQueueDepth.Add(-1)
-		rep, err := s.cache.VerifyTurnSetCtx(ctx, b.net, b.vcs, b.ts, s.cfg.Jobs)
+		rep, err := c.Verify(ctx, q, s.cfg.Jobs)
 		res <- result{rep, err}
 		tc.Release()
 	})
+	var zero R
 	if err != nil {
 		qsp.SetInt("rejected", 1)
 		qsp.End()
 		tc.Release()
-		return cdg.Report{}, err
+		return zero, err
 	}
 	select {
 	case r := <-res:
@@ -339,75 +344,7 @@ func (s *Server) compute(ctx context.Context, b *builtVerify) (cdg.Report, error
 	case <-ctx.Done():
 		// The queued task still runs (quickly, its context is dead) and
 		// parks its result in the buffered channel for the collector.
-		return cdg.Report{}, ctx.Err()
-	}
-}
-
-// deltaVerdict is verdict for a perturbed design: delta cache probe
-// first, then a coalesced flight keyed on the delta identity whose
-// leader runs the incremental re-verification on a queue worker. The
-// leader's provenance is "delta" — the verdict came from a retained
-// workspace's region re-peel, not a from-scratch verification.
-func (s *Server) deltaVerdict(ctx context.Context, b *builtVerify, diff cdg.Diff) (cdg.Report, string, error) {
-	tc := trace.FromContext(ctx)
-	lsp := tc.StartSpan("cache.lookup")
-	if rep, ok := s.cache.LookupDelta(b.net, b.vcs, b.ts, diff); ok {
-		lsp.SetInt("hit", 1)
-		lsp.End()
-		obsVerdictCache.Inc()
-		return rep, provCache, nil
-	}
-	lsp.SetInt("hit", 0)
-	lsp.End()
-	key, check := cdg.DeltaKey(b.net, b.vcs, b.ts, diff)
-	fsp := tc.StartSpan("flight")
-	rep, leader, err := s.flight.do(ctx, key, check, s.cfg.Timeout, func(fctx context.Context) (cdg.Report, error) {
-		return s.computeDelta(fctx, b, diff)
-	})
-	if err != nil {
-		fsp.End()
-		return cdg.Report{}, "", err
-	}
-	if leader {
-		fsp.SetStr("role", "leader")
-		fsp.End()
-		obsVerdictDelta.Inc()
-		return rep, provDelta, nil
-	}
-	fsp.SetStr("role", "follower")
-	fsp.End()
-	obsVerdictCoalesced.Inc()
-	return rep, provCoalesced, nil
-}
-
-// computeDelta runs one delta verification on a queue worker under ctx.
-func (s *Server) computeDelta(ctx context.Context, b *builtVerify, diff cdg.Diff) (cdg.Report, error) {
-	type result struct {
-		rep cdg.Report
-		err error
-	}
-	res := make(chan result, 1)
-	tc := trace.FromContext(ctx)
-	tc.Retain()
-	qsp := tc.StartSpan("queue.wait")
-	err := s.submit(func() {
-		qsp.End()
-		obsQueueDepth.Add(-1)
-		rep, err := s.cache.VerifyDeltaCtx(ctx, b.net, b.vcs, b.ts, diff, s.cfg.Jobs)
-		res <- result{rep, err}
-		tc.Release()
-	})
-	if err != nil {
-		qsp.SetInt("rejected", 1)
-		qsp.End()
-		tc.Release()
-		return cdg.Report{}, err
-	}
-	select {
-	case r := <-res:
-		return r.rep, r.err
-	case <-ctx.Done():
-		return cdg.Report{}, ctx.Err()
+		return zero, ctx.Err()
 	}
 }
 
@@ -451,32 +388,13 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorBody{Error: msg})
 }
 
-// respond builds the response body for one verdict.
-func respond(b *builtVerify, rep cdg.Report, prov string, key uint64) *VerifyResponse {
-	n90, nU, nI := b.ts.Counts()
-	resp := &VerifyResponse{
-		Network:    b.net.String(),
-		Channels:   rep.Channels,
-		Edges:      rep.Edges,
-		Acyclic:    rep.Acyclic,
-		Turns:      TurnCounts{Deg90: n90, U: nU, I: nI},
-		Provenance: prov,
-		Key:        strconv.FormatUint(key, 16),
-	}
-	if !rep.Acyclic {
-		resp.Cycle = cdg.FormatCycle(rep.Cycle)
-	}
-	return resp
-}
-
 // verifyOne runs one built request end to end.
 func (s *Server) verifyOne(ctx context.Context, b *builtVerify) (*VerifyResponse, int, error) {
-	rep, prov, err := s.verdict(ctx, b)
+	rep, prov, err := verdict(ctx, s, s.cache, s.flight, b.q, provComputed)
 	if err != nil {
 		return nil, statusFor(err), err
 	}
-	key, _ := cdg.VerifyKey(b.net, b.vcs, b.ts)
-	return respond(b, rep, prov, key), http.StatusOK, nil
+	return respondVerify(b, verdictFields(rep), prov), http.StatusOK, nil
 }
 
 func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
@@ -510,7 +428,8 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, sanitizeErr(err))
 		return
 	}
-	if s.routeVerify(w, r, b, body) {
+	reply := func(v *PeerLookupResponse, prov string) any { return respondVerify(b, v, prov) }
+	if s.route(w, r, b.q, "/v1/verify", body, reply, &VerifyResponse{}) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
@@ -553,7 +472,7 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, sanitizeErr(err))
 		return
 	}
-	baseKey, _ := cdg.VerifyKey(b.net, b.vcs, b.ts)
+	baseKey := b.q.Key
 	if req.BaseKey != "" {
 		want, perr := strconv.ParseUint(req.BaseKey, 16, 64)
 		if perr != nil || want != baseKey {
@@ -570,31 +489,20 @@ func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, sanitizeErr(err))
 		return
 	}
-	if s.routeDelta(w, r, b, diff, baseKey, body) {
+	q := cdg.DeltaQuery(b.net, b.vcs, b.ts, diff)
+	reply := func(v *PeerLookupResponse, prov string) any { return respondDelta(v, prov, q.Key, baseKey) }
+	if s.route(w, r, q, "/v1/verify/delta", body, reply, &DeltaResponse{}) {
 		return
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
 	defer cancel()
-	rep, prov, err := s.deltaVerdict(ctx, b, diff)
+	rep, prov, err := verdict(ctx, s, s.cache, s.flight, q, provDelta)
 	if err != nil {
 		writeError(w, statusFor(err), sanitizeErr(err))
 		return
 	}
 	t.SetProvenance(prov)
-	key, _ := cdg.DeltaKey(b.net, b.vcs, b.ts, diff)
-	resp := &DeltaResponse{
-		Network:    rep.Network,
-		Channels:   rep.Channels,
-		Edges:      rep.Edges,
-		Acyclic:    rep.Acyclic,
-		Provenance: prov,
-		Key:        strconv.FormatUint(key, 16),
-		BaseKey:    strconv.FormatUint(baseKey, 16),
-	}
-	if !rep.Acyclic {
-		resp.Cycle = cdg.FormatCycle(rep.Cycle)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, reply(verdictFields(rep), prov))
 }
 
 func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
@@ -637,12 +545,8 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		if len(resp.Options) >= max {
 			break
 		}
-		b := &builtVerify{
-			net: net,
-			vcs: cdg.VCConfigFor(net.Dims(), chain.Channels()),
-			ts:  chain.AllTurns(),
-		}
-		rep, prov, err := s.verdict(ctx, b)
+		vcs, ts := cdg.VCConfigFor(net.Dims(), chain.Channels()), chain.AllTurns()
+		rep, prov, err := verdict(ctx, s, s.cache, s.flight, cdg.TurnSetQuery(net, vcs, ts), provComputed)
 		if err != nil {
 			writeError(w, statusFor(err), sanitizeErr(err))
 			return
