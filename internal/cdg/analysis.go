@@ -3,6 +3,7 @@ package cdg
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"ebda/internal/channel"
@@ -78,7 +79,7 @@ func Connectivity(net *topology.Network, vcs VCConfig, ts *core.TurnSet, minimal
 					reach[i] = false
 				}
 				queue = queue[:0]
-				for _, ci := range g.byHead[dst] {
+				for _, ci := range g.into(dst) {
 					if productive(g.channels[ci], dst) {
 						reach[ci] = true
 						queue = append(queue, ci)
@@ -100,13 +101,8 @@ func Connectivity(net *topology.Network, vcs VCConfig, ts *core.TurnSet, minimal
 						continue
 					}
 					report.Pairs++
-					ok := false
-					for _, ci := range g.byTail[src] {
-						if reach[ci] {
-							ok = true
-							break
-						}
-					}
+					lo, hi := g.outRange(src)
+					ok := slices.Contains(reach[lo:hi], true)
 					if !ok {
 						if !hasExample[w] {
 							report.ExampleSrc, report.ExampleDst = src, dst

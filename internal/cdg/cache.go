@@ -209,7 +209,7 @@ func reportOf[R any](rep R, _ error) R { return rep }
 
 // verifyKey derives the cache key and its independent check hash. The
 // network contributes its family name, per-dimension sizes and wraps (and,
-// for irregular networks, the full memoized link list — shape parameters
+// for irregular networks, every link in Links() order — shape parameters
 // alone do not determine an irregular topology); the VC configuration
 // contributes its effective per-dimension counts; the turn set contributes
 // its order-independent relation fingerprint.
@@ -237,20 +237,26 @@ func verifyKey(net *topology.Network, vcs VCConfig, ts *core.TurnSet) (key, chec
 		put(uint64(vcs.VCs(channel.Dim(d))))
 	}
 	if !net.Regular() {
-		links := net.Links()
-		put(uint64(len(links)))
-		for _, l := range links {
-			put(uint64(uint32(l.From))<<32 | uint64(uint32(l.To)))
-			w := uint64(0)
-			if l.Wrap {
-				w = 1
+		// The link count leads the links, so one walk counts and a second
+		// hashes; neither materialises the link list.
+		var walk topology.Walker
+		count := 0
+		walk.Walk(net, func(_ topology.NodeID, _ topology.Coord, out []topology.Link) { count += len(out) })
+		put(uint64(count))
+		walk.Walk(net, func(_ topology.NodeID, _ topology.Coord, out []topology.Link) {
+			for _, l := range out {
+				put(uint64(uint32(l.From))<<32 | uint64(uint32(l.To)))
+				w := uint64(0)
+				if l.Wrap {
+					w = 1
+				}
+				s := uint64(0)
+				if l.Sign == channel.Minus {
+					s = 1
+				}
+				put(uint64(l.Dim)<<2 | s<<1 | w)
 			}
-			s := uint64(0)
-			if l.Sign == channel.Minus {
-				s = 1
-			}
-			put(uint64(l.Dim)<<2 | s<<1 | w)
-		}
+		})
 	}
 	f1, f2 := ts.Fingerprint()
 	put(f1)

@@ -99,12 +99,13 @@ type Graph struct {
 	net      *topology.Network
 	vcs      VCConfig
 	channels []Channel
-	// byHead[v] lists indices of channels whose Link.To == v, ascending.
-	byHead [][]int32
-	// byTail[v] lists indices of channels whose Link.From == v, ascending.
-	byTail [][]int32
-	adj    [][]int32
-	edges  int
+	// Channels are numbered in Links() order, so the channels leaving
+	// node v are the index range [tailOff[v], tailOff[v+1]). The channels
+	// entering v are headIdx[headOff[v]:headOff[v+1]], ascending, and
+	// head[i] is channel i's head node (its Link.To).
+	tailOff, headOff, headIdx, head []int32
+	adj                             [][]int32
+	edges                           int
 	// tailIndex is the dense (node, dim, sign, vc) -> channel index table
 	// behind the O(1) FindChannel; -1 marks absent channels. maxVC is the
 	// per-dimension stride.
@@ -115,8 +116,10 @@ type Graph struct {
 	// when odd); keySig maps a signature key to its index plus one.
 	sig, sigs, keySig []int32
 	par               []int
-	// tab is the turn-edge kernel's per-build signature table.
-	tab sigTable
+	// walk is bind's enumeration scratch and tab the turn-edge kernel's
+	// per-build signature table.
+	walk topology.Walker
+	tab  sigTable
 }
 
 // NewGraph enumerates the concrete channels of the network under the VC
@@ -129,34 +132,36 @@ func NewGraph(net *topology.Network, vcs VCConfig) *Graph {
 
 // bind enumerates the concrete channels of the network under the VC
 // configuration, with no edges: the one fill path of NewGraph and of a
-// pooled Workspace's rebind. Tables are refilled in place and rows reused
-// by index, so binding to a shape the buffers already fit allocates nothing.
+// pooled Workspace's rebind. One walk over the grid numbers the channels
+// in Links() order — source node, dimension, sign, VC — and fills the
+// out-ranges, signatures and tail index as it goes; a counting pass then
+// lays out the in-lists. No link list is built, tables are refilled in
+// place and adjacency rows reused by index, so binding to a network the
+// buffers already fit allocates nothing, however new the network.
+//
+//ebda:hotpath
 func (g *Graph) bind(net *topology.Network, vcs VCConfig) {
 	dims, nodes := net.Dims(), net.Nodes()
 	g.net = net
 	g.vcs = g.vcs[:0]
 	g.maxVC = 1
+	perNode := 0
 	for d := 0; d < dims; d++ {
 		v := vcs.VCs(channel.Dim(d))
 		g.vcs = append(g.vcs, v)
 		g.maxVC = max(g.maxVC, v)
+		perNode += 2 * v
 	}
-	g.byHead = resizeRows(g.byHead, nodes)
-	g.byTail = resizeRows(g.byTail, nodes)
-	slots := nodes * dims * 2 * g.maxVC
+	nodeSlots := dims * 2 * g.maxVC
+	slots := nodes * nodeSlots
 	g.tailIndex = slices.Grow(g.tailIndex[:0], slots)[:slots]
 	for i := range g.tailIndex {
 		g.tailIndex[i] = -1
 	}
-	g.par = slices.Grow(g.par[:0], nodes)[:nodes] // net.Coord would allocate per node
-	for v := 0; v < nodes; v++ {
-		x, p := v, 0
-		for d, size := range net.Sizes() {
-			p |= (x % size & 1) << d
-			x /= size
-		}
-		g.par[v] = p
-	}
+	g.par = slices.Grow(g.par[:0], nodes)[:nodes]
+	g.tailOff = slices.Grow(g.tailOff[:0], nodes+1)[:nodes+1]
+	g.headOff = slices.Grow(g.headOff[:0], nodes+1)[:nodes+1]
+	clear(g.headOff)
 	// A signature key is a channel's tail slot at node 0 (its dimension,
 	// sign and VC) shifted above its tail parities. Every network has at
 	// least 2^dims nodes, so keys stay below len(tailIndex) and fit an int.
@@ -164,33 +169,67 @@ func (g *Graph) bind(net *topology.Network, vcs VCConfig) {
 	g.keySig = slices.Grow(g.keySig[:0], keys)[:keys]
 	clear(g.keySig)
 	g.sigs = g.sigs[:0]
-	links := net.Links()
+	// Every node has at most two links per dimension, so nodes*perNode
+	// bounds the channel count; the tables are cut to size after the walk.
+	limit := nodes * perNode
+	chans := slices.Grow(g.channels[:0], limit)[:limit]
+	sig := slices.Grow(g.sig[:0], limit)[:limit]
+	head := slices.Grow(g.head[:0], limit)[:limit]
 	nc := 0
-	for _, link := range links {
-		nc += g.vcs[link.Dim]
-	}
-	g.channels = slices.Grow(g.channels[:0], nc)[:nc]
-	g.sig = slices.Grow(g.sig[:0], nc)[:nc]
-	idx := 0
-	for _, link := range links {
-		for vc := 1; vc <= g.vcs[link.Dim]; vc++ {
-			ch := &g.channels[idx]
-			ch.Link, ch.VC, ch.Index = link, vc, idx
-			g.byHead[link.To] = append(g.byHead[link.To], int32(idx))
-			g.byTail[link.From] = append(g.byTail[link.From], int32(idx))
-			g.tailIndex[g.tailSlot(link.From, link.Dim, link.Sign, vc)] = int32(idx)
-			key := g.tailSlot(0, link.Dim, link.Sign, vc)<<dims | g.par[link.From]
-			if g.keySig[key] == 0 {
-				g.sigs = append(g.sigs, int32(idx))
-				g.keySig[key] = int32(len(g.sigs))
-			}
-			g.sig[idx] = g.keySig[key] - 1
-			idx++
+	g.walk.Walk(net, func(v topology.NodeID, c topology.Coord, out []topology.Link) {
+		p := 0
+		for d, x := range c {
+			p |= (x & 1) << d
 		}
+		g.par[v] = p
+		g.tailOff[v] = int32(nc)
+		base := int(v) * nodeSlots
+		for _, link := range out {
+			// slot0 is the link's first VC's tail slot at node 0.
+			slot0 := g.tailSlot(0, link.Dim, link.Sign, 1)
+			for vc := 1; vc <= g.vcs[link.Dim]; vc++ {
+				ch := &chans[nc]
+				ch.Link, ch.VC, ch.Index = link, vc, nc
+				head[nc] = int32(link.To)
+				g.headOff[link.To+1]++
+				slot := slot0 + vc - 1
+				g.tailIndex[base+slot] = int32(nc)
+				key := slot<<dims | p
+				if g.keySig[key] == 0 {
+					g.sigs = append(g.sigs, int32(nc))
+					g.keySig[key] = int32(len(g.sigs))
+				}
+				sig[nc] = g.keySig[key] - 1
+				nc++
+			}
+		}
+	})
+	g.channels, g.sig, g.head = chans[:nc], sig[:nc], head[:nc]
+	g.tailOff[nodes] = int32(nc)
+	// headOff[v+1] counted v's in-channels; after the prefix sum headOff[v]
+	// is v's first slot. Placing channels in ascending order advances each
+	// headOff[v] to v's end, which the final shift turns back into starts.
+	for v := 0; v < nodes; v++ {
+		g.headOff[v+1] += g.headOff[v]
 	}
-	g.adj = resizeRows(g.adj, len(g.channels))
+	g.headIdx = slices.Grow(g.headIdx[:0], nc)[:nc]
+	for i, h := range g.head {
+		g.headIdx[g.headOff[h]] = int32(i)
+		g.headOff[h]++
+	}
+	copy(g.headOff[1:], g.headOff[:nodes])
+	g.headOff[0] = 0
+	g.adj = resizeRows(g.adj, nc)
 	g.edges = 0
 }
+
+// into returns the channels whose head is node v, ascending. The slice
+// must not be modified.
+func (g *Graph) into(v topology.NodeID) []int32 { return g.headIdx[g.headOff[v]:g.headOff[v+1]] }
+
+// outRange returns the index range [lo, hi) of the channels whose tail is
+// node v.
+func (g *Graph) outRange(v topology.NodeID) (lo, hi int32) { return g.tailOff[v], g.tailOff[v+1] }
 
 // resizeRows returns rows with length n, reusing the backing array and
 // every row already in it, each truncated to length zero so it keeps its
@@ -226,12 +265,6 @@ func (g *Graph) NumChannels() int { return len(g.channels) }
 
 // NumEdges returns the number of dependency edges added so far.
 func (g *Graph) NumEdges() int { return g.edges }
-
-// Into returns the channels whose head is node v.
-func (g *Graph) Into(v topology.NodeID) []int32 { return g.byHead[v] }
-
-// OutOf returns the channels whose tail is node v.
-func (g *Graph) OutOf(v topology.NodeID) []int32 { return g.byTail[v] }
 
 // AddEdge adds a dependency edge between two channel indices, keeping the
 // successor list sorted.
@@ -423,10 +456,11 @@ func (g *Graph) AddTurnEdges(ts *core.TurnSet) int { return g.AddTurnEdgesJobs(t
 // signature pair (buildSigTable); each channel pair then costs one table
 // lookup. Channel a's successors are the permitted channels out of its
 // head node, so every row is a function of one channel and workers own
-// disjoint ranges of rows. byTail rows are ascending, so an empty row
-// fills by appending and a non-empty one (a second build on the same
-// graph) takes one sorted merge. The result — row contents and order — is
-// identical for every worker count.
+// disjoint ranges of rows. A node's out-channels are one contiguous,
+// ascending index range, so an empty row fills by appending and a
+// non-empty one (a second build on the same graph) takes one sorted
+// merge. The result — row contents and order — is identical for every
+// worker count.
 //
 //ebda:hotpath
 func (g *Graph) AddTurnEdgesJobs(ts *core.TurnSet, jobs int) int {
@@ -438,13 +472,13 @@ func (g *Graph) AddTurnEdgesJobs(ts *core.TurnSet, jobs int) int {
 		added := 0
 		var batch []int32
 		for a := nc * w / workers; a < nc*(w+1)/workers; a++ {
-			tails := g.byTail[g.channels[a].Link.To]
+			lo, hi := g.outRange(topology.NodeID(g.head[a]))
 			allow := t.allow[int(t.id[g.sig[a]])*n:][:n]
 			if row := g.adj[a]; len(row) == 0 {
-				g.adj[a] = appendAllowed(row, tails, g.sig, allow)
+				g.adj[a] = appendAllowed(row, lo, g.sig[lo:hi], allow)
 				added += len(g.adj[a])
 			} else {
-				batch = appendAllowed(batch[:0], tails, g.sig, allow)
+				batch = appendAllowed(batch[:0], lo, g.sig[lo:hi], allow)
 				g.adj[a] = mergeSorted(row, batch)
 				added += len(batch)
 			}
@@ -459,12 +493,12 @@ func (g *Graph) AddTurnEdgesJobs(ts *core.TurnSet, jobs int) int {
 	return added
 }
 
-// appendAllowed appends to dst every out-channel in tails whose signature
-// the in-channel's allow row admits.
-func appendAllowed(dst, tails, sig []int32, allow []bool) []int32 {
-	for _, b := range tails {
-		if allow[sig[b]] {
-			dst = append(dst, b)
+// appendAllowed appends to dst every out-channel lo+k whose signature
+// sigs[k] the in-channel's allow row admits.
+func appendAllowed(dst []int32, lo int32, sigs []int32, allow []bool) []int32 {
+	for k, s := range sigs {
+		if allow[s] {
+			dst = append(dst, lo+int32(k))
 		}
 	}
 	return dst
@@ -823,7 +857,7 @@ func VerifyTurnSetJobs(net *topology.Network, vcs VCConfig, ts *core.TurnSet, jo
 }
 
 // VerifyTurnSetCtx is VerifyTurnSetJobs with a deadline: cancellation is
-// observed before the build and between Kahn rounds and returns ctx's
+// observed before the build and at Kahn round boundaries and returns ctx's
 // error with a zero Report. A cancelled verification never produces a
 // verdict, so the served result is always backed by a completed CDG check;
 // the workspace is returned to the pool either way (its buffers are

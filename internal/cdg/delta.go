@@ -163,17 +163,17 @@ func turnClassCode(c channel.Class) uint64 {
 	return e
 }
 
-// reportName resolves the diff's Report.Network label against a base
-// network.
-func (d Diff) reportName(net *topology.Network) string {
+// reportName resolves the diff's Report.Network label against the base
+// network's label.
+func (d Diff) reportName(base string) string {
 	if d.Name != "" {
 		return d.Name
 	}
 	if len(d.RemoveLinks) > 0 {
 		// Match topology.WithoutLinks: "8x8 mesh" -> "8x8 mesh-faulty".
-		return net.String() + "-faulty"
+		return base + "-faulty"
 	}
-	return net.String()
+	return base
 }
 
 // deltaBudget bounds the dirty region an incremental re-peel may touch
@@ -306,7 +306,7 @@ func (dw *DeltaWorkspace) VerifyDiffCtx(ctx context.Context, diff Diff, jobs int
 	sp := phaseDelta.Start()
 	defer sp.End()
 	obsDeltaVerifies.Inc()
-	name := diff.reportName(dw.ws.g.net)
+	name := diff.reportName(dw.baseRep.Network)
 	if diff.Empty() {
 		rep := dw.baseRep
 		rep.Network = name
@@ -363,7 +363,7 @@ func (dw *DeltaWorkspace) planDiff(diff Diff) error {
 		for _, s := range g.adj[ci] {
 			dw.rmOps = append(dw.rmOps, [2]int32{ci, s})
 		}
-		for _, p := range g.byHead[g.channels[ci].Link.From] {
+		for _, p := range g.into(g.channels[ci].Link.From) {
 			if dw.masked[p] {
 				continue
 			}
@@ -476,7 +476,8 @@ func (dw *DeltaWorkspace) planTurnOps(diff Diff) error {
 		if dw.masked[ai] || !dw.from[ka] {
 			continue
 		}
-		for _, bi := range g.byTail[g.channels[ai].Link.To] {
+		lo, hi := g.outRange(topology.NodeID(g.head[ai]))
+		for bi := lo; bi < hi; bi++ {
 			kb := ka*n + int(g.sig[bi])
 			if dw.masked[bi] || !dw.touched[kb] {
 				continue
@@ -543,7 +544,8 @@ func (dw *DeltaWorkspace) rollback() {
 // repeel computes the canonical peel state of the patched graph — either
 // incrementally from the retained base state, or by a full peel when the
 // dirty region exceeds the budget or an added edge may close a cycle
-// through the previously peeled region — and renders the report.
+// through the previously peeled region — and renders the report, whose
+// Network label the caller sets.
 func (dw *DeltaWorkspace) repeel(ctx context.Context, jobs int) (Report, error) {
 	g := dw.ws.g
 	nc := len(g.channels)
@@ -628,7 +630,7 @@ func (dw *DeltaWorkspace) repeel(ctx context.Context, jobs int) (Report, error) 
 		}
 	}
 	dw.queue = leaves[:0]
-	rep := Report{Network: g.net.String(), Channels: active, Edges: g.edges, Acyclic: true}
+	rep := Report{Channels: active, Edges: g.edges, Acyclic: true}
 	for i := 0; i < nc; i++ {
 		if fin[i] > 0 {
 			rep.Acyclic = false
@@ -654,7 +656,7 @@ func (dw *DeltaWorkspace) fullRepeel(ctx context.Context, jobs int, active int) 
 	if err != nil {
 		return Report{}, err
 	}
-	rep := Report{Network: g.net.String(), Channels: active, Edges: g.edges, Acyclic: peeled == len(g.channels)}
+	rep := Report{Channels: active, Edges: g.edges, Acyclic: peeled == len(g.channels)}
 	if !rep.Acyclic {
 		obsResidualDFS.Inc()
 		rep.Cycle = g.findCycleResidual(&dw.st)

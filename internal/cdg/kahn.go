@@ -61,13 +61,18 @@ func (st *acyclicState) ensure(n int) {
 	st.swap = st.swap[:0]
 }
 
+// ctxPollRounds is how many Kahn rounds run between cancellation polls.
+const ctxPollRounds = 64
+
 // kahnPeel runs the topological peel and returns the number of channels
 // peeled; the graph is acyclic iff that equals NumChannels. jobs <= 0
 // means all cores. On return st.indeg marks the residual (indeg > 0).
 //
-// ctx is checked once per frontier round (rounds are the only unbounded
-// dimension of the peel; one round is a bounded parallel sweep), so a
-// server deadline stops the work within a round's latency. On
+// ctx is checked before the first frontier round and then every
+// ctxPollRounds rounds (rounds are the only unbounded dimension of the
+// peel; one round is a bounded parallel sweep, on average a few
+// channels), so a server deadline stops the work within the latency of
+// ctxPollRounds rounds without paying ctx.Err's lock on every round. On
 // cancellation the peel stops early and returns ctx's error; the partial
 // peel count must not be used for a verdict.
 //
@@ -128,14 +133,16 @@ func kahnPeelAdj(ctx context.Context, adj [][]int32, jobs int, st *acyclicState)
 	// decrement returns the new value, so exactly one worker sees zero and
 	// discovery buffers stay duplicate-free.
 	for len(frontier) > 0 {
-		if err := ctx.Err(); err != nil {
-			st.frontier = frontier
-			obsKahnRounds.Add(rounds)
-			obsVerifyCancelled.Inc()
-			ksp.SetInt("rounds", int64(rounds))
-			ksp.SetInt("cancelled", 1)
-			ksp.End()
-			return peeled, err
+		if rounds%ctxPollRounds == 0 {
+			if err := ctx.Err(); err != nil {
+				st.frontier = frontier
+				obsKahnRounds.Add(rounds)
+				obsVerifyCancelled.Inc()
+				ksp.SetInt("rounds", int64(rounds))
+				ksp.SetInt("cancelled", 1)
+				ksp.End()
+				return peeled, err
+			}
 		}
 		rounds++
 		w := resolveJobs(workers, len(frontier))

@@ -35,9 +35,10 @@ func addTurnEdgesReference(g *Graph, ts *core.TurnSet) int {
 	}
 	added := 0
 	for v := 0; v < g.net.Nodes(); v++ {
-		for _, ai := range g.byHead[v] {
+		lo, hi := g.outRange(topology.NodeID(v))
+		for _, ai := range g.into(topology.NodeID(v)) {
 			var batch []int32
-			for _, bi := range g.byTail[v] {
+			for bi := lo; bi < hi; bi++ {
 				if m.AllowsAny(matched[ai], matched[bi]) {
 					batch = append(batch, bi)
 				}

@@ -94,8 +94,8 @@ func (ws *Workspace) report(ctx context.Context, jobs int) (Report, error) {
 
 // VerifyTurnSetCtx resets the workspace, builds the dependency graph of
 // the turn set and checks acyclicity (jobs <= 0 means all cores), honouring
-// ctx: cancellation is observed before the build and between Kahn rounds,
-// and returns ctx's error with a zero Report. A completed report is
+// ctx: cancellation is observed before the build and at Kahn round
+// boundaries (see kahnPeel), and returns ctx's error with a zero Report. A completed report is
 // bit-identical to the unpooled path for every jobs value. The workspace
 // stays reusable after a cancelled run — every buffer is re-zeroed by the
 // next verification.

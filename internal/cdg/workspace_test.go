@@ -136,11 +136,11 @@ func sameGraph(t *testing.T, step int, got, want *Graph) {
 	if got.net != want.net || got.maxVC != want.maxVC || got.edges != want.edges ||
 		!reflect.DeepEqual(got.vcs, want.vcs) || !reflect.DeepEqual(got.channels, want.channels) ||
 		!reflect.DeepEqual(got.tailIndex, want.tailIndex) || !reflect.DeepEqual(got.sig, want.sig) ||
-		!reflect.DeepEqual(got.sigs, want.sigs) {
+		!reflect.DeepEqual(got.sigs, want.sigs) || !reflect.DeepEqual(got.par, want.par) ||
+		!reflect.DeepEqual(got.tailOff, want.tailOff) || !reflect.DeepEqual(got.headOff, want.headOff) ||
+		!reflect.DeepEqual(got.headIdx, want.headIdx) || !reflect.DeepEqual(got.head, want.head) {
 		t.Fatalf("step %d: rebound graph tables differ from a fresh graph of %s", step, want.net)
 	}
-	rows("byHead", got.byHead, want.byHead)
-	rows("byTail", got.byTail, want.byTail)
 	rows("adj", got.adj, want.adj)
 }
 
@@ -282,8 +282,6 @@ func TestWorkspacePoolRebindAllocs(t *testing.T) {
 	ts := xyTurnSet()
 	ts.Matrix()
 	allocs := func(a, b *topology.Network) float64 {
-		a.Links()
-		b.Links()
 		return testing.AllocsPerRun(20, func() {
 			for _, net := range []*topology.Network{a, b} {
 				ws := pool.Get(net, nil)
@@ -384,7 +382,6 @@ func TestVerifyDesignAllocsFlat(t *testing.T) {
 	pool.Put(ws)
 	var counts []float64
 	for _, net := range []*topology.Network{topology.NewMesh(10, 10), topology.NewMesh(40, 40), topology.NewMesh(45, 38)} {
-		net.Links()
 		for _, ts := range designs {
 			counts = append(counts, testing.AllocsPerRun(10, func() {
 				ws := pool.Get(net, vcs)

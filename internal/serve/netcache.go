@@ -8,10 +8,9 @@ import (
 )
 
 // networkCache interns *topology.Network values by (kind, sizes), so
-// repeat requests for a shape skip topology construction and link
-// enumeration. The engine's workspace pool serves every shape; interning
-// only lets it find an idle workspace still bound to the same network
-// pointer and skip the refill.
+// repeat requests for a shape skip topology construction. The engine's
+// workspace pool serves every shape; interning only lets it find an idle
+// workspace still bound to the same network pointer and skip the refill.
 //
 // The map is bounded like the verify cache: past maxNetworks it is
 // flushed wholesale. Correctness never depends on interning — a flush

@@ -286,37 +286,62 @@ func (n *Network) FindLink(id NodeID, d channel.Dim, sign channel.Sign) (Link, b
 
 // Links returns every unidirectional physical link in the network, ordered
 // by source node, then dimension, then sign (+ before -). The list is
-// computed once and shared; the returned slice must not be modified.
+// computed once by a Walker and shared; the returned slice must not be
+// modified.
 func (n *Network) Links() []Link {
 	n.linksOnce.Do(func() {
 		links := make([]Link, 0, n.nodes*len(n.dims)*2)
-		// c walks the node coordinates odometer-style alongside id, so
-		// no per-node coordinate is allocated.
-		c := make(Coord, len(n.dims))
-		for id := NodeID(0); int(id) < n.nodes; id++ {
-			for d := 0; d < len(n.dims); d++ {
-				for _, sign := range [2]channel.Sign{channel.Plus, channel.Minus} {
-					to, wrapped, ok := n.step(id, c, channel.Dim(d), sign)
-					if !ok {
-						continue
-					}
-					links = append(links, Link{
-						From: id, To: to,
-						Dim: channel.Dim(d), Sign: sign,
-						Wrap: wrapped,
-					})
-				}
-			}
-			for d := range c {
-				if c[d]++; c[d] < n.dims[d] {
-					break
-				}
-				c[d] = 0
-			}
-		}
+		var w Walker
+		w.Walk(n, func(_ NodeID, _ Coord, out []Link) {
+			links = append(links, out...)
+		})
 		n.links = links
 	})
 	return n.links
+}
+
+// Walker is the network's one link enumeration: Walk visits every node in
+// ID order with the links leaving it, so the concatenated out-lists are
+// exactly Links(). The zero value is ready to use, and a Walker keeps its
+// coordinate and link scratch across walks, so walking any network no
+// larger in dimension count than an earlier one allocates nothing.
+type Walker struct {
+	c   Coord
+	out []Link
+}
+
+// Walk calls fn for every node of n in ID order with its coordinate and
+// its outgoing links (by dimension, then sign, + before -). The
+// coordinate advances odometer-style, and neighbours come from
+// per-dimension arithmetic; the irregularity filter is consulted only on
+// irregular networks. fn must not modify c or out, nor keep them past
+// the call: both are the Walker's scratch.
+func (w *Walker) Walk(n *Network, fn func(id NodeID, c Coord, out []Link)) {
+	dims := len(n.dims)
+	if cap(w.c) < dims {
+		w.c, w.out = make(Coord, dims), make([]Link, 0, 2*dims)
+	}
+	c := w.c[:dims]
+	clear(c)
+	buf := w.out[:2*dims]
+	for id := NodeID(0); int(id) < n.nodes; id++ {
+		k := 0
+		for d := 0; d < dims; d++ {
+			for _, sign := range [2]channel.Sign{channel.Plus, channel.Minus} {
+				if to, wrapped, ok := n.step(id, c, channel.Dim(d), sign); ok {
+					buf[k] = Link{From: id, To: to, Dim: channel.Dim(d), Sign: sign, Wrap: wrapped}
+					k++
+				}
+			}
+		}
+		fn(id, c, buf[:k])
+		for d := range c {
+			if c[d]++; c[d] < n.dims[d] {
+				break
+			}
+			c[d] = 0
+		}
+	}
 }
 
 // MinimalOffsets returns, per dimension, the signed hop count of a minimal
