@@ -1,9 +1,7 @@
-// Benchmarks for the parallel verification and simulation paths: each
-// compares the serial (jobs=1) baseline against the all-cores worker pool
-// on the same workload, so `go test -bench Parallel` shows the scaling on
-// the machine at hand. The outputs are deterministic across jobs values
-// (see the determinism tests), so the sub-benchmarks verify identical
-// results while timing them.
+// Benchmarks for the verification engine and the replicated simulation.
+// Each checks its result while timing it. A verification runs serially;
+// BenchmarkRunSeedsParallel compares one seed worker against every core,
+// so `go test -bench Parallel` shows that scaling on the machine at hand.
 package ebda_test
 
 import (
@@ -20,8 +18,8 @@ import (
 	"ebda/internal/topology"
 )
 
-// jobsVariants is the worker counts worth timing: the serial baseline and
-// every core the host offers (deduplicated on single-core machines).
+// jobsVariants is the seed-worker counts worth timing: the serial baseline
+// and every core the host offers (deduplicated on single-core machines).
 func jobsVariants() []int {
 	n := runtime.GOMAXPROCS(0)
 	if n <= 1 {
@@ -30,26 +28,22 @@ func jobsVariants() []int {
 	return []int{1, n}
 }
 
-// BenchmarkVerifyParallel times full CDG construction + acyclicity of the
-// six-channel fully adaptive design on a 32x32 mesh at each worker count.
-func BenchmarkVerifyParallel(b *testing.B) {
+// BenchmarkVerifyMesh32 times full CDG construction + acyclicity of the
+// six-channel fully adaptive design on a 32x32 mesh.
+func BenchmarkVerifyMesh32(b *testing.B) {
 	chain := paper.Figure7P1()
 	net := topology.NewMesh(32, 32)
 	ts := chain.AllTurns()
 	vcs := cdg.VCConfigFor(2, chain.Channels())
-	want := cdg.VerifyTurnSetJobs(net, vcs, ts, 1)
-	for _, jobs := range jobsVariants() {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				rep := cdg.VerifyTurnSetJobs(net, vcs, ts, jobs)
-				if !rep.Acyclic || rep.Edges != want.Edges {
-					b.Fatalf("jobs=%d: %s (want %d edges)", jobs, rep, want.Edges)
-				}
-			}
-			b.ReportMetric(float64(want.Channels)*float64(b.N)/b.Elapsed().Seconds(), "channels/s")
-		})
+	want := cdg.VerifyTurnSet(net, vcs, ts)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rep := cdg.VerifyTurnSet(net, vcs, ts); !rep.Acyclic || rep.Edges != want.Edges {
+			b.Fatalf("%s (want %d edges)", rep, want.Edges)
+		}
 	}
+	b.ReportMetric(float64(want.Channels)*float64(b.N)/b.Elapsed().Seconds(), "channels/s")
 }
 
 // BenchmarkVerifyRepeated times repeated verification of the six-channel
@@ -64,7 +58,7 @@ func BenchmarkVerifyRepeated(b *testing.B) {
 	net := topology.NewMesh(8, 8)
 	ts := chain.AllTurns()
 	vcs := cdg.VCConfigFor(2, chain.Channels())
-	want := cdg.VerifyTurnSetJobs(net, vcs, ts, 1)
+	want := cdg.VerifyTurnSet(net, vcs, ts)
 	check := func(b *testing.B, rep cdg.Report) {
 		if !rep.Acyclic || rep.Edges != want.Edges {
 			b.Fatalf("%s (want %d edges)", rep, want.Edges)
@@ -73,7 +67,7 @@ func BenchmarkVerifyRepeated(b *testing.B) {
 	b.Run("fresh", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			check(b, cdg.NewWorkspace(net, vcs).VerifyTurnSetJobs(ts, 0))
+			check(b, cdg.NewWorkspace(net, vcs).VerifyTurnSet(ts))
 		}
 	})
 	b.Run("workspace", func(b *testing.B) {
@@ -81,17 +75,17 @@ func BenchmarkVerifyRepeated(b *testing.B) {
 		ws := cdg.NewWorkspace(net, vcs)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			check(b, ws.VerifyTurnSetJobs(ts, 0))
+			check(b, ws.VerifyTurnSet(ts))
 		}
 	})
 	b.Run("cached", func(b *testing.B) {
 		b.ReportAllocs()
 		cache := &cdg.VerifyCache{}
 		ctx := context.Background()
-		cache.Verify(ctx, cdg.TurnSetQuery(net, vcs, ts), 0)
+		cache.Verify(ctx, cdg.TurnSetQuery(net, vcs, ts))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rep, _ := cache.Verify(ctx, cdg.TurnSetQuery(net, vcs, ts), 0)
+			rep, _ := cache.Verify(ctx, cdg.TurnSetQuery(net, vcs, ts))
 			check(b, rep)
 		}
 	})
@@ -118,7 +112,7 @@ func BenchmarkVerifyShapeMix(b *testing.B) {
 	add := func(net *topology.Network, chain *core.Chain) {
 		vcs := cdg.VCConfigFor(net.Dims(), chain.Channels())
 		ts := chain.AllTurns()
-		shapes = append(shapes, shape{net, vcs, ts, cdg.NewWorkspace(net, vcs).VerifyTurnSetJobs(ts, 1)})
+		shapes = append(shapes, shape{net, vcs, ts, cdg.NewWorkspace(net, vcs).VerifyTurnSet(ts)})
 	}
 	for k := 16; k <= 51; k++ {
 		add(topology.NewMesh(k, k), chain2)
@@ -130,14 +124,14 @@ func BenchmarkVerifyShapeMix(b *testing.B) {
 	// One untimed pass lets the pool grow its buffers to the largest
 	// shape, so the timed loop measures the steady state.
 	for _, s := range shapes {
-		cdg.VerifyTurnSetJobs(s.net, s.vcs, s.ts, 1)
+		cdg.VerifyTurnSet(s.net, s.vcs, s.ts)
 	}
 	channels := 0
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := shapes[i%len(shapes)]
-		rep := cdg.VerifyTurnSetJobs(s.net, s.vcs, s.ts, 1)
+		rep := cdg.VerifyTurnSet(s.net, s.vcs, s.ts)
 		if rep.Acyclic != s.want.Acyclic || rep.Edges != s.want.Edges {
 			b.Fatalf("%s: %s, want %s", s.net, rep, s.want)
 		}
@@ -167,11 +161,11 @@ func BenchmarkTurnEdges(b *testing.B) {
 			vcs := cdg.VCConfigFor(c.net.Dims(), c.chain.Channels())
 			ts := c.chain.AllTurns()
 			ws := cdg.NewWorkspace(c.net, vcs)
-			want := ws.VerifyTurnSetJobs(ts, 1)
+			want := ws.VerifyTurnSet(ts)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if rep := ws.VerifyTurnSetJobs(ts, 1); rep.Edges != want.Edges || !rep.Acyclic {
+				if rep := ws.VerifyTurnSet(ts); rep.Edges != want.Edges || !rep.Acyclic {
 					b.Fatalf("%s: %s, want %d edges, acyclic", c.name, rep, want.Edges)
 				}
 			}
@@ -220,29 +214,24 @@ func BenchmarkAddEdges(b *testing.B) {
 	})
 }
 
-// BenchmarkRoutingEdgesParallel times the Dally routing-relation
-// construction (per-destination closure) at each worker count, through the
-// adaptive Figure 7 design whose memoizing Candidates is shared across the
-// pool.
-func BenchmarkRoutingEdgesParallel(b *testing.B) {
+// BenchmarkRoutingEdges times the Dally routing-relation construction
+// (per-destination closure) through the adaptive Figure 7 design and its
+// memoizing Candidates.
+func BenchmarkRoutingEdges(b *testing.B) {
 	net := topology.NewMesh(16, 16)
 	chain := paper.Figure7P1()
 	vcs := cdg.VCConfigFor(2, chain.Channels())
 	want := -1
-	for _, jobs := range jobsVariants() {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				// A fresh algorithm per iteration so the memo warms up
-				// inside the timed region, like a first verification.
-				alg := routing.NewFromChain("dyxy", chain, 2)
-				rep := routing.VerifyJobs(net, vcs, alg, jobs)
-				if !rep.Acyclic || (want >= 0 && rep.Edges != want) {
-					b.Fatalf("jobs=%d: %s", jobs, rep)
-				}
-				want = rep.Edges
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		// A fresh algorithm per iteration so the memo warms up inside the
+		// timed region, like a first verification.
+		alg := routing.NewFromChain("dyxy", chain, 2)
+		rep := routing.Verify(net, vcs, alg)
+		if !rep.Acyclic || (want >= 0 && rep.Edges != want) {
+			b.Fatalf("%s", rep)
+		}
+		want = rep.Edges
 	}
 }
 

@@ -147,10 +147,8 @@ func run(argv []string, out, errw io.Writer) int {
 		return 2
 	}
 
-	fmt.Fprintf(out, "old: %s (%s, jobs=%d, gomaxprocs=%d)\n",
-		fs.Arg(0), oldB.GoVersion, oldB.Jobs, oldB.GoMaxProcs)
-	fmt.Fprintf(out, "new: %s (%s, jobs=%d, gomaxprocs=%d)\n",
-		fs.Arg(1), newB.GoVersion, newB.Jobs, newB.GoMaxProcs)
+	fmt.Fprintf(out, "old: %s (%s, gomaxprocs=%d)\n", fs.Arg(0), oldB.GoVersion, oldB.GoMaxProcs)
+	fmt.Fprintf(out, "new: %s (%s, gomaxprocs=%d)\n", fs.Arg(1), newB.GoVersion, newB.GoMaxProcs)
 	if oldB.Quick != newB.Quick {
 		fmt.Fprintln(out, "warning: snapshots differ in -quick; wall times are not comparable")
 	}
@@ -336,8 +334,8 @@ func diffDelta(out, errw io.Writer, oldPath, newPath string, oldRaw, newRaw []by
 		fmt.Fprintf(errw, "ebda-benchdiff: %s: %v\n", newPath, err)
 		return 2
 	}
-	fmt.Fprintf(out, "old: %s (%s, jobs=%d, rounds=%d)\n", oldPath, oldB.GoVersion, oldB.Jobs, oldB.Rounds)
-	fmt.Fprintf(out, "new: %s (%s, jobs=%d, rounds=%d)\n", newPath, newB.GoVersion, newB.Jobs, newB.Rounds)
+	fmt.Fprintf(out, "old: %s (%s, rounds=%d)\n", oldPath, oldB.GoVersion, oldB.Rounds)
+	fmt.Fprintf(out, "new: %s (%s, rounds=%d)\n", newPath, newB.GoVersion, newB.Rounds)
 
 	byName := make(map[string]cdg.DeltaBenchCase, len(oldB.Cases))
 	for _, c := range oldB.Cases {

@@ -351,7 +351,7 @@ func deltaSnapshot(linkRatio, toggleRatio float64, incremental uint64) cdg.Delta
 		}
 	}
 	return cdg.DeltaBench{
-		Kind: cdg.DeltaBenchKind, GoVersion: "go1.24", NumCPU: 8, Jobs: 1, Rounds: 256,
+		Kind: cdg.DeltaBenchKind, GoVersion: "go1.24", NumCPU: 8, Rounds: 256,
 		Cases: []cdg.DeltaBenchCase{
 			mk("mesh8x8/single-link", linkRatio),
 			mk("mesh8x8/turn-toggle", toggleRatio),

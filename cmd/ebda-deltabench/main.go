@@ -15,7 +15,7 @@
 // Usage:
 //
 //	ebda-deltabench -out BENCH_delta.json
-//	ebda-deltabench -rounds 512 -jobs 2 -out ""
+//	ebda-deltabench -rounds 512 -out ""
 //
 // Exit status: 0 on success, 1 when a delta verdict diverges from the
 // from-scratch verdict, 2 on usage errors.
@@ -55,16 +55,15 @@ func run(argv []string, out, errw io.Writer) int {
 	fs.SetOutput(errw)
 	outPath := fs.String("out", "BENCH_delta.json", "snapshot path (empty disables)")
 	rounds := fs.Int("rounds", 256, "verifications measured per case and path")
-	jobs := fs.Int("jobs", 1, "intra-verification parallelism")
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
 	if fs.NArg() != 0 {
-		fmt.Fprintln(errw, "usage: ebda-deltabench [-rounds 256] [-jobs 1] [-out BENCH_delta.json]")
+		fmt.Fprintln(errw, "usage: ebda-deltabench [-rounds 256] [-out BENCH_delta.json]")
 		return 2
 	}
-	if *rounds < 1 || *jobs < 0 {
-		fmt.Fprintln(errw, "ebda-deltabench: -rounds must be positive and -jobs non-negative")
+	if *rounds < 1 {
+		fmt.Fprintln(errw, "ebda-deltabench: -rounds must be positive")
 		return 2
 	}
 
@@ -73,11 +72,10 @@ func run(argv []string, out, errw io.Writer) int {
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339), //ebda:allow detlint bench snapshots are stamped with real wall time by design
 		GoVersion:   runtime.Version(),
 		NumCPU:      runtime.NumCPU(),
-		Jobs:        *jobs,
 		Rounds:      *rounds,
 	}
 	for _, c := range cases() {
-		res, err := measure(c, *rounds, *jobs)
+		res, err := measure(c, *rounds)
 		if err != nil {
 			fmt.Fprintln(errw, "ebda-deltabench:", err)
 			return 1
@@ -131,7 +129,7 @@ func cases() []benchCase {
 		{
 			name: "mesh8x8/single-link", net: net, vcs: vcs, ts: ts, diffs: linkDiffs,
 			full: func(d cdg.Diff) cdg.Report {
-				return cdg.VerifyTurnSetJobs(net.WithoutLinks(d.RemoveLinks), vcs, ts, 1)
+				return cdg.VerifyTurnSet(net.WithoutLinks(d.RemoveLinks), vcs, ts)
 			},
 		},
 		{
@@ -141,7 +139,7 @@ func cases() []benchCase {
 				for _, t := range d.DisableTurns {
 					reduced.Remove(t.From, t.To)
 				}
-				return cdg.VerifyTurnSetJobs(net, vcs, reduced, 1)
+				return cdg.VerifyTurnSet(net, vcs, reduced)
 			},
 		},
 	}
@@ -149,7 +147,7 @@ func cases() []benchCase {
 
 // measure checks every distinct diff for delta/full agreement, then times
 // both paths over the same rotating diff sequence.
-func measure(c benchCase, rounds, jobs int) (cdg.DeltaBenchCase, error) {
+func measure(c benchCase, rounds int) (cdg.DeltaBenchCase, error) {
 	dw, err := cdg.NewDeltaWorkspace(c.net, c.vcs, c.ts)
 	if err != nil {
 		return cdg.DeltaBenchCase{}, fmt.Errorf("%s: %v", c.name, err)
@@ -157,7 +155,7 @@ func measure(c benchCase, rounds, jobs int) (cdg.DeltaBenchCase, error) {
 	fulls := make([]cdg.Report, len(c.diffs))
 	for i, d := range c.diffs {
 		fulls[i] = c.full(d)
-		got, err := dw.VerifyDiffJobs(d, jobs)
+		got, err := dw.VerifyDiff(d)
 		if err != nil {
 			return cdg.DeltaBenchCase{}, fmt.Errorf("%s diff %d: %v", c.name, i, err)
 		}
@@ -171,7 +169,7 @@ func measure(c benchCase, rounds, jobs int) (cdg.DeltaBenchCase, error) {
 	before := counterVals()
 	t0 := time.Now() //ebda:allow detlint benchmarks measure wall time by design
 	for i := 0; i < rounds; i++ {
-		if _, err := dw.VerifyDiffJobs(c.diffs[i%len(c.diffs)], jobs); err != nil {
+		if _, err := dw.VerifyDiff(c.diffs[i%len(c.diffs)]); err != nil {
 			return cdg.DeltaBenchCase{}, fmt.Errorf("%s: %v", c.name, err)
 		}
 	}

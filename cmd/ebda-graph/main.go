@@ -56,7 +56,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 func usage(w io.Writer) {
 	fmt.Fprint(w, `usage:
   ebda-graph import FILE                    parse and summarise a graph
-  ebda-graph verify -mode=MODE [-escape IDS] [-jobs N] FILE
+  ebda-graph verify -mode=MODE [-escape IDS] FILE
                                             prove MODE (loop|liveness|escape|subrel)
   ebda-graph export [-json] [-o FILE] FILE  re-emit the canonical form
 FILE may be - for stdin; both the text and JSON encodings are accepted.
@@ -102,9 +102,8 @@ func cmdVerify(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	modeSpec := fs.String("mode", "loop", "property to prove: loop, liveness, escape or subrel")
 	escapeSpec := fs.String("escape", "", "escape channel ids for -mode=escape (comma or space separated)")
-	jobs := fs.Int("jobs", 0, "worker pool size (0 = all cores)")
 	if fs.Parse(args) != nil || fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: ebda-graph verify -mode=MODE [-escape IDS] [-jobs N] FILE")
+		fmt.Fprintln(stderr, "usage: ebda-graph verify -mode=MODE [-escape IDS] FILE")
 		return 2
 	}
 	mode, err := cdg.ParseGraphMode(*modeSpec)
@@ -132,7 +131,7 @@ func cmdVerify(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	rep, _ := cdg.DefaultModeCache.Verify(context.Background(), cdg.ModeQuery(g.Edges, mode, g.Inputs, g.Outputs, escape), *jobs)
+	rep, _ := cdg.DefaultModeCache.Verify(context.Background(), cdg.ModeQuery(g.Edges, mode, g.Inputs, g.Outputs, escape))
 	fmt.Fprintln(stdout, rep.String())
 	if rep.OK {
 		return 0

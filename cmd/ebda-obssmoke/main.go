@@ -33,13 +33,12 @@ import (
 	"ebda/internal/serve"
 )
 
-// verifyArgs is the deterministic workload: -jobs 1 keeps workspace-pool
-// traffic independent of scheduling, and the fixed turn set always
-// verifies acyclic on the fixed mesh.
+// verifyArgs is the deterministic workload: one serial verification, so
+// workspace-pool traffic is independent of scheduling, and the fixed turn
+// set always verifies acyclic on the fixed mesh.
 var verifyArgs = []string{
 	"-turns", "X+>Y+,X+>Y-,X->Y+,X->Y-",
 	"-mesh", "8x8",
-	"-jobs", "1",
 }
 
 // requiredCounters must appear in every ebda-verify dump; their presence
@@ -92,7 +91,7 @@ func runTrace() error {
 			SlowThreshold: -1, // the slow lane would double-record slow runs
 			Recorder:      rec,
 		})
-		srv := serve.NewReplica(serve.Config{Workers: 1, Jobs: 1, Tracer: tr}, &cdg.VerifyCache{})
+		srv := serve.NewReplica(serve.Config{Workers: 1, Tracer: tr}, &cdg.VerifyCache{})
 		mux := obshttp.Mux(obs.NewRegistry(), srv.Ready)
 		srv.Register(mux)
 		ts := httptest.NewServer(mux)

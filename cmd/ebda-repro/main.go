@@ -46,7 +46,7 @@ func main() {
 	opts := experiments.Options{Quick: *quick}
 
 	if *benchJSON != "" {
-		if err := writeBench(*benchJSON, opts, *jobs); err != nil {
+		if err := writeBench(*benchJSON, opts); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
@@ -155,12 +155,12 @@ func printCacheStats(before obs.Snapshot) {
 }
 
 // writeBench runs the perf harness and writes the JSON snapshot.
-func writeBench(path string, opts experiments.Options, jobs int) error {
+func writeBench(path string, opts experiments.Options) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	b := experiments.RunBench(opts, jobs)
+	b := experiments.RunBench(opts)
 	if err := b.WriteJSON(f); err != nil {
 		f.Close()
 		return err

@@ -117,7 +117,6 @@ func run() int {
 	workers := flag.Int("workers", 0, "verification worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = default 64)")
 	timeout := flag.Duration("timeout", 0, "per-request deadline (0 = default 10s)")
-	jobs := flag.Int("jobs", 0, "intra-verification parallelism (0 = default 1)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful drain budget after SIGTERM/SIGINT")
 	name := flag.String("name", "", "replica name in the cluster ring (empty = single-process mode)")
 	peersSpec := flag.String("peers", "", "comma-separated peer replicas, name=host:port each")
@@ -132,7 +131,6 @@ func run() int {
 		Workers:     *workers,
 		QueueDepth:  *queue,
 		Timeout:     *timeout,
-		Jobs:        *jobs,
 		TraceSample: *traceSample,
 		TraceSlow:   *traceSlow,
 	}

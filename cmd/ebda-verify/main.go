@@ -14,8 +14,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -28,25 +30,42 @@ import (
 )
 
 func main() {
-	chainSpec := flag.String("chain", "", "partition chain, e.g. \"PA[X+ X- Y-] -> PB[Y+]\"")
-	chainFile := flag.String("chain-file", "", "JSON file holding the design (see core.Chain's JSON encoding)")
-	turnSpec := flag.String("turns", "", "explicit turn list, e.g. \"X+>Y+,X+>Y-\" (alternative to -chain)")
-	meshSpec := flag.String("mesh", "", "mesh sizes, e.g. 8x8 or 4x4x4")
-	torusSpec := flag.String("torus", "", "torus sizes, e.g. 6x6")
-	adapt := flag.Bool("adaptiveness", false, "also measure minimal-path adaptiveness")
-	connectivity := flag.Bool("connectivity", true, "check all-pairs reachability (minimal routing)")
-	noUI := flag.Bool("no-ui-turns", false, "exclude Theorem-2/3 U- and I-turns")
-	dot := flag.String("dot", "", "write the dependency graph in Graphviz format to this file")
-	witness := flag.Bool("witness", false, "print the topological channel numbering (the deadlock-freedom witness)")
-	jobs := flag.Int("jobs", 0, "worker pool size for graph construction (0 = all cores)")
-	obsAddr := flag.String("obs", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
-	obsJSON := flag.String("obs-json", "", "write the end-of-run metrics snapshot (JSON) to this file")
-	cacheStats := flag.Bool("cachestats", false, "print this run's verify-cache counter deltas on exit")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams injected. It
+// returns the exit status: 0 when the design verifies, 1 when it is cyclic
+// or disconnected, 2 on usage or input errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ebda-verify", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	chainSpec := fs.String("chain", "", "partition chain, e.g. \"PA[X+ X- Y-] -> PB[Y+]\"")
+	chainFile := fs.String("chain-file", "", "JSON file holding the design (see core.Chain's JSON encoding)")
+	turnSpec := fs.String("turns", "", "explicit turn list, e.g. \"X+>Y+,X+>Y-\" (alternative to -chain)")
+	meshSpec := fs.String("mesh", "", "mesh sizes, e.g. 8x8 or 4x4x4")
+	torusSpec := fs.String("torus", "", "torus sizes, e.g. 6x6")
+	adapt := fs.Bool("adaptiveness", false, "also measure minimal-path adaptiveness")
+	connectivity := fs.Bool("connectivity", true, "check all-pairs reachability (minimal routing)")
+	noUI := fs.Bool("no-ui-turns", false, "exclude Theorem-2/3 U- and I-turns")
+	dot := fs.String("dot", "", "write the dependency graph in Graphviz format to this file")
+	witness := fs.Bool("witness", false, "print the topological channel numbering (the deadlock-freedom witness)")
+	obsAddr := fs.String("obs", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
+	obsJSON := fs.String("obs-json", "", "write the end-of-run metrics snapshot (JSON) to this file")
+	cacheStats := fs.Bool("cachestats", false, "print this run's verify-cache counter deltas on exit")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ebda-verify:", err)
+		return 2
+	}
 
 	finishObs, err := obshttp.Setup(*obsAddr, *obsJSON)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	// Snapshot before the run so -cachestats reports this invocation's
 	// traffic alone, not process-lifetime totals.
@@ -54,20 +73,20 @@ func main() {
 
 	net, err := buildNet(*meshSpec, *torusSpec)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
 	if *chainFile != "" {
 		if *chainSpec != "" {
-			fatal(fmt.Errorf("use either -chain or -chain-file, not both"))
+			return fail(fmt.Errorf("use either -chain or -chain-file, not both"))
 		}
 		data, err := os.ReadFile(*chainFile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		var c core.Chain
 		if err := json.Unmarshal(data, &c); err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		*chainSpec = c.String()
 	}
@@ -78,13 +97,13 @@ func main() {
 	)
 	switch {
 	case *chainSpec != "" && *turnSpec != "":
-		fatal(fmt.Errorf("use either -chain or -turns, not both"))
+		return fail(fmt.Errorf("use either -chain or -turns, not both"))
 	case *chainSpec != "":
 		chain, err := core.ParseChain(*chainSpec)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("chain: %s\n", chain)
+		fmt.Fprintf(stdout, "chain: %s\n", chain)
 		opts := core.DefaultTurnOptions
 		if *noUI {
 			opts.UITurns = false
@@ -94,7 +113,7 @@ func main() {
 	case *turnSpec != "":
 		turns, err := core.ParseTurnList(*turnSpec)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		ts = core.NewTurnSet()
 		for _, t := range turns {
@@ -102,76 +121,79 @@ func main() {
 		}
 		vcs = cdg.VCConfigFor(net.Dims(), ts.Classes())
 	default:
-		fatal(fmt.Errorf("one of -chain or -turns is required"))
+		return fail(fmt.Errorf("one of -chain or -turns is required"))
 	}
 
 	n90, nU, nI := ts.Counts()
-	fmt.Printf("turn set: %d 90-degree, %d U, %d I\n", n90, nU, nI)
+	fmt.Fprintf(stdout, "turn set: %d 90-degree, %d U, %d I\n", n90, nU, nI)
 	// The verdict comes from the verification engine's cached entry point,
-	// which runs the pooled build + parallel Kahn peel; the report is
-	// identical for every jobs value.
-	rep := cdg.VerifyTurnSetCachedJobs(net, vcs, ts, *jobs)
-	fmt.Println(rep)
+	// which runs the pooled build + Kahn peel.
+	rep := cdg.VerifyTurnSetCached(net, vcs, ts)
+	fmt.Fprintln(stdout, rep)
 	ok := rep.Acyclic
 	if *dot != "" || *witness {
 		// Diagnostics need the concrete graph; the verdict above still
 		// comes from the engine, this build only renders it.
-		g := cdg.BuildFromTurnSetJobs(net, vcs, ts, *jobs)
+		g := cdg.BuildFromTurnSet(net, vcs, ts)
 		if *dot != "" {
 			if err := os.WriteFile(*dot, []byte(g.DOT("ebda")), 0o644); err != nil {
-				fatal(err)
+				return fail(err)
 			}
-			fmt.Printf("dependency graph written to %s\n", *dot)
+			fmt.Fprintf(stdout, "dependency graph written to %s\n", *dot)
 		}
 		if *witness {
 			order, err := g.TopoOrder()
 			if err != nil {
-				fmt.Println("no witness:", err)
+				fmt.Fprintln(stdout, "no witness:", err)
 			} else {
-				fmt.Println("deadlock-freedom witness (ascending channel numbering):")
+				fmt.Fprintln(stdout, "deadlock-freedom witness (ascending channel numbering):")
 				for i, ch := range order {
-					fmt.Printf("  %4d: %s\n", i+1, ch)
+					fmt.Fprintf(stdout, "  %4d: %s\n", i+1, ch)
 				}
 			}
 		}
 	}
 	if *connectivity {
 		conn := cdg.Connectivity(net, vcs, ts, true)
-		fmt.Printf("connectivity: %s\n", conn)
+		fmt.Fprintf(stdout, "connectivity: %s\n", conn)
 		ok = ok && conn.Connected()
 	}
 	if *adapt {
 		ad, err := cdg.Adaptiveness(net, vcs, ts)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("%s\n", ad)
+		fmt.Fprintf(stdout, "%s\n", ad)
 	}
 	if *cacheStats {
-		printCacheDelta(obsBefore)
+		if err := printCacheDelta(stdout, obsBefore); err != nil {
+			return fail(err)
+		}
 	}
 	if err := finishObs(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	if !ok {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
 // printCacheDelta renders the verify-cache series recorded since before,
 // through the shared snapshot renderer, plus the derived hit rate.
-func printCacheDelta(before obs.Snapshot) {
+func printCacheDelta(w io.Writer, before obs.Snapshot) error {
 	delta := obs.Default.Snapshot().Sub(before).Filter("ebda_verify_cache")
-	fmt.Println("verify cache (this run):")
-	if err := delta.WriteText(os.Stdout); err != nil {
-		fatal(err)
+	fmt.Fprintln(w, "verify cache (this run):")
+	if err := delta.WriteText(w); err != nil {
+		return err
 	}
 	hits := delta.Counter("ebda_verify_cache_hits_total")
 	misses := delta.Counter("ebda_verify_cache_misses_total")
 	if hits+misses > 0 {
-		fmt.Printf("  hit rate: %.1f%% (%d/%d)\n",
+		fmt.Fprintf(w, "  hit rate: %.1f%% (%d/%d)\n",
 			float64(hits)/float64(hits+misses)*100, hits, hits+misses)
 	}
+	return nil
 }
 
 func buildNet(mesh, torus string) (*topology.Network, error) {
@@ -206,9 +228,4 @@ func parseSizes(s string) ([]int, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ebda-verify:", err)
-	os.Exit(2)
 }

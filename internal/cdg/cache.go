@@ -69,7 +69,7 @@ var DefaultCache = &VerifyCache{entries: obsCacheEntries}
 // and shard routing.
 type Query[R any] struct {
 	Key, Check uint64
-	compute    func(ctx context.Context, jobs int) (R, error)
+	compute    func(ctx context.Context) (R, error)
 }
 
 // CacheStats is a snapshot of cache effectiveness.
@@ -160,18 +160,18 @@ func (c *Cache[R]) Lookup(key, check uint64) (R, bool) {
 }
 
 // Verify returns the memoized answer to q, computing and caching it on a
-// miss (jobs <= 0 means all cores). Answers are identical to the uncached
-// path for every jobs value. A hit is answered even when ctx has already
-// expired — it costs no work and the verdict is real. A miss that fails
-// (cancellation, an invalid diff) returns the error, counts as a miss and
-// stores nothing: partial peels never become cache entries.
-func (c *Cache[R]) Verify(ctx context.Context, q Query[R], jobs int) (R, error) {
+// miss. Answers are identical to the uncached path. A hit is answered even
+// when ctx has already expired — it costs no work and the verdict is
+// real. A miss that fails (cancellation, an invalid diff) returns the
+// error, counts as a miss and stores nothing: partial peels never become
+// cache entries.
+func (c *Cache[R]) Verify(ctx context.Context, q Query[R]) (R, error) {
 	if rep, ok := c.Lookup(q.Key, q.Check); ok {
 		return rep, nil
 	}
 	c.misses.Add(1)
 	c.series().misses.Inc()
-	rep, err := q.compute(ctx, jobs)
+	rep, err := q.compute(ctx)
 	if err != nil {
 		var zero R
 		return zero, err
@@ -266,9 +266,9 @@ func verifyKey(net *topology.Network, vcs VCConfig, ts *core.TurnSet) (key, chec
 
 // VerifyKey exposes the cache's dual-hash identity of a verification:
 // the canonical key and its independently derived check hash. The pair is
-// stable across processes and jobs values, so serving layers can use it
-// to coalesce concurrent identical verifications onto one computation
-// (two requests share a flight iff they would share a cache entry).
+// stable across processes, so serving layers can use it to coalesce
+// concurrent identical verifications onto one computation (two requests
+// share a flight iff they would share a cache entry).
 func VerifyKey(net *topology.Network, vcs VCConfig, ts *core.TurnSet) (key, check uint64) {
 	return verifyKey(net, vcs, ts)
 }
@@ -288,18 +288,18 @@ func mix64(x uint64) uint64 {
 // pooled context-aware path.
 func TurnSetQuery(net *topology.Network, vcs VCConfig, ts *core.TurnSet) Query[Report] {
 	key, check := verifyKey(net, vcs, ts)
-	return Query[Report]{Key: key, Check: check, compute: func(ctx context.Context, jobs int) (Report, error) {
-		return VerifyTurnSetCtx(ctx, net, vcs, ts, jobs)
+	return Query[Report]{Key: key, Check: check, compute: func(ctx context.Context) (Report, error) {
+		return VerifyTurnSetCtx(ctx, net, vcs, ts)
 	}}
 }
 
 // DeltaKey derives the cache identity of a delta verification: the base
 // verification's dual-hash key mixed with the diff's canonical
-// fingerprint. Like VerifyKey it is stable across processes and jobs
-// values, so serving layers coalesce concurrent identical deltas onto one
-// computation. Delta entries live in the same cache map as full
-// verifications; the seeds keep the two key families decorrelated and the
-// check hash catches any residual collision.
+// fingerprint. Like VerifyKey it is stable across processes, so serving
+// layers coalesce concurrent identical deltas onto one computation. Delta
+// entries live in the same cache map as full verifications; the seeds
+// keep the two key families decorrelated and the check hash catches any
+// residual collision.
 func DeltaKey(net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff) (key, check uint64) {
 	bk, bc := verifyKey(net, vcs, ts)
 	return deltaKey(bk, bc, diff)
@@ -318,33 +318,28 @@ func deltaKey(baseKey, baseCheck uint64, diff Diff) (key, check uint64) {
 // diff, under DeltaKey. A miss checks a retained workspace for the base
 // out of DefaultDeltaPool and re-verifies incrementally; an invalid diff
 // fails with ErrBadDiff. Reports are bit-identical to a from-scratch
-// verification of the perturbed design for every jobs value.
+// verification of the perturbed design.
 func DeltaQuery(net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff) Query[Report] {
 	bk, bc := verifyKey(net, vcs, ts)
 	key, check := deltaKey(bk, bc, diff)
-	return Query[Report]{Key: key, Check: check, compute: func(ctx context.Context, jobs int) (Report, error) {
-		dw, err := DefaultDeltaPool.get(ctx, bk, bc, net, vcs, ts, jobs)
+	return Query[Report]{Key: key, Check: check, compute: func(ctx context.Context) (Report, error) {
+		dw, err := DefaultDeltaPool.get(ctx, bk, bc, net, vcs, ts)
 		if err != nil {
 			return Report{}, err
 		}
 		defer DefaultDeltaPool.Put(dw)
-		return dw.VerifyDiffCtx(ctx, diff, jobs)
+		return dw.verifyDiff(ctx, diff)
 	}}
 }
 
 // VerifyDeltaCached is a delta verification through the DefaultCache.
 func VerifyDeltaCached(net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff) (Report, error) {
-	return DefaultCache.Verify(context.Background(), DeltaQuery(net, vcs, ts, diff), 0)
+	return DefaultCache.Verify(context.Background(), DeltaQuery(net, vcs, ts, diff))
 }
 
 // VerifyTurnSetCached is VerifyTurnSet through the DefaultCache.
 func VerifyTurnSetCached(net *topology.Network, vcs VCConfig, ts *core.TurnSet) Report {
-	return VerifyTurnSetCachedJobs(net, vcs, ts, 0)
-}
-
-// VerifyTurnSetCachedJobs is VerifyTurnSetJobs through the DefaultCache.
-func VerifyTurnSetCachedJobs(net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) Report {
-	return reportOf(DefaultCache.Verify(context.Background(), TurnSetQuery(net, vcs, ts), jobs))
+	return reportOf(DefaultCache.Verify(context.Background(), TurnSetQuery(net, vcs, ts)))
 }
 
 // VerifyChainCached is VerifyChain through the DefaultCache: the chain's

@@ -17,8 +17,8 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	c := &VerifyCache{}
 	net := topology.NewMesh(4, 4)
 	ts := xyTurnSet()
-	first := cachedVerify(c, net, nil, ts, 0)
-	second := cachedVerify(c, net, nil, ts, 0)
+	first := cachedVerify(c, net, nil, ts)
+	second := cachedVerify(c, net, nil, ts)
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("cached report diverged: %+v vs %+v", first, second)
 	}
@@ -36,8 +36,8 @@ func TestCacheHitsAcrossInstances(t *testing.T) {
 	// networks must share one entry — the sweeps rebuild both per
 	// candidate.
 	c := &VerifyCache{}
-	cachedVerify(c, topology.NewMesh(4, 4), nil, xyTurnSet(), 0)
-	rep := cachedVerify(c, topology.NewMesh(4, 4), nil, xyTurnSet(), 0)
+	cachedVerify(c, topology.NewMesh(4, 4), nil, xyTurnSet())
+	rep := cachedVerify(c, topology.NewMesh(4, 4), nil, xyTurnSet())
 	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Errorf("stats = %+v, want a cross-instance hit", s)
 	}
@@ -63,7 +63,7 @@ func TestCacheKeyDiscriminates(t *testing.T) {
 		{"other turns", mesh, nil, allTurnSet()},
 	}
 	for i, p := range probes {
-		cachedVerify(c, p.net, p.vcs, p.ts, 0)
+		cachedVerify(c, p.net, p.vcs, p.ts)
 		s := c.Stats()
 		if want := base.Misses + uint64(i) + 1; s.Misses != want {
 			t.Fatalf("%s: misses = %d, want %d (keys must differ)", p.name, s.Misses, want)
@@ -78,7 +78,7 @@ func TestCacheInvalidatedByMutation(t *testing.T) {
 	c := &VerifyCache{}
 	net := topology.NewMesh(4, 4)
 	ts := xyTurnSet()
-	if rep := cachedVerify(c, net, nil, ts, 0); !rep.Acyclic {
+	if rep := cachedVerify(c, net, nil, ts); !rep.Acyclic {
 		t.Fatalf("XY must be acyclic: %s", rep)
 	}
 	// Completing the turn set to every 90-degree turn makes it cyclic;
@@ -90,7 +90,7 @@ func TestCacheInvalidatedByMutation(t *testing.T) {
 			ts.Add(from, to, core.ByTheorem1)
 		}
 	}
-	rep := cachedVerify(c, net, nil, ts, 0)
+	rep := cachedVerify(c, net, nil, ts)
 	if rep.Acyclic {
 		t.Fatal("full 2D turn set must be cyclic — stale cache entry served")
 	}
@@ -106,8 +106,8 @@ func TestCacheIrregularNetworksDistinct(t *testing.T) {
 	a := topology.NewPartialMesh3D(3, 3, 2, [][2]int{{0, 0}})
 	b := topology.NewPartialMesh3D(3, 3, 2, [][2]int{{0, 0}, {2, 2}})
 	ts := xyTurnSet()
-	ra := cachedVerify(c, a, nil, ts, 0)
-	rb := cachedVerify(c, b, nil, ts, 0)
+	ra := cachedVerify(c, a, nil, ts)
+	rb := cachedVerify(c, b, nil, ts)
 	if s := c.Stats(); s.Misses != 2 || s.Hits != 0 {
 		t.Fatalf("stats = %+v: different irregular networks must miss", s)
 	}
@@ -135,8 +135,8 @@ func TestCacheChainEntryPoint(t *testing.T) {
 }
 
 // cachedVerify is one full verification through cache c.
-func cachedVerify(c *VerifyCache, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) Report {
-	rep, _ := c.Verify(context.Background(), TurnSetQuery(net, vcs, ts), jobs)
+func cachedVerify(c *VerifyCache, net *topology.Network, vcs VCConfig, ts *core.TurnSet) Report {
+	rep, _ := c.Verify(context.Background(), TurnSetQuery(net, vcs, ts))
 	return rep
 }
 
@@ -154,7 +154,7 @@ func cacheCases() (cacheCase[Report], cacheCase[EdgeReport], cacheCase[ModeRepor
 	e, in, out := escapeOKGraph()
 	return cacheCase[Report]{
 			qs:   []Query[Report]{TurnSetQuery(mesh, nil, xyTurnSet()), TurnSetQuery(mesh35, nil, allTurnSet()), TurnSetQuery(torus, nil, parityTurnSet())},
-			want: []Report{freshReport(mesh, nil, xyTurnSet(), 1), freshReport(mesh35, nil, allTurnSet(), 1), freshReport(torus, nil, parityTurnSet(), 1)},
+			want: []Report{freshReport(mesh, nil, xyTurnSet()), freshReport(mesh35, nil, allTurnSet()), freshReport(torus, nil, parityTurnSet())},
 		}, cacheCase[EdgeReport]{
 			qs:   []Query[EdgeReport]{EdgeQuery(ring(5)), EdgeQuery(ring(6)), EdgeQuery(NewEdgeSet(3))},
 			want: []EdgeReport{VerifyEdgeSet(ring(5)), VerifyEdgeSet(ring(6)), VerifyEdgeSet(NewEdgeSet(3))},
@@ -191,7 +191,7 @@ func hammerCache[R any](t *testing.T, c *Cache[R], cc cacheCase[R]) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				k := (w + i) % len(qs)
-				got, err := c.Verify(context.Background(), qs[k], 2)
+				got, err := c.Verify(context.Background(), qs[k])
 				if err != nil || !reflect.DeepEqual(got, want[k]) {
 					select {
 					case errs <- fmt.Sprintf("%+v != %+v (err %v)", got, want[k], err):
@@ -233,7 +233,7 @@ func TestCacheEvictionCounting(t *testing.T) {
 func countEvictions[R any](t *testing.T, c *Cache[R], cc cacheCase[R]) {
 	series := c.series().evictions.Value()
 	for _, q := range cc.qs {
-		if _, err := c.Verify(context.Background(), q, 1); err != nil {
+		if _, err := c.Verify(context.Background(), q); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -259,10 +259,10 @@ func TestCacheHitAllocFree(t *testing.T) {
 	c := &VerifyCache{}
 	q := TurnSetQuery(topology.NewMesh(4, 4), nil, xyTurnSet())
 	ctx := context.Background()
-	if _, err := c.Verify(ctx, q, 1); err != nil {
+	if _, err := c.Verify(ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() { c.Verify(ctx, q, 1) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { c.Verify(ctx, q) }); n != 0 {
 		t.Fatalf("cache hit allocates %v times per call, want 0", n)
 	}
 }
@@ -274,7 +274,7 @@ func TestCacheEntriesGaugeIsDefaultCacheOnly(t *testing.T) {
 	want := int64(DefaultCache.Stats().Entries)
 	c := &VerifyCache{}
 	for _, net := range []*topology.Network{topology.NewMesh(3, 3), topology.NewMesh(3, 4), topology.NewMesh(5, 3)} {
-		cachedVerify(c, net, nil, xyTurnSet(), 1)
+		cachedVerify(c, net, nil, xyTurnSet())
 	}
 	var snap bytes.Buffer
 	if _, err := SaveSnapshot(c, &snap); err != nil {

@@ -16,11 +16,9 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"ebda/internal/channel"
 	"ebda/internal/core"
@@ -88,8 +86,7 @@ func (c Channel) String() string {
 //
 // Adjacency lists are kept sorted ascending at all times (AddEdge inserts
 // in order; the bulk constructors emit sorted runs), so membership tests
-// binary-search and all traversal output is independent of how many
-// workers built the graph.
+// binary-search and all traversal output depends only on the edge set.
 //
 // A channel's signature is its dimension, sign and VC plus its tail
 // coordinate parities. Its classes depend on nothing else, and a network
@@ -292,8 +289,7 @@ func insertSorted(row []int32, v int32) []int32 {
 // in a single sorted merge — the batched counterpart of AddEdge, used by
 // the bulk constructors so incremental O(n) inserts stay off the hot path.
 // tos may be in any order (it is sorted in place when needed). Not safe for
-// concurrent use; the parallel constructors batch per worker and merge into
-// disjoint rows instead.
+// concurrent use.
 //
 //ebda:hotpath
 func (g *Graph) AddEdges(from int, tos ...int32) {
@@ -372,21 +368,6 @@ func (g *Graph) FindChannel(from topology.NodeID, d channel.Dim, sign channel.Si
 	return Channel{}, false
 }
 
-// resolveJobs turns a jobs request (0 = all cores) into a worker count
-// bounded by the number of independent shards.
-func resolveJobs(jobs, shards int) int {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if jobs > shards {
-		jobs = shards
-	}
-	if jobs < 1 {
-		jobs = 1
-	}
-	return jobs
-}
-
 // sigTable is the turn relation seen through a graph's signatures,
 // rebuilt per matrix by buildSigTable. cls[off[s]:off[s+1]] lists the
 // matrix classes signature s instantiates; id[s] interns identical lists,
@@ -447,51 +428,39 @@ func (g *Graph) buildSigTable(m *core.AllowMatrix) {
 }
 
 // AddTurnEdges adds a dependency edge for every pair of concrete channels
-// (a into v, b out of v) whose classes are related by the turn set, using
-// every available core. It returns the number of edges added.
-func (g *Graph) AddTurnEdges(ts *core.TurnSet) int { return g.AddTurnEdgesJobs(ts, 0) }
-
-// AddTurnEdgesJobs is AddTurnEdges over a bounded worker pool (jobs <= 0
-// means all cores). The turn relation is first evaluated once per
-// signature pair (buildSigTable); each channel pair then costs one table
-// lookup. Channel a's successors are the permitted channels out of its
-// head node, so every row is a function of one channel and workers own
-// disjoint ranges of rows. A node's out-channels are one contiguous,
-// ascending index range, so an empty row fills by appending and a
-// non-empty one (a second build on the same graph) takes one sorted
-// merge. The result — row contents and order — is identical for every
-// worker count.
+// (a into v, b out of v) whose classes are related by the turn set and
+// returns the number of edges added. The turn relation is first evaluated
+// once per signature pair (buildSigTable); each channel pair then costs
+// one table lookup. Channel a's successors are the permitted channels out
+// of its head node, one contiguous, ascending index range, so an empty
+// row fills by appending and a non-empty one (a second build on the same
+// graph) takes one sorted merge.
 //
 //ebda:hotpath
-func (g *Graph) AddTurnEdgesJobs(ts *core.TurnSet, jobs int) int {
+func (g *Graph) AddTurnEdges(ts *core.TurnSet) int {
 	g.buildSigTable(ts.Matrix())
-	t, n, nc := &g.tab, len(g.sigs), len(g.channels)
-	workers := resolveJobs(jobs, nc)
-	counts := make([]int, workers)
-	parallelFor(workers, func(w int) {
-		added := 0
-		var batch []int32
-		for a := nc * w / workers; a < nc*(w+1)/workers; a++ {
-			lo, hi := g.outRange(topology.NodeID(g.head[a]))
-			allow := t.allow[int(t.id[g.sig[a]])*n:][:n]
-			if row := g.adj[a]; len(row) == 0 {
-				g.adj[a] = appendAllowed(row, lo, g.sig[lo:hi], allow)
-				added += len(g.adj[a])
-			} else {
-				batch = appendAllowed(batch[:0], lo, g.sig[lo:hi], allow)
-				g.adj[a] = mergeSorted(row, batch)
-				added += len(batch)
-			}
-		}
-		counts[w] = added
-	})
+	t, n := &g.tab, len(g.sigs)
 	added := 0
-	for _, c := range counts {
-		added += c
+	var batch []int32
+	for a := range g.channels {
+		lo, hi := g.outRange(topology.NodeID(g.head[a]))
+		allow := t.allow[int(t.id[g.sig[a]])*n:][:n]
+		if row := g.adj[a]; len(row) == 0 {
+			g.adj[a] = appendAllowed(row, lo, g.sig[lo:hi], allow)
+			added += len(g.adj[a])
+		} else {
+			batch = appendAllowed(batch[:0], lo, g.sig[lo:hi], allow)
+			g.adj[a] = mergeSorted(row, batch)
+			added += len(batch)
+		}
 	}
 	g.edges += added
 	return added
 }
+
+// AddTurnEdgesJobs is AddTurnEdges. The int argument is ignored; bench/
+// calls this signature.
+func (g *Graph) AddTurnEdgesJobs(ts *core.TurnSet, _ int) int { return g.AddTurnEdges(ts) }
 
 // appendAllowed appends to dst every out-channel lo+k whose signature
 // sigs[k] the in-channel's allow row admits.
@@ -502,25 +471,6 @@ func appendAllowed(dst []int32, lo int32, sigs []int32, allow []bool) []int32 {
 		}
 	}
 	return dst
-}
-
-// parallelFor runs fn(w) for w in [0, workers) on separate goroutines
-// (inline when one suffices) and waits for all of them. Each fn must
-// stride its shard range by the same workers count it was resolved with.
-func parallelFor(workers int, fn func(w int)) {
-	if workers <= 1 {
-		fn(0)
-		return
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			fn(w)
-		}(w)
-	}
-	wg.Wait()
 }
 
 // RoutingRelation describes a routing function for dependency extraction:
@@ -534,128 +484,90 @@ type RoutingRelation func(g *Graph, at topology.NodeID, in *Channel, dst topolog
 // from some injection under the routing function) may request channel b.
 // This is the classic Dally construction: for each destination a forward
 // closure is computed from the injection candidates of every source, and
-// only transitions of reachable packet states become dependencies. All
-// cores are used; see AddRoutingEdgesJobs.
+// only transitions of reachable packet states become dependencies. The
+// edges every destination induces are recorded in one dense bitset, whose
+// rows are then expanded in ascending order into sorted successor lists.
 func (g *Graph) AddRoutingEdges(route RoutingRelation) int {
-	return g.AddRoutingEdgesJobs(route, 0)
-}
-
-// AddRoutingEdgesJobs is AddRoutingEdges sharded by destination over a
-// bounded worker pool (jobs <= 0 means all cores). Each worker records the
-// edges its destinations induce in a dense per-worker bitset; the bitsets
-// are then OR-merged row-wise into sorted successor lists, so the
-// resulting graph — edge set and adjacency order — is bit-identical for
-// every worker count. The route function is called concurrently from
-// multiple goroutines when jobs > 1 and must be safe for that (all
-// algorithms in this repository are).
-func (g *Graph) AddRoutingEdgesJobs(route RoutingRelation, jobs int) int {
 	nc := len(g.channels)
 	if nc == 0 {
 		return 0
 	}
 	nodes := g.net.Nodes()
-	workers := resolveJobs(jobs, nodes)
 	words := (nc + 63) / 64
-	// seen[w] is worker w's nc x nc edge bitset, rows of `words` words.
-	seen := make([][]uint64, workers)
-	parallelFor(workers, func(w int) {
-		bits := make([]uint64, nc*words)
-		seen[w] = bits
-		usable := make([]bool, nc)
-		queue := make([]int32, 0, nc)
-		for dst := topology.NodeID(w); int(dst) < nodes; dst += topology.NodeID(workers) {
-			for i := range usable {
-				usable[i] = false
-			}
-			queue = queue[:0]
-			// Injection states: the candidates offered to freshly
-			// injected packets at every source.
-			for src := topology.NodeID(0); int(src) < nodes; src++ {
-				if src == dst {
-					continue
-				}
-				for _, bi := range route(g, src, nil, dst) {
-					if !usable[bi] {
-						usable[bi] = true
-						queue = append(queue, int32(bi))
-					}
-				}
-			}
-			// Forward closure.
-			for len(queue) > 0 {
-				ai := queue[len(queue)-1]
-				queue = queue[:len(queue)-1]
-				ch := g.channels[ai]
-				at := ch.Link.To
-				if at == dst {
-					continue
-				}
-				row := bits[int(ai)*words:]
-				for _, bi := range route(g, at, &ch, dst) {
-					row[bi/64] |= 1 << uint(bi%64)
-					if !usable[bi] {
-						usable[bi] = true
-						queue = append(queue, int32(bi))
-					}
-				}
-			}
+	// seen is the nc x nc edge bitset, rows of `words` words.
+	seen := make([]uint64, nc*words)
+	usable := make([]bool, nc)
+	queue := make([]int32, 0, nc)
+	for dst := topology.NodeID(0); int(dst) < nodes; dst++ {
+		for i := range usable {
+			usable[i] = false
 		}
-	})
-	// Merge: OR the per-worker rows and expand set bits in ascending
-	// order, then land each row's batch in a single sorted merge. Rows are
-	// independent, so the merge shards over channels.
-	counts := make([]int, workers)
-	parallelFor(workers, func(w int) {
-		added := 0
-		merged := make([]uint64, words)
-		var batch []int32
-		for a := w; a < nc; a += workers {
-			for i := range merged {
-				merged[i] = 0
-			}
-			any := false
-			for _, bits := range seen {
-				row := bits[a*words : (a+1)*words]
-				for i, word := range row {
-					merged[i] |= word
-					any = any || word != 0
-				}
-			}
-			if !any {
+		queue = queue[:0]
+		// Injection states: the candidates offered to freshly injected
+		// packets at every source.
+		for src := topology.NodeID(0); int(src) < nodes; src++ {
+			if src == dst {
 				continue
 			}
-			batch = batch[:0]
-			for i, word := range merged {
-				for ; word != 0; word &= word - 1 {
-					batch = append(batch, int32(i*64+bits.TrailingZeros64(word)))
+			for _, bi := range route(g, src, nil, dst) {
+				if !usable[bi] {
+					usable[bi] = true
+					queue = append(queue, int32(bi))
 				}
 			}
-			g.adj[a] = mergeSorted(g.adj[a], batch)
-			added += len(batch)
 		}
-		counts[w] = added
-	})
+		// Forward closure.
+		for len(queue) > 0 {
+			ai := queue[len(queue)-1]
+			queue = queue[:len(queue)-1]
+			ch := g.channels[ai]
+			at := ch.Link.To
+			if at == dst {
+				continue
+			}
+			row := seen[int(ai)*words:]
+			for _, bi := range route(g, at, &ch, dst) {
+				row[bi/64] |= 1 << uint(bi%64)
+				if !usable[bi] {
+					usable[bi] = true
+					queue = append(queue, int32(bi))
+				}
+			}
+		}
+	}
+	// Expand each row's set bits in ascending order and land the batch in
+	// a single sorted merge.
 	added := 0
-	for _, c := range counts {
-		added += c
+	var batch []int32
+	for a := 0; a < nc; a++ {
+		batch = batch[:0]
+		for i, word := range seen[a*words : (a+1)*words] {
+			for ; word != 0; word &= word - 1 {
+				batch = append(batch, int32(i*64+bits.TrailingZeros64(word)))
+			}
+		}
+		if len(batch) == 0 {
+			continue
+		}
+		g.adj[a] = mergeSorted(g.adj[a], batch)
+		added += len(batch)
 	}
 	g.edges += added
 	return added
 }
 
 // BuildFromTurnSet constructs the dependency graph induced by a turn set on
-// a network, using every available core.
+// a network.
 func BuildFromTurnSet(net *topology.Network, vcs VCConfig, ts *core.TurnSet) *Graph {
-	return BuildFromTurnSetJobs(net, vcs, ts, 0)
+	g := NewGraph(net, vcs)
+	g.AddTurnEdges(ts)
+	return g
 }
 
-// BuildFromTurnSetJobs is BuildFromTurnSet over a bounded worker pool
-// (jobs <= 0 means all cores). The graph is identical for every jobs
-// value.
-func BuildFromTurnSetJobs(net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) *Graph {
-	g := NewGraph(net, vcs)
-	g.AddTurnEdgesJobs(ts, jobs)
-	return g
+// BuildFromTurnSetJobs is BuildFromTurnSet. The int argument is ignored;
+// bench/ calls this signature.
+func BuildFromTurnSetJobs(net *topology.Network, vcs VCConfig, ts *core.TurnSet, _ int) *Graph {
+	return BuildFromTurnSet(net, vcs, ts)
 }
 
 // Acyclic reports whether the dependency graph has no cycles.
@@ -839,32 +751,32 @@ func (r Report) String() string {
 }
 
 // VerifyTurnSet builds the dependency graph of a turn set on a network and
-// checks acyclicity, using every available core for the build.
-func VerifyTurnSet(net *topology.Network, vcs VCConfig, ts *core.TurnSet) Report {
-	return VerifyTurnSetJobs(net, vcs, ts, 0)
-}
-
-// VerifyTurnSetJobs is VerifyTurnSet over a bounded worker pool (jobs <= 0
-// means all cores); the report is identical for every jobs value. The
-// build runs in a Workspace from DefaultPool, which serves every network
-// shape: the channel table, adjacency rows and acyclicity scratch of an
-// earlier verification are refilled in place instead of reallocated.
+// checks acyclicity. The build runs in a Workspace from DefaultPool, which
+// serves every network shape: the channel table, adjacency rows and
+// acyclicity scratch of an earlier verification are refilled in place
+// instead of reallocated.
 //
 //ebda:hotpath
-func VerifyTurnSetJobs(net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) Report {
-	rep, _ := VerifyTurnSetCtx(context.Background(), net, vcs, ts, jobs)
+func VerifyTurnSet(net *topology.Network, vcs VCConfig, ts *core.TurnSet) Report {
+	rep, _ := VerifyTurnSetCtx(context.Background(), net, vcs, ts)
 	return rep
 }
 
-// VerifyTurnSetCtx is VerifyTurnSetJobs with a deadline: cancellation is
+// VerifyTurnSetJobs is VerifyTurnSet. The int argument is ignored; bench/
+// calls this signature.
+func VerifyTurnSetJobs(net *topology.Network, vcs VCConfig, ts *core.TurnSet, _ int) Report {
+	return VerifyTurnSet(net, vcs, ts)
+}
+
+// VerifyTurnSetCtx is VerifyTurnSet with a deadline: cancellation is
 // observed before the build and at Kahn round boundaries and returns ctx's
 // error with a zero Report. A cancelled verification never produces a
 // verdict, so the served result is always backed by a completed CDG check;
 // the workspace is returned to the pool either way (its buffers are
 // re-zeroed on the next use).
-func VerifyTurnSetCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) (Report, error) {
+func VerifyTurnSetCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet) (Report, error) {
 	ws := DefaultPool.Get(net, vcs)
-	rep, err := ws.VerifyTurnSetCtx(ctx, ts, jobs)
+	rep, err := ws.verify(ctx, ts)
 	DefaultPool.Put(ws)
 	return rep, err
 }

@@ -28,18 +28,18 @@ func TestVerifyCtxAlreadyCancelled(t *testing.T) {
 	ctx := cancelledCtx()
 
 	ws := NewWorkspace(net, vcs)
-	if rep, err := ws.VerifyTurnSetCtx(ctx, ts, 1); !errors.Is(err, context.Canceled) {
+	if rep, err := ws.verify(ctx, ts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("workspace: err = %v, want context.Canceled", err)
 	} else if !reflect.DeepEqual(rep, Report{}) {
 		t.Fatalf("workspace: cancelled run produced a non-zero report: %+v", rep)
 	}
 
-	if _, err := VerifyTurnSetCtx(ctx, net, vcs, ts, 1); !errors.Is(err, context.Canceled) {
+	if _, err := VerifyTurnSetCtx(ctx, net, vcs, ts); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pooled: err = %v, want context.Canceled", err)
 	}
 
 	cache := &VerifyCache{}
-	if _, err := cache.Verify(ctx, TurnSetQuery(net, vcs, ts), 1); !errors.Is(err, context.Canceled) {
+	if _, err := cache.Verify(ctx, TurnSetQuery(net, vcs, ts)); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cache: err = %v, want context.Canceled", err)
 	}
 	if st := cache.Stats(); st.Entries != 0 {
@@ -58,7 +58,7 @@ func TestVerifyCtxCancelledBetweenKahnRounds(t *testing.T) {
 	vcs := VCConfigFor(net.Dims(), chain.Channels())
 	g := BuildFromTurnSet(net, vcs, ts)
 	var st acyclicState
-	peeled, err := g.kahnPeel(cancelledCtx(), 1, &st)
+	peeled, err := g.kahnPeel(cancelledCtx(), &st)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("kahnPeel err = %v, want context.Canceled", err)
 	}
@@ -81,8 +81,8 @@ func TestVerifyCtxMatchesUncancelledPath(t *testing.T) {
 	}
 	for _, tc := range cases {
 		vcs := VCConfigFor(net.Dims(), tc.ts.Classes())
-		want := VerifyTurnSetJobs(net, vcs, tc.ts, 1)
-		got, err := VerifyTurnSetCtx(context.Background(), net, vcs, tc.ts, 2)
+		want := VerifyTurnSet(net, vcs, tc.ts)
+		got, err := VerifyTurnSetCtx(context.Background(), net, vcs, tc.ts)
 		if err != nil {
 			t.Fatalf("%s: unexpected error: %v", tc.name, err)
 		}
@@ -121,7 +121,7 @@ func TestCacheLookupProvenance(t *testing.T) {
 	if st := cache.Stats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("Lookup miss moved counters: %+v", st)
 	}
-	want, err := cache.Verify(context.Background(), TurnSetQuery(net, vcs, ts), 1)
+	want, err := cache.Verify(context.Background(), TurnSetQuery(net, vcs, ts))
 	if err != nil {
 		t.Fatal(err)
 	}

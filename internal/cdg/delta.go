@@ -23,8 +23,8 @@ import (
 // The key observation is that the peel's final state is canonical. After
 // kahnPeel, indeg[i] is 0 for every peeled channel and, for residual
 // channels, the number of in-edges arriving from the residual — a function
-// of the graph alone, independent of peel order and worker count. Delta
-// verification therefore maintains that canonical state directly: apply
+// of the graph alone, independent of peel order. Delta verification
+// therefore maintains that canonical state directly: apply
 // the edge patches, then run join/leave cascades that grow and shrink the
 // residual exactly as a from-scratch peel would have computed it. The one
 // blind spot is an added edge whose source was peeled in the base — it can
@@ -231,25 +231,26 @@ type DeltaWorkspace struct {
 	from, touched []bool
 }
 
-// NewDeltaWorkspace builds a delta workspace over the base verification,
-// using every available core for the base build.
+// NewDeltaWorkspace builds the base graph, runs the base verification and
+// retains its state for incremental re-verification.
 func NewDeltaWorkspace(net *topology.Network, vcs VCConfig, ts *core.TurnSet) (*DeltaWorkspace, error) {
-	return NewDeltaWorkspaceCtx(context.Background(), net, vcs, ts, 0)
+	key, check := verifyKey(net, vcs, ts)
+	return newDeltaWorkspace(context.Background(), key, check, net, vcs, ts)
 }
 
-// NewDeltaWorkspaceCtx builds the base graph, runs the base verification
-// (jobs <= 0 means all cores) and retains its state for incremental
-// re-verification. Cancellation returns ctx's error and no workspace.
-func NewDeltaWorkspaceCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) (*DeltaWorkspace, error) {
+// NewDeltaWorkspaceCtx is NewDeltaWorkspace with a deadline: cancellation
+// returns ctx's error and no workspace. The int argument is ignored;
+// bench/ calls this signature.
+func NewDeltaWorkspaceCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet, _ int) (*DeltaWorkspace, error) {
 	key, check := verifyKey(net, vcs, ts)
-	return newDeltaWorkspace(ctx, key, check, net, vcs, ts, jobs)
+	return newDeltaWorkspace(ctx, key, check, net, vcs, ts)
 }
 
 // newDeltaWorkspace is NewDeltaWorkspaceCtx for a base whose VerifyKey
 // identity the caller already holds.
-func newDeltaWorkspace(ctx context.Context, key, check uint64, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) (*DeltaWorkspace, error) {
+func newDeltaWorkspace(ctx context.Context, key, check uint64, net *topology.Network, vcs VCConfig, ts *core.TurnSet) (*DeltaWorkspace, error) {
 	ws := NewWorkspace(net, vcs)
-	rep, err := ws.VerifyTurnSetCtx(ctx, ts, jobs)
+	rep, err := ws.verify(ctx, ts)
 	if err != nil {
 		return nil, err
 	}
@@ -281,21 +282,34 @@ func (dw *DeltaWorkspace) BaseKey() (uint64, uint64) { return dw.baseKey, dw.bas
 // the unperturbed base; callers must not mutate it.
 func (dw *DeltaWorkspace) Graph() *Graph { return dw.ws.g }
 
-// VerifyDiffJobs is VerifyDiffCtx without a deadline.
-func (dw *DeltaWorkspace) VerifyDiffJobs(diff Diff, jobs int) (Report, error) {
-	return dw.VerifyDiffCtx(context.Background(), diff, jobs)
+// VerifyDiffJobs is VerifyDiff. The int argument is ignored; bench/ calls
+// this signature.
+func (dw *DeltaWorkspace) VerifyDiffJobs(diff Diff, _ int) (Report, error) {
+	return dw.verifyDiff(context.Background(), diff)
 }
 
-// VerifyDiffCtx verifies the base design perturbed by the diff and returns
+// VerifyDiffCtx is VerifyDiff with a deadline. The int argument is
+// ignored; bench/ calls this signature.
+func (dw *DeltaWorkspace) VerifyDiffCtx(ctx context.Context, diff Diff, _ int) (Report, error) {
+	return dw.verifyDiff(ctx, diff)
+}
+
+// VerifyDiff verifies the base design perturbed by the diff and returns
 // the same Report a from-scratch verification of the perturbed design
 // would produce: identical Network/Channels/Edges/Acyclic and an identical
-// cycle witness under FormatCycle, for every jobs value. (For link-removal
-// diffs the witness's Channel.Index values reflect the base channel
-// numbering rather than the derived network's dense renumbering; every
-// formatted representation is unaffected, because channel order is
-// preserved.) Invalid diffs return an error wrapping ErrBadDiff. The
-// workspace is restored to the base state before returning, on every path.
-func (dw *DeltaWorkspace) VerifyDiffCtx(ctx context.Context, diff Diff, jobs int) (Report, error) {
+// cycle witness under FormatCycle. (For link-removal diffs the witness's
+// Channel.Index values reflect the base channel numbering rather than the
+// derived network's dense renumbering; every formatted representation is
+// unaffected, because channel order is preserved.) Invalid diffs return
+// an error wrapping ErrBadDiff. The workspace is restored to the base
+// state before returning, on every path.
+func (dw *DeltaWorkspace) VerifyDiff(diff Diff) (Report, error) {
+	return dw.verifyDiff(context.Background(), diff)
+}
+
+// verifyDiff is VerifyDiff honouring ctx: cancellation is observed before
+// the patch and at Kahn round boundaries of a full re-peel.
+func (dw *DeltaWorkspace) verifyDiff(ctx context.Context, diff Diff) (Report, error) {
 	if err := ctx.Err(); err != nil {
 		obsVerifyCancelled.Inc()
 		return Report{}, err
@@ -323,7 +337,7 @@ func (dw *DeltaWorkspace) VerifyDiffCtx(ctx context.Context, diff Diff, jobs int
 	psp.SetInt("added", int64(len(dw.addOps)))
 	psp.End()
 	rsp := tc.StartSpan("cdg.repeel")
-	rep, err := dw.repeel(ctx, jobs)
+	rep, err := dw.repeel(ctx)
 	rsp.End()
 	if err != nil {
 		return Report{}, err
@@ -546,14 +560,14 @@ func (dw *DeltaWorkspace) rollback() {
 // dirty region exceeds the budget or an added edge may close a cycle
 // through the previously peeled region — and renders the report, whose
 // Network label the caller sets.
-func (dw *DeltaWorkspace) repeel(ctx context.Context, jobs int) (Report, error) {
+func (dw *DeltaWorkspace) repeel(ctx context.Context) (Report, error) {
 	g := dw.ws.g
 	nc := len(g.channels)
 	active := nc - len(dw.maskedIdx)
 	budget := deltaBudget(nc)
 	dirty := len(dw.rmOps) + len(dw.addOps)
 	if dirty > budget {
-		return dw.fullRepeel(ctx, jobs, active)
+		return dw.fullRepeel(ctx, active)
 	}
 	// Suspect probe: an added edge (u, v) with u peeled in the base can
 	// participate in a cycle only if v reaches u in the patched graph. The
@@ -567,7 +581,7 @@ func (dw *DeltaWorkspace) repeel(ctx context.Context, jobs int) (Report, error) 
 		found, visits := dw.reachable(op[1], op[0], budget-dirty)
 		dirty += visits
 		if found || dirty > budget {
-			return dw.fullRepeel(ctx, jobs, active)
+			return dw.fullRepeel(ctx, active)
 		}
 	}
 	obsDeltaIncremental.Inc()
@@ -646,13 +660,13 @@ func (dw *DeltaWorkspace) repeel(ctx context.Context, jobs int) (Report, error) 
 }
 
 // fullRepeel is the fallback: a from-scratch Kahn peel of the patched
-// graph (jobs <= 0 means all cores), canonical by construction. Masked
-// channels have no edges left, so they peel in the first round and the
-// acyclicity condition stays peeled == NumChannels.
-func (dw *DeltaWorkspace) fullRepeel(ctx context.Context, jobs int, active int) (Report, error) {
+// graph, canonical by construction. Masked channels have no edges left,
+// so they peel in the first round and the acyclicity condition stays
+// peeled == NumChannels.
+func (dw *DeltaWorkspace) fullRepeel(ctx context.Context, active int) (Report, error) {
 	obsDeltaFallbacks.Inc()
 	g := dw.ws.g
-	peeled, err := g.kahnPeel(ctx, jobs, &dw.st)
+	peeled, err := g.kahnPeel(ctx, &dw.st)
 	if err != nil {
 		return Report{}, err
 	}
@@ -769,16 +783,16 @@ var DefaultDeltaPool = &DeltaPool{}
 
 // GetCtx returns a delta workspace for the base (network, VC
 // configuration, turn set), reusing a pooled one when available and
-// building the base verification otherwise (jobs <= 0 means all cores).
-func (p *DeltaPool) GetCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) (*DeltaWorkspace, error) {
+// building the base verification otherwise.
+func (p *DeltaPool) GetCtx(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet) (*DeltaWorkspace, error) {
 	key, check := verifyKey(net, vcs, ts)
-	return p.get(ctx, key, check, net, vcs, ts, jobs)
+	return p.get(ctx, key, check, net, vcs, ts)
 }
 
 // get is GetCtx for a base whose VerifyKey identity the caller already
 // holds (DeltaQuery hashes the base once for both the delta key and the
 // pool).
-func (p *DeltaPool) get(ctx context.Context, key, check uint64, net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) (*DeltaWorkspace, error) {
+func (p *DeltaPool) get(ctx context.Context, key, check uint64, net *topology.Network, vcs VCConfig, ts *core.TurnSet) (*DeltaWorkspace, error) {
 	obsDeltaPoolGets.Inc()
 	p.mu.Lock()
 	list := p.free[key]
@@ -797,7 +811,7 @@ func (p *DeltaPool) get(ctx context.Context, key, check uint64, net *topology.Ne
 		p.free[key] = list
 	}
 	p.mu.Unlock()
-	return newDeltaWorkspace(ctx, key, check, net, vcs, ts, jobs)
+	return newDeltaWorkspace(ctx, key, check, net, vcs, ts)
 }
 
 // Put returns a workspace to the pool. The caller must not use it (or its

@@ -30,7 +30,7 @@ func BenchmarkVerifyDelta(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		diff := Diff{RemoveLinks: []topology.Link{links[i%len(links)]}}
-		if _, err := dw.VerifyDiffJobs(diff, 1); err != nil {
+		if _, err := dw.VerifyDiff(diff); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -47,7 +47,7 @@ func BenchmarkVerifyDeltaTurnToggle(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		diff := Diff{DisableTurns: []core.Turn{turns[i%len(turns)]}}
-		if _, err := dw.VerifyDiffJobs(diff, 1); err != nil {
+		if _, err := dw.VerifyDiff(diff); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -62,7 +62,7 @@ func BenchmarkVerifyFull(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		derived := net.WithoutLinks([]topology.Link{links[i%len(links)]})
-		rep := VerifyTurnSetJobs(derived, vcs, ts, 1)
+		rep := VerifyTurnSet(derived, vcs, ts)
 		if rep.Channels == 0 {
 			b.Fatal("empty report")
 		}
@@ -77,7 +77,7 @@ func BenchmarkVerifyFullRetained(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rep := ws.VerifyTurnSetJobs(ts, 1); rep.Channels == 0 {
+		if rep := ws.VerifyTurnSet(ts); rep.Channels == 0 {
 			b.Fatal("empty report")
 		}
 	}

@@ -88,12 +88,12 @@ func TestDeltaSingleLinkEquivalence(t *testing.T) {
 				for n := 0; n < 4; n++ {
 					l := links[rng.Intn(len(links))]
 					diff := Diff{RemoveLinks: []topology.Link{l}}
-					got, err := dw.VerifyDiffJobs(diff, 1)
+					got, err := dw.VerifyDiff(diff)
 					if err != nil {
 						t.Fatalf("seed %d link %v: %v", seed, l, err)
 					}
 					derived := tc.net.WithoutLinks([]topology.Link{l})
-					want := VerifyTurnSetJobs(derived, tc.vcs, tc.ts, 1)
+					want := VerifyTurnSet(derived, tc.vcs, tc.ts)
 					if !reportsIdentical(got, want) {
 						t.Fatalf("seed %d link %v:\ndelta: %s\nfresh: %s", seed, l, got, want)
 					}
@@ -125,11 +125,11 @@ func TestDeltaMultiLinkEquivalence(t *testing.T) {
 					picked[i] = true
 					faults = append(faults, links[i])
 				}
-				got, err := dw.VerifyDiffJobs(Diff{RemoveLinks: faults}, 1)
+				got, err := dw.VerifyDiff(Diff{RemoveLinks: faults})
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
-				want := VerifyTurnSetJobs(tc.net.WithoutLinks(faults), tc.vcs, tc.ts, 1)
+				want := VerifyTurnSet(tc.net.WithoutLinks(faults), tc.vcs, tc.ts)
 				if !reportsIdentical(got, want) {
 					t.Fatalf("seed %d faults %v:\ndelta: %s\nfresh: %s", seed, faults, got, want)
 				}
@@ -155,7 +155,7 @@ func TestDeltaTurnToggleEquivalence(t *testing.T) {
 		if tn.From == tn.To {
 			continue
 		}
-		got, err := dw.VerifyDiffJobs(Diff{DisableTurns: []core.Turn{tn}}, 1)
+		got, err := dw.VerifyDiff(Diff{DisableTurns: []core.Turn{tn}})
 		if err != nil {
 			t.Fatalf("seed %d disable %s: %v", seed, tn, err)
 		}
@@ -163,7 +163,7 @@ func TestDeltaTurnToggleEquivalence(t *testing.T) {
 		if !mod.Remove(tn.From, tn.To) {
 			t.Fatalf("turn %s not removable", tn)
 		}
-		want := VerifyTurnSetJobs(net, nil, mod, 1)
+		want := VerifyTurnSet(net, nil, mod)
 		if !reportsIdentical(got, want) {
 			t.Fatalf("disable %s:\ndelta: %s\nfresh: %s", tn, got, want)
 		}
@@ -182,11 +182,11 @@ func TestDeltaTurnToggleEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := rdw.VerifyDiffJobs(Diff{EnableTurns: []core.Turn{tn}}, 1)
+		got, err := rdw.VerifyDiff(Diff{EnableTurns: []core.Turn{tn}})
 		if err != nil {
 			t.Fatalf("enable %s: %v", tn, err)
 		}
-		want := VerifyTurnSetJobs(net, nil, full, 1)
+		want := VerifyTurnSet(net, nil, full)
 		if !reportsIdentical(got, want) {
 			t.Fatalf("enable %s:\ndelta: %s\nfresh: %s", tn, got, want)
 		}
@@ -207,13 +207,13 @@ func TestDeltaTurnToggleEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tn := range cyc.Turns() {
-		got, err := cdw.VerifyDiffJobs(Diff{DisableTurns: []core.Turn{tn}}, 1)
+		got, err := cdw.VerifyDiff(Diff{DisableTurns: []core.Turn{tn}})
 		if err != nil {
 			t.Fatalf("disable %s: %v", tn, err)
 		}
 		mod := cyc.Clone()
 		mod.Remove(tn.From, tn.To)
-		want := VerifyTurnSetJobs(topology.NewMesh(3, 3), VCConfig{2, 2}, mod, 1)
+		want := VerifyTurnSet(topology.NewMesh(3, 3), VCConfig{2, 2}, mod)
 		// Distinct Network instances share geometry; names match ("3x3
 		// mesh"), so reports must be identical.
 		if !reportsIdentical(got, want) {
@@ -222,9 +222,10 @@ func TestDeltaTurnToggleEquivalence(t *testing.T) {
 	}
 }
 
-// TestDeltaJobsInvariance proves the acceptance criterion: delta verdicts
-// are bit-identical for every worker count, on both the incremental path
-// and the forced full-peel fallback.
+// TestDeltaJobsInvariance: the delta signatures bench/ calls with an
+// ignored int argument (VerifyDiffJobs, VerifyDiffCtx) answer exactly as
+// VerifyDiff, on both the incremental path and the forced full-peel
+// fallback.
 func TestDeltaJobsInvariance(t *testing.T) {
 	for _, budget := range []struct {
 		name string
@@ -250,18 +251,22 @@ func TestDeltaJobsInvariance(t *testing.T) {
 					diffs = append(diffs, Diff{DisableTurns: []core.Turn{ts[rng.Intn(len(ts))]}})
 				}
 				for di, diff := range diffs {
-					base, err := dw.VerifyDiffJobs(diff, 1)
+					base, err := dw.VerifyDiff(diff)
 					if err != nil {
 						t.Fatalf("%s diff %d: %v", tc.name, di, err)
 					}
-					for _, jobs := range []int{2, 3, 4, 8} {
-						got, err := dw.VerifyDiffJobs(diff, jobs)
+					for _, jobs := range benchJobs {
+						viaJobs, err := dw.VerifyDiffJobs(diff, jobs)
 						if err != nil {
 							t.Fatalf("%s diff %d jobs %d: %v", tc.name, di, jobs, err)
 						}
-						if !reportsIdentical(got, base) {
-							t.Fatalf("%s diff %d: jobs %d diverged\njobs=1: %s\njobs=%d: %s",
-								tc.name, di, jobs, base, jobs, got)
+						viaCtx, err := dw.VerifyDiffCtx(context.Background(), diff, jobs)
+						if err != nil {
+							t.Fatalf("%s diff %d jobs %d: %v", tc.name, di, jobs, err)
+						}
+						if !reportsIdentical(viaJobs, base) || !reportsIdentical(viaCtx, base) {
+							t.Fatalf("%s diff %d: jobs %d diverged\nVerifyDiff:     %s\nVerifyDiffJobs: %s\nVerifyDiffCtx:  %s",
+								tc.name, di, jobs, base, viaJobs, viaCtx)
 						}
 					}
 				}
@@ -285,12 +290,12 @@ func TestDeltaFallbackAgreement(t *testing.T) {
 			for n := 0; n < 6; n++ {
 				diff := Diff{RemoveLinks: []topology.Link{links[rng.Intn(len(links))]}}
 				forceBudget(t, func(nc int) int { return nc * 16 })
-				inc, err := dw.VerifyDiffJobs(diff, 1)
+				inc, err := dw.VerifyDiff(diff)
 				if err != nil {
 					t.Fatal(err)
 				}
 				deltaBudget = func(int) int { return -1 }
-				full, err := dw.VerifyDiffJobs(diff, 1)
+				full, err := dw.VerifyDiff(diff)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -333,7 +338,7 @@ func TestDeltaRawEdgeCycle(t *testing.T) {
 	if a < 0 {
 		t.Fatal("no candidate edge found")
 	}
-	rep, err := dw.VerifyDiffJobs(Diff{AddEdges: [][2]int32{{b, a}}}, 1)
+	rep, err := dw.VerifyDiff(Diff{AddEdges: [][2]int32{{b, a}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,7 +353,7 @@ func TestDeltaRawEdgeCycle(t *testing.T) {
 	if g.NumEdges() != dw.baseEdges {
 		t.Fatalf("edges not restored: %d != %d", g.NumEdges(), dw.baseEdges)
 	}
-	again, err := dw.VerifyDiffJobs(Diff{}, 1)
+	again, err := dw.VerifyDiff(Diff{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +361,7 @@ func TestDeltaRawEdgeCycle(t *testing.T) {
 		t.Fatalf("empty diff diverged from base: %s vs %s", again, dw.BaseReport())
 	}
 	// Removing the raw edge a->b must match a fresh graph without it.
-	rep2, err := dw.VerifyDiffJobs(Diff{RemoveEdges: [][2]int32{{a, b}}}, 1)
+	rep2, err := dw.VerifyDiff(Diff{RemoveEdges: [][2]int32{{a, b}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,14 +385,14 @@ func TestDeltaRepeatedCallsStable(t *testing.T) {
 	firsts := make([]Report, 5)
 	for i := range diffs {
 		diffs[i] = Diff{RemoveLinks: []topology.Link{links[rng.Intn(len(links))]}}
-		firsts[i], err = dw.VerifyDiffJobs(diffs[i], 1)
+		firsts[i], err = dw.VerifyDiff(diffs[i])
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
 	for round := 0; round < 3; round++ {
 		for i, diff := range diffs {
-			rep, err := dw.VerifyDiffJobs(diff, 1)
+			rep, err := dw.VerifyDiff(diff)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -425,12 +430,12 @@ func TestDeltaValidation(t *testing.T) {
 		{RemoveEdges: [][2]int32{{0, int32(dw.Graph().NumChannels())}}},
 	}
 	for i, diff := range bad {
-		if _, err := dw.VerifyDiffJobs(diff, 1); !errors.Is(err, ErrBadDiff) {
+		if _, err := dw.VerifyDiff(diff); !errors.Is(err, ErrBadDiff) {
 			t.Errorf("bad diff %d: err = %v, want ErrBadDiff", i, err)
 		}
 	}
 	// A rejected diff must leave the base intact.
-	rep, err := dw.VerifyDiffJobs(Diff{}, 1)
+	rep, err := dw.VerifyDiff(Diff{})
 	if err != nil || !reportsIdentical(rep, dw.BaseReport()) {
 		t.Fatalf("base damaged after rejected diffs: %v %s", err, rep)
 	}
@@ -500,11 +505,11 @@ func TestDeltaCache(t *testing.T) {
 	if _, ok := c.Lookup(DeltaKey(net, nil, ts, diff)); ok {
 		t.Fatal("empty cache must miss")
 	}
-	rep, err := c.Verify(context.Background(), DeltaQuery(net, nil, ts, diff), 1)
+	rep, err := c.Verify(context.Background(), DeltaQuery(net, nil, ts, diff))
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := VerifyTurnSetJobs(net.WithoutLinks(diff.RemoveLinks), nil, ts, 1)
+	want := VerifyTurnSet(net.WithoutLinks(diff.RemoveLinks), nil, ts)
 	if !reportsIdentical(rep, want) {
 		t.Fatalf("cached delta verdict wrong:\ndelta: %s\nfresh: %s", rep, want)
 	}
@@ -518,7 +523,7 @@ func TestDeltaCache(t *testing.T) {
 	}
 	// An invalid diff returns the error and stores nothing.
 	badLink := topology.Link{From: net.ID(topology.Coord{5, 0}), Dim: channel.X, Sign: channel.Plus}
-	if _, err := c.Verify(context.Background(), DeltaQuery(net, nil, ts, Diff{RemoveLinks: []topology.Link{badLink}}), 1); !errors.Is(err, ErrBadDiff) {
+	if _, err := c.Verify(context.Background(), DeltaQuery(net, nil, ts, Diff{RemoveLinks: []topology.Link{badLink}})); !errors.Is(err, ErrBadDiff) {
 		t.Fatalf("invalid diff: %v", err)
 	}
 }
@@ -528,12 +533,12 @@ func TestDeltaPool(t *testing.T) {
 	net := topology.NewMesh(4, 4)
 	ts := core.MustParseChain("PA[X+ X- Y-] -> PB[Y+]").AllTurns()
 	p := &DeltaPool{}
-	dw, err := p.GetCtx(context.Background(), net, nil, ts, 1)
+	dw, err := p.GetCtx(context.Background(), net, nil, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p.Put(dw)
-	dw2, err := p.GetCtx(context.Background(), net, nil, ts, 1)
+	dw2, err := p.GetCtx(context.Background(), net, nil, ts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +547,7 @@ func TestDeltaPool(t *testing.T) {
 	}
 	// A different base on the same pool builds fresh.
 	other := core.MustParseChain("PA[X- Y-] -> PB[X+ Y+]").AllTurns()
-	dw3, err := p.GetCtx(context.Background(), net, nil, other, 1)
+	dw3, err := p.GetCtx(context.Background(), net, nil, other)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -561,16 +566,16 @@ func TestDeltaNames(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := dw.VerifyDiffJobs(Diff{}, 1)
+	rep, err := dw.VerifyDiff(Diff{})
 	if err != nil || rep.Network != "4x4 mesh" {
 		t.Fatalf("empty diff name = %q (%v)", rep.Network, err)
 	}
 	l := net.Links()[0]
-	rep, err = dw.VerifyDiffJobs(Diff{RemoveLinks: []topology.Link{l}}, 1)
+	rep, err = dw.VerifyDiff(Diff{RemoveLinks: []topology.Link{l}})
 	if err != nil || rep.Network != "4x4 mesh-faulty" {
 		t.Fatalf("link diff name = %q (%v)", rep.Network, err)
 	}
-	rep, err = dw.VerifyDiffJobs(Diff{RemoveLinks: []topology.Link{l}, Name: "override"}, 1)
+	rep, err = dw.VerifyDiff(Diff{RemoveLinks: []topology.Link{l}, Name: "override"})
 	if err != nil || rep.Network != "override" {
 		t.Fatalf("named diff name = %q (%v)", rep.Network, err)
 	}

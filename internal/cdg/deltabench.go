@@ -19,7 +19,6 @@ type DeltaBench struct {
 	GeneratedAt string `json:"generated_at"`
 	GoVersion   string `json:"go_version"`
 	NumCPU      int    `json:"num_cpu"`
-	Jobs        int    `json:"jobs"`
 	Rounds      int    `json:"rounds"`
 
 	Cases []DeltaBenchCase `json:"cases"`

@@ -125,19 +125,13 @@ func (r EdgeReport) String() string {
 	return fmt.Sprintf("edge-set: %d nodes, %d edges: %s", r.Nodes, r.Edges, status)
 }
 
-// VerifyEdgeSet checks an abstract edge set for acyclicity using every
-// available core: the same parallel Kahn peel and residual-only cycle DFS
-// as the concrete verification path, so the verdict and witness are
-// bit-identical for every worker count.
-func VerifyEdgeSet(e *EdgeSet) EdgeReport { return VerifyEdgeSetJobs(e, 0) }
-
-// VerifyEdgeSetJobs is VerifyEdgeSet over a bounded worker pool (jobs <=
-// 0 means all cores).
-func VerifyEdgeSetJobs(e *EdgeSet, jobs int) EdgeReport {
+// VerifyEdgeSet checks an abstract edge set for acyclicity by the same
+// Kahn peel and residual-only cycle DFS as the concrete verification path.
+func VerifyEdgeSet(e *EdgeSet) EdgeReport {
 	obsEdgeVerifies.Inc()
 	var st acyclicState
 	rep := EdgeReport{Nodes: len(e.adj), Edges: e.edges}
-	peeled, _ := kahnPeelAdj(context.Background(), e.adj, jobs, &st)
+	peeled, _ := kahnPeelAdj(context.Background(), e.adj, &st)
 	if peeled == len(e.adj) {
 		rep.Acyclic = true
 		return rep
@@ -171,8 +165,8 @@ func EdgeKey(e *EdgeSet) (key, check uint64) {
 // EdgeKey. The peel is not cancellable, so a miss always completes.
 func EdgeQuery(e *EdgeSet) Query[EdgeReport] {
 	key, check := EdgeKey(e)
-	return Query[EdgeReport]{Key: key, Check: check, compute: func(_ context.Context, jobs int) (EdgeReport, error) {
-		return VerifyEdgeSetJobs(e, jobs), nil
+	return Query[EdgeReport]{Key: key, Check: check, compute: func(context.Context) (EdgeReport, error) {
+		return VerifyEdgeSet(e), nil
 	}}
 }
 
@@ -182,5 +176,5 @@ func EdgeQuery(e *EdgeSet) Query[EdgeReport] {
 // discipline of "verdicts come from the cached engine" applies to the
 // checker itself).
 func VerifyEdgeSetCached(e *EdgeSet) EdgeReport {
-	return reportOf(DefaultEdgeCache.Verify(context.Background(), EdgeQuery(e), 0))
+	return reportOf(DefaultEdgeCache.Verify(context.Background(), EdgeQuery(e)))
 }

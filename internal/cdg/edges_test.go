@@ -72,25 +72,6 @@ func TestEdgeSetSelfLoop(t *testing.T) {
 	}
 }
 
-func TestEdgeSetJobsInvariant(t *testing.T) {
-	e := ring(64)
-	for i := 0; i < 64; i += 3 {
-		e.AddEdge(i, (i+7)%64)
-	}
-	base := VerifyEdgeSetJobs(e, 1)
-	for _, jobs := range []int{2, 3, 8, 0} {
-		rep := VerifyEdgeSetJobs(e, jobs)
-		if rep.Acyclic != base.Acyclic || len(rep.Cycle) != len(base.Cycle) {
-			t.Fatalf("jobs=%d diverges: %v vs %v", jobs, rep, base)
-		}
-		for i := range rep.Cycle {
-			if rep.Cycle[i] != base.Cycle[i] {
-				t.Fatalf("jobs=%d witness diverges: %v vs %v", jobs, rep.Cycle, base.Cycle)
-			}
-		}
-	}
-}
-
 func TestEdgeSetAddEdgeDedup(t *testing.T) {
 	e := NewEdgeSet(2)
 	if !e.AddEdge(0, 1) {
@@ -145,13 +126,13 @@ func TestEdgeSetFingerprintOrderIndependent(t *testing.T) {
 func TestEdgeCacheHitsAndEquivalence(t *testing.T) {
 	cache := &EdgeCache{}
 	e := ring(10)
-	first, _ := cache.Verify(context.Background(), EdgeQuery(e), 0)
+	first, _ := cache.Verify(context.Background(), EdgeQuery(e))
 	// A structurally identical set built in a different order must hit.
 	f := NewEdgeSet(10)
 	for i := 9; i >= 0; i-- {
 		f.AddEdge(i, (i+1)%10)
 	}
-	second, _ := cache.Verify(context.Background(), EdgeQuery(f), 0)
+	second, _ := cache.Verify(context.Background(), EdgeQuery(f))
 	st := cache.Stats()
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)

@@ -2,20 +2,19 @@ package cdg
 
 import (
 	"context"
-	"sync/atomic"
 
 	"ebda/internal/obs/trace"
 )
 
-// This file implements the parallel acyclicity fast path: a Kahn
-// topological peel over the bounded worker pool, with cycle extraction by
-// three-colour DFS restricted to the unpeeled residual.
+// This file implements the acyclicity fast path: a Kahn topological peel,
+// with cycle extraction by three-colour DFS restricted to the unpeeled
+// residual.
 //
 // The peel repeatedly removes every channel whose dependency in-degree has
 // dropped to zero. The maximal peel is unique — a channel is peelable iff
 // no cycle reaches it, a property of the graph, not of removal order — so
-// the residual (and therefore Acyclic and the extracted cycle) is
-// bit-identical for every worker count and scheduling. The residual is
+// the residual (and therefore Acyclic and the extracted cycle) does not
+// depend on the order channels are peeled in. The residual is
 // also successor-closed: an edge from an unpeeled channel never delivered
 // its decrement, so its target's in-degree stays positive. DFS started
 // from residual channels therefore never leaves the residual and needs no
@@ -39,8 +38,6 @@ type acyclicState struct {
 	// frontier/swap double-buffer the zero in-degree wavefront.
 	frontier []int32
 	swap     []int32
-	// next[w] is worker w's private discovery buffer for one round.
-	next [][]int32
 	// color/parent are the residual DFS scratch, sized lazily because the
 	// common acyclic case never needs them.
 	color  []uint8
@@ -65,56 +62,41 @@ func (st *acyclicState) ensure(n int) {
 const ctxPollRounds = 64
 
 // kahnPeel runs the topological peel and returns the number of channels
-// peeled; the graph is acyclic iff that equals NumChannels. jobs <= 0
-// means all cores. On return st.indeg marks the residual (indeg > 0).
+// peeled; the graph is acyclic iff that equals NumChannels. On return
+// st.indeg marks the residual (indeg > 0).
 //
 // ctx is checked before the first frontier round and then every
 // ctxPollRounds rounds (rounds are the only unbounded dimension of the
-// peel; one round is a bounded parallel sweep, on average a few
-// channels), so a server deadline stops the work within the latency of
-// ctxPollRounds rounds without paying ctx.Err's lock on every round. On
-// cancellation the peel stops early and returns ctx's error; the partial
-// peel count must not be used for a verdict.
+// peel; one round is on average a few channels), so a server deadline
+// stops the work within the latency of ctxPollRounds rounds without
+// paying ctx.Err's lock on every round. On cancellation the peel stops
+// early and returns ctx's error; the partial peel count must not be used
+// for a verdict.
 //
 //ebda:hotpath
-func (g *Graph) kahnPeel(ctx context.Context, jobs int, st *acyclicState) (int, error) {
-	return kahnPeelAdj(ctx, g.adj, jobs, st)
+func (g *Graph) kahnPeel(ctx context.Context, st *acyclicState) (int, error) {
+	return kahnPeelAdj(ctx, g.adj, st)
 }
 
 // kahnPeelAdj is the representation-agnostic peel behind Graph.kahnPeel
 // and the abstract EdgeSet verification: it needs only the adjacency rows
 // (sorted or not — the peel never relies on row order), so any dependency
 // graph reduced to dense int32 successor lists runs through the one
-// engine. The determinism argument is unchanged: the maximal peel is a
-// property of the graph, so the residual is bit-identical for every
-// worker count.
+// engine.
 //
 //ebda:hotpath
-func kahnPeelAdj(ctx context.Context, adj [][]int32, jobs int, st *acyclicState) (int, error) {
+func kahnPeelAdj(ctx context.Context, adj [][]int32, st *acyclicState) (int, error) {
 	nc := len(adj)
 	st.ensure(nc)
 	if nc == 0 {
 		return 0, ctx.Err()
 	}
 	ksp := trace.FromContext(ctx).StartSpan("cdg.kahn")
-	workers := resolveJobs(jobs, nc)
 	indeg := st.indeg
-	// In-degree accumulation: rows shard by channel; targets are shared,
-	// so parallel workers count with atomic adds.
-	if workers <= 1 {
-		for i := 0; i < nc; i++ {
-			for _, s := range adj[i] {
-				indeg[s]++
-			}
+	for i := 0; i < nc; i++ {
+		for _, s := range adj[i] {
+			indeg[s]++
 		}
-	} else {
-		parallelFor(workers, func(w int) {
-			for i := w; i < nc; i += workers {
-				for _, s := range adj[i] {
-					atomic.AddInt32(&indeg[s], 1)
-				}
-			}
-		})
 	}
 	frontier := st.frontier
 	for i := 0; i < nc; i++ {
@@ -124,14 +106,8 @@ func kahnPeelAdj(ctx context.Context, adj [][]int32, jobs int, st *acyclicState)
 	}
 	peeled := len(frontier)
 	rounds := uint64(0)
-	if cap(st.next) < workers {
-		st.next = append(st.next[:cap(st.next)], make([][]int32, workers-cap(st.next))...)
-	}
-	st.next = st.next[:workers]
 	// Peel rounds: each round removes the current frontier and discovers
-	// the channels whose in-degree that drops to zero. The atomic
-	// decrement returns the new value, so exactly one worker sees zero and
-	// discovery buffers stay duplicate-free.
+	// the channels whose in-degree that drops to zero.
 	for len(frontier) > 0 {
 		if rounds%ctxPollRounds == 0 {
 			if err := ctx.Err(); err != nil {
@@ -145,30 +121,12 @@ func kahnPeelAdj(ctx context.Context, adj [][]int32, jobs int, st *acyclicState)
 			}
 		}
 		rounds++
-		w := resolveJobs(workers, len(frontier))
 		out := st.swap[:0]
-		if w <= 1 {
-			for _, v := range frontier {
-				for _, s := range adj[v] {
-					if indeg[s]--; indeg[s] == 0 {
-						out = append(out, s)
-					}
+		for _, v := range frontier {
+			for _, s := range adj[v] {
+				if indeg[s]--; indeg[s] == 0 {
+					out = append(out, s)
 				}
-			}
-		} else {
-			parallelFor(w, func(k int) {
-				buf := st.next[k][:0]
-				for i := k; i < len(frontier); i += w {
-					for _, s := range adj[frontier[i]] {
-						if atomic.AddInt32(&indeg[s], -1) == 0 {
-							buf = append(buf, s)
-						}
-					}
-				}
-				st.next[k] = buf
-			})
-			for k := 0; k < w; k++ {
-				out = append(out, st.next[k]...)
 			}
 		}
 		st.swap, frontier = frontier, out
@@ -185,8 +143,7 @@ func kahnPeelAdj(ctx context.Context, adj [][]int32, jobs int, st *acyclicState)
 // findCycleResidual extracts one dependency cycle from the residual left
 // by kahnPeel (st.indeg > 0), which must be non-empty. The three-colour
 // DFS visits residual channels in ascending index order over sorted
-// adjacency, so the reported cycle is independent of the worker count the
-// peel ran with.
+// adjacency, so the reported cycle depends only on the graph.
 func (g *Graph) findCycleResidual(st *acyclicState) []Channel {
 	idx := findCycleResidualAdj(g.adj, st)
 	if idx == nil {
@@ -264,23 +221,22 @@ func findCycleResidualAdj(adj [][]int32, st *acyclicState) []int32 {
 	return nil
 }
 
-// AcyclicJobs reports whether the graph has no cycles, running the Kahn
-// peel over a bounded worker pool (jobs <= 0 means all cores). The answer
-// is identical for every jobs value.
-func (g *Graph) AcyclicJobs(jobs int) bool {
+// AcyclicJobs reports whether the graph has no cycles by the Kahn peel.
+// The int argument is ignored; bench/ calls this signature.
+func (g *Graph) AcyclicJobs(_ int) bool {
 	var st acyclicState
-	peeled, _ := g.kahnPeel(context.Background(), jobs, &st)
+	peeled, _ := g.kahnPeel(context.Background(), &st)
 	return peeled == len(g.channels)
 }
 
 // FindCycleJobs returns one dependency cycle (the last element depends on
 // the first), or nil if the graph is acyclic. The acyclicity test is the
-// parallel Kahn peel; cycle extraction runs only on the unpeeled residual,
-// so the common acyclic case is parallel O(V+E) and the cyclic case hands
-// the DFS a smaller graph. Output is identical for every jobs value.
-func (g *Graph) FindCycleJobs(jobs int) []Channel {
+// Kahn peel; cycle extraction runs only on the unpeeled residual, so the
+// common acyclic case is O(V+E) and the cyclic case hands the DFS a
+// smaller graph. The int argument is ignored; bench/ calls this signature.
+func (g *Graph) FindCycleJobs(_ int) []Channel {
 	var st acyclicState
-	if peeled, _ := g.kahnPeel(context.Background(), jobs, &st); peeled == len(g.channels) {
+	if peeled, _ := g.kahnPeel(context.Background(), &st); peeled == len(g.channels) {
 		return nil
 	}
 	return g.findCycleResidual(&st)

@@ -15,9 +15,8 @@ import (
 // escape-channel validity (the Duato condition on a given escape
 // subset), and existence of a valid subrelation (an acyclic sub-CDG
 // that still drains everything). All four modes run through the same
-// parallel Kahn peel + residual-only cycle DFS as the concrete engine,
-// so verdicts and witnesses are bit-identical for every worker count,
-// and all four memoize through mode-aware cache keys derived from the
+// Kahn peel + residual-only cycle DFS as the concrete engine, and all
+// four memoize through mode-aware cache keys derived from the
 // EdgeKey family.
 //
 // Semantics (outputs are absorbing — a packet that reaches an output
@@ -120,8 +119,7 @@ const (
 // ModeReport is the verdict of one mode verification over an annotated
 // edge set. It is the EdgeReport of the multi-mode surface: witnesses
 // are dense channel indices produced by the same deterministic
-// machinery (parallel Kahn peel, residual-only DFS, ascending-order
-// BFS), so reports are bit-identical for every worker count.
+// machinery (Kahn peel, residual-only DFS, ascending-order BFS).
 type ModeReport struct {
 	Mode  GraphMode
 	Nodes int
@@ -207,27 +205,26 @@ func markSet(n int, ids []int32) []bool {
 	return m
 }
 
-// VerifyMode checks one property of an annotated edge set using every
-// available core. Escape ids are only meaningful for ModeEscape and
+// VerifyMode checks one property of an annotated edge set. Escape ids are only meaningful for ModeEscape and
 // must name non-output channels; all id sets are deduplicated and
 // order-independent.
 func VerifyMode(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) ModeReport {
-	return VerifyModeJobs(e, mode, inputs, outputs, escape, 0)
-}
-
-// VerifyModeJobs is VerifyMode over a bounded worker pool (jobs <= 0
-// means all cores). The report is identical for every jobs value.
-func VerifyModeJobs(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int, jobs int) ModeReport {
 	n := len(e.adj)
 	return reportOf(verifyModeCtx(context.Background(), e, mode,
-		canonSet(inputs, n, "input"), canonSet(outputs, n, "output"), canonSet(escape, n, "escape"), jobs))
+		canonSet(inputs, n, "input"), canonSet(outputs, n, "output"), canonSet(escape, n, "escape")))
+}
+
+// VerifyModeJobs is VerifyMode. The int argument is ignored; bench/ calls
+// this signature.
+func VerifyModeJobs(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int, _ int) ModeReport {
+	return VerifyMode(e, mode, inputs, outputs, escape)
 }
 
 // verifyModeCtx is the ctx-aware mode dispatcher over canonical id sets.
 // Cancellation is observed by the Kahn peels (once per frontier round)
 // and by the BFS sweeps (every bfsCtxStride pops); a cancelled
 // verification's partial report must not be used.
-func verifyModeCtx(ctx context.Context, e *EdgeSet, mode GraphMode, in, out, esc []int32, jobs int) (ModeReport, error) {
+func verifyModeCtx(ctx context.Context, e *EdgeSet, mode GraphMode, in, out, esc []int32) (ModeReport, error) {
 	n := len(e.adj)
 	isOut := markSet(n, out)
 	obsModeVerify(mode)
@@ -237,13 +234,13 @@ func verifyModeCtx(ctx context.Context, e *EdgeSet, mode GraphMode, in, out, esc
 	var err error
 	switch mode {
 	case ModeLoop:
-		err = loopMode(ctx, e, jobs, &rep)
+		err = loopMode(ctx, e, &rep)
 	case ModeLiveness:
-		err = livenessMode(ctx, e, in, isOut, jobs, &rep)
+		err = livenessMode(ctx, e, in, isOut, &rep)
 	case ModeEscape:
-		err = escapeMode(ctx, e, out, esc, isOut, jobs, &rep)
+		err = escapeMode(ctx, e, out, esc, isOut, &rep)
 	case ModeSubrel:
-		err = subrelMode(ctx, e, out, isOut, jobs, &rep)
+		err = subrelMode(ctx, e, out, isOut, &rep)
 	default:
 		panic(fmt.Sprintf("cdg: VerifyMode with invalid mode %d", uint8(mode)))
 	}
@@ -271,9 +268,9 @@ func obsModeVerify(mode GraphMode) {
 }
 
 // loopMode is plain acyclicity of the full graph.
-func loopMode(ctx context.Context, e *EdgeSet, jobs int, rep *ModeReport) error {
+func loopMode(ctx context.Context, e *EdgeSet, rep *ModeReport) error {
 	var st acyclicState
-	peeled, err := kahnPeelAdj(ctx, e.adj, jobs, &st)
+	peeled, err := kahnPeelAdj(ctx, e.adj, &st)
 	if err != nil {
 		return err
 	}
@@ -291,7 +288,7 @@ const bfsCtxStride = 1 << 12
 
 // livenessMode explores the region reachable from the inputs (outputs
 // absorb), then rejects cycles and non-output dead ends inside it.
-func livenessMode(ctx context.Context, e *EdgeSet, in []int32, isOut []bool, jobs int, rep *ModeReport) error {
+func livenessMode(ctx context.Context, e *EdgeSet, in []int32, isOut []bool, rep *ModeReport) error {
 	n := len(e.adj)
 	seen := make([]bool, n)
 	parent := make([]int32, n)
@@ -332,7 +329,7 @@ func livenessMode(ctx context.Context, e *EdgeSet, in []int32, isOut []bool, job
 		}
 	}
 	var st acyclicState
-	peeled, err := kahnPeelAdj(ctx, radj, jobs, &st)
+	peeled, err := kahnPeelAdj(ctx, radj, &st)
 	if err != nil {
 		return err
 	}
@@ -358,7 +355,7 @@ func livenessMode(ctx context.Context, e *EdgeSet, in []int32, isOut []bool, job
 // set: the induced escape subgraph is acyclic, escape channels drain to
 // outputs within the escape subrelation, and every other non-output
 // channel can reach the escape set or an output.
-func escapeMode(ctx context.Context, e *EdgeSet, out, esc []int32, isOut []bool, jobs int, rep *ModeReport) error {
+func escapeMode(ctx context.Context, e *EdgeSet, out, esc []int32, isOut []bool, rep *ModeReport) error {
 	n := len(e.adj)
 	// An escape channel that is also an output is absorbing anyway;
 	// treat it as an output, not an escape member.
@@ -382,7 +379,7 @@ func escapeMode(ctx context.Context, e *EdgeSet, out, esc []int32, isOut []bool,
 		eadj[c] = row
 	}
 	var st acyclicState
-	peeled, err := kahnPeelAdj(ctx, eadj, jobs, &st)
+	peeled, err := kahnPeelAdj(ctx, eadj, &st)
 	if err != nil {
 		return err
 	}
@@ -475,7 +472,7 @@ func activeSet(e *EdgeSet, rev [][]int32) []bool {
 // draining channel, its lowest distance-decreasing successor — a
 // functional subgraph in which distance strictly decreases, hence
 // acyclic, and every maximal path ends at an output.
-func subrelMode(ctx context.Context, e *EdgeSet, out []int32, isOut []bool, jobs int, rep *ModeReport) error {
+func subrelMode(ctx context.Context, e *EdgeSet, out []int32, isOut []bool, rep *ModeReport) error {
 	n := len(e.adj)
 	rev, err := reverseAdj(ctx, e, isOut)
 	if err != nil {
@@ -523,7 +520,7 @@ func subrelMode(ctx context.Context, e *EdgeSet, out []int32, isOut []bool, jobs
 		rep.Reason = ReasonNoSubrel
 		rep.Path = []int{int(strandedMin)}
 		var st acyclicState
-		peeled, err := kahnPeelAdj(ctx, sadj, jobs, &st)
+		peeled, err := kahnPeelAdj(ctx, sadj, &st)
 		if err != nil {
 			return err
 		}
@@ -660,8 +657,8 @@ func ModeQuery(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) Query[
 	n := len(e.adj)
 	in, out, esc := canonSet(inputs, n, "input"), canonSet(outputs, n, "output"), canonSet(escape, n, "escape")
 	key, check := modeKey(e, mode, in, out, esc)
-	return Query[ModeReport]{Key: key, Check: check, compute: func(ctx context.Context, jobs int) (ModeReport, error) {
-		return verifyModeCtx(ctx, e, mode, in, out, esc, jobs)
+	return Query[ModeReport]{Key: key, Check: check, compute: func(ctx context.Context) (ModeReport, error) {
+		return verifyModeCtx(ctx, e, mode, in, out, esc)
 	}}
 }
 
@@ -673,5 +670,5 @@ var DefaultModeCache = &ModeCache{}
 // blessed entry point for tooling that proves liveness/escape/
 // subrelation properties of imported channel dependence graphs.
 func VerifyModeCached(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) ModeReport {
-	return reportOf(DefaultModeCache.Verify(context.Background(), ModeQuery(e, mode, inputs, outputs, escape), 0))
+	return reportOf(DefaultModeCache.Verify(context.Background(), ModeQuery(e, mode, inputs, outputs, escape)))
 }

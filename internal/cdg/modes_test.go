@@ -249,6 +249,8 @@ func TestModeSubrelNone(t *testing.T) {
 	checkCycle(t, e, rep.Cycle)
 }
 
+// TestModeJobsInvariance: VerifyModeJobs, which bench/ calls with an
+// ignored int argument, answers exactly as VerifyMode.
 func TestModeJobsInvariance(t *testing.T) {
 	// A denser graph: two meshes of channels with a cyclic core.
 	n := 64
@@ -260,11 +262,11 @@ func TestModeJobsInvariance(t *testing.T) {
 	in, out := []int{0, 1, 2}, []int{n - 1, n - 2}
 	e.AddEdge(5, n-1)
 	for _, mode := range []GraphMode{ModeLoop, ModeLiveness, ModeEscape, ModeSubrel} {
-		base := VerifyModeJobs(e, mode, in, out, []int{5}, 1)
-		for jobs := 2; jobs <= 8; jobs *= 2 {
+		base := VerifyMode(e, mode, in, out, []int{5})
+		for _, jobs := range benchJobs {
 			got := VerifyModeJobs(e, mode, in, out, []int{5}, jobs)
 			if !reflect.DeepEqual(base, got) {
-				t.Fatalf("%s: jobs=1 %+v != jobs=%d %+v", mode, base, jobs, got)
+				t.Fatalf("%s: VerifyMode %+v != jobs=%d %+v", mode, base, jobs, got)
 			}
 		}
 	}
@@ -319,7 +321,7 @@ func TestModeCache(t *testing.T) {
 		t.Fatal("hit on empty cache")
 	}
 	want := VerifyMode(e, ModeLiveness, in, out, nil)
-	got, _ := c.Verify(context.Background(), ModeQuery(e, ModeLiveness, in, out, nil), 0)
+	got, _ := c.Verify(context.Background(), ModeQuery(e, ModeLiveness, in, out, nil))
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("cached %+v != direct %+v", got, want)
 	}
@@ -331,14 +333,14 @@ func TestModeCache(t *testing.T) {
 		t.Fatalf("stats: %+v", st)
 	}
 	// A second compute is a hit.
-	if got, _ := c.Verify(context.Background(), ModeQuery(e, ModeLiveness, in, out, nil), 0); !reflect.DeepEqual(want, got) {
+	if got, _ := c.Verify(context.Background(), ModeQuery(e, ModeLiveness, in, out, nil)); !reflect.DeepEqual(want, got) {
 		t.Fatalf("second verify: %+v", got)
 	}
 	if st := c.Stats(); st.Hits != 2 {
 		t.Fatalf("stats after repeat: %+v", st)
 	}
 	// Different mode, same graph: distinct entry.
-	c.Verify(context.Background(), ModeQuery(e, ModeLoop, in, out, nil), 0)
+	c.Verify(context.Background(), ModeQuery(e, ModeLoop, in, out, nil))
 	if st := c.Stats(); st.Entries != 2 {
 		t.Fatalf("modes share an entry: %+v", st)
 	}
@@ -353,14 +355,14 @@ func TestModeCacheCancelledNotCached(t *testing.T) {
 	c := &ModeCache{}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Verify(ctx, ModeQuery(e, ModeLiveness, in, out, nil), 1); err == nil {
+	if _, err := c.Verify(ctx, ModeQuery(e, ModeLiveness, in, out, nil)); err == nil {
 		t.Fatal("cancelled verification returned no error")
 	}
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("cancelled verdict cached: %+v", st)
 	}
 	// The same question answers fine afterwards.
-	rep, err := c.Verify(context.Background(), ModeQuery(e, ModeLiveness, in, out, nil), 1)
+	rep, err := c.Verify(context.Background(), ModeQuery(e, ModeLiveness, in, out, nil))
 	if err != nil || rep.Mode != ModeLiveness {
 		t.Fatalf("post-cancel verify: %+v err=%v", rep, err)
 	}

@@ -30,8 +30,8 @@ func xyRoute(g *Graph, at topology.NodeID, in *Channel, dst topology.NodeID) []i
 	return nil
 }
 
-// addRoutingEdgesReference is the obvious serial map-based construction the
-// sharded implementation must reproduce exactly.
+// addRoutingEdgesReference is the obvious map-based construction the
+// bitset implementation must reproduce exactly.
 func addRoutingEdgesReference(g *Graph, route RoutingRelation) map[[2]int32]bool {
 	edges := map[[2]int32]bool{}
 	nodes := g.Net().Nodes()
@@ -97,6 +97,11 @@ func parityTurnSet() *core.TurnSet {
 	return ts
 }
 
+// benchJobs are the values bench/ passes to the signatures it keeps
+// calling; their int argument is ignored, so every answer must equal the
+// jobless entry point's.
+var benchJobs = []int{0, 1}
+
 func TestAddTurnEdgesJobsDeterministic(t *testing.T) {
 	nets := []*topology.Network{
 		topology.NewMesh(5, 4),
@@ -109,59 +114,37 @@ func TestAddTurnEdgesJobsDeterministic(t *testing.T) {
 	}
 	for _, net := range nets {
 		for name, ts := range sets {
-			ref := BuildFromTurnSetJobs(net, nil, ts, 1)
-			for _, jobs := range []int{2, 3, 8} {
-				g := BuildFromTurnSetJobs(net, nil, ts, jobs)
-				requireIdentical(t, ref, g, net.String()+"/"+name)
+			ref := BuildFromTurnSet(net, nil, ts)
+			for _, jobs := range benchJobs {
+				requireIdentical(t, ref, BuildFromTurnSetJobs(net, nil, ts, jobs), net.String()+"/"+name)
 			}
 		}
 	}
 }
 
-func TestAddRoutingEdgesJobsDeterministic(t *testing.T) {
+func TestAddRoutingEdgesMatchesReference(t *testing.T) {
 	for _, net := range []*topology.Network{
 		topology.NewMesh(5, 4),
 		topology.NewMesh(3, 3, 3),
 	} {
-		ref := NewGraph(net, nil)
-		ref.AddRoutingEdgesJobs(xyRoute, 1)
+		g := NewGraph(net, nil)
+		g.AddRoutingEdges(xyRoute)
 		want := addRoutingEdgesReference(NewGraph(net, nil), xyRoute)
-		if ref.NumEdges() != len(want) {
-			t.Fatalf("%s: jobs=1 edges = %d, reference has %d", net, ref.NumEdges(), len(want))
+		if g.NumEdges() != len(want) {
+			t.Fatalf("%s: edges = %d, reference has %d", net, g.NumEdges(), len(want))
 		}
 		for e := range want {
-			if !ref.HasEdge(int(e[0]), int(e[1])) {
-				t.Fatalf("%s: reference edge %v missing from jobs=1 build", net, e)
+			if !g.HasEdge(int(e[0]), int(e[1])) {
+				t.Fatalf("%s: reference edge %v missing from the build", net, e)
 			}
 		}
-		for _, jobs := range []int{2, 8} {
-			g := NewGraph(net, nil)
-			g.AddRoutingEdgesJobs(xyRoute, jobs)
-			requireIdentical(t, ref, g, net.String())
-		}
-	}
-}
-
-// TestParallelBuildRace drives both sharded constructors with an explicit
-// 8-worker pool on an 8x8 mesh so `go test -race` can observe any unsound
-// sharing even on machines with few cores.
-func TestParallelBuildRace(t *testing.T) {
-	net := topology.NewMesh(8, 8)
-	g := BuildFromTurnSetJobs(net, Uniform(2, 2), xyTurnSet(), 8)
-	if g.FindCycle() != nil {
-		t.Fatal("XY turn graph must stay acyclic under parallel build")
-	}
-	r := NewGraph(net, nil)
-	r.AddRoutingEdgesJobs(xyRoute, 8)
-	if r.FindCycle() != nil {
-		t.Fatal("DOR routing graph must stay acyclic under parallel build")
 	}
 }
 
 // TestFindCycleJobsAgreesWithSerialDFS: the Kahn-peel fast path must agree
-// with the reference three-colour DFS on acyclicity for every worker
-// count, and any cycle it reports must be genuine (consecutive channels
-// meet head-to-tail and every hop is a real dependency edge).
+// with the reference three-colour DFS on acyclicity, and any cycle it
+// reports must be genuine (consecutive channels meet head-to-tail and
+// every hop is a real dependency edge).
 func TestFindCycleJobsAgreesWithSerialDFS(t *testing.T) {
 	nets := []*topology.Network{
 		topology.NewMesh(4, 4),
@@ -175,23 +158,21 @@ func TestFindCycleJobsAgreesWithSerialDFS(t *testing.T) {
 		for name, ts := range sets {
 			g := BuildFromTurnSet(net, nil, ts)
 			ref := g.FindCycle()
-			for _, jobs := range []int{1, 2, 8} {
-				cyc := g.FindCycleJobs(jobs)
-				if (cyc == nil) != (ref == nil) {
-					t.Fatalf("%s/%s jobs=%d: FindCycleJobs nil=%v, FindCycle nil=%v",
-						net, name, jobs, cyc == nil, ref == nil)
+			cyc := g.FindCycleJobs(0)
+			if (cyc == nil) != (ref == nil) {
+				t.Fatalf("%s/%s: FindCycleJobs nil=%v, FindCycle nil=%v",
+					net, name, cyc == nil, ref == nil)
+			}
+			if g.AcyclicJobs(0) != (ref == nil) {
+				t.Fatalf("%s/%s: AcyclicJobs disagrees", net, name)
+			}
+			for i, c := range cyc {
+				next := cyc[(i+1)%len(cyc)]
+				if c.Link.To != next.Link.From {
+					t.Fatalf("%s/%s: cycle breaks at %d: %v", net, name, i, cyc)
 				}
-				if g.AcyclicJobs(jobs) != (ref == nil) {
-					t.Fatalf("%s/%s jobs=%d: AcyclicJobs disagrees", net, name, jobs)
-				}
-				for i, c := range cyc {
-					next := cyc[(i+1)%len(cyc)]
-					if c.Link.To != next.Link.From {
-						t.Fatalf("%s/%s jobs=%d: cycle breaks at %d: %v", net, name, jobs, i, cyc)
-					}
-					if !g.HasEdge(c.Index, next.Index) {
-						t.Fatalf("%s/%s jobs=%d: cycle hop %d is not an edge", net, name, jobs, i)
-					}
+				if !g.HasEdge(c.Index, next.Index) {
+					t.Fatalf("%s/%s: cycle hop %d is not an edge", net, name, i)
 				}
 			}
 		}
@@ -199,8 +180,8 @@ func TestFindCycleJobsAgreesWithSerialDFS(t *testing.T) {
 }
 
 // TestVerifyReportJobsInvariant asserts the full public report — including
-// the extracted cycle on cyclic inputs — is bit-identical for every worker
-// count, through the pooled VerifyTurnSetJobs entry point.
+// the extracted cycle on cyclic inputs — that VerifyTurnSetJobs returns
+// for the values bench/ passes is the one VerifyTurnSet returns.
 func TestVerifyReportJobsInvariant(t *testing.T) {
 	for _, net := range []*topology.Network{
 		topology.NewMesh(5, 4),
@@ -209,10 +190,9 @@ func TestVerifyReportJobsInvariant(t *testing.T) {
 		for name, ts := range map[string]*core.TurnSet{
 			"acyclic": xyTurnSet(), "cyclic": allTurnSet(), "parity": parityTurnSet(),
 		} {
-			want := VerifyTurnSetJobs(net, nil, ts, 1)
-			for _, jobs := range []int{2, 3, 8} {
-				got := VerifyTurnSetJobs(net, nil, ts, jobs)
-				if !reflect.DeepEqual(got, want) {
+			want := VerifyTurnSet(net, nil, ts)
+			for _, jobs := range benchJobs {
+				if got := VerifyTurnSetJobs(net, nil, ts, jobs); !reflect.DeepEqual(got, want) {
 					t.Errorf("%s/%s jobs=%d: %+v, want %+v", net, name, jobs, got, want)
 				}
 			}

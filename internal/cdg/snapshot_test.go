@@ -28,8 +28,8 @@ func snapshotCache(t *testing.T) (*VerifyCache, []*topology.Network) {
 		topology.NewPartialMesh3D(3, 3, 2, [][2]int{{0, 0}}),
 	}
 	for _, net := range nets {
-		cachedVerify(c, net, nil, xyTurnSet(), 1)
-		cachedVerify(c, net, nil, allTurnSet(), 1)
+		cachedVerify(c, net, nil, xyTurnSet())
+		cachedVerify(c, net, nil, allTurnSet())
 	}
 	return c, nets
 }
@@ -256,7 +256,7 @@ func TestSnapshotLoadConcurrentWithVerifies(t *testing.T) {
 					}
 				} else {
 					ni := (w + i) % len(nets)
-					rep := cachedVerify(c, nets[ni], nil, xyTurnSet(), 1)
+					rep := cachedVerify(c, nets[ni], nil, xyTurnSet())
 					if rep.Acyclic != wantXY[ni] {
 						t.Errorf("%s under XY: acyclic = %v, want %v", nets[ni].Name(), rep.Acyclic, wantXY[ni])
 						return
@@ -330,7 +330,7 @@ func TestSnapshotFixtureBytes(t *testing.T) {
 		if !ok {
 			t.Fatalf("query %d (key %x) has no fixture entry", i, q.Key)
 		}
-		fresh, err := (&VerifyCache{}).Verify(context.Background(), q, 1)
+		fresh, err := (&VerifyCache{}).Verify(context.Background(), q)
 		if err != nil || !reportsIdentical(rep, fresh) {
 			t.Fatalf("query %d: fixture verdict %s, fresh %s (err %v)", i, rep, fresh, err)
 		}

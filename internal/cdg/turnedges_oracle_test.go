@@ -55,7 +55,7 @@ func addTurnEdgesReference(g *Graph, ts *core.TurnSet) int {
 func referenceReport(net *topology.Network, vcs VCConfig, ts *core.TurnSet) Report {
 	ref := &Workspace{g: NewGraph(net, vcs)}
 	addTurnEdgesReference(ref.g, ts)
-	rep, _ := ref.report(context.Background(), 1)
+	rep, _ := ref.report(context.Background())
 	return rep
 }
 
@@ -157,8 +157,8 @@ func oracleNetwork(rng *rand.Rand) *topology.Network {
 // TestTurnEdgesMatchOracle holds the signature-table kernel against the
 // per-channel oracle on seeded random designs: 2D and 3D meshes, tori,
 // irregular, partially connected and faulty networks; 1-3 VCs per
-// dimension; parity-restricted classes on another dimension; jobs 1..4;
-// and a second build on the filled graph, which takes the merge path.
+// dimension; parity-restricted classes on another dimension; and a
+// second build on the filled graph, which takes the merge path.
 // Rows, edge counts and reports must be identical.
 func TestTurnEdgesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -185,19 +185,17 @@ func TestTurnEdgesMatchOracle(t *testing.T) {
 		addTurnEdgesReference(want2, ts)
 		wantMerged := addTurnEdgesReference(want2, ts2)
 		wantRep := referenceReport(net, vcs, ts)
-		for jobs := 1; jobs <= 4; jobs++ {
-			g := NewGraph(net, vcs)
-			if added := g.AddTurnEdgesJobs(ts, jobs); added != wantAdded {
-				t.Fatalf("%s jobs %d: added %d, oracle %d", label, jobs, added, wantAdded)
-			}
-			requireIdentical(t, want, g, fmt.Sprintf("%s jobs %d", label, jobs))
-			if added := g.AddTurnEdgesJobs(ts2, jobs); added != wantMerged {
-				t.Fatalf("%s jobs %d: merge added %d, oracle %d", label, jobs, added, wantMerged)
-			}
-			requireIdentical(t, want2, g, fmt.Sprintf("%s jobs %d merge", label, jobs))
-			if rep := NewWorkspace(net, vcs).VerifyTurnSetJobs(ts, jobs); !reflect.DeepEqual(rep, wantRep) {
-				t.Fatalf("%s jobs %d: report %s, oracle %s", label, jobs, rep, wantRep)
-			}
+		g := NewGraph(net, vcs)
+		if added := g.AddTurnEdges(ts); added != wantAdded {
+			t.Fatalf("%s: added %d, oracle %d", label, added, wantAdded)
+		}
+		requireIdentical(t, want, g, label)
+		if added := g.AddTurnEdges(ts2); added != wantMerged {
+			t.Fatalf("%s: merge added %d, oracle %d", label, added, wantMerged)
+		}
+		requireIdentical(t, want2, g, label+" merge")
+		if rep := NewWorkspace(net, vcs).VerifyTurnSet(ts); !reflect.DeepEqual(rep, wantRep) {
+			t.Fatalf("%s: report %s, oracle %s", label, rep, wantRep)
 		}
 		if wantRep.Acyclic {
 			acyclic++
@@ -252,14 +250,12 @@ func TestDeltaTogglesMatchOracle(t *testing.T) {
 		if !want.Acyclic {
 			cyclic++
 		}
-		for jobs := 1; jobs <= 2; jobs++ {
-			got, err := dw.VerifyDiffJobs(diff, jobs)
-			if err != nil {
-				t.Fatalf("step %d (%s): %v", step, net, err)
-			}
-			if !reportsIdentical(got, want) {
-				t.Fatalf("step %d (%s, vcs %v) jobs %d:\ndelta:  %s\noracle: %s", step, net, vcs, jobs, got, want)
-			}
+		got, err := dw.VerifyDiff(diff)
+		if err != nil {
+			t.Fatalf("step %d (%s): %v", step, net, err)
+		}
+		if !reportsIdentical(got, want) {
+			t.Fatalf("step %d (%s, vcs %v):\ndelta:  %s\noracle: %s", step, net, vcs, got, want)
 		}
 	}
 	if disables < 10 || enables < 10 || cyclic == 0 {

@@ -20,8 +20,7 @@ import (
 // place so they keep their capacity.
 //
 // A Workspace is single-verification at a time: its methods must not be
-// called concurrently (the verification itself still fans out over the
-// worker pool internally). Use a WorkspacePool to share workspaces across
+// called concurrently. Use a WorkspacePool to share workspaces across
 // goroutines.
 type Workspace struct {
 	g  *Graph
@@ -65,11 +64,11 @@ func (ws *Workspace) Reset() {
 // valid after the workspace is reset or reused. Cancellation between Kahn
 // rounds returns ctx's error and a zero Report — a cancelled verification
 // never yields a verdict.
-func (ws *Workspace) report(ctx context.Context, jobs int) (Report, error) {
+func (ws *Workspace) report(ctx context.Context) (Report, error) {
 	g := ws.g
 	var cyc []Channel
 	sp := phaseAcycl.Start()
-	peeled, err := g.kahnPeel(ctx, jobs, &ws.st)
+	peeled, err := g.kahnPeel(ctx, &ws.st)
 	if err != nil {
 		sp.End()
 		return Report{}, err
@@ -92,16 +91,15 @@ func (ws *Workspace) report(ctx context.Context, jobs int) (Report, error) {
 	}, nil
 }
 
-// VerifyTurnSetCtx resets the workspace, builds the dependency graph of
-// the turn set and checks acyclicity (jobs <= 0 means all cores), honouring
-// ctx: cancellation is observed before the build and at Kahn round
-// boundaries (see kahnPeel), and returns ctx's error with a zero Report. A completed report is
-// bit-identical to the unpooled path for every jobs value. The workspace
-// stays reusable after a cancelled run — every buffer is re-zeroed by the
-// next verification.
+// verify resets the workspace, builds the dependency graph of the turn
+// set and checks acyclicity, honouring ctx: cancellation is observed
+// before the build and at Kahn round boundaries (see kahnPeel), and
+// returns ctx's error with a zero Report. A completed report is
+// bit-identical to the unpooled path. The workspace stays reusable after
+// a cancelled run — every buffer is re-zeroed by the next verification.
 //
 //ebda:hotpath
-func (ws *Workspace) VerifyTurnSetCtx(ctx context.Context, ts *core.TurnSet, jobs int) (Report, error) {
+func (ws *Workspace) verify(ctx context.Context, ts *core.TurnSet) (Report, error) {
 	if err := ctx.Err(); err != nil {
 		obsVerifyCancelled.Inc()
 		return Report{}, err
@@ -112,11 +110,11 @@ func (ws *Workspace) VerifyTurnSetCtx(ctx context.Context, ts *core.TurnSet, job
 	ws.Reset()
 	tesp := tc.StartSpan("cdg.edges")
 	esp := phaseEdges.Start()
-	ws.g.AddTurnEdgesJobs(ts, jobs)
+	ws.g.AddTurnEdges(ts)
 	esp.End()
 	tesp.SetInt("edges", int64(ws.g.NumEdges()))
 	tesp.End()
-	rep, err := ws.report(ctx, jobs)
+	rep, err := ws.report(ctx)
 	sp.End()
 	vsp.SetInt("channels", int64(rep.Channels))
 	if rep.Acyclic {
@@ -128,22 +126,29 @@ func (ws *Workspace) VerifyTurnSetCtx(ctx context.Context, ts *core.TurnSet, job
 	return rep, err
 }
 
-// VerifyTurnSetJobs is VerifyTurnSetCtx without a deadline.
+// VerifyTurnSet resets the workspace, builds the dependency graph of the
+// turn set and checks acyclicity.
 //
 //ebda:hotpath
-func (ws *Workspace) VerifyTurnSetJobs(ts *core.TurnSet, jobs int) Report {
-	rep, _ := ws.VerifyTurnSetCtx(context.Background(), ts, jobs)
+func (ws *Workspace) VerifyTurnSet(ts *core.TurnSet) Report {
+	rep, _ := ws.verify(context.Background(), ts)
 	return rep
 }
 
-// VerifyRelationJobs resets the workspace, builds the dependency graph of
-// a routing relation and checks acyclicity (jobs <= 0 means all cores).
-// name overrides the report's Network field when non-empty (routing
-// verifications label reports "network / algorithm").
-func (ws *Workspace) VerifyRelationJobs(route RoutingRelation, name string, jobs int) Report {
+// VerifyTurnSetCtx is VerifyTurnSet with a deadline. The int argument is
+// ignored; bench/ calls this signature.
+func (ws *Workspace) VerifyTurnSetCtx(ctx context.Context, ts *core.TurnSet, _ int) (Report, error) {
+	return ws.verify(ctx, ts)
+}
+
+// VerifyRelation resets the workspace, builds the dependency graph of a
+// routing relation and checks acyclicity. name overrides the report's
+// Network field when non-empty (routing verifications label reports
+// "network / algorithm").
+func (ws *Workspace) VerifyRelation(route RoutingRelation, name string) Report {
 	ws.Reset()
-	ws.g.AddRoutingEdgesJobs(route, jobs)
-	rep, _ := ws.report(context.Background(), jobs)
+	ws.g.AddRoutingEdges(route)
+	rep, _ := ws.report(context.Background())
 	if name != "" {
 		rep.Network = name
 	}

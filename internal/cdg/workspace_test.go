@@ -17,8 +17,8 @@ import (
 
 // freshReport is the unpooled reference: a brand-new graph and workspace
 // state per call, so reuse bugs in the pooled path cannot hide.
-func freshReport(net *topology.Network, vcs VCConfig, ts *core.TurnSet, jobs int) Report {
-	return NewWorkspace(net, vcs).VerifyTurnSetJobs(ts, jobs)
+func freshReport(net *topology.Network, vcs VCConfig, ts *core.TurnSet) Report {
+	return NewWorkspace(net, vcs).VerifyTurnSet(ts)
 }
 
 func TestWorkspaceReuseMatchesFresh(t *testing.T) {
@@ -31,22 +31,27 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 		xyTurnSet(), allTurnSet(), xyTurnSet(), parityTurnSet(), allTurnSet(),
 	}
 	for i, ts := range sets {
-		got := ws.VerifyTurnSetJobs(ts, 0)
-		want := freshReport(net, nil, ts, 1)
+		got := ws.VerifyTurnSet(ts)
+		want := freshReport(net, nil, ts)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("reuse %d: report %+v, fresh %+v", i, got, want)
 		}
 	}
 }
 
+// TestWorkspaceJobsInvariant: Workspace.VerifyTurnSetCtx, which bench/
+// calls with an ignored int argument, answers exactly as VerifyTurnSet.
 func TestWorkspaceJobsInvariant(t *testing.T) {
 	net := topology.NewMesh(5, 5)
 	for name, ts := range map[string]*core.TurnSet{
 		"acyclic": xyTurnSet(), "cyclic": allTurnSet(),
 	} {
-		want := freshReport(net, nil, ts, 1)
-		for _, jobs := range []int{2, 3, 8} {
-			got := freshReport(net, nil, ts, jobs)
+		want := freshReport(net, nil, ts)
+		for _, jobs := range benchJobs {
+			got, err := NewWorkspace(net, nil).VerifyTurnSetCtx(context.Background(), ts, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s jobs=%d: %+v, want %+v", name, jobs, got, want)
 			}
@@ -57,7 +62,7 @@ func TestWorkspaceJobsInvariant(t *testing.T) {
 func TestWorkspaceVerifyRelation(t *testing.T) {
 	net := topology.NewMesh(4, 4)
 	ws := NewWorkspace(net, nil)
-	rep := ws.VerifyRelationJobs(xyRoute, "4x4 mesh / dor", 0)
+	rep := ws.VerifyRelation(xyRoute, "4x4 mesh / dor")
 	if !rep.Acyclic {
 		t.Fatalf("dimension-order routing must be acyclic: %s", rep)
 	}
@@ -66,13 +71,13 @@ func TestWorkspaceVerifyRelation(t *testing.T) {
 	}
 	// Reference: unpooled construction.
 	g := NewGraph(net, nil)
-	g.AddRoutingEdgesJobs(xyRoute, 1)
+	g.AddRoutingEdges(xyRoute)
 	if rep.Edges != g.NumEdges() {
 		t.Errorf("edges = %d, want %d", rep.Edges, g.NumEdges())
 	}
 	// Reuse after a routing build must still be clean.
-	again := ws.VerifyTurnSetJobs(xyTurnSet(), 0)
-	want := freshReport(net, nil, xyTurnSet(), 1)
+	again := ws.VerifyTurnSet(xyTurnSet())
+	want := freshReport(net, nil, xyTurnSet())
 	if !reflect.DeepEqual(again, want) {
 		t.Errorf("turn-set verify after routing verify: %+v, want %+v", again, want)
 	}
@@ -221,7 +226,7 @@ func TestWorkspacePoolRebindMatchesFresh(t *testing.T) {
 				vcs[d] = 1 + rng.Intn(3)
 			}
 		}
-		jobs := 1 + rng.Intn(3)
+		rng.Intn(3) // keeps the seeded sequence of shapes and operations
 		ws := pool.Get(net, vcs)
 		if ws != first {
 			t.Fatalf("step %d: pool handed out a second workspace", step)
@@ -231,14 +236,14 @@ func TestWorkspacePoolRebindMatchesFresh(t *testing.T) {
 		switch op := rng.Intn(6); {
 		case op == 0:
 			name := fmt.Sprintf("%s / dor", net)
-			got = ws.VerifyRelationJobs(xyRoute, name, jobs)
-			want = ref.VerifyRelationJobs(xyRoute, name, 1)
+			got = ws.VerifyRelation(xyRoute, name)
+			want = ref.VerifyRelation(xyRoute, name)
 			relations++
 		case op == 1:
 			ts := randomTurnSet(rng, dims, vcs)
-			rep, err := ws.VerifyTurnSetCtx(&cancelAfter{context.Background(), 1 + rng.Intn(3)}, ts, jobs)
+			rep, err := ws.verify(&cancelAfter{context.Background(), 1 + rng.Intn(3)}, ts)
 			if err == nil {
-				got, want = rep, ref.VerifyTurnSetJobs(ts, 1)
+				got, want = rep, ref.VerifyTurnSet(ts)
 				break
 			}
 			if !errors.Is(err, context.Canceled) || !reflect.DeepEqual(rep, Report{}) {
@@ -249,8 +254,8 @@ func TestWorkspacePoolRebindMatchesFresh(t *testing.T) {
 			continue
 		default:
 			ts := randomTurnSet(rng, dims, vcs)
-			got = ws.VerifyTurnSetJobs(ts, jobs)
-			want = ref.VerifyTurnSetJobs(ts, 1)
+			got = ws.VerifyTurnSet(ts)
+			want = ref.VerifyTurnSet(ts)
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("step %d (%s, vcs %v): pooled %+v, fresh %+v", step, net, vcs, got, want)
@@ -277,7 +282,7 @@ func TestWorkspacePoolRebindMatchesFresh(t *testing.T) {
 func TestWorkspacePoolRebindAllocs(t *testing.T) {
 	pool := &WorkspacePool{}
 	ws := pool.Get(topology.NewTorus(48, 48), nil)
-	ws.VerifyTurnSetJobs(allTurnSet(), 1) // every row grows to its torus degree
+	ws.VerifyTurnSet(allTurnSet()) // every row grows to its torus degree
 	pool.Put(ws)
 	ts := xyTurnSet()
 	ts.Matrix()
@@ -285,7 +290,7 @@ func TestWorkspacePoolRebindAllocs(t *testing.T) {
 		return testing.AllocsPerRun(20, func() {
 			for _, net := range []*topology.Network{a, b} {
 				ws := pool.Get(net, nil)
-				if rep := ws.VerifyTurnSetJobs(ts, 1); !rep.Acyclic {
+				if rep := ws.VerifyTurnSet(ts); !rep.Acyclic {
 					t.Fatalf("XY on %s: %s", net, rep)
 				}
 				pool.Put(ws)
@@ -377,7 +382,7 @@ func TestVerifyDesignAllocsFlat(t *testing.T) {
 	pool := &WorkspacePool{}
 	ws := pool.Get(topology.NewTorus(48, 48), vcs)
 	for _, ts := range designs {
-		ws.VerifyTurnSetJobs(ts, 1) // grow every buffer on the largest shape
+		ws.VerifyTurnSet(ts) // grow every buffer on the largest shape
 	}
 	pool.Put(ws)
 	var counts []float64
@@ -385,7 +390,7 @@ func TestVerifyDesignAllocsFlat(t *testing.T) {
 		for _, ts := range designs {
 			counts = append(counts, testing.AllocsPerRun(10, func() {
 				ws := pool.Get(net, vcs)
-				if rep := ws.VerifyTurnSetJobs(ts, 1); !rep.Acyclic {
+				if rep := ws.VerifyTurnSet(ts); !rep.Acyclic {
 					t.Fatalf("chain design cyclic on %s: %s", net, rep)
 				}
 				pool.Put(ws)
@@ -397,5 +402,52 @@ func TestVerifyDesignAllocsFlat(t *testing.T) {
 	lo, hi := slices.Min(counts), slices.Max(counts)
 	if hi > lo+2 || hi > 12 {
 		t.Errorf("allocs per verify across designs and shapes: %v; want equal and <= 12", counts)
+	}
+}
+
+// TestJoblessDefaultsAllocsFlat pins the package-level entry points that
+// take no worker argument, VerifyTurnSet and VerifyMode, to the same
+// small allocation budget as TestVerifyDesignAllocsFlat on a multi-core
+// host. A verification that handed each Kahn round to goroutines would
+// allocate per round instead. testing.AllocsPerRun pins GOMAXPROCS to 1,
+// so allocations are counted from runtime.MemStats under GOMAXPROCS(2).
+func TestJoblessDefaultsAllocsFlat(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	allocsPerRun := func(f func()) uint64 {
+		const runs = 10
+		f() // warm the workspace pool
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.Mallocs - before.Mallocs) / runs
+	}
+	net := topology.NewMesh(32, 32)
+	chain := core.MustParseChain("PA[X1+ Y1+ Y1-] -> PB[X1- Y2+ Y2-]")
+	ts, vcs := chain.AllTurns(), VCConfigFor(net.Dims(), chain.Channels())
+	verify := allocsPerRun(func() {
+		if rep := VerifyTurnSet(net, vcs, ts); !rep.Acyclic {
+			t.Fatalf("chain design cyclic on %s: %s", net, rep)
+		}
+	})
+	// A layered graph peels one 4-wide layer per round.
+	const layers, width = 64, 4
+	e := NewEdgeSet(layers * width)
+	for l := 0; l+1 < layers; l++ {
+		for a := 0; a < width; a++ {
+			for b := 0; b < width; b++ {
+				e.AddEdge(l*width+a, (l+1)*width+b)
+			}
+		}
+	}
+	mode := allocsPerRun(func() {
+		if rep := VerifyMode(e, ModeLoop, nil, nil, nil); !rep.OK {
+			t.Fatalf("layered graph: %+v", rep)
+		}
+	})
+	if verify > 12 || mode > 12 {
+		t.Errorf("allocs per call under GOMAXPROCS(2): VerifyTurnSet %d, VerifyMode %d; want <= 12", verify, mode)
 	}
 }

@@ -54,13 +54,12 @@ type BenchCache struct {
 
 // Bench is the perf snapshot written by `ebda-repro -benchjson` (the
 // BENCH_verify.json file): per-experiment wall times plus CDG construction
-// rates, stamped with the toolchain and parallelism it ran under.
+// rates, stamped with the toolchain and CPU count it ran under.
 type Bench struct {
 	GeneratedAt string            `json:"generated_at"`
 	GoVersion   string            `json:"go_version"`
 	NumCPU      int               `json:"num_cpu"`
 	GoMaxProcs  int               `json:"gomaxprocs"`
-	Jobs        int               `json:"jobs"`
 	Quick       bool              `json:"quick"`
 	Experiments []BenchExperiment `json:"experiments"`
 	CDG         []BenchCDG        `json:"cdg"`
@@ -68,8 +67,7 @@ type Bench struct {
 }
 
 // benchCDGCases are the networks the snapshot times: the six-channel fully
-// adaptive design (the paper's Figure 7 flagship) on growing meshes, all
-// built through the jobs-aware constructor.
+// adaptive design (the paper's Figure 7 flagship) on growing meshes.
 func benchCDGCases() []*topology.Network {
 	return []*topology.Network{
 		topology.NewMesh(16, 16),
@@ -80,15 +78,13 @@ func benchCDGCases() []*topology.Network {
 
 // RunBench executes every experiment and the CDG construction cases,
 // timing each, and returns the snapshot. Experiments run one at a time so
-// their wall times are not polluted by sibling load; jobs (<= 0 means all
-// cores) sets the intra-build parallelism of the CDG cases.
-func RunBench(opts Options, jobs int) Bench {
+// their wall times are not polluted by sibling load.
+func RunBench(opts Options) Bench {
 	b := Bench{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339), //ebda:allow detlint bench snapshots are stamped with real wall time by design
 		GoVersion:   runtime.Version(),
 		NumCPU:      runtime.NumCPU(),
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
-		Jobs:        jobs,
 		Quick:       opts.Quick,
 	}
 	// Start the verification cache fresh so the snapshot's hit/miss
@@ -120,7 +116,7 @@ func RunBench(opts Options, jobs int) Bench {
 	vcs := cdg.VCConfigFor(2, chain.Channels())
 	for _, net := range benchCDGCases() {
 		start := time.Now() //ebda:allow detlint bench harness measures wall time by design
-		rep := cdg.VerifyTurnSetJobs(net, vcs, ts, jobs)
+		rep := cdg.VerifyTurnSet(net, vcs, ts)
 		wall := time.Since(start).Seconds() //ebda:allow detlint bench harness measures wall time by design
 		rate := 0.0
 		if wall > 0 {
@@ -133,7 +129,7 @@ func RunBench(opts Options, jobs int) Bench {
 		var m0, m1 runtime.MemStats
 		runtime.ReadMemStats(&m0)
 		for r := 0; r < repeats; r++ {
-			cdg.VerifyTurnSetJobs(net, vcs, ts, jobs)
+			cdg.VerifyTurnSet(net, vcs, ts)
 		}
 		runtime.ReadMemStats(&m1)
 		b.CDG = append(b.CDG, BenchCDG{

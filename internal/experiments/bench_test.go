@@ -9,7 +9,7 @@ import (
 func TestBenchWriteJSON(t *testing.T) {
 	b := Bench{
 		GeneratedAt: "2026-01-01T00:00:00Z",
-		GoMaxProcs:  4, Jobs: 2, Quick: true,
+		GoMaxProcs:  4, Quick: true,
 		Experiments: []BenchExperiment{{ID: "E01", Name: "x", WallSeconds: 0.5, Match: true}},
 		CDG:         []BenchCDG{{Network: "8x8 mesh", Channels: 224, Edges: 100, Acyclic: true, WallSeconds: 0.1, ChannelsPerSec: 2240}},
 	}
@@ -32,7 +32,7 @@ func TestBenchCDGCasesVerify(t *testing.T) {
 	}
 	// The snapshot's CDG cases must all be acyclic (they time genuine
 	// deadlock-free verification, not failures).
-	b := RunBench(Options{Quick: true}, 0)
+	b := RunBench(Options{Quick: true})
 	if len(b.Experiments) != len(All()) {
 		t.Fatalf("experiments timed = %d, want %d", len(b.Experiments), len(All()))
 	}

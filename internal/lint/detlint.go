@@ -17,8 +17,9 @@ import (
 //     seed-reproducible; all randomness must flow through
 //     rand.New(rand.NewSource(seed)) as the simulator does.
 //
-// The engine's contract is bit-identical output for every -jobs value and
-// every process run; each of these constructs breaks that silently.
+// The engine's contract is bit-identical output for every process run
+// (and, for ebda-repro and the seed replicator, for every -jobs value);
+// each of these constructs breaks that silently.
 var Detlint = &Analyzer{
 	Name: "detlint",
 	Doc:  "flags map-iteration-order leaks, wall-clock reads and unseeded randomness in deterministic paths",

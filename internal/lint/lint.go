@@ -4,7 +4,7 @@
 //
 // The verification fast path built in earlier iterations rests on
 // properties nothing in the type system checks: results must be
-// bit-identical for every -jobs value, fingerprints must be
+// bit-identical on every run, fingerprints must be
 // order-independent, shared caches must be reached through their mutexes,
 // and the annotated hot functions must stay allocation-lean. The four
 // analyzers here — detlint, locklint, hotpath and verifygate — turn those

@@ -19,10 +19,10 @@ import (
 //     free lists, core.TurnSet's memoized matrix and routing.FromChain's
 //     reachability memo stay race-free;
 //   - goroutines launched inside loops must receive loop variables as
-//     arguments rather than capturing them, matching the engine's
-//     parallelFor idiom (per-iteration semantics make capture safe since
-//     Go 1.22, but explicit passing keeps worker identity obvious and the
-//     code portable).
+//     arguments rather than capturing them, as the repository's worker
+//     pools do (per-iteration semantics make capture safe since Go 1.22,
+//     but explicit passing keeps worker identity obvious and the code
+//     portable).
 //
 // The check is flow-insensitive by design: it catches the
 // forgot-to-lock-entirely class of bug, which is the one a refactor
@@ -254,7 +254,7 @@ func goroutineCapture(pass *Pass, fd *ast.FuncDecl) {
 			}
 			for _, frame := range loops {
 				if name, ok := frame.vars[obj]; ok {
-					pass.Reportf(id.Pos(), "goroutine closure captures loop variable %s; pass it as an argument (the parallelFor idiom)", name)
+					pass.Reportf(id.Pos(), "goroutine closure captures loop variable %s; pass it as an argument, as the worker pools do", name)
 					return true
 				}
 			}

@@ -59,7 +59,7 @@ func captured(xs []int, out chan<- int) {
 	}
 }
 
-// passed is the parallelFor idiom: the loop variable arrives as an
+// passed is the worker-pool idiom: the loop variable arrives as an
 // argument, so the closure's x is a parameter, not a capture.
 func passed(xs []int, out chan<- int) {
 	for _, x := range xs {

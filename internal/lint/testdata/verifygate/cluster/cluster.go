@@ -24,7 +24,7 @@ func uncachedRouteVerdict(net *topology.Network, ts *core.TurnSet) bool {
 
 // uncachedRouteCtx threads a deadline but still skips the cache.
 func uncachedRouteCtx(ctx context.Context, net *topology.Network, ts *core.TurnSet) (cdg.Report, error) {
-	return cdg.VerifyTurnSetCtx(ctx, net, nil, ts, 1) // want `uncached verify call cdg.VerifyTurnSetCtx in`
+	return cdg.VerifyTurnSetCtx(ctx, net, nil, ts) // want `uncached verify call cdg.VerifyTurnSetCtx in`
 }
 
 // rawRouteBuild constructs the graph directly; even the build step is
@@ -63,7 +63,7 @@ func cachedRouteVerdict(ctx context.Context, c *cdg.VerifyCache, net *topology.N
 	if rep, ok := c.Lookup(q.Key, q.Check); ok {
 		return rep, nil
 	}
-	return c.Verify(ctx, q, 1)
+	return c.Verify(ctx, q)
 }
 
 // peerProbe is the blessed path for a replica that does not own the

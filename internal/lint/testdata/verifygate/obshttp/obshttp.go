@@ -18,7 +18,7 @@ import (
 // debugVerify drives the engine from a debug handler: the uncached
 // pooled entry point is off-limits.
 func debugVerify(ctx context.Context, net *topology.Network, ts *core.TurnSet) (cdg.Report, error) {
-	return cdg.VerifyTurnSetCtx(ctx, net, nil, ts, 1) // want `verification call cdg.VerifyTurnSetCtx from the observability layer`
+	return cdg.VerifyTurnSetCtx(ctx, net, nil, ts) // want `verification call cdg.VerifyTurnSetCtx from the observability layer`
 }
 
 // debugCachedVerify shows the cached wrapper is equally banned: a cache
@@ -30,7 +30,7 @@ func debugCachedVerify(net *topology.Network, ts *core.TurnSet) bool {
 // debugCacheCompute reaches the engine through a cache method; the ban
 // covers methods as well as package functions.
 func debugCacheCompute(ctx context.Context, cache *cdg.VerifyCache, net *topology.Network, ts *core.TurnSet) (cdg.Report, error) {
-	return cache.Verify(ctx, cdg.TurnSetQuery(net, nil, ts), 1) // want `verification call cdg.Verify from the observability layer`
+	return cache.Verify(ctx, cdg.TurnSetQuery(net, nil, ts)) // want `verification call cdg.Verify from the observability layer`
 }
 
 // publishedState is the sanctioned read: a cache lookup only ever

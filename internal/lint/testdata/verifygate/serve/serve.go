@@ -25,7 +25,7 @@ func uncachedParallel(net *topology.Network, ts *core.TurnSet) bool {
 
 // uncachedCtx threads a deadline but still skips the cache.
 func uncachedCtx(ctx context.Context, net *topology.Network, ts *core.TurnSet) (cdg.Report, error) {
-	return cdg.VerifyTurnSetCtx(ctx, net, nil, ts, 1) // want `uncached verify call cdg.VerifyTurnSetCtx in`
+	return cdg.VerifyTurnSetCtx(ctx, net, nil, ts) // want `uncached verify call cdg.VerifyTurnSetCtx in`
 }
 
 // uncachedChain verifies a chain outside the cache.
@@ -73,7 +73,7 @@ func cachedMode(ctx context.Context, c *cdg.ModeCache, e *cdg.EdgeSet, in, out [
 	}
 	key, _ := cdg.ModeKey(e, cdg.ModeEscape, in, out, nil)
 	_ = key
-	return c.Verify(ctx, q, 1)
+	return c.Verify(ctx, q)
 }
 
 // cachedModeWrapper shows the process-wide cached wrapper is sanctioned.
@@ -109,7 +109,7 @@ func deltaWorkspaceCtx(ctx context.Context, net *topology.Network, ts *core.Turn
 // deltaPoolVerdict checks a workspace out of the shared pool directly,
 // skipping the memoizing delta cache entry.
 func deltaPoolVerdict(ctx context.Context, net *topology.Network, ts *core.TurnSet, diff cdg.Diff) (cdg.Report, error) {
-	dw, err := cdg.DefaultDeltaPool.GetCtx(ctx, net, nil, ts, 1) // want `delta pool checkout cdg.DeltaPool.GetCtx`
+	dw, err := cdg.DefaultDeltaPool.GetCtx(ctx, net, nil, ts) // want `delta pool checkout cdg.DeltaPool.GetCtx`
 	if err != nil {
 		return cdg.Report{}, err
 	}
@@ -125,7 +125,7 @@ func cachedDeltaVerdict(ctx context.Context, c *cdg.VerifyCache, net *topology.N
 	if rep, ok := c.Lookup(q.Key, q.Check); ok {
 		return rep, nil
 	}
-	return c.Verify(ctx, q, 1)
+	return c.Verify(ctx, q)
 }
 
 // cachedDeltaHelpers shows the other sanctioned delta entry points: the
@@ -143,14 +143,14 @@ func cachedVerdict(ctx context.Context, c *cdg.VerifyCache, net *topology.Networ
 	if rep, ok := c.Lookup(q.Key, q.Check); ok {
 		return rep, nil
 	}
-	return c.Verify(ctx, q, 1)
+	return c.Verify(ctx, q)
 }
 
 // cachedHelpers shows the other sanctioned entry points: the dual-hash
 // key for coalescing and the process-wide cached wrappers.
 func cachedHelpers(net *topology.Network, ts *core.TurnSet) (uint64, bool) {
 	key, _ := cdg.VerifyKey(net, nil, ts)
-	return key, cdg.VerifyTurnSetCachedJobs(net, nil, ts, 2).Acyclic
+	return key, cdg.VerifyTurnSetCached(net, nil, ts).Acyclic
 }
 
 // errorPath returns the zero-value Report beside a non-nil error; an

@@ -12,8 +12,8 @@ const cdgPath = "ebda/internal/cdg"
 // Verifygate enforces the domain invariant that verification verdicts
 // have a single source of truth. Outside ebda/internal/cdg itself,
 // packages must obtain cdg.Reports through the blessed entry points —
-// cdg.VerifyTurnSetCached / cdg.VerifyChainCached (and their Jobs
-// variants) or routing.Verify — which share the workspace pool and the
+// cdg.VerifyTurnSetCached / cdg.VerifyChainCached or routing.Verify —
+// which share the workspace pool and the
 // goroutine-safe verification cache. Building a Graph and calling
 // acyclicity primitives directly (Acyclic, AcyclicJobs, FindCycle,
 // FindCycleJobs) bypasses both, and hand-assembled cdg.Report literals
@@ -27,8 +27,9 @@ const cdgPath = "ebda/internal/cdg"
 // Cache.Verify on a cdg query (TurnSetQuery, DeltaQuery, ModeQuery) or
 // a *Cached wrapper — so responses are memoized, coalescible
 // and identical across requests. In those packages the uncached pooled
-// entry points (cdg.VerifyTurnSet / VerifyTurnSetJobs / VerifyTurnSetCtx,
-// VerifyChain, VerifyRelation, BuildFromTurnSet and the Workspace verify
+// entry points (cdg.VerifyTurnSet / VerifyTurnSetCtx, VerifyChain,
+// BuildFromTurnSet, VerifyEdgeSet, VerifyMode, the Jobs-suffixed
+// signatures the benchmark harness still calls, and the Workspace verify
 // methods) are also forbidden. The same contract covers incremental
 // verdicts: serving code reaches them only through the cache with a
 // cdg.DeltaQuery (Cache.Lookup / Cache.Verify) or VerifyDeltaCached,
@@ -63,10 +64,8 @@ var gatedGraphMethods = map[string]bool{
 // forbidden where served verdicts must be memoized.
 var uncachedVerifyFuncs = map[string]bool{
 	"VerifyTurnSet": true, "VerifyTurnSetJobs": true, "VerifyTurnSetCtx": true,
-	"VerifyChain": true, "VerifyRelation": true, "VerifyRelationJobs": true,
-	"BuildFromTurnSet": true, "BuildFromTurnSetJobs": true,
-	"VerifyEdgeSet": true, "VerifyEdgeSetJobs": true,
-	"VerifyMode": true, "VerifyModeJobs": true,
+	"VerifyChain": true, "BuildFromTurnSet": true, "BuildFromTurnSetJobs": true,
+	"VerifyEdgeSet": true, "VerifyMode": true, "VerifyModeJobs": true,
 }
 
 // deltaBypassFuncs construct retained delta workspaces directly,

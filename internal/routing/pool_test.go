@@ -15,7 +15,7 @@ import (
 // TestDefaultPoolConcurrentShapes races goroutines through cdg.DefaultPool
 // on interleaved network shapes, so pooled workspaces are rebound between
 // shapes under contention: turn-set verifies via cdg.VerifyTurnSetCtx,
-// routing verifies via VerifyJobs, and explicit checkouts that record
+// routing verifies via Verify, and explicit checkouts that record
 // which goroutine holds each workspace. Every report must equal the
 // unpooled one, and no workspace may be handed to two holders at once.
 // Run under -race (make check does).
@@ -32,9 +32,9 @@ func TestDefaultPoolConcurrentShapes(t *testing.T) {
 	mk := func(net *topology.Network, chain *core.Chain, alg Algorithm) shape {
 		s := shape{net: net, ts: chain.AllTurns(), alg: alg}
 		s.vcs = cdg.VCConfigFor(net.Dims(), chain.Channels())
-		s.wantTS = cdg.NewWorkspace(net, s.vcs).VerifyTurnSetJobs(s.ts, 1)
-		s.wantRt = cdg.NewWorkspace(net, s.vcs).VerifyRelationJobs(
-			Relation(alg), net.String()+" / "+alg.Name(), 1)
+		s.wantTS = cdg.NewWorkspace(net, s.vcs).VerifyTurnSet(s.ts)
+		s.wantRt = cdg.NewWorkspace(net, s.vcs).VerifyRelation(
+			Relation(alg), net.String()+" / "+alg.Name())
 		return s
 	}
 	shapes := []shape{
@@ -55,24 +55,23 @@ func TestDefaultPoolConcurrentShapes(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 18; i++ {
 				s := shapes[(w+i)%len(shapes)]
-				jobs := 1 + i%2
 				var got, want cdg.Report
 				switch i % 3 {
 				case 0:
-					rep, err := cdg.VerifyTurnSetCtx(context.Background(), s.net, s.vcs, s.ts, jobs)
+					rep, err := cdg.VerifyTurnSetCtx(context.Background(), s.net, s.vcs, s.ts)
 					if err != nil {
 						t.Errorf("worker %d: %v", w, err)
 						return
 					}
 					got, want = rep, s.wantTS
 				case 1:
-					got, want = VerifyJobs(s.net, s.vcs, s.alg, jobs), s.wantRt
+					got, want = Verify(s.net, s.vcs, s.alg), s.wantRt
 				default:
 					ws := cdg.DefaultPool.Get(s.net, s.vcs)
 					if holder, dup := inUse.LoadOrStore(ws, w); dup {
 						t.Errorf("worker %d got a workspace worker %v still holds", w, holder)
 					}
-					got, want = ws.VerifyTurnSetJobs(s.ts, jobs), s.wantTS
+					got, want = ws.VerifyTurnSet(s.ts), s.wantTS
 					inUse.Delete(ws)
 					cdg.DefaultPool.Put(ws)
 				}

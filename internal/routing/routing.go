@@ -269,8 +269,8 @@ type FromChain struct {
 	// target, when non-nil, redirects productivity toward a waypoint.
 	target TargetFn
 	// reachMemo caches final canReach results under mu; Candidates is
-	// safe for concurrent use (parallel CDG extraction and concurrent
-	// simulator seeds share one FromChain).
+	// safe for concurrent use (concurrent verifications and simulator
+	// seeds share one FromChain).
 	mu        sync.RWMutex
 	reachMemo map[reachKey]bool
 }

@@ -30,19 +30,12 @@ func Relation(alg Algorithm) cdg.RoutingRelation {
 
 // Verify builds the full routing relation of an algorithm on a network
 // (over all destinations) and checks the induced channel dependency graph
-// for cycles — the classic Dally verification. All cores are used; the
-// report is identical for every worker count.
+// for cycles — the classic Dally verification. The build runs in a
+// cdg.Workspace from cdg.DefaultPool, whose buffers are refilled in place
+// for whatever network shape comes next.
 func Verify(net *topology.Network, vcs cdg.VCConfig, alg Algorithm) cdg.Report {
-	return VerifyJobs(net, vcs, alg, 0)
-}
-
-// VerifyJobs is Verify over a bounded worker pool (jobs <= 0 means all
-// cores). The algorithm's Candidates is called concurrently when jobs > 1.
-// The build runs in a cdg.Workspace from cdg.DefaultPool, whose buffers
-// are refilled in place for whatever network shape comes next.
-func VerifyJobs(net *topology.Network, vcs cdg.VCConfig, alg Algorithm, jobs int) cdg.Report {
 	ws := cdg.DefaultPool.Get(net, vcs)
-	rep := ws.VerifyRelationJobs(Relation(alg), net.String()+" / "+alg.Name(), jobs)
+	rep := ws.VerifyRelation(Relation(alg), net.String()+" / "+alg.Name())
 	cdg.DefaultPool.Put(ws)
 	return rep
 }

@@ -36,9 +36,9 @@ type Config struct {
 	// Timeout bounds each request end to end (default 10s). It also
 	// bounds a coalesced flight's computation.
 	Timeout time.Duration
-	// Jobs is the intra-verification parallelism handed to the engine
-	// (default 1: the pool parallelizes across requests, so per-request
-	// parallelism only helps when the server is idle).
+	// Jobs is always 1 once resolved: a verification runs serially and the
+	// worker pool parallelizes across requests. The field stays so
+	// harnesses can record it; any value a caller sets is ignored.
 	Jobs int
 	// Cluster, when non-nil, shards the verify-cache keyspace across a
 	// replica ring (see cluster.go). Validate it before constructing the
@@ -72,9 +72,7 @@ func (c Config) withDefaults() Config {
 	if c.Timeout <= 0 {
 		c.Timeout = 10 * time.Second
 	}
-	if c.Jobs <= 0 {
-		c.Jobs = 1
-	}
+	c.Jobs = 1
 	if c.TraceSample == 0 {
 		c.TraceSample = 16
 	}
@@ -88,7 +86,7 @@ func (c Config) withDefaults() Config {
 }
 
 // Resolved returns the configuration with defaults applied: the worker
-// pool size, queue depth, timeout and jobs value the server actually
+// pool size, queue depth and timeout the server actually
 // runs with. Benchmark harnesses record it so snapshots never carry the
 // zero-sentinels of an unconfigured field.
 func (c Config) Resolved() Config { return c.withDefaults() }
@@ -327,7 +325,7 @@ func compute[R any](ctx context.Context, s *Server, c *cdg.Cache[R], q cdg.Query
 	err := s.submit(func() {
 		qsp.End()
 		obsQueueDepth.Add(-1)
-		rep, err := c.Verify(ctx, q, s.cfg.Jobs)
+		rep, err := c.Verify(ctx, q)
 		res <- result{rep, err}
 		tc.Release()
 	})

@@ -5,13 +5,15 @@
 # port, waits for its listening line, drives the fixed seeded workload
 # against it with -smoke (zero 5xx, at least one coalesced request,
 # byte-identical verdicts for repeated identical requests, invalid
-# requests rejected with 4xx; BENCH_serve.json is written), then sends
-# SIGTERM and requires a clean graceful drain (exit 0).
+# requests rejected with 4xx), then sends SIGTERM and requires a clean
+# graceful drain (exit 0). The loadgen snapshot is written to OUT, by
+# default a temporary file removed on exit; to refresh the committed
+# snapshot run `OUT=BENCH_serve.json make serve-smoke`.
 set -eu
 
 GO=${GO:-go}
-OUT=${OUT:-BENCH_serve.json}
 tmp=$(mktemp -d)
+OUT=${OUT:-$tmp/BENCH_serve.json}
 pid=
 cleanup() {
     [ -n "$pid" ] && kill "$pid" 2>/dev/null || true
@@ -55,4 +57,7 @@ else
     pid=
     exit 1
 fi
-echo "serve-smoke: clean drain, snapshot in $OUT"
+case $OUT in
+"$tmp"/*) echo "serve-smoke: clean drain" ;;
+*) echo "serve-smoke: clean drain, snapshot in $OUT" ;;
+esac
