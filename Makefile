@@ -115,13 +115,14 @@ serve-smoke:
 graph-smoke:
 	GO="$(GO)" ./scripts/graph-smoke.sh
 
-# fuzz-short gives the untrusted-input parsers — the /v1 request
-# decoder, the graphio CDG parser and the verify-cache snapshot loader —
-# a brief native-fuzz shake on every check; the seeded corpus alone
-# regresses in milliseconds, the 5s budget lets the mutator explore a
-# little too.
+# fuzz-short gives the untrusted-input parsers — the /v1 verify and delta
+# request decoders, the graphio CDG parser and the verify-cache snapshot
+# loader — a brief native-fuzz shake on every check; the seeded corpus
+# alone regresses in milliseconds, the 5s budget lets the mutator explore
+# a little too.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeVerifyRequest -fuzztime=5s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeDeltaRequest -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzParseCDG -fuzztime=5s ./internal/graphio
 	$(GO) test -run='^$$' -fuzz=FuzzLoadSnapshot -fuzztime=5s ./internal/cdg
 

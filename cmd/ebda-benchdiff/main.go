@@ -30,8 +30,8 @@
 // 0.05: incremental re-verification at most 5% of a from-scratch
 // verification, the tentpole acceptance criterion), no case's
 // incremental path may cost more than its full path (ratio above 1),
-// and a case whose diffs all fell back to full peels measured nothing
-// and fails outright. The relative grow column is informational only.
+// and a case with no incremental verifications (every diff rebuilt)
+// measured nothing and fails outright. The relative grow column is informational only.
 //
 // Cluster diff (BENCH_cluster.json, written by ebda-loadgen -cluster,
 // kind "cluster"): the scaling factor is gated absolutely — the new

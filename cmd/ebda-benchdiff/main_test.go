@@ -454,8 +454,8 @@ func TestDeltaZeroBaselineSkipped(t *testing.T) {
 	}
 }
 
-// TestDeltaNoIncrementalFails: a snapshot whose diffs all fell back to
-// full peels measured nothing and must fail the diff.
+// TestDeltaNoIncrementalFails: a snapshot whose diffs were all rebuilt
+// measured no incremental verification and must fail the diff.
 func TestDeltaNoIncrementalFails(t *testing.T) {
 	dir := t.TempDir()
 	old := writeDeltaSnapshot(t, dir, "old.json", deltaSnapshot(0.02, 0.5, 256))

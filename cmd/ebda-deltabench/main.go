@@ -3,14 +3,15 @@
 // (BENCH_delta.json) that ebda-benchdiff gates across commits.
 //
 // Each case replays a family of single-element diffs — one removed link
-// or one disabled turn per verification — against a retained
-// cdg.DeltaWorkspace, and replays the same diffs the pre-delta way
-// (derive the perturbed design, verify from scratch through the pooled
-// engine). The snapshot records the mean per-diff cost of both paths and
-// their ratio, plus the incremental/fallback split so a run that
-// silently fell back to full peels is visible. Before timing, every
-// distinct diff's delta verdict is checked against the from-scratch
-// verdict; a divergence is a correctness bug and exits 1.
+// per verification — against a retained cdg.DeltaWorkspace, and replays
+// the same diffs the pre-delta way (derive the perturbed design, verify
+// from scratch through the pooled engine). The snapshot records the mean
+// per-diff cost of both paths and their ratio, plus the
+// incremental/rebuild split so a run that did not take the incremental
+// path is visible. Before timing, every distinct diff's delta verdict is
+// checked against the from-scratch verdict; a divergence is a correctness
+// bug and exits 1. Turn toggles are not timed: they rebuild the toggled
+// design, which is a full verification.
 //
 // Usage:
 //
@@ -105,9 +106,8 @@ func run(argv []string, out, errw io.Writer) int {
 	return 0
 }
 
-// cases builds the measured perturbation families: the tentpole claim is
-// the 8x8-mesh single-link case; the turn-toggle case keeps the other
-// diff family honest.
+// cases builds the measured perturbation families: the 8x8-mesh
+// single-link case, which ebda-benchdiff gates.
 func cases() []benchCase {
 	net := topology.NewMesh(8, 8)
 	chain := core.MustParseChain("PA[X+ X- Y-] -> PB[Y+]")
@@ -119,27 +119,11 @@ func cases() []benchCase {
 	for i, l := range links {
 		linkDiffs[i] = cdg.Diff{RemoveLinks: []topology.Link{l}}
 	}
-	turns := ts.Turns()
-	turnDiffs := make([]cdg.Diff, len(turns))
-	for i, t := range turns {
-		turnDiffs[i] = cdg.Diff{DisableTurns: []core.Turn{t}}
-	}
-
 	return []benchCase{
 		{
 			name: "mesh8x8/single-link", net: net, vcs: vcs, ts: ts, diffs: linkDiffs,
 			full: func(d cdg.Diff) cdg.Report {
 				return cdg.VerifyTurnSet(net.WithoutLinks(d.RemoveLinks), vcs, ts)
-			},
-		},
-		{
-			name: "mesh8x8/turn-toggle", net: net, vcs: vcs, ts: ts, diffs: turnDiffs,
-			full: func(d cdg.Diff) cdg.Report {
-				reduced := ts.Clone()
-				for _, t := range d.DisableTurns {
-					reduced.Remove(t.From, t.To)
-				}
-				return cdg.VerifyTurnSet(net, vcs, reduced)
 			},
 		},
 	}

@@ -2,7 +2,7 @@
 // service: POST /v1/verify (one design's deadlock-freedom verdict),
 // POST /v1/design (the verified Algorithm 1/2 option family for a VC
 // budget), POST /v1/batch (up to 64 designs per call), POST
-// /v1/verify/delta (incremental re-verification of an edited design)
+// /v1/verify/delta (re-verification of an edited design on a retained base)
 // and POST /v1/verify/graph (multi-mode verdicts — loop, liveness,
 // escape, subrel — over an arbitrary inline channel dependence graph
 // in graphio's structured or constellation text form). The same mux

@@ -24,12 +24,32 @@ func reportsIdentical(a, b Report) bool {
 		FormatCycle(a.Cycle) == FormatCycle(b.Cycle)
 }
 
-// forceBudget overrides the delta dirty budget for the duration of a test.
-func forceBudget(t *testing.T, f func(nc int) int) {
+// viaRebuild returns the diff with one base turn disabled and enabled
+// again: the same perturbed design, verified through the rebuild and full
+// peel a toggle diff takes instead of the incremental removal cascade.
+func viaRebuild(t *testing.T, diff Diff, ts *core.TurnSet) Diff {
 	t.Helper()
-	old := deltaBudget
-	deltaBudget = f
-	t.Cleanup(func() { deltaBudget = old })
+	for _, tn := range ts.Turns() {
+		if tn.From != tn.To {
+			diff.DisableTurns = []core.Turn{tn}
+			diff.EnableTurns = []core.Turn{tn}
+			return diff
+		}
+	}
+	t.Fatal("base has no turn to toggle")
+	return diff
+}
+
+// rowLinks returns every link leaving a node of row y (second coordinate)
+// of a 2D network.
+func rowLinks(net *topology.Network, y int) []topology.Link {
+	var out []topology.Link
+	for _, l := range net.Links() {
+		if net.Coord(l.From)[1] == y {
+			out = append(out, l)
+		}
+	}
+	return out
 }
 
 // deltaCases pairs a network with turn-set designs to perturb: acyclic
@@ -136,6 +156,43 @@ func TestDeltaMultiLinkEquivalence(t *testing.T) {
 			}
 		})
 	}
+	// Whole rows of links on an acyclic and a cyclic base: cascades that
+	// remove more than nc/4+32 edges, far beyond a few faults.
+	cases := deltaCases()
+	for _, tc := range []struct {
+		name string
+		net  *topology.Network
+		vcs  VCConfig
+		ts   *core.TurnSet
+	}{
+		{"mesh8x8-vc-row", cases[2].net, cases[2].vcs, cases[2].ts},
+		{"torus6x6-cyclic-row", topology.NewTorus(6, 6), cases[3].vcs, cases[3].ts},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dw, err := NewDeltaWorkspace(tc.net, tc.vcs, tc.ts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, y := range []int{0, 3} {
+				faults := rowLinks(tc.net, y)
+				got, err := dw.VerifyDiff(Diff{RemoveLinks: faults})
+				if err != nil {
+					t.Fatalf("row %d: %v", y, err)
+				}
+				want := VerifyTurnSet(tc.net.WithoutLinks(faults), tc.vcs, tc.ts)
+				if !reportsIdentical(got, want) {
+					t.Fatalf("row %d:\ndelta: %s\nfresh: %s", y, got, want)
+				}
+				nc := dw.Graph().NumChannels()
+				if removed := dw.BaseReport().Edges - got.Edges; removed <= nc/4+32 {
+					t.Fatalf("row %d removes %d edges, want more than %d", y, removed, nc/4+32)
+				}
+				if got.Acyclic != dw.BaseReport().Acyclic {
+					t.Fatalf("row %d changed the verdict; the case no longer covers its base", y)
+				}
+			}
+		})
+	}
 }
 
 // TestDeltaTurnToggleEquivalence disables and enables turns through deltas
@@ -224,18 +281,17 @@ func TestDeltaTurnToggleEquivalence(t *testing.T) {
 
 // TestDeltaJobsInvariance: the delta signatures bench/ calls with an
 // ignored int argument (VerifyDiffJobs, VerifyDiffCtx) answer exactly as
-// VerifyDiff, on both the incremental path and the forced full-peel
-// fallback.
+// VerifyDiff, on both paths: link-only diffs take the incremental
+// cascade, toggle diffs the rebuild.
 func TestDeltaJobsInvariance(t *testing.T) {
-	for _, budget := range []struct {
-		name string
-		f    func(nc int) int
+	for _, path := range []struct {
+		name    string
+		rebuild bool
 	}{
-		{"incremental", func(nc int) int { return nc * 16 }},
-		{"fallback", func(int) int { return -1 }},
+		{"incremental", false},
+		{"fallback", true},
 	} {
-		t.Run(budget.name, func(t *testing.T) {
-			forceBudget(t, budget.f)
+		t.Run(path.name, func(t *testing.T) {
 			for _, tc := range deltaCases() {
 				dw, err := NewDeltaWorkspace(tc.net, tc.vcs, tc.ts)
 				if err != nil {
@@ -247,13 +303,22 @@ func TestDeltaJobsInvariance(t *testing.T) {
 					{RemoveLinks: []topology.Link{links[rng.Intn(len(links))]}},
 					{RemoveLinks: []topology.Link{links[rng.Intn(len(links))], links[rng.Intn(len(links))/2]}},
 				}
-				if ts := tc.ts.Turns(); len(ts) > 0 {
+				if path.rebuild {
+					for i := range diffs {
+						diffs[i] = viaRebuild(t, diffs[i], tc.ts)
+					}
+					ts := tc.ts.Turns()
 					diffs = append(diffs, Diff{DisableTurns: []core.Turn{ts[rng.Intn(len(ts))]}})
 				}
 				for di, diff := range diffs {
+					inc, full := obsDeltaIncremental.Value(), obsDeltaFallbacks.Value()
 					base, err := dw.VerifyDiff(diff)
 					if err != nil {
 						t.Fatalf("%s diff %d: %v", tc.name, di, err)
+					}
+					rebuilt := obsDeltaFallbacks.Value() > full
+					if rebuilt != path.rebuild || (obsDeltaIncremental.Value() > inc) == rebuilt {
+						t.Fatalf("%s diff %d: took the wrong path (rebuilt %v)", tc.name, di, rebuilt)
 					}
 					for _, jobs := range benchJobs {
 						viaJobs, err := dw.VerifyDiffJobs(diff, jobs)
@@ -275,9 +340,11 @@ func TestDeltaJobsInvariance(t *testing.T) {
 	}
 }
 
-// TestDeltaFallbackAgreement runs every case's diffs through both the
-// incremental path and the forced fallback and requires bit-identical
-// reports — the two implementations check each other.
+// TestDeltaFallbackAgreement runs every case's link diffs through both
+// delta paths — the incremental cascade on the retained base state, and
+// the rebuild and full peel of a toggle diff (one turn disabled and
+// enabled again, so the design is the same) — and requires identical
+// reports: the two implementations check each other.
 func TestDeltaFallbackAgreement(t *testing.T) {
 	for _, tc := range deltaCases() {
 		t.Run(tc.name, func(t *testing.T) {
@@ -289,84 +356,19 @@ func TestDeltaFallbackAgreement(t *testing.T) {
 			rng := rand.New(rand.NewSource(13))
 			for n := 0; n < 6; n++ {
 				diff := Diff{RemoveLinks: []topology.Link{links[rng.Intn(len(links))]}}
-				forceBudget(t, func(nc int) int { return nc * 16 })
 				inc, err := dw.VerifyDiff(diff)
 				if err != nil {
 					t.Fatal(err)
 				}
-				deltaBudget = func(int) int { return -1 }
-				full, err := dw.VerifyDiff(diff)
+				full, err := dw.VerifyDiff(viaRebuild(t, diff, tc.ts))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reportsIdentical(inc, full) {
-					t.Fatalf("paths diverged for %v:\nincremental: %s\nfallback:    %s", diff.RemoveLinks, inc, full)
+					t.Fatalf("paths diverged for %v:\nincremental: %s\nrebuild:     %s", diff.RemoveLinks, inc, full)
 				}
 			}
 		})
-	}
-}
-
-// TestDeltaRawEdgeCycle adds a raw back-edge that closes a cycle through
-// the previously peeled region — the suspect-probe case — and checks both
-// detection and restoration.
-func TestDeltaRawEdgeCycle(t *testing.T) {
-	net := topology.NewMesh(4, 4)
-	ts := core.MustParseChain("PA[X+ X- Y-] -> PB[Y+]").AllTurns()
-	dw, err := NewDeltaWorkspace(net, nil, ts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !dw.BaseReport().Acyclic {
-		t.Fatal("base must be acyclic")
-	}
-	g := dw.Graph()
-	// Find an existing dependency a->b and add the reverse b->a, unless it
-	// exists; that closes a 2-cycle entirely inside the peeled region.
-	var a, b int32 = -1, -1
-	for i := range g.adj {
-		for _, s := range g.adj[i] {
-			if int32(i) != s && !g.HasEdge(int(s), i) {
-				a, b = int32(i), s
-				break
-			}
-		}
-		if a >= 0 {
-			break
-		}
-	}
-	if a < 0 {
-		t.Fatal("no candidate edge found")
-	}
-	rep, err := dw.VerifyDiff(Diff{AddEdges: [][2]int32{{b, a}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Acyclic {
-		t.Fatal("added back-edge must create a cycle")
-	}
-	if len(rep.Cycle) == 0 {
-		t.Fatal("cyclic delta report must carry a witness")
-	}
-	// The workspace must be back at base: an empty diff reproduces the
-	// base report and the graph's edge count is restored.
-	if g.NumEdges() != dw.baseEdges {
-		t.Fatalf("edges not restored: %d != %d", g.NumEdges(), dw.baseEdges)
-	}
-	again, err := dw.VerifyDiff(Diff{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reportsIdentical(again, dw.BaseReport()) {
-		t.Fatalf("empty diff diverged from base: %s vs %s", again, dw.BaseReport())
-	}
-	// Removing the raw edge a->b must match a fresh graph without it.
-	rep2, err := dw.VerifyDiff(Diff{RemoveEdges: [][2]int32{{a, b}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.Edges != dw.baseEdges-1 {
-		t.Fatalf("raw removal edge count = %d, want %d", rep2.Edges, dw.baseEdges-1)
 	}
 }
 
@@ -425,9 +427,6 @@ func TestDeltaValidation(t *testing.T) {
 		{EnableTurns: []core.Turn{{From: xPlus, To: zPlus}}},
 		// Enabling an already-present turn.
 		{EnableTurns: []core.Turn{{From: xPlus, To: yPlus}}},
-		// Raw edges out of range / duplicated / conflicting.
-		{AddEdges: [][2]int32{{-1, 0}}},
-		{RemoveEdges: [][2]int32{{0, int32(dw.Graph().NumChannels())}}},
 	}
 	for i, diff := range bad {
 		if _, err := dw.VerifyDiff(diff); !errors.Is(err, ErrBadDiff) {
@@ -474,11 +473,6 @@ func TestDeltaFingerprint(t *testing.T) {
 	f1b, f2b := Diff{Name: "b"}.Fingerprint()
 	if f1a == f1b && f2a == f2b {
 		t.Error("name must contribute")
-	}
-	g1, g2 := Diff{AddEdges: [][2]int32{{1, 2}}}.Fingerprint()
-	h1, h2 := Diff{RemoveEdges: [][2]int32{{1, 2}}}.Fingerprint()
-	if g1 == h1 && g2 == h2 {
-		t.Error("add and remove of the same edge must differ")
 	}
 }
 

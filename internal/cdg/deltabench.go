@@ -32,13 +32,14 @@ type DeltaBenchCase struct {
 	// the perturbed design and verify it from scratch.
 	FullNanos float64 `json:"full_ns"`
 	// DeltaNanos is the mean per-diff cost through the retained
-	// workspace's region re-peel.
+	// workspace.
 	DeltaNanos float64 `json:"delta_ns"`
 	// Ratio is DeltaNanos / FullNanos (0 when the full baseline is 0).
 	Ratio float64 `json:"ratio"`
-	// Incremental and Fallbacks split the delta verifications by path, so
-	// a snapshot where every diff fell back to a full peel is visibly not
-	// measuring the incremental machinery.
+	// Incremental counts the delta verifications answered by the removal
+	// cascade on the retained base, Fallbacks those rebuilt for a turn
+	// toggle, so a snapshot that never took the incremental path is
+	// visibly not measuring it.
 	Incremental uint64 `json:"incremental"`
 	Fallbacks   uint64 `json:"fallbacks"`
 }

@@ -16,9 +16,10 @@ import (
 // the residual (and therefore Acyclic and the extracted cycle) does not
 // depend on the order channels are peeled in. The residual is
 // also successor-closed: an edge from an unpeeled channel never delivered
-// its decrement, so its target's in-degree stays positive. DFS started
-// from residual channels therefore never leaves the residual and needs no
-// membership tests on successors.
+// its decrement, so its target's in-degree stays positive. The one
+// exception is a delta verification's masked channel, whose edges stay in
+// the rows while the peel state treats them as removed; the residual DFS
+// skips peeled successors, which only such a channel can be.
 
 // DFS colours shared by findCycleResidual and FindCycle.
 const (
@@ -169,7 +170,7 @@ func findCycleResidualAdj(adj [][]int32, st *acyclicState) []int32 {
 	st.color = st.color[:nc]
 	st.parent = st.parent[:nc]
 	// Only residual entries need resetting: the DFS never reads the rest
-	// (the residual is successor-closed).
+	// (it skips peeled successors).
 	for i := 0; i < nc; i++ {
 		if st.indeg[i] > 0 {
 			st.color[i] = dfsWhite
@@ -192,6 +193,9 @@ func findCycleResidualAdj(adj [][]int32, st *acyclicState) []int32 {
 			if f.next < len(adj[f.node]) {
 				succ := adj[f.node][f.next]
 				f.next++
+				if st.indeg[succ] == 0 {
+					continue
+				}
 				switch st.color[succ] {
 				case dfsWhite:
 					st.color[succ] = dfsGrey

@@ -63,9 +63,9 @@ var (
 	obsDeltaVerifies = obs.NewCounter("ebda_cdg_delta_verifies_total",
 		"delta verifications run through retained workspaces")
 	obsDeltaIncremental = obs.NewCounter("ebda_cdg_delta_incremental_total",
-		"delta verifications answered by the incremental region re-peel")
+		"link-only delta verifications answered by the removal cascade on the retained base")
 	obsDeltaFallbacks = obs.NewCounter("ebda_cdg_delta_fallbacks_total",
-		"delta verifications that fell back to a full peel of the patched graph")
+		"turn-toggle delta verifications answered by rebuilding the toggled design and a full peel")
 	obsDeltaPoolGets = obs.NewCounter("ebda_delta_pool_gets_total",
 		"delta workspace pool checkouts")
 	obsDeltaPoolReuses = obs.NewCounter("ebda_delta_pool_reuses_total",

@@ -208,12 +208,19 @@ func TestTurnEdgesMatchOracle(t *testing.T) {
 	}
 }
 
-// TestDeltaTogglesMatchOracle holds delta turn toggles, which plan their
-// edge operations on the same signature table, against the oracle's
-// from-scratch report of the toggled relation.
+// TestDeltaTogglesMatchOracle holds delta turn toggles, which rebuild
+// the toggled design through the turn-edge kernel, against the oracle's
+// from-scratch report of the toggled relation. About half the diffs also
+// remove 1-3 links, as the served toggle diffs do, and are held against
+// the oracle on the WithoutLinks-derived network. After every cyclic
+// result the workspace must be back at its base: an empty diff answers
+// BaseReport and a link-only diff answers its from-scratch verdict.
 func TestDeltaTogglesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var disables, enables, cyclic int
+	// Links draw from their own stream, so the toggle sequence stays the
+	// one the test always drew.
+	linkRng := rand.New(rand.NewSource(12))
+	var disables, enables, withLinks, cyclic int
 	for step := 0; step < 40; step++ {
 		net := oracleNetwork(rng)
 		vcs := make(VCConfig, net.Dims())
@@ -246,19 +253,49 @@ func TestDeltaTogglesMatchOracle(t *testing.T) {
 		}
 		disables += len(diff.DisableTurns)
 		enables += len(diff.EnableTurns)
-		want := referenceReport(net, vcs, mod)
-		if !want.Acyclic {
-			cyclic++
+		wantNet := net
+		if linkRng.Intn(2) == 0 {
+			diff.RemoveLinks = distinctLinks(linkRng, net, 1+linkRng.Intn(3))
+			wantNet = net.WithoutLinks(diff.RemoveLinks)
+			withLinks++
 		}
+		want := referenceReport(wantNet, vcs, mod)
 		got, err := dw.VerifyDiff(diff)
 		if err != nil {
 			t.Fatalf("step %d (%s): %v", step, net, err)
 		}
 		if !reportsIdentical(got, want) {
-			t.Fatalf("step %d (%s, vcs %v):\ndelta:  %s\noracle: %s", step, net, vcs, got, want)
+			t.Fatalf("step %d (%s, vcs %v, links %v):\ndelta:  %s\noracle: %s", step, net, vcs, diff.RemoveLinks, got, want)
+		}
+		if want.Acyclic {
+			continue
+		}
+		cyclic++
+		if again, err := dw.VerifyDiff(Diff{}); err != nil || !reportsIdentical(again, dw.BaseReport()) {
+			t.Fatalf("step %d: empty diff after a cyclic toggle: %v\ngot:  %s\nbase: %s", step, err, again, dw.BaseReport())
+		}
+		links := distinctLinks(linkRng, net, 1+linkRng.Intn(3))
+		again, err := dw.VerifyDiff(Diff{RemoveLinks: links})
+		if wantLinks := referenceReport(net.WithoutLinks(links), vcs, ts); err != nil || !reportsIdentical(again, wantLinks) {
+			t.Fatalf("step %d: link diff %v after a cyclic toggle: %v\ndelta:  %s\noracle: %s", step, links, err, again, wantLinks)
 		}
 	}
-	if disables < 10 || enables < 10 || cyclic == 0 {
-		t.Errorf("sequence too thin: %d disabled turns, %d enabled, %d cyclic results", disables, enables, cyclic)
+	if disables < 10 || enables < 10 || withLinks < 10 || cyclic == 0 {
+		t.Errorf("sequence too thin: %d disabled turns, %d enabled, %d diffs with links, %d cyclic results",
+			disables, enables, withLinks, cyclic)
 	}
+}
+
+// distinctLinks draws n distinct links of the network (fewer if it has
+// fewer).
+func distinctLinks(rng *rand.Rand, net *topology.Network, n int) []topology.Link {
+	links := net.Links()
+	var out []topology.Link
+	for _, i := range rng.Perm(len(links)) {
+		if len(out) == n {
+			break
+		}
+		out = append(out, links[i])
+	}
+	return out
 }

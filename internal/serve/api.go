@@ -52,9 +52,9 @@ const (
 	maxSpecLen = 4096
 	// maxDesignOptions caps how many derived options /v1/design verifies.
 	maxDesignOptions = 32
-	// maxDeltaLinks bounds the link removals a delta request may name. The
-	// incremental path stays cheap only while the dirty region is small, so
-	// admitting huge diffs would just be a slow spelling of /v1/verify.
+	// maxDeltaLinks bounds the link removals a delta request may name: a
+	// delta is a small perturbation, and a huge one is just a spelling of
+	// /v1/verify on another network.
 	maxDeltaLinks = 8
 )
 
@@ -138,9 +138,10 @@ type LinkSpec struct {
 
 // DeltaRequest asks for the verdict of a base design perturbed by a
 // small structural diff: removed links and/or toggled turns. The server
-// answers through the retained delta workspace pool, re-peeling only the
-// dirty region, and memoizes under the (base key, diff fingerprint)
-// delta cache identity.
+// answers through the retained delta workspace pool — link removals
+// incrementally from the base's peel state, turn toggles by rebuilding
+// on the retained channel table — and memoizes under the (base key, diff
+// fingerprint) delta cache identity.
 type DeltaRequest struct {
 	// Base selects the unperturbed design, exactly as /v1/verify would.
 	Base VerifyRequest `json:"base"`
@@ -158,7 +159,7 @@ type DeltaRequest struct {
 }
 
 // DeltaResponse is a delta verdict. Provenance is "cache", "coalesced",
-// or "delta" (this request ran the incremental re-verification). Key is
+// or "delta" (this request ran the delta verification). Key is
 // the delta cache identity; BaseKey is the underlying full
 // verification's identity, usable as base_key in later requests.
 type DeltaResponse struct {

@@ -34,7 +34,7 @@ var (
 	obsVerdictCoalesced = obs.NewCounter(obs.Label("ebda_serve_verdicts_total", "provenance", "coalesced"),
 		"verdicts shared from another request's in-flight computation")
 	obsVerdictDelta = obs.NewCounter(obs.Label("ebda_serve_verdicts_total", "provenance", "delta"),
-		"verdicts computed incrementally through a retained delta workspace")
+		"verdicts computed through a retained delta workspace")
 	obsVerdictPeer = obs.NewCounter(obs.Label("ebda_serve_verdicts_total", "provenance", "peer"),
 		"verdicts answered from an owning replica's cache via peer lookup")
 	obsVerdictForwarded = obs.NewCounter(obs.Label("ebda_serve_verdicts_total", "provenance", "forwarded"),

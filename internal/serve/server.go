@@ -272,8 +272,8 @@ const (
 // verdict produces one verdict for q: cache probe first, then a
 // coalesced flight whose leader computes on a queue worker. The
 // provenance string reports which path answered; lead is the leader's
-// ("delta" when the verdict came from a retained workspace's region
-// re-peel, "computed" otherwise). Every endpoint's verdicts — full,
+// ("delta" when the verdict came from a retained delta workspace,
+// "computed" otherwise). Every endpoint's verdicts — full,
 // delta and graph mode — flow through here.
 func verdict[R any](ctx context.Context, s *Server, c *cdg.Cache[R], fg *flightGroup[R], q cdg.Query[R], lead string) (R, string, error) {
 	tc := trace.FromContext(ctx)
