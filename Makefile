@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build bench-vet test race bench bench-json bench-diff bench-delta bench-cluster cluster-soak repro fmt vet lint lint-sarif obs-smoke trace-smoke serve-smoke graph-smoke fuzz-short check clean
+.PHONY: all build bench-vet test race bench bench-json bench-diff bench-delta bench-cluster cluster-soak repro fmt vet lint lint-sarif obs-smoke trace-smoke graph-smoke fuzz-short check clean
 
 all: check
 
@@ -36,24 +36,24 @@ bench-diff:
 	$(GO) run ./cmd/ebda-repro -quick -benchjson BENCH_new.json
 	$(GO) run ./cmd/ebda-benchdiff $(OLD) BENCH_new.json
 
-# Measure incremental (delta) verification against from-scratch verifies
-# — every diff is equivalence-checked before timing — and hold the fresh
-# snapshot against the committed one. The single-link case must stay at
-# or below 5% of full-verify cost (ebda-benchdiff's -delta-ratio gate).
-OLD_DELTA ?= BENCH_delta.json
+# Gate incremental (delta) verification: TestDeltaLinkRatio checks every
+# single-link diff of the 8x8-mesh north-last design against a
+# from-scratch verify, then requires the timed diffs to take the
+# incremental path at or below 5% of full-verify cost. `go test ./...`
+# runs the same test; this target runs it alone, verbosely, for the
+# measured ratio.
 bench-delta:
-	$(GO) run ./cmd/ebda-deltabench -out BENCH_delta_new.json
-	$(GO) run ./cmd/ebda-benchdiff $(OLD_DELTA) BENCH_delta_new.json
+	$(GO) test -count=1 -run '^TestDeltaLinkRatio$$' -v ./internal/cdg
 
 # Drive the in-process replica cluster through the shard ring (-smoke:
 # zero 5xx, peer and forward paths exercised, byte-identical verdicts
-# from every replica, snapshot warm starts answer from cache, scaling
-# at or above 0.75x per replica), write a fresh cluster snapshot and
-# hold it against the committed one (ebda-benchdiff's -cluster-scaling
-# gate: a 4-replica run must reach 3.0x).
+# from every replica, snapshot warm starts answer from cache, modeled
+# scaling at or above 0.75x per replica), write a fresh cluster snapshot
+# and hold it against the committed one (ebda-benchdiff's
+# -cluster-scaling gate: a 4-replica run must reach 3.0x modeled).
 OLD_CLUSTER ?= BENCH_cluster.json
 bench-cluster:
-	$(GO) run ./cmd/ebda-loadgen -cluster -replicas 4 -smoke -out BENCH_cluster_new.json
+	$(GO) run ./cmd/ebda-loadgen -replicas 4 -smoke -out BENCH_cluster_new.json
 	$(GO) run ./cmd/ebda-benchdiff $(OLD_CLUSTER) BENCH_cluster_new.json
 
 # cluster-soak is bench-cluster's race-detector twin: the same 4-replica
@@ -61,7 +61,7 @@ bench-cluster:
 # build's walls still clear the relative scaling floor because baseline
 # and phases slow down together).
 cluster-soak:
-	$(GO) run -race ./cmd/ebda-loadgen -cluster -replicas 4 -smoke -out /dev/null
+	$(GO) run -race ./cmd/ebda-loadgen -replicas 4 -smoke -out /dev/null
 
 # Regenerate every table and figure of the paper (paper-vs-measured).
 repro:
@@ -98,16 +98,6 @@ obs-smoke:
 trace-smoke:
 	$(GO) run ./cmd/ebda-obssmoke -trace
 
-# serve-smoke starts ebda-serve on a loopback port, drives the fixed
-# seeded loadgen workload against it (-smoke: zero 5xx, >=1 coalesced
-# request, byte-identical verdicts for repeated identical requests,
-# invalid requests rejected with 4xx), then SIGTERMs the server and
-# requires a clean graceful drain. The loadgen snapshot goes to a
-# temporary file; refresh the committed one with
-# `OUT=BENCH_serve.json make serve-smoke`.
-serve-smoke:
-	GO="$(GO)" ./scripts/serve-smoke.sh
-
 # graph-smoke drives the built ebda-graph binary over the committed
 # testdata/graphio goldens in all four modes (loop, liveness, escape,
 # subrel), asserting the exact verdict lines and exit codes plus a
@@ -116,22 +106,28 @@ graph-smoke:
 	GO="$(GO)" ./scripts/graph-smoke.sh
 
 # fuzz-short gives the untrusted-input parsers — the /v1 verify and delta
-# request decoders, the graphio CDG parser and the verify-cache snapshot
-# loader — a brief native-fuzz shake on every check; the seeded corpus
-# alone regresses in milliseconds, the 5s budget lets the mutator explore
-# a little too.
+# request decoders, peer-lookup and forwarded answers from an owner
+# replica, the X-Ebda-Trace header, the graphio CDG parser and the
+# verify-cache snapshot loader — a brief native-fuzz shake on every
+# check; the seeded corpus alone regresses in milliseconds, the 5s
+# budget lets the mutator explore a little too.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeVerifyRequest -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDeltaRequest -fuzztime=5s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzPeerLookupResponse -fuzztime=5s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzParseHeader -fuzztime=5s ./internal/obs/trace
 	$(GO) test -run='^$$' -fuzz=FuzzParseCDG -fuzztime=5s ./internal/graphio
 	$(GO) test -run='^$$' -fuzz=FuzzLoadSnapshot -fuzztime=5s ./internal/cdg
 
 # race is part of check so the worker pools are race-tested routinely;
-# obs-smoke keeps the -obs-json determinism contract honest; trace-smoke
-# does the same for request traces; serve-smoke and fuzz-short guard the
-# HTTP serving layer end to end; graph-smoke pins the arbitrary-network
-# CLI's verdicts over the committed goldens.
-check: build bench-vet lint test race obs-smoke trace-smoke serve-smoke graph-smoke fuzz-short
+# test and race also run the serving gate (TestServeSmoke), the process
+# drain check (cmd/ebda-serve TestRunDrainsOnSIGTERM) and the delta gate
+# (TestDeltaLinkRatio, equivalence only under -race); obs-smoke keeps the
+# -obs-json determinism contract honest; trace-smoke does the same for
+# request traces; fuzz-short guards the untrusted HTTP inputs;
+# graph-smoke pins the arbitrary-network CLI's verdicts over the
+# committed goldens.
+check: build bench-vet lint test race obs-smoke trace-smoke graph-smoke fuzz-short
 
 clean:
 	$(GO) clean ./...

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"ebda/internal/cdg"
 	"ebda/internal/experiments"
 	"ebda/internal/serve"
 )
@@ -205,278 +204,18 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// serveSnapshot builds a serving-layer fixture.
-func serveSnapshot(p99MS, tput float64, s5xx int) serve.Bench {
-	return serve.Bench{
-		Kind: serve.BenchKind, GoVersion: "go1.24", NumCPU: 8,
-		Seed: 1, Requests: 300,
-		Status2xx: 300 - s5xx, Status5xx: s5xx,
-		Cache: 200, Computed: 90, Coalesced: 10, CoalesceRate: 10.0 / 300,
-		WallSeconds: float64(300) / tput, ThroughputRPS: tput,
-		P50Millis: p99MS / 4, P99Millis: p99MS,
-	}
-}
-
-// writeServeSnapshot marshals b into dir and returns the file path.
-func writeServeSnapshot(t *testing.T, dir, name string, b serve.Bench) string {
-	t.Helper()
-	data, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestServeEqualSnapshots diffs a serve snapshot against itself: clean.
-func TestServeEqualSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	old := writeServeSnapshot(t, dir, "old.json", serveSnapshot(20, 500, 0))
-	cur := writeServeSnapshot(t, dir, "new.json", serveSnapshot(20, 500, 0))
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, want 0; output:\n%s%s", code, out.String(), errw.String())
-	}
-	if !strings.Contains(out.String(), "no serving-layer regressions") {
-		t.Errorf("missing clean verdict:\n%s", out.String())
-	}
-}
-
-// TestServeP99Regression fails when p99 grows past -p99-grow.
-func TestServeP99Regression(t *testing.T) {
-	dir := t.TempDir()
-	old := writeServeSnapshot(t, dir, "old.json", serveSnapshot(20, 500, 0))
-	cur := writeServeSnapshot(t, dir, "new.json", serveSnapshot(30, 500, 0)) // 1.5x
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 1 {
-		t.Fatalf("run = %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "p99 latency") || !strings.Contains(out.String(), "REGRESSION") {
-		t.Errorf("missing p99 REGRESSION row:\n%s", out.String())
-	}
-	// A 1.2x growth stays inside the default 1.25 budget...
-	out.Reset()
-	cur = writeServeSnapshot(t, dir, "new2.json", serveSnapshot(24, 500, 0))
-	if code := run([]string{old, cur}, &out, &errw); code != 0 {
-		t.Fatalf("1.2x growth: run = %d, want 0; output:\n%s", code, out.String())
-	}
-	// ...and fails once -p99-grow tightens.
-	out.Reset()
-	if code := run([]string{"-p99-grow", "1.10", old, cur}, &out, &errw); code != 1 {
-		t.Fatalf("-p99-grow 1.10: run = %d, want 1; output:\n%s", code, out.String())
-	}
-}
-
-// TestServeMinP99SkipsNoise skips the latency check on sub-minp99
-// baselines where a large ratio is scheduler noise.
-func TestServeMinP99SkipsNoise(t *testing.T) {
-	dir := t.TempDir()
-	old := writeServeSnapshot(t, dir, "old.json", serveSnapshot(0.5, 500, 0))
-	cur := writeServeSnapshot(t, dir, "new.json", serveSnapshot(0.9, 500, 0)) // 1.8x but tiny
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, want 0; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "skip (below minp99)") {
-		t.Errorf("missing minp99 skip:\n%s", out.String())
-	}
-}
-
-// TestServeThroughputRegression fails when throughput drops past
-// -tput-drop.
-func TestServeThroughputRegression(t *testing.T) {
-	dir := t.TempDir()
-	old := writeServeSnapshot(t, dir, "old.json", serveSnapshot(20, 500, 0))
-	cur := writeServeSnapshot(t, dir, "new.json", serveSnapshot(20, 300, 0)) // -40%
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 1 {
-		t.Fatalf("run = %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "throughput") || !strings.Contains(out.String(), "REGRESSION") {
-		t.Errorf("missing throughput REGRESSION row:\n%s", out.String())
-	}
-	// A 10% drop is within the default budget; -tput-drop 0.05 fails it.
-	out.Reset()
-	cur = writeServeSnapshot(t, dir, "new2.json", serveSnapshot(20, 450, 0))
-	if code := run([]string{old, cur}, &out, &errw); code != 0 {
-		t.Fatalf("10%% drop: run = %d, want 0; output:\n%s", code, out.String())
-	}
-	out.Reset()
-	if code := run([]string{"-tput-drop", "0.05", old, cur}, &out, &errw); code != 1 {
-		t.Fatalf("-tput-drop 0.05: run = %d, want 1; output:\n%s", code, out.String())
-	}
-}
-
-// TestServe5xxRegression fails when the 5xx count increases.
-func TestServe5xxRegression(t *testing.T) {
-	dir := t.TempDir()
-	old := writeServeSnapshot(t, dir, "old.json", serveSnapshot(20, 500, 0))
-	cur := writeServeSnapshot(t, dir, "new.json", serveSnapshot(20, 500, 3))
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 1 {
-		t.Fatalf("run = %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "5xx responses") || !strings.Contains(out.String(), "REGRESSION") {
-		t.Errorf("missing 5xx REGRESSION row:\n%s", out.String())
-	}
-}
-
 // TestMixedKindsRejected refuses to diff an engine snapshot against a
-// serve snapshot.
+// cluster snapshot.
 func TestMixedKindsRejected(t *testing.T) {
 	dir := t.TempDir()
 	eng := writeSnapshot(t, dir, "engine.json", snapshot(1.0, 0.5))
-	srv := writeServeSnapshot(t, dir, "serve.json", serveSnapshot(20, 500, 0))
+	clu := writeClusterSnapshot(t, dir, "cluster.json", clusterSnapshot(3.5, 60, 30, 0))
 	var out, errw bytes.Buffer
-	if code := run([]string{eng, srv}, &out, &errw); code != 2 {
+	if code := run([]string{eng, clu}, &out, &errw); code != 2 {
 		t.Fatalf("mixed kinds: run = %d, want 2; stderr: %s", code, errw.String())
 	}
 	if !strings.Contains(errw.String(), "kinds differ") {
 		t.Errorf("missing kind mismatch message: %s", errw.String())
-	}
-}
-
-// deltaSnapshot builds a delta fixture with the two standard cases at
-// the given ratios (a 100µs full baseline scales the absolute costs).
-func deltaSnapshot(linkRatio, toggleRatio float64, incremental uint64) cdg.DeltaBench {
-	mk := func(name string, ratio float64) cdg.DeltaBenchCase {
-		const fullNS = 100_000.0
-		return cdg.DeltaBenchCase{
-			Name: name, Network: "8x8 mesh",
-			FullNanos: fullNS, DeltaNanos: ratio * fullNS, Ratio: ratio,
-			Incremental: incremental,
-		}
-	}
-	return cdg.DeltaBench{
-		Kind: cdg.DeltaBenchKind, GoVersion: "go1.24", NumCPU: 8, Rounds: 256,
-		Cases: []cdg.DeltaBenchCase{
-			mk("mesh8x8/single-link", linkRatio),
-			mk("mesh8x8/turn-toggle", toggleRatio),
-		},
-	}
-}
-
-// writeDeltaSnapshot marshals b into dir and returns the file path.
-func writeDeltaSnapshot(t *testing.T, dir, name string, b cdg.DeltaBench) string {
-	t.Helper()
-	data, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestDeltaEqualSnapshots diffs a delta snapshot against itself: clean.
-func TestDeltaEqualSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	old := writeDeltaSnapshot(t, dir, "old.json", deltaSnapshot(0.02, 0.5, 256))
-	cur := writeDeltaSnapshot(t, dir, "new.json", deltaSnapshot(0.02, 0.5, 256))
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, want 0; output:\n%s%s", code, out.String(), errw.String())
-	}
-	if !strings.Contains(out.String(), "no incremental-verification regressions") {
-		t.Errorf("missing clean verdict:\n%s", out.String())
-	}
-}
-
-// TestDeltaRatioJitterTolerated: relative ratio movement is never gated
-// (microsecond-scale delta costs jitter by whole multiples between
-// runs), so even a 1.5x grow passes while the absolute gates hold.
-func TestDeltaRatioJitterTolerated(t *testing.T) {
-	dir := t.TempDir()
-	old := writeDeltaSnapshot(t, dir, "old.json", deltaSnapshot(0.02, 0.5, 256))
-	cur := writeDeltaSnapshot(t, dir, "new.json", deltaSnapshot(0.03, 0.75, 256)) // 1.5x both
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, want 0; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "1.50x") {
-		t.Errorf("grow column should still report the movement:\n%s", out.String())
-	}
-}
-
-// TestDeltaSlowerThanFullFails: an incremental path that costs more
-// than its from-scratch baseline (ratio above 1) is a defect in any
-// case, gated or not.
-func TestDeltaSlowerThanFullFails(t *testing.T) {
-	dir := t.TempDir()
-	old := writeDeltaSnapshot(t, dir, "old.json", deltaSnapshot(0.02, 0.5, 256))
-	cur := writeDeltaSnapshot(t, dir, "new.json", deltaSnapshot(0.02, 1.3, 256))
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 1 {
-		t.Fatalf("run = %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "incremental slower than full verify") {
-		t.Errorf("missing slower-than-full REGRESSION row:\n%s", out.String())
-	}
-}
-
-// TestDeltaAbsoluteGate holds single-link cases to the -delta-ratio
-// ceiling even when old and new agree.
-func TestDeltaAbsoluteGate(t *testing.T) {
-	dir := t.TempDir()
-	old := writeDeltaSnapshot(t, dir, "old.json", deltaSnapshot(0.08, 0.5, 256))
-	cur := writeDeltaSnapshot(t, dir, "new.json", deltaSnapshot(0.08, 0.5, 256))
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 1 {
-		t.Fatalf("run = %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "gate") {
-		t.Errorf("missing gate REGRESSION row:\n%s", out.String())
-	}
-	// Loosening the gate clears it; the toggle case is never gated.
-	out.Reset()
-	if code := run([]string{"-delta-ratio", "0.10", old, cur}, &out, &errw); code != 0 {
-		t.Fatalf("-delta-ratio 0.10: run = %d, want 0; output:\n%s", code, out.String())
-	}
-}
-
-// TestDeltaZeroBaselineSkipped: a baseline case with ratio 0 carries no
-// signal, so any new ratio is reported as a skip, not a regression.
-func TestDeltaZeroBaselineSkipped(t *testing.T) {
-	dir := t.TempDir()
-	old := writeDeltaSnapshot(t, dir, "old.json", deltaSnapshot(0.0, 0.0, 256))
-	cur := writeDeltaSnapshot(t, dir, "new.json", deltaSnapshot(0.02, 0.5, 256))
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, want 0; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "skip (zero baseline)") {
-		t.Errorf("missing zero-baseline skip:\n%s", out.String())
-	}
-}
-
-// TestDeltaNoIncrementalFails: a snapshot whose diffs were all rebuilt
-// measured no incremental verification and must fail the diff.
-func TestDeltaNoIncrementalFails(t *testing.T) {
-	dir := t.TempDir()
-	old := writeDeltaSnapshot(t, dir, "old.json", deltaSnapshot(0.02, 0.5, 256))
-	cur := writeDeltaSnapshot(t, dir, "new.json", deltaSnapshot(0.02, 0.5, 0))
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 1 {
-		t.Fatalf("run = %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "no incremental verifications") {
-		t.Errorf("missing no-incremental REGRESSION row:\n%s", out.String())
-	}
-}
-
-// TestDeltaMixedKindsRejected refuses delta-vs-serve diffs.
-func TestDeltaMixedKindsRejected(t *testing.T) {
-	dir := t.TempDir()
-	del := writeDeltaSnapshot(t, dir, "delta.json", deltaSnapshot(0.02, 0.5, 256))
-	srv := writeServeSnapshot(t, dir, "serve.json", serveSnapshot(20, 500, 0))
-	var out, errw bytes.Buffer
-	if code := run([]string{del, srv}, &out, &errw); code != 2 {
-		t.Fatalf("mixed kinds: run = %d, want 2; stderr: %s", code, errw.String())
 	}
 }
 
@@ -522,6 +261,11 @@ func TestClusterEqualSnapshots(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "no cluster regressions") {
 		t.Errorf("missing clean verdict:\n%s", out.String())
+	}
+	// One process drives every replica, so the scaling row must say
+	// it is modeled rather than measured.
+	if !strings.Contains(out.String(), "scaling_x (modeled)") {
+		t.Errorf("scaling row not labelled modeled:\n%s", out.String())
 	}
 }
 
@@ -623,13 +367,56 @@ func TestClusterZeroBaselineSkipped(t *testing.T) {
 	}
 }
 
-// TestClusterMixedKindsRejected refuses cluster-vs-serve diffs.
+// TestClusterMixedKindsRejected refuses to diff a cluster snapshot
+// against an engine snapshot.
 func TestClusterMixedKindsRejected(t *testing.T) {
 	dir := t.TempDir()
 	clu := writeClusterSnapshot(t, dir, "cluster.json", clusterSnapshot(3.5, 60, 30, 0))
-	srv := writeServeSnapshot(t, dir, "serve.json", serveSnapshot(20, 500, 0))
+	eng := writeSnapshot(t, dir, "engine.json", snapshot(1.0, 0.5))
 	var out, errw bytes.Buffer
-	if code := run([]string{clu, srv}, &out, &errw); code != 2 {
+	if code := run([]string{clu, eng}, &out, &errw); code != 2 {
+		t.Fatalf("mixed kinds: run = %d, want 2; stderr: %s", code, errw.String())
+	}
+	if !strings.Contains(errw.String(), "kinds differ") {
+		t.Errorf("missing kind mismatch message: %s", errw.String())
+	}
+}
+
+// TestRetiredKindsRejected: the retired serve and delta snapshot kinds
+// are unknown, so a pair of them is a usage error rather than being
+// diffed as engine snapshots.
+func TestRetiredKindsRejected(t *testing.T) {
+	dir := t.TempDir()
+	for _, kind := range []string{"serve", "delta"} {
+		path := filepath.Join(dir, kind+".json")
+		if err := os.WriteFile(path, []byte(`{"kind":"`+kind+`"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var out, errw bytes.Buffer
+		if code := run([]string{path, path}, &out, &errw); code != 2 {
+			t.Fatalf("%s snapshots: run = %d, want 2; stderr: %s", kind, code, errw.String())
+		}
+		if !strings.Contains(errw.String(), "unknown snapshot kind") {
+			t.Errorf("%s snapshots: missing unknown-kind message: %s", kind, errw.String())
+		}
+	}
+}
+
+// TestDeltaMixedKindsRejected refuses to diff a retired delta snapshot
+// against a retired serve snapshot: the kinds differ, so neither is read
+// as an engine snapshot.
+func TestDeltaMixedKindsRejected(t *testing.T) {
+	dir := t.TempDir()
+	del := filepath.Join(dir, "delta.json")
+	srv := filepath.Join(dir, "serve.json")
+	if err := os.WriteFile(del, []byte(`{"kind":"delta","rounds":256}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(srv, []byte(`{"kind":"serve","requests":200}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errw bytes.Buffer
+	if code := run([]string{del, srv}, &out, &errw); code != 2 {
 		t.Fatalf("mixed kinds: run = %d, want 2; stderr: %s", code, errw.String())
 	}
 	if !strings.Contains(errw.String(), "kinds differ") {
@@ -658,24 +445,6 @@ func TestHitRateZeroBaselineSkipped(t *testing.T) {
 	dir := t.TempDir()
 	old := writeSnapshot(t, dir, "old.json", cacheSnapshot(0, 10)) // rate 0, traffic 10
 	cur := writeSnapshot(t, dir, "new.json", cacheSnapshot(5, 5))
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, want 0; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "skip (zero baseline)") {
-		t.Errorf("missing zero-baseline skip:\n%s", out.String())
-	}
-}
-
-// TestServeZeroThroughputBaselineSkipped: a degenerate baseline with 0
-// throughput cannot anchor a drop ratio.
-func TestServeZeroThroughputBaselineSkipped(t *testing.T) {
-	dir := t.TempDir()
-	oldB := serveSnapshot(20, 500, 0)
-	oldB.ThroughputRPS = 0
-	oldB.WallSeconds = 0
-	old := writeServeSnapshot(t, dir, "old.json", oldB)
-	cur := writeServeSnapshot(t, dir, "new.json", serveSnapshot(20, 500, 0))
 	var out, errw bytes.Buffer
 	if code := run([]string{old, cur}, &out, &errw); code != 0 {
 		t.Fatalf("run = %d, want 0; output:\n%s", code, out.String())

@@ -24,7 +24,7 @@ import (
 	"ebda/internal/topology"
 )
 
-// Cluster mode benchmarks the shard router: it starts N in-process
+// The benchmark exercises the shard router: it starts N in-process
 // replicas (each the full ebda-serve pipeline with a private verify
 // cache), builds the deterministic consistent-hash ring over them, and
 // drives a seeded workload whose requests are routed like a
@@ -49,7 +49,7 @@ import (
 // exactly designs/replicas of them, so the gate judges routing
 // overhead rather than small-sample keyspace imbalance.
 
-// clusterParams carries the -cluster flag set.
+// clusterParams carries the parsed flag set.
 type clusterParams struct {
 	seed     uint64
 	requests int
@@ -80,7 +80,7 @@ type replicaProc struct {
 
 func runCluster(p clusterParams, out, errw io.Writer) int {
 	if p.replicas < 2 {
-		fmt.Fprintln(errw, "ebda-loadgen: -cluster needs -replicas >= 2")
+		fmt.Fprintln(errw, "ebda-loadgen: -replicas must be at least 2")
 		return 2
 	}
 	if p.designs < p.replicas || p.designs%p.replicas != 0 {
@@ -243,7 +243,7 @@ func runCluster(p clusterParams, out, errw io.Writer) int {
 
 	fmt.Fprintf(out, "cluster: %d replicas, %d requests, %d designs, misroute %.0f%%\n",
 		bench.Replicas, bench.Requests, bench.Designs, bench.MisrouteRate*100)
-	fmt.Fprintf(out, "baseline %.3fs (%.1f req/s)  cluster %.3fs modeled (%.1f req/s)  scaling %.2fx\n",
+	fmt.Fprintf(out, "baseline %.3fs (%.1f req/s)  cluster %.3fs modeled (%.1f req/s)  scaling_x %.2fx (modeled)\n",
 		bench.BaselineWallSeconds, bench.BaselineRPS, bench.ClusterWallSeconds, bench.AggregateRPS, bench.ScalingX)
 	fmt.Fprintf(out, "routing: peer hits %d (%.3f)  forwards %d (%.3f)  2xx %d  4xx %d  5xx %d\n",
 		bench.PeerHits, bench.PeerHitRate, bench.Forwards, bench.ForwardRate,
@@ -278,7 +278,7 @@ func runCluster(p clusterParams, out, errw io.Writer) int {
 			fail("no request was forwarded to its owner")
 		}
 		if floor := 0.75 * float64(p.replicas); bench.ScalingX < floor {
-			fail("scaling %.2fx below the %.2fx floor (%d replicas)", bench.ScalingX, floor, p.replicas)
+			fail("modeled scaling %.2fx below the %.2fx floor (%d replicas)", bench.ScalingX, floor, p.replicas)
 		}
 		if violations > 0 {
 			return 1
@@ -351,6 +351,10 @@ func turnsKey(net *topology.Network, spec string) (uint64, error) {
 	key, _ := cdg.VerifyKey(net, vcs, ts)
 	return key, nil
 }
+
+// deltaBaseBody is the design the delta requests perturb: the 8x8-mesh
+// north-last chain.
+const deltaBaseBody = `{"network":{"kind":"mesh","sizes":[8,8]},"chain":"PA[X+ X- Y-] -> PB[Y+]"}`
 
 // deltaProbeSet builds a few single-link delta requests against a fixed
 // base design, each with its precomputed delta-cache identity, so delta

@@ -46,6 +46,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -109,23 +110,31 @@ func clusterConfig(self string, peers map[string]string, noForward bool) (*serve
 }
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run() int {
-	addr := flag.String("addr", ":8423", "listen address (host:port; :0 picks a free port)")
-	workers := flag.Int("workers", 0, "verification worker pool size (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 0, "admission queue depth (0 = default 64)")
-	timeout := flag.Duration("timeout", 0, "per-request deadline (0 = default 10s)")
-	drain := flag.Duration("drain", 30*time.Second, "graceful drain budget after SIGTERM/SIGINT")
-	name := flag.String("name", "", "replica name in the cluster ring (empty = single-process mode)")
-	peersSpec := flag.String("peers", "", "comma-separated peer replicas, name=host:port each")
-	noForward := flag.Bool("no-forward", false, "cluster mode: probe peer caches but never proxy compute")
-	snapLoad := flag.String("snapshot-load", "", "warm-start the verify cache from this snapshot file")
-	snapSave := flag.String("snapshot-save", "", "write a verify-cache snapshot here after a clean drain")
-	traceSample := flag.Int("trace-sample", 0, "retain every Nth request trace in /debug/traces (0 = default 16, negative = slow/error lane only)")
-	traceSlow := flag.Duration("trace-slow", 0, "always capture traces at least this slow (0 = default 250ms, negative disables latency capture)")
-	flag.Parse()
+// run is the testable entry point: it parses argv, serves until SIGINT
+// or SIGTERM, drains, and returns the process exit status (0 after a
+// clean drain, 1 when the drain or the snapshot save fails, 2 on usage
+// and startup errors).
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ebda-serve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8423", "listen address (host:port; :0 picks a free port)")
+	workers := fs.Int("workers", 0, "verification worker pool size (0 = GOMAXPROCS)")
+	queue := fs.Int("queue", 0, "admission queue depth (0 = default 64)")
+	timeout := fs.Duration("timeout", 0, "per-request deadline (0 = default 10s)")
+	drain := fs.Duration("drain", 30*time.Second, "graceful drain budget after SIGTERM/SIGINT")
+	name := fs.String("name", "", "replica name in the cluster ring (empty = single-process mode)")
+	peersSpec := fs.String("peers", "", "comma-separated peer replicas, name=host:port each")
+	noForward := fs.Bool("no-forward", false, "cluster mode: probe peer caches but never proxy compute")
+	snapLoad := fs.String("snapshot-load", "", "warm-start the verify cache from this snapshot file")
+	snapSave := fs.String("snapshot-save", "", "write a verify-cache snapshot here after a clean drain")
+	traceSample := fs.Int("trace-sample", 0, "retain every Nth request trace in /debug/traces (0 = default 16, negative = slow/error lane only)")
+	traceSlow := fs.Duration("trace-slow", 0, "always capture traces at least this slow (0 = default 250ms, negative disables latency capture)")
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
 
 	cfg := serve.Config{
 		Workers:     *workers,
@@ -137,19 +146,19 @@ func run() int {
 	if *name != "" {
 		peers, err := parsePeers(*peersSpec)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ebda-serve: -peers:", err)
+			fmt.Fprintln(stderr, "ebda-serve: -peers:", err)
 			return 2
 		}
 		cc, err := clusterConfig(*name, peers, *noForward)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ebda-serve: cluster:", err)
+			fmt.Fprintln(stderr, "ebda-serve: cluster:", err)
 			return 2
 		}
 		cfg.Cluster = cc
-		fmt.Fprintf(os.Stderr, "ebda-serve: %s joining %s (fingerprint %x)\n",
+		fmt.Fprintf(stderr, "ebda-serve: %s joining %s (fingerprint %x)\n",
 			*name, cc.Ring, cc.Ring.Fingerprint())
 	} else if *peersSpec != "" {
-		fmt.Fprintln(os.Stderr, "ebda-serve: -peers requires -name")
+		fmt.Fprintln(stderr, "ebda-serve: -peers requires -name")
 		return 2
 	}
 
@@ -158,16 +167,16 @@ func run() int {
 	if *snapLoad != "" {
 		f, err := os.Open(*snapLoad)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ebda-serve: snapshot-load:", err)
+			fmt.Fprintln(stderr, "ebda-serve: snapshot-load:", err)
 			return 2
 		}
 		n, err := cdg.LoadSnapshot(cdg.DefaultCache, f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ebda-serve: snapshot-load:", err)
+			fmt.Fprintln(stderr, "ebda-serve: snapshot-load:", err)
 			return 2
 		}
-		fmt.Fprintf(os.Stderr, "ebda-serve: warm-started %d cache entries from %s\n", n, *snapLoad)
+		fmt.Fprintf(stderr, "ebda-serve: warm-started %d cache entries from %s\n", n, *snapLoad)
 	}
 
 	srv := serve.New(cfg)
@@ -176,39 +185,42 @@ func run() int {
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ebda-serve:", err)
+		fmt.Fprintln(stderr, "ebda-serve:", err)
 		return 2
 	}
+	// Register for the drain signals before announcing readiness: a
+	// SIGTERM sent as soon as the listening line appears must drain, not
+	// kill the process.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
 	httpSrv := &http.Server{Handler: mux}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.Serve(ln) }()
-	// The listening line is the readiness contract for scripts (the CI
-	// soak and the load generator wait for it).
-	fmt.Printf("ebda-serve: listening on %s\n", ln.Addr())
+	// The listening line is the readiness contract for scripts and
+	// supervisors, which wait for it before sending traffic.
+	fmt.Fprintf(stdout, "ebda-serve: listening on %s\n", ln.Addr())
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "ebda-serve:", err)
+		fmt.Fprintln(stderr, "ebda-serve:", err)
 		return 2
 	case <-ctx.Done():
 	}
 	stop()
 
-	fmt.Fprintln(os.Stderr, "ebda-serve: draining")
+	fmt.Fprintln(stderr, "ebda-serve: draining")
 	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	// Order matters: flip the server to draining first so /readyz
 	// answers 503 (load balancers stop routing) while queued work
 	// finishes, then stop the HTTP listener once handlers are done.
 	if err := srv.Shutdown(drainCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "ebda-serve: drain:", err)
+		fmt.Fprintln(stderr, "ebda-serve: drain:", err)
 		httpSrv.Close()
 		return 1
 	}
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		fmt.Fprintln(os.Stderr, "ebda-serve: shutdown:", err)
+		fmt.Fprintln(stderr, "ebda-serve: shutdown:", err)
 		return 1
 	}
 	// Snapshot only after a clean drain: every admitted verification has
@@ -216,7 +228,7 @@ func run() int {
 	if *snapSave != "" {
 		f, err := os.Create(*snapSave)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ebda-serve: snapshot-save:", err)
+			fmt.Fprintln(stderr, "ebda-serve: snapshot-save:", err)
 			return 1
 		}
 		n, err := cdg.SaveSnapshot(cdg.DefaultCache, f)
@@ -224,11 +236,11 @@ func run() int {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "ebda-serve: snapshot-save:", err)
+			fmt.Fprintln(stderr, "ebda-serve: snapshot-save:", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "ebda-serve: saved %d cache entries to %s\n", n, *snapSave)
+		fmt.Fprintf(stderr, "ebda-serve: saved %d cache entries to %s\n", n, *snapSave)
 	}
-	fmt.Fprintln(os.Stderr, "ebda-serve: drained cleanly")
+	fmt.Fprintln(stderr, "ebda-serve: drained cleanly")
 	return 0
 }

@@ -59,7 +59,7 @@ type (
 var maxCacheEntries = 1 << 15
 
 // DefaultCache is the process-wide verification cache behind
-// VerifyTurnSetCached, VerifyChainCached and VerifyDeltaCached.
+// VerifyTurnSetCached and VerifyChainCached.
 var DefaultCache = &VerifyCache{entries: obsCacheEntries}
 
 // Query is one cacheable verification: its dual-hash identity, hashed
@@ -330,11 +330,6 @@ func DeltaQuery(net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff
 		defer DefaultDeltaPool.Put(dw)
 		return dw.verifyDiff(ctx, diff)
 	}}
-}
-
-// VerifyDeltaCached is a delta verification through the DefaultCache.
-func VerifyDeltaCached(net *topology.Network, vcs VCConfig, ts *core.TurnSet, diff Diff) (Report, error) {
-	return DefaultCache.Verify(context.Background(), DeltaQuery(net, vcs, ts, diff))
 }
 
 // VerifyTurnSetCached is VerifyTurnSet through the DefaultCache.

@@ -128,12 +128,11 @@ func cachedDeltaVerdict(ctx context.Context, c *cdg.VerifyCache, net *topology.N
 	return c.Verify(ctx, q)
 }
 
-// cachedDeltaHelpers shows the other sanctioned delta entry points: the
-// delta identity for coalescing and the process-wide cached wrapper.
-func cachedDeltaHelpers(net *topology.Network, ts *core.TurnSet, diff cdg.Diff) (uint64, error) {
+// cachedDeltaKey shows the other sanctioned delta entry point: the
+// delta identity for coalescing.
+func cachedDeltaKey(net *topology.Network, ts *core.TurnSet, diff cdg.Diff) uint64 {
 	key, _ := cdg.DeltaKey(net, nil, ts, diff)
-	_, err := cdg.VerifyDeltaCached(net, nil, ts, diff)
-	return key, err
+	return key
 }
 
 // cachedVerdict is the blessed serving path: a cdg.TurnSetQuery, Lookup

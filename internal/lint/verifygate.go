@@ -32,10 +32,10 @@ const cdgPath = "ebda/internal/cdg"
 // signatures the benchmark harness still calls, and the Workspace verify
 // methods) are also forbidden. The same contract covers incremental
 // verdicts: serving code reaches them only through the cache with a
-// cdg.DeltaQuery (Cache.Lookup / Cache.Verify) or VerifyDeltaCached,
-// never by constructing a cdg.DeltaWorkspace, checking one out of a
-// cdg.DeltaPool, or calling its Verify methods directly — a bypassed
-// delta verdict would be unmemoized and uncoalescible.
+// cdg.DeltaQuery (Cache.Lookup / Cache.Verify), never by constructing a
+// cdg.DeltaWorkspace, checking one out of a cdg.DeltaPool, or calling
+// its Verify methods directly — a bypassed delta verdict would be
+// unmemoized and uncoalescible.
 //
 // The observability layer (ebda/internal/obs and everything under it,
 // including obshttp and any /obshttp-suffixed package) carries the

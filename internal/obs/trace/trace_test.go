@@ -2,6 +2,7 @@ package trace
 
 import (
 	"context"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -195,13 +196,53 @@ func TestHeaderRoundTrip(t *testing.T) {
 	sp.End()
 	tc.Finish(200)
 
-	for _, bad := range []string{
-		"", "noslash", "a/b", "/b/1", "a//1", "a/b/", "a/b/c/1x", "a/b/-1", "a/b/x",
-	} {
+	for _, good := range headerAccepts {
+		if _, _, _, ok := ParseHeader(good); !ok {
+			t.Errorf("ParseHeader(%q) rejected, want accept", good)
+		}
+	}
+	for _, bad := range headerRejects {
 		if _, _, _, ok := ParseHeader(bad); ok {
 			t.Errorf("ParseHeader(%q) accepted, want reject", bad)
 		}
 	}
+}
+
+// headerAccepts and headerRejects are the X-Ebda-Trace accept and reject
+// tables; they also seed FuzzParseHeader.
+var (
+	headerAccepts = []string{"4f2a/edge/1", "t/owner/0", "id/frag/2147483647"}
+	headerRejects = []string{
+		"", "noslash", "a/b", "/b/1", "a//1", "a/b/", "a/b/c/1x", "a/b/-1", "a/b/x",
+	}
+)
+
+// FuzzParseHeader drives the untrusted X-Ebda-Trace parser. Properties:
+// it never panics; an accepted value has a non-empty id and fragment
+// without '/' and a non-negative span index; and re-rendering the
+// accepted triple as id/fragment/spanIdx parses back to the same triple.
+func FuzzParseHeader(f *testing.F) {
+	for _, v := range headerAccepts {
+		f.Add(v)
+	}
+	for _, v := range headerRejects {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		id, fragment, spanIdx, ok := ParseHeader(v)
+		if !ok {
+			return
+		}
+		if id == "" || fragment == "" || strings.Contains(id, "/") || strings.Contains(fragment, "/") || spanIdx < 0 {
+			t.Fatalf("ParseHeader(%q) accepted (%q, %q, %d)", v, id, fragment, spanIdx)
+		}
+		again := id + "/" + fragment + "/" + strconv.FormatInt(int64(spanIdx), 10)
+		id2, fragment2, spanIdx2, ok := ParseHeader(again)
+		if !ok || id2 != id || fragment2 != fragment || spanIdx2 != spanIdx {
+			t.Fatalf("ParseHeader(%q) = (%q, %q, %d); re-rendered %q parses to (%q, %q, %d, %v)",
+				v, id, fragment, spanIdx, again, id2, fragment2, spanIdx2, ok)
+		}
+	})
 }
 
 func TestRemoteJoinMergesIntoOneTrace(t *testing.T) {

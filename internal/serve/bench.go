@@ -7,49 +7,6 @@ import (
 	"sort"
 )
 
-// Bench is the serving-layer perf snapshot written by ebda-loadgen (the
-// BENCH_serve.json file). Kind distinguishes it from the engine snapshot
-// (BENCH_verify.json has no kind field); ebda-benchdiff dispatches on
-// it. Latencies are client-observed per-request wall times.
-type Bench struct {
-	Kind        string `json:"kind"` // always "serve"
-	GeneratedAt string `json:"generated_at"`
-	GoVersion   string `json:"go_version"`
-	NumCPU      int    `json:"num_cpu"`
-	Workers     int    `json:"workers"`
-	QueueDepth  int    `json:"queue_depth"`
-	Seed        uint64 `json:"seed"`
-
-	Requests  int `json:"requests"`
-	Status2xx int `json:"status_2xx"`
-	Status4xx int `json:"status_4xx"`
-	Status5xx int `json:"status_5xx"`
-
-	Cache     int `json:"verdicts_cache"`
-	Computed  int `json:"verdicts_computed"`
-	Coalesced int `json:"verdicts_coalesced"`
-	// Deltas counts verdicts the /v1/verify/delta endpoint computed
-	// incrementally (provenance "delta"; cached or coalesced delta
-	// verdicts land in the fields above).
-	Deltas int `json:"verdicts_delta"`
-	// CoalesceRate is coalesced over all verdicts the run observed (0
-	// when it observed none).
-	CoalesceRate float64 `json:"coalesce_rate"`
-	// Traced counts the traces the flight recorder held at /debug/traces
-	// when the run finished — sampled retentions plus the slow/error
-	// lane, after any ring overwrite.
-	Traced int `json:"traced"`
-
-	WallSeconds float64 `json:"wall_seconds"`
-	// ThroughputRPS is Requests / WallSeconds.
-	ThroughputRPS float64 `json:"throughput_rps"`
-	P50Millis     float64 `json:"p50_ms"`
-	P99Millis     float64 `json:"p99_ms"`
-}
-
-// BenchKind is the Kind value of serving-layer snapshots.
-const BenchKind = "serve"
-
 // Quantile returns the q-quantile (0..1) of latencies in milliseconds
 // using the nearest-rank method, 0 for an empty sample. The input is
 // sorted in place.
@@ -66,25 +23,6 @@ func Quantile(latenciesMS []float64, q float64) float64 {
 		rank = len(latenciesMS) - 1
 	}
 	return latenciesMS[rank]
-}
-
-// WriteJSON renders the snapshot as indented JSON.
-func (b Bench) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
-}
-
-// ReadBench parses a serving-layer snapshot, rejecting other kinds.
-func ReadBench(data []byte) (Bench, error) {
-	var b Bench
-	if err := json.Unmarshal(data, &b); err != nil {
-		return Bench{}, err
-	}
-	if b.Kind != BenchKind {
-		return Bench{}, fmt.Errorf("snapshot kind %q is not %q", b.Kind, BenchKind)
-	}
-	return b, nil
 }
 
 // ClusterBenchKind is the Kind value of cluster snapshots
@@ -107,7 +45,7 @@ type ReplicaBench struct {
 	Forwarded int `json:"verdicts_forwarded"`
 }
 
-// ClusterBench is the merged snapshot ebda-loadgen -cluster writes
+// ClusterBench is the merged snapshot ebda-loadgen writes
 // (BENCH_cluster.json): a single-replica baseline over the same
 // workload, the per-replica shares of the N-replica run, and the
 // modeled aggregate. The harness runs replicas of one process on one

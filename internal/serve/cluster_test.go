@@ -69,7 +69,7 @@ func testCluster(t *testing.T, names, ringMembers []string, noForward bool) map[
 
 // designOwnedBy searches a family of designs for one whose verify key
 // the ring assigns to wantOwner, returning the request body and key.
-func designOwnedBy(t *testing.T, ring *cluster.Ring, wantOwner string) (string, uint64) {
+func designOwnedBy(t testing.TB, ring *cluster.Ring, wantOwner string) (string, uint64) {
 	t.Helper()
 	nets := newNetworkCache()
 	for size := 4; size <= 9; size++ {

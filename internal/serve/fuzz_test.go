@@ -5,10 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"ebda/internal/cdg"
+	"ebda/internal/cluster"
 )
 
 // FuzzDecodeVerifyRequest drives the API's decode + validation surface
@@ -163,4 +170,133 @@ func FuzzDecodeDeltaRequest(f *testing.F) {
 			t.Fatalf("delta %s\nfresh %s", got, want)
 		}
 	})
+}
+
+// FuzzPeerLookupResponse drives the non-owner side of cluster routing
+// with arbitrary owner answers. A fake owner answers both the peer cache
+// probe (GET /v1/peer/lookup/...) and the forwarded request with status
+// 200 and the fuzzed body; the replica under test owns neither the
+// verify nor the delta design it is asked for. Properties: the handler
+// never panics and never answers 5xx; a body the replica's decoder
+// rejects never becomes a "peer" or "forwarded" verdict; and a verdict
+// the replica computed itself equals a from-scratch verify.
+func FuzzPeerLookupResponse(f *testing.F) {
+	seeds := []string{
+		`{"found":true,"network":"4x4 mesh","channels":48,"edges":60,"acyclic":true}`,
+		`{"found":true,"acyclic":false,"cycle":"a -> b -> a"}`,
+		`{"found":false}`,
+		`{"network":"4x4 mesh","channels":48,"edges":60,"acyclic":true,"provenance":"computed","key":"1"}`,
+		`{"found":true} trailing`,
+		`{"found":"yes"}`,
+		`{"found":true,"channels":1e400}`,
+		`null`,
+		`[]`,
+		``,
+		`not json`,
+	}
+	for _, s := range seeds {
+		f.Add([]byte(s), false)
+		f.Add([]byte(s), true)
+	}
+
+	var answer atomic.Pointer[[]byte]
+	owner := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		w.WriteHeader(http.StatusOK)
+		w.Write(*answer.Load())
+	}))
+	f.Cleanup(owner.Close)
+	ring, err := cluster.New([]string{"owner", "self"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	s := newServer(Config{Cluster: &ClusterConfig{
+		Self: "self", Ring: ring, Peers: map[string]string{"owner": owner.URL},
+	}}, &cdg.VerifyCache{})
+	f.Cleanup(func() { s.Shutdown(context.Background()) })
+	mux := http.NewServeMux()
+	s.Register(mux)
+
+	verifyBody, _ := designOwnedBy(f, ring, "owner")
+	verifyReq, err := DecodeVerifyRequest(strings.NewReader(verifyBody))
+	if err != nil {
+		f.Fatal(err)
+	}
+	vb, err := verifyReq.build(s.nets)
+	if err != nil {
+		f.Fatal(err)
+	}
+	wantVerify := cdg.VerifyTurnSet(vb.net, vb.vcs, vb.ts)
+	deltaBody, wantDelta := deltaOwnedBy(f, s, ring, "owner")
+
+	f.Fuzz(func(t *testing.T, body []byte, delta bool) {
+		answer.Store(&body)
+		// A fresh cache per input: a verdict computed for an earlier
+		// input must not answer this one from the replica's own cache.
+		s.cache = &cdg.VerifyCache{}
+		path, reqBody, want, relayed := "/v1/verify", verifyBody, wantVerify, any(&VerifyResponse{})
+		if delta {
+			path, reqBody, want, relayed = "/v1/verify/delta", deltaBody, wantDelta, &DeltaResponse{}
+		}
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(reqBody)))
+		if rec.Code >= 500 {
+			t.Fatalf("%s answered %d: %s", path, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var got VerifyResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatalf("%s response does not decode: %v: %s", path, err, rec.Body)
+		}
+		switch got.Provenance {
+		case provPeer:
+			var pl PeerLookupResponse
+			if err := json.NewDecoder(bytes.NewReader(body)).Decode(&pl); err != nil || !pl.Found {
+				t.Fatalf("owner probe answer %q (decode err %v) became a peer verdict", body, err)
+			}
+		case provForwarded:
+			if err := json.Unmarshal(body, relayed); err != nil {
+				t.Fatalf("owner forward answer %q (decode err %v) became a forwarded verdict", body, err)
+			}
+		case provComputed, provDelta:
+			if got.Network != want.Network || got.Channels != want.Channels || got.Edges != want.Edges ||
+				got.Acyclic != want.Acyclic || (!want.Acyclic && got.Cycle != cdg.FormatCycle(want.Cycle)) {
+				t.Fatalf("computed %s verdict %+v, from scratch %v", path, got, want)
+			}
+		default:
+			t.Fatalf("%s answered with provenance %q", path, got.Provenance)
+		}
+	})
+}
+
+// deltaOwnedBy searches single-link removals on a small base for a delta
+// request whose cache key the ring assigns to wantOwner, returning the
+// request body and the from-scratch verdict of the perturbed design.
+func deltaOwnedBy(t testing.TB, s *Server, ring *cluster.Ring, wantOwner string) (string, cdg.Report) {
+	t.Helper()
+	const base = `{"network":{"kind":"mesh","sizes":[4,4]},"chain":"PA[X+ X- Y-] -> PB[Y+]"}`
+	for x := 0; x < 3; x++ {
+		for y := 0; y < 4; y++ {
+			body := fmt.Sprintf(`{"base":%s,"remove_links":[{"at":[%d,%d],"dir":"X+"}]}`, base, x, y)
+			req, err := DecodeDeltaRequest(strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := req.Base.build(s.nets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diff, err := req.buildDiff(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ring.Owner(cdg.DeltaQuery(b.net, b.vcs, b.ts, diff).Key) == wantOwner {
+				return body, cdg.VerifyTurnSet(b.net.WithoutLinks(diff.RemoveLinks), b.vcs, b.ts)
+			}
+		}
+	}
+	t.Fatalf("no probe delta owned by %q", wantOwner)
+	return "", cdg.Report{}
 }

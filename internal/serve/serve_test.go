@@ -352,15 +352,3 @@ func TestQuantile(t *testing.T) {
 		t.Fatalf("p100 of 1..5 = %v, want 5", q)
 	}
 }
-
-func TestReadBenchRejectsOtherKinds(t *testing.T) {
-	if _, err := ReadBench([]byte(`{"kind":"serve","requests":3}`)); err != nil {
-		t.Fatalf("serve snapshot rejected: %v", err)
-	}
-	if _, err := ReadBench([]byte(`{"go_version":"go1.24"}`)); err == nil {
-		t.Fatal("engine snapshot (no kind) accepted as a serve snapshot")
-	}
-	if _, err := ReadBench([]byte(`not json`)); err == nil {
-		t.Fatal("garbage accepted")
-	}
-}
