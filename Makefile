@@ -105,8 +105,9 @@ trace-smoke:
 graph-smoke:
 	GO="$(GO)" ./scripts/graph-smoke.sh
 
-# fuzz-short gives the untrusted-input parsers — the /v1 verify and delta
-# request decoders, peer-lookup and forwarded answers from an owner
+# fuzz-short gives the untrusted-input parsers — the /v1 verify, delta
+# and graph request decoders (the graph decoder differentially, against
+# encoding/json + the strings-based text parser it replaced), peer-lookup and forwarded answers from an owner
 # replica, the X-Ebda-Trace header, the graphio CDG parser and the
 # verify-cache snapshot loader — a brief native-fuzz shake on every
 # check; the seeded corpus alone regresses in milliseconds, the 5s
@@ -114,6 +115,7 @@ graph-smoke:
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeVerifyRequest -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDeltaRequest -fuzztime=5s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeGraphRequest -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzPeerLookupResponse -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzParseHeader -fuzztime=5s ./internal/obs/trace
 	$(GO) test -run='^$$' -fuzz=FuzzParseCDG -fuzztime=5s ./internal/graphio

@@ -3,6 +3,7 @@ package cdg
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -61,6 +62,82 @@ func (e *EdgeSet) AddEdge(from, to int) bool {
 	e.adj[from] = row
 	e.edges++
 	return true
+}
+
+// EdgeBuilder fills a new EdgeSet whose edges arrive grouped by sender,
+// as parsers read them: while senders ascend, each row is carved from
+// one shared backing array, so a whole graph costs a handful of
+// allocations instead of one per row. A sender that comes back after a
+// later one has opened falls back to AddEdge on its finished row.
+type EdgeBuilder struct {
+	e     *EdgeSet
+	back  []int32
+	open  int // the row being carved at back[start:], or -1
+	start int
+	fresh int // rows >= fresh have never been touched
+}
+
+// NewEdgeBuilder starts an edge set over n nodes; hint is the expected
+// edge count, the backing array's initial capacity.
+func NewEdgeBuilder(n, hint int) EdgeBuilder {
+	return EdgeBuilder{e: NewEdgeSet(n), back: make([]int32, 0, max(hint, 0)), open: -1}
+}
+
+// NumNodes returns the node count of the set being built.
+func (b *EdgeBuilder) NumNodes() int { return len(b.e.adj) }
+
+// NumEdges returns the number of distinct edges added so far.
+func (b *EdgeBuilder) NumEdges() int { return b.e.edges }
+
+// Add adds the directed edge from -> to and reports whether it was new,
+// with AddEdge's semantics: rows stay ascending and duplicate-free, and
+// out-of-range endpoints panic.
+func (b *EdgeBuilder) Add(from, to int) bool {
+	n := len(b.e.adj)
+	if from < 0 || from >= n || to < 0 || to >= n {
+		panic(fmt.Sprintf("cdg: EdgeBuilder.Add(%d, %d) outside [0, %d)", from, to, n))
+	}
+	if from != b.open {
+		b.close()
+		if from < b.fresh {
+			return b.e.AddEdge(from, to)
+		}
+		b.open, b.start, b.fresh = from, len(b.back), from+1
+	}
+	row := b.back[b.start:]
+	if k := len(row); k > 0 && row[k-1] >= int32(to) {
+		i, found := slices.BinarySearch(row, int32(to))
+		if found {
+			return false
+		}
+		b.back = append(b.back, 0)
+		row = b.back[b.start:]
+		copy(row[i+1:], row[i:])
+		row[i] = int32(to)
+	} else {
+		b.back = append(b.back, int32(to))
+	}
+	b.e.edges++
+	return true
+}
+
+// close publishes the open row. Its capacity is clipped so a later
+// AddEdge on it reallocates instead of overwriting the next row.
+func (b *EdgeBuilder) close() {
+	if b.open >= 0 {
+		end := len(b.back)
+		b.e.adj[b.open] = b.back[b.start:end:end]
+		b.open = -1
+	}
+}
+
+// Finish returns the built edge set. The builder must not be used
+// afterwards.
+func (b *EdgeBuilder) Finish() *EdgeSet {
+	b.close()
+	e := b.e
+	*b = EdgeBuilder{}
+	return e
 }
 
 // HasEdge reports whether the directed edge exists.

@@ -2,6 +2,9 @@ package cdg
 
 import (
 	"context"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -154,5 +157,50 @@ func TestEdgeSetEmpty(t *testing.T) {
 	rep := VerifyEdgeSet(NewEdgeSet(0))
 	if !rep.Acyclic || rep.Nodes != 0 {
 		t.Fatalf("empty set: %+v", rep)
+	}
+}
+
+// TestEdgeBuilderMatchesAddEdge pins that the builder yields the same
+// rows, edge count and duplicate answers as AddEdge, whether senders
+// ascend (the carved path), revisit finished rows, or arrive shuffled.
+func TestEdgeBuilderMatchesAddEdge(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(12)
+		var edges [][2]int
+		for k := rng.Intn(40); k > 0; k-- {
+			edges = append(edges, [2]int{rng.Intn(n), rng.Intn(n)})
+		}
+		if trial%3 == 0 {
+			sort.Slice(edges, func(i, j int) bool { return edges[i][0] < edges[j][0] })
+		}
+		want := NewEdgeSet(n)
+		b := NewEdgeBuilder(n, rng.Intn(8))
+		for _, e := range edges {
+			if got, w := b.Add(e[0], e[1]), want.AddEdge(e[0], e[1]); got != w {
+				t.Fatalf("trial %d: Add(%d, %d) = %v, AddEdge = %v", trial, e[0], e[1], got, w)
+			}
+		}
+		got := b.Finish()
+		if got.NumEdges() != want.NumEdges() {
+			t.Fatalf("trial %d: %d edges, want %d", trial, got.NumEdges(), want.NumEdges())
+		}
+		same := func(stage string) {
+			t.Helper()
+			for v := 0; v < n; v++ {
+				if !slices.Equal(got.Succs(v), want.Succs(v)) {
+					t.Fatalf("trial %d %s: row %d = %v, want %v (edges %v)", trial, stage, v, got.Succs(v), want.Succs(v), edges)
+				}
+			}
+		}
+		same("built")
+		// Finished rows are independent: growing one never writes into
+		// its neighbour in the shared backing array.
+		for v := 0; v < n; v++ {
+			to := rng.Intn(n)
+			got.AddEdge(v, to)
+			want.AddEdge(v, to)
+		}
+		same("grown")
 	}
 }

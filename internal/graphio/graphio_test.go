@@ -291,10 +291,87 @@ func TestParseJSONErrors(t *testing.T) {
 		{"range", `{"channels":2,"inputs":[9],"outputs":[],"edges":[]}`, ErrIDRange},
 		{"negative channels", `{"channels":-1,"inputs":[],"outputs":[],"edges":[]}`, ErrChannelCount},
 		{"duplicate edge", `{"channels":2,"inputs":[],"outputs":[],"edges":[[0,1],[0,1]]}`, ErrDuplicateEdge},
+		// encoding/json read [0] as the self-loop [0,0] and [0,1,2] as
+		// [0,1]; an edge is exactly two integers.
+		{"edge of one id", `{"channels":2,"inputs":[],"outputs":[],"edges":[[0]]}`, ErrSyntax},
+		{"edge of three ids", `{"channels":3,"inputs":[],"outputs":[],"edges":[[0,1,2]]}`, ErrSyntax},
+		{"null in edge", `{"channels":2,"inputs":[],"outputs":[],"edges":[[null,1]]}`, ErrSyntax},
+		{"null id", `{"channels":2,"inputs":[null],"outputs":[],"edges":[]}`, ErrSyntax},
+		{"fractional id", `{"channels":2,"inputs":[1.0],"outputs":[],"edges":[]}`, ErrSyntax},
+		{"repeated field", `{"channels":2,"channels":3,"inputs":[],"outputs":[],"edges":[]}`, ErrSyntax},
+		{"case-folded field", `{"Channels":2,"inputs":[],"outputs":[],"edges":[]}`, ErrSyntax},
+		{"trailing bracket", `{"channels":2,"inputs":[],"outputs":[],"edges":[]}}`, ErrSyntax},
+		{"late range", `{"edges":[[0,1]],"channels":1}`, ErrIDRange},
 	}
 	for _, tc := range cases {
 		if _, err := ParseJSON([]byte(tc.in)); !errors.Is(err, tc.want) {
 			t.Fatalf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestParseJSONFieldOrder pins that fields may come in any order: edges
+// read before the channel count are held and checked once it is known,
+// and senders may revisit earlier rows.
+func TestParseJSONFieldOrder(t *testing.T) {
+	want, err := ParseJSON([]byte(`{"channels":3,"inputs":[0],"outputs":[2],"edges":[[0,1],[0,2],[1,2]]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range []string{
+		`{"edges":[[1,2],[0,2],[0,1]],"outputs":[2],"inputs":[0],"channels":3}`,
+		`{"outputs":[2],"channels":3,"edges":[[0,2],[1,2],[0,1]],"inputs":[0]}`,
+		`{"ch\u0061nnels":3,"inputs":[0],"outputs":[2],"edges":[[0,1],[0,2],[1,2]]}`,
+	} {
+		g, err := ParseJSON([]byte(in))
+		if err != nil {
+			t.Fatalf("%s: %v", in, err)
+		}
+		if !bytes.Equal(g.ExportCDG(), want.ExportCDG()) {
+			t.Fatalf("%s: parsed as\n%s", in, g.ExportCDG())
+		}
+	}
+}
+
+// TestDecoderLimits pins that a count over Limits.Channels fails before
+// the edge set is allocated and the edge past Limits.Edges fails before
+// it is stored, in both encodings.
+func TestDecoderLimits(t *testing.T) {
+	d := Decoder{Limits: Limits{Channels: 8, Edges: 2}}
+	cases := []struct {
+		name, in string
+		json     bool
+		want     error
+	}{
+		{"text count", "9\n\n\n", false, ErrChannelCount},
+		{"text edges", "4\n\n\n0 1 2\n1 2\n", false, ErrEdgeCount},
+		{"json count", `{"channels":9}`, true, ErrChannelCount},
+		{"json edges", `{"channels":4,"edges":[[0,1],[0,2],[1,2]]}`, true, ErrEdgeCount},
+		{"json early edges", `{"edges":[[0,1],[0,2],[1,2]],"channels":4}`, true, ErrEdgeCount},
+		{"json early id", `{"edges":[[0,8]],"channels":4}`, true, ErrIDRange},
+	}
+	for _, tc := range cases {
+		var err error
+		if tc.json {
+			s := NewScanner([]byte(tc.in))
+			_, err = d.JSON(&s)
+		} else {
+			_, err = d.Text([]byte(tc.in))
+		}
+		if !errors.Is(err, tc.want) {
+			t.Fatalf("%s: got %v, want %v", tc.name, err, tc.want)
+		}
+	}
+	for _, in := range []string{"8\n\n\n0 1 2\n", `{"channels":8,"edges":[[0,1],[7,7]]}`} {
+		var err error
+		if in[0] == '{' {
+			s := NewScanner([]byte(in))
+			_, err = d.JSON(&s)
+		} else {
+			_, err = d.Text([]byte(in))
+		}
+		if err != nil {
+			t.Fatalf("%q at the limits: %v", in, err)
 		}
 	}
 }

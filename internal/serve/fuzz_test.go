@@ -10,12 +10,17 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"ebda/internal/cdg"
 	"ebda/internal/cluster"
+	"ebda/internal/graphio"
+	"ebda/internal/topology"
 )
 
 // FuzzDecodeVerifyRequest drives the API's decode + validation surface
@@ -299,4 +304,293 @@ func deltaOwnedBy(t testing.TB, s *Server, ring *cluster.Ring, wantOwner string)
 	}
 	t.Fatalf("no probe delta owned by %q", wantOwner)
 	return "", cdg.Report{}
+}
+
+// FuzzDecodeGraphRequest holds the single-pass /v1/verify/graph decoder
+// against the path it replaced (legacyGraphRequest). Both must accept
+// and reject the same bodies, and on accept agree on the canonical
+// graph bytes, the mode, the escape set and the mode-cache key. The one
+// allowed disagreement is a body the legacy path accepts and the
+// decoder rejects for a documented strictness (graphTightening).
+func FuzzDecodeGraphRequest(f *testing.F) {
+	for _, tc := range graphBadRequests {
+		f.Add([]byte(tc.body))
+	}
+	for _, name := range []string{"xy3x3-out4.txt", "cycle4.txt", "escape-ok.txt", "deadend.txt", "escape-ok.json"} {
+		f.Add(goldenGraphBody(f, name, "liveness"))
+	}
+	// A small dragonfly: the mutator minimizes every new input it finds,
+	// which on a bench-sized body would eat the short fuzz budget.
+	f.Add(dragonflyGraphBody(f, topology.Dragonfly{Groups: 3, Routers: 2, Terminals: 1}, true, "escape"))
+	for _, s := range []string{
+		// CRLF, Unicode spaces, signs and leading zeros in the text form.
+		`{"cdg":"3\r\n0\u00a01\r\n2\r\n+0 1\u2003002\n# c\n\n1 2","mode":"loop"}`,
+		`{"cdg":"1\n\n\n0 0","mode":"loop"}`,
+		// Edges before the channel count, and senders out of order.
+		`{"graph":{"edges":[[1,0],[0,1]],"channels":2},"mode":"loop"}`,
+		`{"graph":{"channels":3,"edges":[[2,1],[0,1],[2,0],[0,2]]},"mode":"loop"}`,
+		// Escaped keys and strings, nulls, an empty cdg beside a graph.
+		`{"gr\u0061ph":{"channels":1},"mode":"lo\u006fp","escape":null}`,
+		`{"cdg":"","graph":{"channels":1,"inputs":null},"mode":"loop"}`,
+		`{"graph":null,"cdg":"1\n0\n0\n","mode":"liveness"}`,
+		graphBody("escape", `,"escape":[4,4]`),
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		want, wantErr := legacyGraphRequest(body)
+		got, err := decodeGraphRequest(bytes.NewReader(slices.Clone(body)), int64(len(body)))
+		var q cdg.Query[cdg.ModeReport]
+		if err == nil {
+			q, err = got.build()
+		}
+		switch {
+		case wantErr != nil && err == nil:
+			t.Fatalf("decoder accepts a body the legacy path rejects (%v): %q", wantErr, body)
+		case wantErr == nil && err != nil:
+			if graphTightening(body) == "" {
+				t.Fatalf("decoder rejects a body the legacy path accepts: %v: %q", err, body)
+			}
+		case wantErr == nil:
+			if a, b := got.graph.ExportCDG(), want.graph.ExportCDG(); !bytes.Equal(a, b) {
+				t.Fatalf("graphs differ:\n%s---\n%s", a, b)
+			}
+			if got.mode != want.mode || !slices.Equal(got.escape, want.escape) {
+				t.Fatalf("decoded mode %v escape %v, want %v %v", got.mode, got.escape, want.mode, want.escape)
+			}
+			g := want.graph
+			if key, check := cdg.ModeKey(g.Edges, want.mode, g.Inputs, g.Outputs, want.escape); q.Key != key || q.Check != check {
+				t.Fatalf("mode key %x/%x, want %x/%x", q.Key, q.Check, key, check)
+			}
+		}
+	})
+}
+
+// legacyGraphRequest is the /v1/verify/graph decode path the single-pass
+// decoder replaced, kept as its differential oracle: encoding/json into
+// GraphVerifyRequest, the graph built edge by edge with EdgeSet.AddEdge
+// (the text form split with the strings package), then the limit and
+// escape checks.
+func legacyGraphRequest(body []byte) (graphRequest, error) {
+	var req GraphVerifyRequest
+	if err := decodeStrict(bytes.NewReader(body), &req); err != nil {
+		return graphRequest{}, err
+	}
+	mode, err := cdg.ParseGraphMode(req.Mode)
+	if err != nil {
+		return graphRequest{}, err
+	}
+	var g *graphio.Graph
+	switch {
+	case req.Graph != nil && req.CDG != "":
+		return graphRequest{}, errBothEncodings
+	case req.Graph != nil:
+		g, err = legacyGraph(req.Graph.Channels, req.Graph.Inputs, req.Graph.Outputs, req.Graph.Edges)
+	case req.CDG != "":
+		g, err = legacyParseCDG(req.CDG)
+	default:
+		return graphRequest{}, errors.New("one of graph or cdg is required")
+	}
+	if err != nil {
+		return graphRequest{}, err
+	}
+	if n := g.Edges.NumNodes(); n > maxGraphChannels {
+		return graphRequest{}, fmt.Errorf("graph has %d channels, limit %d", n, maxGraphChannels)
+	}
+	if n := g.Edges.NumEdges(); n > maxGraphEdges {
+		return graphRequest{}, fmt.Errorf("graph has %d edges, limit %d", n, maxGraphEdges)
+	}
+	r := graphRequest{graph: g, mode: mode, escape: req.Escape}
+	if _, err := r.build(); err != nil {
+		return graphRequest{}, err
+	}
+	return r, nil
+}
+
+func legacyGraph(channels int, inputs, outputs []int, edges [][2]int) (*graphio.Graph, error) {
+	if channels < 0 || channels > graphio.MaxChannels {
+		return nil, fmt.Errorf("bad channel count %d", channels)
+	}
+	g := &graphio.Graph{Edges: cdg.NewEdgeSet(channels)}
+	var err error
+	if g.Inputs, err = legacyIDs(inputs, channels); err != nil {
+		return nil, err
+	}
+	if g.Outputs, err = legacyIDs(outputs, channels); err != nil {
+		return nil, err
+	}
+	for _, e := range edges {
+		if e[0] < 0 || e[0] >= channels || e[1] < 0 || e[1] >= channels {
+			return nil, fmt.Errorf("edge %v out of range", e)
+		}
+		if !g.Edges.AddEdge(e[0], e[1]) {
+			return nil, fmt.Errorf("duplicate edge %v", e)
+		}
+	}
+	return g, nil
+}
+
+func legacyIDs(ids []int, channels int) ([]int, error) {
+	out := append([]int{}, ids...)
+	for _, v := range out {
+		if v < 0 || v >= channels {
+			return nil, fmt.Errorf("id %d out of range", v)
+		}
+	}
+	sort.Ints(out)
+	for i := 1; i < len(out); i++ {
+		if out[i] == out[i-1] {
+			return nil, fmt.Errorf("id %d listed twice", out[i])
+		}
+	}
+	return out, nil
+}
+
+func legacyParseCDG(text string) (*graphio.Graph, error) {
+	lines := strings.Split(text, "\n")
+	if n := len(lines); n > 0 && lines[n-1] == "" {
+		lines = lines[:n-1]
+	}
+	cursor := 0
+	next := func(blankOK bool) (string, bool) {
+		for ; cursor < len(lines); cursor++ {
+			ln := strings.TrimSuffix(lines[cursor], "\r")
+			trimmed := strings.TrimSpace(ln)
+			if strings.HasPrefix(trimmed, "#") || (trimmed == "" && blankOK) {
+				continue
+			}
+			cursor++
+			return ln, true
+		}
+		return "", false
+	}
+	fields := func(s string) ([]int, error) {
+		var out []int
+		for _, f := range strings.Fields(s) {
+			v, err := strconv.Atoi(f)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, v)
+		}
+		return out, nil
+	}
+	countLine, ok := next(true)
+	if !ok {
+		return nil, errors.New("count line missing")
+	}
+	channels, err := strconv.Atoi(strings.TrimSpace(countLine))
+	if err != nil || channels < 0 || channels > graphio.MaxChannels {
+		return nil, fmt.Errorf("bad count %q", countLine)
+	}
+	var sets [2][]int
+	for i := range sets {
+		ln, ok := next(false)
+		if !ok {
+			return nil, errors.New("id line missing")
+		}
+		ids, err := fields(ln)
+		if err != nil {
+			return nil, err
+		}
+		if sets[i], err = legacyIDs(ids, channels); err != nil {
+			return nil, err
+		}
+	}
+	var edges [][2]int
+	for {
+		ln, ok := next(true)
+		if !ok {
+			return legacyGraph(channels, sets[0], sets[1], edges)
+		}
+		ids, err := fields(ln)
+		if err != nil {
+			return nil, err
+		}
+		if len(ids) < 2 {
+			return nil, errors.New("lonely sender")
+		}
+		for _, to := range ids[1:] {
+			edges = append(edges, [2]int{ids[0], to})
+		}
+	}
+}
+
+// graphTightening names the documented strictness of the single-pass
+// decoder over encoding/json that body trips, or "" if it trips none:
+// an edge that is not exactly two integers or a null id, a repeated
+// key, a key matching a field only case-insensitively, or non-space
+// bytes after the request object (encoding/json's More lets a stray '}'
+// or ']' through).
+func graphTightening(body []byte) string {
+	dec := json.NewDecoder(bytes.NewReader(body))
+	fields := map[string][]string{
+		"":       {"graph", "cdg", "mode", "escape"},
+		".graph": {"channels", "inputs", "outputs", "edges"},
+	}
+	var value func(path string) string
+	value = func(path string) string {
+		tok, err := dec.Token()
+		if err != nil {
+			return ""
+		}
+		switch {
+		case tok == json.Delim('{'):
+			seen := map[string]bool{}
+			for dec.More() {
+				kt, err := dec.Token()
+				if err != nil {
+					return ""
+				}
+				key, _ := kt.(string)
+				if seen[key] {
+					return "repeated key"
+				}
+				seen[key] = true
+				if !slices.Contains(fields[path], key) {
+					return "case-folded key"
+				}
+				if why := value(path + "." + key); why != "" {
+					return why
+				}
+			}
+			dec.Token()
+		case tok == json.Delim('['):
+			for i := 0; dec.More(); i++ {
+				switch path {
+				case ".graph.edges":
+					if tok, _ := dec.Token(); tok != json.Delim('[') {
+						return "edge arity"
+					}
+					n := 0
+					for ; dec.More(); n++ {
+						if tok, _ := dec.Token(); tok == nil {
+							return "edge arity"
+						}
+					}
+					dec.Token()
+					if n != 2 {
+						return "edge arity"
+					}
+				case ".graph.inputs", ".graph.outputs", ".escape":
+					if tok, _ := dec.Token(); tok == nil {
+						return "null id"
+					}
+				default:
+					if why := value(path + "[]"); why != "" {
+						return why
+					}
+				}
+			}
+			dec.Token()
+		}
+		return ""
+	}
+	if why := value(""); why != "" {
+		return why
+	}
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) > 0 {
+		return "trailing bracket"
+	}
+	return ""
 }

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"ebda/internal/cdg"
 	"ebda/internal/graphio"
@@ -40,7 +42,8 @@ type GraphSpec struct {
 
 // GraphVerifyRequest asks for one mode verdict over an inline graph.
 // Exactly one of Graph (structured) and CDG (constellation text,
-// verbatim) must be set.
+// verbatim) must be set. It documents the wire shape for clients; the
+// server reads bodies with decodeGraphRequest, not encoding/json.
 type GraphVerifyRequest struct {
 	Graph  *GraphSpec `json:"graph,omitempty"`
 	CDG    string     `json:"cdg,omitempty"`
@@ -64,44 +67,182 @@ type GraphVerifyResponse struct {
 	Key              string `json:"key"`
 }
 
-// build validates the request, parses the graph and returns its cache
+// graphRequest is a decoded /v1/verify/graph body.
+type graphRequest struct {
+	graph  *graphio.Graph
+	mode   cdg.GraphMode
+	escape []int
+}
+
+// graphLimits are the per-request graph bounds, enforced while parsing.
+var graphLimits = graphio.Limits{Channels: maxGraphChannels, Edges: maxGraphEdges}
+
+// graphDecoder is the pooled per-request decode state: the body buffer
+// and the graphio decoder's scratch. Nothing a decoded request holds
+// points into either, so it goes back to the pool before the verdict
+// is computed.
+type graphDecoder struct {
+	body []byte
+	dec  graphio.Decoder
+}
+
+// maxPooledBody caps the body buffer a pooled decoder keeps: a rare huge
+// body is read once and its buffer left to the collector.
+const maxPooledBody = 256 << 10
+
+var graphDecoders = sync.Pool{New: func() any {
+	return &graphDecoder{dec: graphio.Decoder{Limits: graphLimits}}
+}}
+
+// decodeGraphRequest reads one request body of about size bytes (-1 when
+// unknown), at most MaxBodyBytes, and decodes it in a single pass: the
+// envelope here, the graph by the graphio decoder, edges straight into
+// the edge set. It is stricter than encoding/json in three ways, each a
+// 400: an edge that is not exactly two integers (nor may null stand in
+// for an id), a repeated key, and a key that matches a field only
+// case-insensitively. Nothing but white space may follow the request
+// object.
+func decodeGraphRequest(r io.Reader, size int64) (graphRequest, error) {
+	d := graphDecoders.Get().(*graphDecoder)
+	defer func() {
+		if cap(d.body) <= maxPooledBody {
+			graphDecoders.Put(d)
+		}
+	}()
+	if size >= 0 && size <= MaxBodyBytes && int(size) >= cap(d.body) {
+		d.body = make([]byte, 0, size+1) // +1: room to read the EOF
+	}
+	var err error
+	if d.body, err = readBody(r, d.body[:0]); err != nil {
+		return graphRequest{}, err
+	}
+	return d.decode(d.body)
+}
+
+// readBody appends all of r to buf, failing past MaxBodyBytes.
+func readBody(r io.Reader, buf []byte) ([]byte, error) {
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if len(buf) > MaxBodyBytes {
+			return buf, fmt.Errorf("request body exceeds %d bytes", MaxBodyBytes)
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, fmt.Errorf("reading request body: %w", err)
+		}
+	}
+}
+
+// The request envelope's fields, as bits of a seen-set.
+const (
+	fieldGraph = 1 << iota
+	fieldCDG
+	fieldMode
+	fieldEscape
+)
+
+// decode parses the request envelope in body, which it modifies (strings
+// are unescaped in place).
+func (d *graphDecoder) decode(body []byte) (graphRequest, error) {
+	var req graphRequest
+	s := graphio.NewScanner(body)
+	if err := s.BeginObject(); err != nil {
+		return req, err
+	}
+	mode, seen := "", 0
+	for {
+		key, more, err := s.NextKey()
+		if err != nil {
+			return req, err
+		}
+		if !more {
+			break
+		}
+		var field int
+		switch string(key) {
+		case "graph":
+			field = fieldGraph
+		case "cdg":
+			field = fieldCDG
+		case "mode":
+			field = fieldMode
+		case "escape":
+			field = fieldEscape
+		default:
+			return req, fmt.Errorf("unknown field %q", key)
+		}
+		if seen&field != 0 {
+			return req, fmt.Errorf("repeated field %q", key)
+		}
+		seen |= field
+		switch field {
+		case fieldGraph:
+			if s.Null() {
+				continue
+			}
+			if req.graph != nil {
+				return req, errBothEncodings
+			}
+			req.graph, err = d.dec.JSON(&s)
+		case fieldCDG:
+			var text []byte
+			if s.Null() {
+				continue
+			}
+			if text, err = s.String(); err != nil || len(text) == 0 {
+				break
+			}
+			if req.graph != nil {
+				return req, errBothEncodings
+			}
+			req.graph, err = d.dec.Text(text)
+		case fieldMode:
+			var b []byte
+			if !s.Null() {
+				b, err = s.String()
+				mode = string(b)
+			}
+		case fieldEscape:
+			req.escape, err = s.Ints(nil)
+		}
+		if err != nil {
+			return req, err
+		}
+	}
+	if err := s.End(); err != nil {
+		return req, err
+	}
+	if req.graph == nil {
+		return req, errors.New("one of graph or cdg is required")
+	}
+	var err error
+	req.mode, err = cdg.ParseGraphMode(mode)
+	return req, err
+}
+
+var errBothEncodings = errors.New("use either graph or cdg, not both")
+
+// build checks the decoded request's escape set and returns its cache
 // query. Like VerifyRequest.build it returns client errors only —
 // everything here maps to a 400.
-func (req *GraphVerifyRequest) build() (cdg.Query[cdg.ModeReport], error) {
+func (req *graphRequest) build() (cdg.Query[cdg.ModeReport], error) {
 	var none cdg.Query[cdg.ModeReport]
-	mode, err := cdg.ParseGraphMode(req.Mode)
-	if err != nil {
-		return none, err
-	}
-	var g *graphio.Graph
-	switch {
-	case req.Graph != nil && req.CDG != "":
-		return none, errors.New("use either graph or cdg, not both")
-	case req.Graph != nil:
-		g, err = graphio.New(req.Graph.Channels, req.Graph.Inputs, req.Graph.Outputs, req.Graph.Edges)
-	case req.CDG != "":
-		g, err = graphio.ParseCDG([]byte(req.CDG))
-	default:
-		return none, errors.New("one of graph or cdg is required")
-	}
-	if err != nil {
-		return none, err
-	}
-	if n := g.Edges.NumNodes(); n > maxGraphChannels {
-		return none, fmt.Errorf("graph has %d channels, limit %d", n, maxGraphChannels)
-	}
-	if n := g.Edges.NumEdges(); n > maxGraphEdges {
-		return none, fmt.Errorf("graph has %d edges, limit %d", n, maxGraphEdges)
-	}
-	if mode == cdg.ModeEscape && len(req.Escape) == 0 {
+	g := req.graph
+	if req.mode == cdg.ModeEscape && len(req.escape) == 0 {
 		return none, errors.New("mode escape requires a non-empty escape set")
 	}
-	for _, v := range req.Escape {
+	for _, v := range req.escape {
 		if v < 0 || v >= g.Edges.NumNodes() {
 			return none, fmt.Errorf("escape channel %d outside [0, %d)", v, g.Edges.NumNodes())
 		}
 	}
-	return cdg.ModeQuery(g.Edges, mode, g.Inputs, g.Outputs, req.Escape), nil
+	return cdg.ModeQuery(g.Edges, req.mode, g.Inputs, g.Outputs, req.escape), nil
 }
 
 func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
@@ -115,8 +256,8 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "POST only")
 		return
 	}
-	var req GraphVerifyRequest
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, MaxBodyBytes), &req); err != nil {
+	req, err := decodeGraphRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes), r.ContentLength)
+	if err != nil {
 		obsRejectBad.Inc()
 		writeError(w, http.StatusBadRequest, sanitizeErr(err))
 		return
