@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -26,15 +28,34 @@ import (
 )
 
 func main() {
-	chainSpec := flag.String("chain", "", "partition chain to analyse")
-	algName := flag.String("alg", "", "named algorithm: xy, odd-even, planar, duato, duato-torus, dateline, unrestricted")
-	meshSpec := flag.String("mesh", "6x6", "mesh sizes, e.g. 6x6 or 4x4x4")
-	torus := flag.Bool("torus", false, "use a torus instead of a mesh")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams injected. It
+// returns the exit status: 0 when the design is deadlock-free (acyclic, or
+// cyclic but escape-protected), 1 when it is deadlock-capable, 2 on usage
+// or input errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ebda-deadlock", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	chainSpec := fs.String("chain", "", "partition chain to analyse")
+	algName := fs.String("alg", "", "named algorithm: xy, odd-even, planar, duato, duato-torus, dateline, unrestricted")
+	meshSpec := fs.String("mesh", "6x6", "mesh sizes, e.g. 6x6 or 4x4x4")
+	torus := fs.Bool("torus", false, "use a torus instead of a mesh")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ebda-deadlock:", err)
+		return 2
+	}
 
 	sizes, err := parseSizes(*meshSpec)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	var net *topology.Network
 	if *torus {
@@ -49,39 +70,40 @@ func main() {
 	)
 	switch {
 	case *chainSpec != "" && *algName != "":
-		fatal(fmt.Errorf("use either -chain or -alg"))
+		return fail(fmt.Errorf("use either -chain or -alg"))
 	case *chainSpec != "":
 		chain, err := core.ParseChain(*chainSpec)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		fc := routing.NewFromChain("chain", chain, net.Dims())
 		alg, vcs = fc, cdg.VCConfig(fc.VCs())
-		fmt.Printf("design: %s\n", chain)
+		fmt.Fprintf(stdout, "design: %s\n", chain)
 	case *algName != "":
 		alg, vcs, err = buildAlg(*algName, net)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
-		fmt.Printf("design: %s\n", alg.Name())
+		fmt.Fprintf(stdout, "design: %s\n", alg.Name())
 	default:
-		fatal(fmt.Errorf("one of -chain or -alg is required"))
+		return fail(fmt.Errorf("one of -chain or -alg is required"))
 	}
 
 	rep := routing.Verify(net, vcs, alg)
-	fmt.Printf("dependency graph: %s\n", rep)
+	fmt.Fprintf(stdout, "dependency graph: %s\n", rep)
 	cfg := deadlock.Find(net, vcs, alg)
-	fmt.Println(cfg)
+	fmt.Fprintln(stdout, cfg)
 	switch {
 	case rep.Acyclic:
-		fmt.Println("verdict: deadlock-free by Dally's condition (acyclic dependency graph)")
+		fmt.Fprintln(stdout, "verdict: deadlock-free by Dally's condition (acyclic dependency graph)")
+		return 0
 	case cfg.Empty():
-		fmt.Println("verdict: cyclic dependency graph but no deadlock configuration —")
-		fmt.Println("         escape-protected in Duato's sense (every circular wait has an exit)")
-		os.Exit(0)
+		fmt.Fprintln(stdout, "verdict: cyclic dependency graph but no deadlock configuration —")
+		fmt.Fprintln(stdout, "         escape-protected in Duato's sense (every circular wait has an exit)")
+		return 0
 	default:
-		fmt.Println("verdict: DEADLOCK-CAPABLE (concrete configuration above)")
-		os.Exit(1)
+		fmt.Fprintln(stdout, "verdict: DEADLOCK-CAPABLE (concrete configuration above)")
+		return 1
 	}
 }
 
@@ -121,9 +143,4 @@ func parseSizes(s string) ([]int, error) {
 		out[i] = v
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ebda-deadlock:", err)
-	os.Exit(2)
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -67,5 +68,39 @@ func TestUsageErrorsExit2(t *testing.T) {
 		if code, _, errb := runCLI(t, args...); code != 2 || errb == "" {
 			t.Errorf("%v: exit %d stderr %q, want exit 2 with a message", args, code, errb)
 		}
+	}
+}
+
+// TestWitness pins -witness: an acyclic design prints one numbered line
+// per channel, the same bytes on every run, and a cyclic turn list
+// prints no witness.
+func TestWitness(t *testing.T) {
+	args := []string{"-chain", "PA[X+ X- Y-] -> PB[Y+]", "-mesh", "3x3", "-witness"}
+	code, out, errb := runCLI(t, args...)
+	if code != 0 {
+		t.Fatalf("exit %d (stderr %q), want 0", code, errb)
+	}
+	if !strings.Contains(out, "3x3 mesh: 24 channels") {
+		t.Fatalf("unexpected verdict:\n%s", out)
+	}
+	_, rest, ok := strings.Cut(out, "deadlock-freedom witness (ascending channel numbering):\n")
+	if !ok {
+		t.Fatalf("no witness header:\n%s", out)
+	}
+	lines := strings.Split(rest, "\n")
+	for i := 0; i < 24; i++ {
+		if want := fmt.Sprintf("  %4d: n", i+1); !strings.HasPrefix(lines[i], want) {
+			t.Fatalf("witness line %d = %q, want prefix %q", i+1, lines[i], want)
+		}
+	}
+	if !strings.HasPrefix(lines[24], "connectivity: ") {
+		t.Fatalf("witness has more than 24 lines: %q", lines[24])
+	}
+	if _, again, _ := runCLI(t, args...); again != out {
+		t.Fatalf("rerun differs:\n%s\nvs\n%s", out, again)
+	}
+	code, out, _ = runCLI(t, "-turns", "X+>Y+,Y+>X-,X->Y-,Y->X+", "-mesh", "3x3", "-witness")
+	if code != 1 || !strings.Contains(out, "\nno witness: cdg: graph is cyclic (8 of 24 channels ordered)\n") {
+		t.Fatalf("cyclic design: exit %d, output:\n%s", code, out)
 	}
 }

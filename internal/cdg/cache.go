@@ -13,7 +13,7 @@ import (
 
 // Cache memoizes verdicts of one report type, keyed by a canonical
 // 64-bit hash of the question asked (the *Key family: VerifyKey,
-// DeltaKey, EdgeKey, ModeKey). The experiment sweeps (E04/E05/E07, the
+// DeltaKey, ModeKey). The experiment sweeps (E04/E05/E07, the
 // partition strategy searches, the paper-section turn-model
 // enumerations) verify many structurally identical designs — chains
 // rebuilt per call produce fresh TurnSet instances with identical
@@ -44,11 +44,10 @@ type cacheEntry[R any] struct {
 	rep   R
 }
 
-// VerifyCache holds full and delta verification Reports, EdgeCache
-// abstract edge-set verdicts, ModeCache multi-mode graph verdicts.
+// VerifyCache holds full and delta verification Reports, ModeCache
+// multi-mode verdicts over abstract edge sets.
 type (
 	VerifyCache = Cache[Report]
-	EdgeCache   = Cache[EdgeReport]
 	ModeCache   = Cache[ModeReport]
 )
 
@@ -64,7 +63,7 @@ var DefaultCache = &VerifyCache{entries: obsCacheEntries}
 
 // Query is one cacheable verification: its dual-hash identity, hashed
 // once when the query is built, and the computation that answers it on a
-// miss. Build one with TurnSetQuery, DeltaQuery, EdgeQuery or ModeQuery;
+// miss. Build one with TurnSetQuery, DeltaQuery or ModeQuery;
 // the same Key and Check serve the cache probe, singleflight coalescing
 // and shard routing.
 type Query[R any] struct {
@@ -91,13 +90,11 @@ func (s CacheStats) HitRate() float64 {
 
 // cacheSeries are the process-wide counters one report type's caches
 // feed: every VerifyCache instance counts into ebda_verify_cache_*, every
-// EdgeCache into ebda_edge_cache_*, every ModeCache into
-// ebda_mode_cache_*.
+// ModeCache into ebda_mode_cache_*.
 type cacheSeries struct{ hits, misses, evictions *obs.Counter }
 
 var (
 	verifySeries = cacheSeries{obsCacheHits, obsCacheMisses, obsCacheEvictions}
-	edgeSeries   = cacheSeries{obsEdgeCacheHits, obsEdgeCacheMisses, obsEdgeCacheEvictions}
 	modeSeries   = cacheSeries{obsModeCacheHits, obsModeCacheMisses, obsModeCacheEvictions}
 )
 
@@ -105,8 +102,6 @@ func (c *Cache[R]) series() *cacheSeries {
 	switch any((*R)(nil)).(type) {
 	case *Report:
 		return &verifySeries
-	case *EdgeReport:
-		return &edgeSeries
 	default:
 		return &modeSeries
 	}

@@ -147,17 +147,14 @@ type cacheCase[R any] struct {
 	want []R
 }
 
-// cacheCases returns a fixture per report type: full verifications,
-// edge sets and graph modes.
-func cacheCases() (cacheCase[Report], cacheCase[EdgeReport], cacheCase[ModeReport]) {
+// cacheCases returns a fixture per report type: full verifications and
+// graph modes.
+func cacheCases() (cacheCase[Report], cacheCase[ModeReport]) {
 	mesh, mesh35, torus := topology.NewMesh(4, 4), topology.NewMesh(3, 5), topology.NewTorus(4, 4)
 	e, in, out := escapeOKGraph()
 	return cacheCase[Report]{
 			qs:   []Query[Report]{TurnSetQuery(mesh, nil, xyTurnSet()), TurnSetQuery(mesh35, nil, allTurnSet()), TurnSetQuery(torus, nil, parityTurnSet())},
 			want: []Report{freshReport(mesh, nil, xyTurnSet()), freshReport(mesh35, nil, allTurnSet()), freshReport(torus, nil, parityTurnSet())},
-		}, cacheCase[EdgeReport]{
-			qs:   []Query[EdgeReport]{EdgeQuery(ring(5)), EdgeQuery(ring(6)), EdgeQuery(NewEdgeSet(3))},
-			want: []EdgeReport{VerifyEdgeSet(ring(5)), VerifyEdgeSet(ring(6)), VerifyEdgeSet(NewEdgeSet(3))},
 		}, cacheCase[ModeReport]{
 			qs:   []Query[ModeReport]{ModeQuery(e, ModeLoop, in, out, nil), ModeQuery(e, ModeLiveness, in, out, nil), ModeQuery(e, ModeEscape, in, out, []int{4})},
 			want: []ModeReport{VerifyMode(e, ModeLoop, in, out, nil), VerifyMode(e, ModeLiveness, in, out, nil), VerifyMode(e, ModeEscape, in, out, []int{4})},
@@ -168,13 +165,12 @@ func TestCacheConcurrent(t *testing.T) {
 	// Hammer one cache from many goroutines across a mix of questions;
 	// run under -race via `make check`. Every result must match the
 	// uncached reference for its question.
-	v, e, m := cacheCases()
+	v, m := cacheCases()
 	for _, tc := range []struct {
 		name string
 		run  func(*testing.T)
 	}{
 		{"verify", func(t *testing.T) { hammerCache(t, &VerifyCache{}, v) }},
-		{"edge", func(t *testing.T) { hammerCache(t, &EdgeCache{}, e) }},
 		{"mode", func(t *testing.T) { hammerCache(t, &ModeCache{}, m) }},
 	} {
 		t.Run(tc.name, tc.run)
@@ -217,13 +213,12 @@ func TestCacheEvictionCounting(t *testing.T) {
 	old := maxCacheEntries
 	maxCacheEntries = 2
 	defer func() { maxCacheEntries = old }()
-	v, e, m := cacheCases()
+	v, m := cacheCases()
 	for _, tc := range []struct {
 		name string
 		run  func(*testing.T)
 	}{
 		{"verify", func(t *testing.T) { countEvictions(t, &VerifyCache{}, v) }},
-		{"edge", func(t *testing.T) { countEvictions(t, &EdgeCache{}, e) }},
 		{"mode", func(t *testing.T) { countEvictions(t, &ModeCache{}, m) }},
 	} {
 		t.Run(tc.name, tc.run)

@@ -570,69 +570,6 @@ func BuildFromTurnSetJobs(net *topology.Network, vcs VCConfig, ts *core.TurnSet,
 	return BuildFromTurnSet(net, vcs, ts)
 }
 
-// Acyclic reports whether the dependency graph has no cycles.
-func (g *Graph) Acyclic() bool { return g.FindCycle() == nil }
-
-// FindCycle returns one dependency cycle as a channel sequence (the last
-// element depends on the first), or nil if the graph is acyclic. It uses an
-// iterative three-colour DFS, so it scales to large networks without
-// recursion-depth limits.
-func (g *Graph) FindCycle() []Channel {
-	const (
-		white = 0
-		grey  = 1
-		black = 2
-	)
-	color := make([]uint8, len(g.channels))
-	parent := make([]int32, len(g.channels))
-	for i := range parent {
-		parent[i] = -1
-	}
-	type frame struct {
-		node int32
-		next int
-	}
-	for start := range g.channels {
-		if color[start] != white {
-			continue
-		}
-		stack := []frame{{node: int32(start)}}
-		color[start] = grey
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			if f.next < len(g.adj[f.node]) {
-				succ := g.adj[f.node][f.next]
-				f.next++
-				switch color[succ] {
-				case white:
-					color[succ] = grey
-					parent[succ] = f.node
-					stack = append(stack, frame{node: succ})
-				case grey:
-					// Found a cycle: walk parents from f.node back
-					// to succ.
-					var cyc []Channel
-					for v := f.node; ; v = parent[v] {
-						cyc = append(cyc, g.channels[v])
-						if v == succ {
-							break
-						}
-					}
-					// Reverse into dependency order.
-					for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
-						cyc[i], cyc[j] = cyc[j], cyc[i]
-					}
-					return cyc
-				}
-			} else {
-				color[f.node] = black
-				stack = stack[:len(stack)-1]
-			}
-		}
-	}
-	return nil
-}
-
 // SCCs returns the strongly connected components with more than one channel
 // or with a self-loop — the deadlock-capable cores of the graph. Components
 // are returned as channel index lists. An empty result means acyclic.

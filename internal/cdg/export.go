@@ -1,6 +1,7 @@
 package cdg
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -10,43 +11,18 @@ import (
 // explicit witness of deadlock freedom (a channel numbering under which
 // every dependency goes from a lower to a higher number, exactly the
 // ordering argument behind Dally's condition and the paper's ascending
-// disciplines). It returns an error when the graph is cyclic.
+// disciplines). The order is the Kahn peel's: round by round, each round
+// in the order the previous one released its channels. It returns an
+// error when the graph is cyclic.
 func (g *Graph) TopoOrder() ([]Channel, error) {
-	indeg := make([]int, len(g.channels))
-	for _, succs := range g.adj {
-		for _, s := range succs {
-			indeg[s]++
-		}
-	}
-	queue := make([]int32, 0, len(g.channels))
-	for i, d := range indeg {
-		if d == 0 {
-			queue = append(queue, int32(i))
-		}
-	}
-	out := make([]Channel, 0, len(g.channels))
-	for len(queue) > 0 {
-		// Pop the smallest index for a deterministic ordering.
-		best := 0
-		for i := 1; i < len(queue); i++ {
-			if queue[i] < queue[best] {
-				best = i
-			}
-		}
-		v := queue[best]
-		queue[best] = queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		out = append(out, g.channels[v])
-		for _, s := range g.adj[v] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
-			}
-		}
-	}
-	if len(out) != len(g.channels) {
+	var st acyclicState
+	if peeled, _ := g.kahnPeel(context.Background(), &st); peeled != len(g.channels) {
 		return nil, fmt.Errorf("cdg: graph is cyclic (%d of %d channels ordered)",
-			len(out), len(g.channels))
+			peeled, len(g.channels))
+	}
+	out := make([]Channel, len(st.order))
+	for i, v := range st.order {
+		out[i] = g.channels[v]
 	}
 	return out, nil
 }
@@ -79,7 +55,10 @@ func (g *Graph) Certificate() (*Certificate, error) {
 // graph: the order must be a permutation of all channels and every
 // dependency edge must go from an earlier to a later position.
 func (g *Graph) CheckCertificate(c *Certificate) error {
-	if c == nil || len(c.Order) != len(g.channels) {
+	if c == nil {
+		return fmt.Errorf("cdg: no certificate")
+	}
+	if len(c.Order) != len(g.channels) {
 		return fmt.Errorf("cdg: certificate covers %d of %d channels",
 			len(c.Order), len(g.channels))
 	}

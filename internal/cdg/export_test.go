@@ -4,31 +4,87 @@ import (
 	"strings"
 	"testing"
 
+	"ebda/internal/channel"
 	"ebda/internal/core"
 	"ebda/internal/topology"
 )
 
-func TestTopoOrderWitness(t *testing.T) {
-	chain := core.MustParseChain("PA[X1+ Y1+ Y1-] -> PB[X1- Y2+ Y2-]")
-	g := BuildFromTurnSet(topology.NewMesh(4, 4), VCConfigFor(2, chain.Channels()), chain.AllTurns())
-	order, err := g.TopoOrder()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != g.NumChannels() {
-		t.Fatalf("order covers %d of %d channels", len(order), g.NumChannels())
-	}
-	// Every dependency must go forward in the ordering.
-	pos := make(map[int]int, len(order))
-	for i, ch := range order {
-		pos[ch.Index] = i
-	}
-	for i := range g.Channels() {
-		for _, s := range g.Succs(i) {
-			if pos[i] >= pos[int(s)] {
-				t.Fatalf("dependency %d -> %d violates the witness ordering", i, s)
-			}
+// datelineRoute is dimension-order routing on a torus with a dateline:
+// a packet rides VC 1 in each dimension until it crosses that dimension's
+// wraparound link, then VC 2. It needs two VCs per dimension.
+func datelineRoute(g *Graph, at topology.NodeID, in *Channel, dst topology.NodeID) []int {
+	for d, off := range g.Net().MinimalOffsets(at, dst) {
+		if off == 0 {
+			continue
 		}
+		sign := channel.Plus
+		if off < 0 {
+			sign = channel.Minus
+		}
+		vc := 1
+		if in != nil && int(in.Link.Dim) == d && (in.VC == 2 || in.Link.Wrap) {
+			vc = 2
+		}
+		ch, ok := g.FindChannel(at, channel.Dim(d), sign, vc)
+		if !ok {
+			return nil
+		}
+		return []int{ch.Index}
+	}
+	return nil
+}
+
+// TestTopoOrderWitness checks the peel's topological order on a 2D mesh,
+// a torus, a 3D mesh and a vertically partial 3D mesh: it covers every
+// channel, every dependency goes forward in it, and CheckCertificate
+// accepts it.
+func TestTopoOrderWitness(t *testing.T) {
+	chain2 := core.MustParseChain("PA[X1+ Y1+ Y1-] -> PB[X1- Y2+ Y2-]")
+	chain3 := core.MustParseChain("PA[X1+ Y1* Z1+] -> PB[X1- Y2* Z1-]")
+	torus := NewGraph(topology.NewTorus(4, 4), Uniform(2, 2))
+	torus.AddRoutingEdges(datelineRoute)
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+	}{
+		{"mesh", BuildFromTurnSet(topology.NewMesh(4, 4), VCConfigFor(2, chain2.Channels()), chain2.AllTurns())},
+		{"torus", torus},
+		{"mesh3d", BuildFromTurnSet(topology.NewMesh(3, 3, 3), VCConfigFor(3, chain3.Channels()), chain3.AllTurns())},
+		{"partial3d", BuildFromTurnSet(topology.NewPartialMesh3D(4, 4, 3, [][2]int{{0, 0}, {3, 3}}),
+			VCConfigFor(3, chain3.Channels()), chain3.AllTurns())},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g := tc.g
+			if g.NumEdges() == 0 {
+				t.Fatal("graph has no dependencies")
+			}
+			order, err := g.TopoOrder()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(order) != g.NumChannels() {
+				t.Fatalf("order covers %d of %d channels", len(order), g.NumChannels())
+			}
+			// Every dependency must go forward in the ordering.
+			pos := make(map[int]int, len(order))
+			for i, ch := range order {
+				pos[ch.Index] = i
+			}
+			for i := range g.Channels() {
+				for _, s := range g.Succs(i) {
+					if pos[i] >= pos[int(s)] {
+						t.Fatalf("dependency %d -> %d violates the witness ordering", i, s)
+					}
+				}
+			}
+			cert := &Certificate{Order: make([]int, len(order))}
+			for i, ch := range order {
+				cert.Order[i] = ch.Index
+			}
+			if err := g.CheckCertificate(cert); err != nil {
+				t.Fatalf("topological order rejected as a certificate: %v", err)
+			}
+		})
 	}
 }
 
@@ -101,26 +157,27 @@ func TestCertificate(t *testing.T) {
 	if err := g.CheckCertificate(cert); err != nil {
 		t.Fatalf("own certificate rejected: %v", err)
 	}
-	// Tampered certificates are rejected.
-	swapped := &Certificate{Order: append([]int(nil), cert.Order...)}
-	swapped.Order[0], swapped.Order[len(swapped.Order)-1] =
-		swapped.Order[len(swapped.Order)-1], swapped.Order[0]
-	if err := g.CheckCertificate(swapped); err == nil {
-		t.Error("tampered certificate accepted")
-	}
-	// Short, repeated and out-of-range certificates are rejected.
-	if err := g.CheckCertificate(&Certificate{Order: cert.Order[:3]}); err == nil {
-		t.Error("short certificate accepted")
-	}
+	// Tampered, short, repeated, out-of-range and missing certificates
+	// are rejected.
+	swapped := append([]int(nil), cert.Order...)
+	swapped[0], swapped[len(swapped)-1] = swapped[len(swapped)-1], swapped[0]
 	dup := append([]int(nil), cert.Order...)
 	dup[1] = dup[0]
-	if err := g.CheckCertificate(&Certificate{Order: dup}); err == nil {
-		t.Error("duplicated certificate accepted")
-	}
 	bad := append([]int(nil), cert.Order...)
 	bad[0] = len(cert.Order) + 5
-	if err := g.CheckCertificate(&Certificate{Order: bad}); err == nil {
-		t.Error("out-of-range certificate accepted")
+	for _, tc := range []struct {
+		name string
+		c    *Certificate
+	}{
+		{"tampered", &Certificate{Order: swapped}},
+		{"short", &Certificate{Order: cert.Order[:3]}},
+		{"duplicated", &Certificate{Order: dup}},
+		{"out-of-range", &Certificate{Order: bad}},
+		{"nil", nil},
+	} {
+		if err := g.CheckCertificate(tc.c); err == nil {
+			t.Errorf("%s certificate accepted", tc.name)
+		}
 	}
 	// Cyclic graphs have no certificate.
 	gc := BuildFromTurnSet(topology.NewMesh(3, 3), nil, allTurnSet())

@@ -21,7 +21,7 @@ import (
 // the rows while the peel state treats them as removed; the residual DFS
 // skips peeled successors, which only such a channel can be.
 
-// DFS colours shared by findCycleResidual and FindCycle.
+// DFS colours of findCycleResidualAdj.
 const (
 	dfsWhite = 0
 	dfsGrey  = 1
@@ -36,9 +36,9 @@ type acyclicState struct {
 	// indeg[i] is channel i's remaining dependency in-degree; after the
 	// peel, indeg[i] > 0 marks the residual.
 	indeg []int32
-	// frontier/swap double-buffer the zero in-degree wavefront.
-	frontier []int32
-	swap     []int32
+	// order lists the peeled channels in peel order, one round after the
+	// other: a topological order of the peeled region.
+	order []int32
 	// color/parent are the residual DFS scratch, sized lazily because the
 	// common acyclic case never needs them.
 	color  []uint8
@@ -55,8 +55,10 @@ func (st *acyclicState) ensure(n int) {
 			st.indeg[i] = 0
 		}
 	}
-	st.frontier = st.frontier[:0]
-	st.swap = st.swap[:0]
+	if cap(st.order) < n {
+		st.order = make([]int32, 0, n)
+	}
+	st.order = st.order[:0]
 }
 
 // ctxPollRounds is how many Kahn rounds run between cancellation polls.
@@ -64,7 +66,8 @@ const ctxPollRounds = 64
 
 // kahnPeel runs the topological peel and returns the number of channels
 // peeled; the graph is acyclic iff that equals NumChannels. On return
-// st.indeg marks the residual (indeg > 0).
+// st.indeg marks the residual (indeg > 0) and st.order holds the peeled
+// channels in peel order.
 //
 // ctx is checked before the first frontier round and then every
 // ctxPollRounds rounds (rounds are the only unbounded dimension of the
@@ -80,10 +83,10 @@ func (g *Graph) kahnPeel(ctx context.Context, st *acyclicState) (int, error) {
 }
 
 // kahnPeelAdj is the representation-agnostic peel behind Graph.kahnPeel
-// and the abstract EdgeSet verification: it needs only the adjacency rows
-// (sorted or not — the peel never relies on row order), so any dependency
-// graph reduced to dense int32 successor lists runs through the one
-// engine.
+// and the mode verifications of abstract EdgeSets: it needs only the
+// adjacency rows (sorted or not — the peel never relies on row order), so
+// any dependency graph reduced to dense int32 successor lists runs through
+// the one engine.
 //
 //ebda:hotpath
 func kahnPeelAdj(ctx context.Context, adj [][]int32, st *acyclicState) (int, error) {
@@ -99,41 +102,38 @@ func kahnPeelAdj(ctx context.Context, adj [][]int32, st *acyclicState) (int, err
 			indeg[s]++
 		}
 	}
-	frontier := st.frontier
+	order := st.order
 	for i := 0; i < nc; i++ {
 		if indeg[i] == 0 {
-			frontier = append(frontier, int32(i))
+			order = append(order, int32(i))
 		}
 	}
-	peeled := len(frontier)
 	rounds := uint64(0)
-	// Peel rounds: each round removes the current frontier and discovers
-	// the channels whose in-degree that drops to zero.
-	for len(frontier) > 0 {
+	// Peel rounds: round k removes order[lo:hi], the channels the round
+	// before brought to in-degree zero, and appends the ones it does.
+	for lo, hi := 0, len(order); lo < hi; lo, hi = hi, len(order) {
 		if rounds%ctxPollRounds == 0 {
 			if err := ctx.Err(); err != nil {
-				st.frontier = frontier
+				st.order = order
 				obsKahnRounds.Add(rounds)
 				obsVerifyCancelled.Inc()
 				ksp.SetInt("rounds", int64(rounds))
 				ksp.SetInt("cancelled", 1)
 				ksp.End()
-				return peeled, err
+				return len(order), err
 			}
 		}
 		rounds++
-		out := st.swap[:0]
-		for _, v := range frontier {
+		for _, v := range order[lo:hi] {
 			for _, s := range adj[v] {
 				if indeg[s]--; indeg[s] == 0 {
-					out = append(out, s)
+					order = append(order, s)
 				}
 			}
 		}
-		st.swap, frontier = frontier, out
-		peeled += len(frontier)
 	}
-	st.frontier = frontier
+	st.order = order
+	peeled := len(order)
 	obsKahnRounds.Add(rounds)
 	ksp.SetInt("rounds", int64(rounds))
 	ksp.SetInt("peeled", int64(peeled))
@@ -160,7 +160,7 @@ func (g *Graph) findCycleResidual(st *acyclicState) []Channel {
 // findCycleResidualAdj is findCycleResidual on bare adjacency rows,
 // returning the cycle as dense indices in dependency order (the last
 // element depends on the first). It is shared by the concrete Graph and
-// the abstract EdgeSet verification.
+// the mode verifications of abstract EdgeSets.
 func findCycleResidualAdj(adj [][]int32, st *acyclicState) []int32 {
 	nc := len(adj)
 	if cap(st.color) < nc {
@@ -225,23 +225,30 @@ func findCycleResidualAdj(adj [][]int32, st *acyclicState) []int32 {
 	return nil
 }
 
-// AcyclicJobs reports whether the graph has no cycles by the Kahn peel.
-// The int argument is ignored; bench/ calls this signature.
-func (g *Graph) AcyclicJobs(_ int) bool {
+// Acyclic reports whether the dependency graph has no cycles by the Kahn
+// peel.
+func (g *Graph) Acyclic() bool {
 	var st acyclicState
 	peeled, _ := g.kahnPeel(context.Background(), &st)
 	return peeled == len(g.channels)
 }
 
-// FindCycleJobs returns one dependency cycle (the last element depends on
-// the first), or nil if the graph is acyclic. The acyclicity test is the
-// Kahn peel; cycle extraction runs only on the unpeeled residual, so the
-// common acyclic case is O(V+E) and the cyclic case hands the DFS a
-// smaller graph. The int argument is ignored; bench/ calls this signature.
-func (g *Graph) FindCycleJobs(_ int) []Channel {
+// FindCycle returns one dependency cycle (the last element depends on the
+// first), or nil if the graph is acyclic. The acyclicity test is the Kahn
+// peel; cycle extraction runs only on the unpeeled residual, so the common
+// acyclic case is O(V+E) and the cyclic case hands the DFS a smaller graph.
+func (g *Graph) FindCycle() []Channel {
 	var st acyclicState
 	if peeled, _ := g.kahnPeel(context.Background(), &st); peeled == len(g.channels) {
 		return nil
 	}
 	return g.findCycleResidual(&st)
 }
+
+// AcyclicJobs is Acyclic. The int argument is ignored; bench/ calls this
+// signature.
+func (g *Graph) AcyclicJobs(_ int) bool { return g.Acyclic() }
+
+// FindCycleJobs is FindCycle. The int argument is ignored; bench/ calls
+// this signature.
+func (g *Graph) FindCycleJobs(_ int) []Channel { return g.FindCycle() }

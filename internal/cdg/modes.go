@@ -16,14 +16,14 @@ import (
 // subset), and existence of a valid subrelation (an acyclic sub-CDG
 // that still drains everything). All four modes run through the same
 // Kahn peel + residual-only cycle DFS as the concrete engine, and all
-// four memoize through mode-aware cache keys derived from the
-// EdgeKey family.
+// four memoize through mode-aware cache keys derived from
+// EdgeSet.Fingerprint.
 //
 // Semantics (outputs are absorbing — a packet that reaches an output
 // channel is consumed, so edges out of outputs never propagate):
 //
-//	loop      the full graph is acyclic (EdgeSet acyclicity, with the
-//	          input/output annotation folded into the cache key).
+//	loop      the full graph is acyclic (the input/output annotation
+//	          counts only in the cache key).
 //	liveness  every channel reachable from an input, stopping at
 //	          outputs, is neither on a cycle nor a non-output dead
 //	          end: every maximal path from every input ends at an
@@ -117,9 +117,9 @@ const (
 )
 
 // ModeReport is the verdict of one mode verification over an annotated
-// edge set. It is the EdgeReport of the multi-mode surface: witnesses
-// are dense channel indices produced by the same deterministic
-// machinery (Kahn peel, residual-only DFS, ascending-order BFS).
+// edge set, the abstract-graph analogue of Report: witnesses are dense
+// channel indices produced by the same deterministic machinery (Kahn
+// peel, residual-only DFS, ascending-order BFS).
 type ModeReport struct {
 	Mode  GraphMode
 	Nodes int
@@ -605,12 +605,11 @@ func toInts(v []int32) []int {
 }
 
 // ModeKey is the dual-hash cache identity of one mode verification:
-// the EdgeKey fingerprint family extended with the mode and the
+// the edge set's Fingerprint extended with the mode and the
 // order-independent digests of the input/output/escape annotation
 // sets. Two verifications share a key iff they ask the same question
 // of the same graph — in particular, the four modes of one graph never
-// share keys (pinned by test), and none collides with the EdgeKey of
-// the bare edge set.
+// share keys (pinned by test).
 func ModeKey(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) (key, check uint64) {
 	n := len(e.adj)
 	var esc []int32
@@ -667,8 +666,9 @@ func ModeQuery(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) Query[
 var DefaultModeCache = &ModeCache{}
 
 // VerifyModeCached is VerifyMode through the DefaultModeCache — the
-// blessed entry point for tooling that proves liveness/escape/
-// subrelation properties of imported channel dependence graphs.
+// blessed entry point for tooling that verifies abstract dependency
+// graphs: deadlint's lock-order graph (ModeLoop) and the properties of
+// imported channel dependence graphs.
 func VerifyModeCached(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) ModeReport {
 	return reportOf(DefaultModeCache.Verify(context.Background(), ModeQuery(e, mode, inputs, outputs, escape)))
 }

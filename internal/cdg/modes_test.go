@@ -3,6 +3,7 @@ package cdg
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -24,25 +25,50 @@ func escapeOKGraph() (*EdgeSet, []int, []int) {
 	return e, []int{0, 1}, []int{5}
 }
 
+// TestModeLoop pins loop mode, the one acyclicity verdict for abstract
+// graphs: counts, and on cyclic rows a dependency-ordered witness (every
+// step an edge, the last element depending on the first).
 func TestModeLoop(t *testing.T) {
-	e := modeGraph(4, [][2]int{{0, 1}, {1, 2}, {2, 3}})
-	rep := VerifyMode(e, ModeLoop, []int{0}, []int{3}, nil)
-	if !rep.OK || rep.Reason != "" || rep.Cycle != nil {
-		t.Fatalf("acyclic graph: %+v", rep)
-	}
-	if rep.Nodes != 4 || rep.Edges != 3 {
-		t.Fatalf("counts: %+v", rep)
-	}
-
-	ring := modeGraph(3, [][2]int{{0, 1}, {1, 2}, {2, 0}})
-	rep = VerifyMode(ring, ModeLoop, nil, nil, nil)
-	if rep.OK || rep.Reason != ReasonCycle {
-		t.Fatalf("ring: %+v", rep)
-	}
-	checkCycle(t, ring, rep.Cycle)
-	// Loop mode must agree with the bare edge-set verdict.
-	if er := VerifyEdgeSet(ring); er.Acyclic {
-		t.Fatal("VerifyEdgeSet disagrees with loop mode")
+	chord := ring(4)
+	// A chord inside the ring must not confuse the witness.
+	chord.AddEdge(1, 3)
+	for _, tc := range []struct {
+		name         string
+		e            *EdgeSet
+		in, out      []int
+		nodes, edges int
+		ok           bool
+		cycle        []int // exact witness, when pinned
+	}{
+		{"path", modeGraph(4, [][2]int{{0, 1}, {1, 2}, {2, 3}}), []int{0}, []int{3}, 4, 3, true, nil},
+		{"acyclic", modeGraph(5, [][2]int{{0, 1}, {1, 2}, {0, 3}, {3, 4}, {2, 4}}), nil, nil, 5, 5, true, nil},
+		{"empty", NewEdgeSet(0), nil, nil, 0, 0, true, nil},
+		{"ring", modeGraph(3, [][2]int{{0, 1}, {1, 2}, {2, 0}}), nil, nil, 3, 3, false, nil},
+		{"ring-chord", chord, nil, nil, 4, 5, false, nil},
+		{"self-loop", modeGraph(3, [][2]int{{0, 1}, {2, 2}}), nil, nil, 3, 2, false, []int{2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := VerifyMode(tc.e, ModeLoop, tc.in, tc.out, nil)
+			if rep.Nodes != tc.nodes || rep.Edges != tc.edges {
+				t.Fatalf("counts: %+v, want %d nodes, %d edges", rep, tc.nodes, tc.edges)
+			}
+			if tc.ok {
+				if !rep.OK || rep.Reason != "" || rep.Cycle != nil {
+					t.Fatalf("acyclic graph: %+v", rep)
+				}
+				return
+			}
+			if rep.OK || rep.Reason != ReasonCycle {
+				t.Fatalf("cyclic graph: %+v", rep)
+			}
+			checkCycle(t, tc.e, rep.Cycle)
+			if tc.cycle != nil && !reflect.DeepEqual(rep.Cycle, tc.cycle) {
+				t.Fatalf("witness %v, want %v", rep.Cycle, tc.cycle)
+			}
+			if s := rep.String(); !strings.Contains(s, "VIOLATED (cycle)") {
+				t.Fatalf("String() of cyclic report: %q", s)
+			}
+		})
 	}
 }
 
@@ -204,7 +230,7 @@ func TestModeSubrelFound(t *testing.T) {
 	if len(seen) != e.NumNodes()-len(out) {
 		t.Fatalf("subrelation covers %d channels, want %d", len(seen), e.NumNodes()-len(out))
 	}
-	if sr := VerifyEdgeSet(sub); !sr.Acyclic {
+	if sr := VerifyMode(sub, ModeLoop, nil, nil, nil); !sr.OK {
 		t.Fatalf("subrelation is cyclic: %v", sr)
 	}
 	// The found subrelation's senders must also pass escape-mode
@@ -273,15 +299,12 @@ func TestModeJobsInvariance(t *testing.T) {
 }
 
 // TestModeKeyNoCollisions pins the acceptance criterion: mode-aware
-// cache keys never collide across modes for the same graph, and none
-// collides with the bare EdgeKey.
+// cache keys never collide across modes for the same graph.
 func TestModeKeyNoCollisions(t *testing.T) {
 	e, in, out := escapeOKGraph()
 	esc := []int{4}
 	modes := []GraphMode{ModeLoop, ModeLiveness, ModeEscape, ModeSubrel}
 	keys := make(map[uint64]string)
-	ek, _ := EdgeKey(e)
-	keys[ek] = "EdgeKey"
 	for _, m := range modes {
 		k, _ := ModeKey(e, m, in, out, esc)
 		if prev, dup := keys[k]; dup {
@@ -315,6 +338,11 @@ func TestModeKeyNoCollisions(t *testing.T) {
 }
 
 func TestModeCache(t *testing.T) {
+	t.Run("liveness", testModeCacheLiveness)
+	t.Run("loop-order-independent", testModeCacheLoopOrder)
+}
+
+func testModeCacheLiveness(t *testing.T) {
 	e, in, out := escapeOKGraph()
 	c := &ModeCache{}
 	if _, ok := c.Lookup(ModeKey(e, ModeLiveness, in, out, nil)); ok {
@@ -348,6 +376,28 @@ func TestModeCache(t *testing.T) {
 	if st := c.Stats(); st.Entries != 0 || st.Hits != 0 {
 		t.Fatalf("reset: %+v", st)
 	}
+}
+
+// testModeCacheLoopOrder: a loop question about a structurally identical
+// edge set built in another order hits the first answer, which equals the
+// uncached verdict.
+func testModeCacheLoopOrder(t *testing.T) {
+	c := &ModeCache{}
+	e := ring(10)
+	first, _ := c.Verify(context.Background(), ModeQuery(e, ModeLoop, nil, nil, nil))
+	f := NewEdgeSet(10)
+	for i := 9; i >= 0; i-- {
+		f.AddEdge(i, (i+1)%10)
+	}
+	second, _ := c.Verify(context.Background(), ModeQuery(f, ModeLoop, nil, nil, nil))
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
+	}
+	uncached := VerifyMode(f, ModeLoop, nil, nil, nil)
+	if !reflect.DeepEqual(first, second) || !reflect.DeepEqual(first, uncached) {
+		t.Fatalf("cached %+v, %+v vs uncached %+v", first, second, uncached)
+	}
+	checkCycle(t, f, second.Cycle)
 }
 
 func TestModeCacheCancelledNotCached(t *testing.T) {

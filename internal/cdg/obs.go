@@ -19,17 +19,6 @@ var (
 	obsVerifyCancelled = obs.NewCounter("ebda_cdg_verify_cancelled_total",
 		"verifications abandoned by context cancellation before a verdict")
 
-	obsEdgeVerifies = obs.NewCounter("ebda_cdg_edge_verifies_total",
-		"abstract edge-set verifications (topology-free graphs, e.g. deadlint lock graphs)")
-	obsEdgeCyclic = obs.NewCounter("ebda_cdg_edge_verify_cyclic_total",
-		"abstract edge-set verifications whose graph contained a cycle")
-	obsEdgeCacheHits = obs.NewCounter("ebda_edge_cache_hits_total",
-		"edge-set cache probes answered from a memoized verdict")
-	obsEdgeCacheMisses = obs.NewCounter("ebda_edge_cache_misses_total",
-		"edge-set cache probes that recomputed the verdict")
-	obsEdgeCacheEvictions = obs.NewCounter("ebda_edge_cache_evictions_total",
-		"entries dropped by edge-set cache epoch flushes")
-
 	obsModeLoop = obs.NewCounter(obs.Label("ebda_cdg_mode_verifies_total", "mode", "loop"),
 		"loop-mode (full-graph acyclicity) verifications of imported channel graphs")
 	obsModeLiveness = obs.NewCounter(obs.Label("ebda_cdg_mode_verifies_total", "mode", "liveness"),

@@ -2,6 +2,7 @@ package cdg
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"ebda/internal/channel"
@@ -141,11 +142,12 @@ func TestAddRoutingEdgesMatchesReference(t *testing.T) {
 	}
 }
 
-// TestFindCycleJobsAgreesWithSerialDFS: the Kahn-peel fast path must agree
-// with the reference three-colour DFS on acyclicity, and any cycle it
-// reports must be genuine (consecutive channels meet head-to-tail and
-// every hop is a real dependency edge).
-func TestFindCycleJobsAgreesWithSerialDFS(t *testing.T) {
+// TestFindCycleAgreesWithReferenceDFS: the Kahn peel must agree with the
+// reference three-colour DFS and with Tarjan's SCCs on acyclicity, any
+// cycle it reports must be genuine (consecutive channels meet head-to-tail
+// and every hop is a real dependency edge) and lie inside one SCC, and the
+// bench aliases must answer exactly as Acyclic and FindCycle.
+func TestFindCycleAgreesWithReferenceDFS(t *testing.T) {
 	nets := []*topology.Network{
 		topology.NewMesh(4, 4),
 		topology.NewMesh(3, 3, 3),
@@ -157,14 +159,21 @@ func TestFindCycleJobsAgreesWithSerialDFS(t *testing.T) {
 	for _, net := range nets {
 		for name, ts := range sets {
 			g := BuildFromTurnSet(net, nil, ts)
-			ref := g.FindCycle()
-			cyc := g.FindCycleJobs(0)
+			ref := referenceFindCycle(g)
+			cyc := g.FindCycle()
 			if (cyc == nil) != (ref == nil) {
-				t.Fatalf("%s/%s: FindCycleJobs nil=%v, FindCycle nil=%v",
+				t.Fatalf("%s/%s: FindCycle nil=%v, reference DFS nil=%v",
 					net, name, cyc == nil, ref == nil)
 			}
-			if g.AcyclicJobs(0) != (ref == nil) {
-				t.Fatalf("%s/%s: AcyclicJobs disagrees", net, name)
+			if g.Acyclic() != (ref == nil) {
+				t.Fatalf("%s/%s: Acyclic disagrees with the reference DFS", net, name)
+			}
+			sccs := g.SCCs()
+			if (len(sccs) == 0) != g.Acyclic() {
+				t.Fatalf("%s/%s: %d SCCs, Acyclic=%v", net, name, len(sccs), g.Acyclic())
+			}
+			if g.AcyclicJobs(0) != g.Acyclic() || !reflect.DeepEqual(g.FindCycleJobs(0), cyc) {
+				t.Fatalf("%s/%s: bench aliases disagree with Acyclic/FindCycle", net, name)
 			}
 			for i, c := range cyc {
 				next := cyc[(i+1)%len(cyc)]
@@ -173,6 +182,19 @@ func TestFindCycleJobsAgreesWithSerialDFS(t *testing.T) {
 				}
 				if !g.HasEdge(c.Index, next.Index) {
 					t.Fatalf("%s/%s: cycle hop %d is not an edge", net, name, i)
+				}
+			}
+			if cyc != nil {
+				comp := -1
+				for k, scc := range sccs {
+					if slices.Contains(scc, cyc[0].Index) {
+						comp = k
+					}
+				}
+				for _, c := range cyc {
+					if comp < 0 || !slices.Contains(sccs[comp], c.Index) {
+						t.Fatalf("%s/%s: cycle channel %v outside the SCC of %v", net, name, c, cyc[0])
+					}
 				}
 			}
 		}

@@ -71,4 +71,11 @@ func TestScaleWitnessLargeMesh(t *testing.T) {
 	if len(order) != g.NumChannels() {
 		t.Errorf("witness covers %d of %d", len(order), g.NumChannels())
 	}
+	cert := &Certificate{Order: make([]int, len(order))}
+	for i, ch := range order {
+		cert.Order[i] = ch.Index
+	}
+	if err := g.CheckCertificate(cert); err != nil {
+		t.Errorf("witness rejected as a certificate: %v", err)
+	}
 }

@@ -36,7 +36,7 @@ func runDeadlint(pass *Pass) error {
 	}
 	lg := BuildLockGraph(pass.pkg)
 	rep := lg.Verify()
-	if !rep.Acyclic {
+	if !rep.OK {
 		witness := lg.RenderCycle(rep.Cycle)
 		for i := range rep.Cycle {
 			from := rep.Cycle[i]

@@ -45,7 +45,7 @@ func TestRepoLockGraphAcyclic(t *testing.T) {
 			lg.shortPos(pkgs[0].Fset.Position(h.pos)), h.waitKey, h.heldKey)
 	}
 	rep := lg.Verify()
-	if !rep.Acyclic {
+	if !rep.OK {
 		t.Fatalf("the repository's lock/wait graph has a cycle: %s", lg.RenderCycle(rep.Cycle))
 	}
 	// The engine's report and the graph must agree on scale.
@@ -70,7 +70,7 @@ func TestDeadlintWitnessChain(t *testing.T) {
 	}
 	lg := BuildLockGraph(pkg)
 	rep := lg.Verify()
-	if rep.Acyclic {
+	if rep.OK {
 		t.Fatal("cyclic golden verified acyclic")
 	}
 	if len(rep.Cycle) != 2 {

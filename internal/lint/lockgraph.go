@@ -23,7 +23,7 @@ import (
 // through the Loader). Deadlock freedom of the concurrent serving stack
 // then reduces — exactly as the paper reduces routing deadlock — to
 // acyclicity of this graph, and the verdict comes from the same engine:
-// cdg.VerifyEdgeSetCached.
+// cdg.VerifyModeCached in cdg.ModeLoop.
 //
 // The analysis is deliberately flow-insensitive in the locklint style: a
 // lock is "held" at a point if a Lock/RLock on it precedes the point
@@ -126,8 +126,8 @@ func (lg *LockGraph) EdgeSet() *cdg.EdgeSet {
 
 // Verify obtains the acyclicity verdict from the cached engine — the same
 // discipline verifygate enforces on every other verdict consumer.
-func (lg *LockGraph) Verify() cdg.EdgeReport {
-	return cdg.VerifyEdgeSetCached(lg.EdgeSet())
+func (lg *LockGraph) Verify() cdg.ModeReport {
+	return cdg.VerifyModeCached(lg.EdgeSet(), cdg.ModeLoop, nil, nil, nil)
 }
 
 // edgeBetween returns the recorded edge from -> to, if any.

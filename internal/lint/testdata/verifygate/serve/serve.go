@@ -39,18 +39,6 @@ func rawBuild(net *topology.Network, ts *core.TurnSet) *cdg.Graph {
 	return cdg.BuildFromTurnSet(net, nil, ts) // want `uncached verify call cdg.BuildFromTurnSet in`
 }
 
-// uncachedEdgeSet verifies an abstract edge-set graph outside the cache;
-// in a serving package even topology-free verdicts must be memoized
-// through cdg.VerifyEdgeSetCached.
-func uncachedEdgeSet(e *cdg.EdgeSet) bool {
-	return cdg.VerifyEdgeSet(e).Acyclic // want `uncached verify call cdg.VerifyEdgeSet in`
-}
-
-// cachedEdgeSet is the blessed topology-free path.
-func cachedEdgeSet(e *cdg.EdgeSet) bool {
-	return cdg.VerifyEdgeSetCached(e).Acyclic
-}
-
 // uncachedMode proves a multi-mode property of an imported channel
 // graph outside the mode cache; a served mode verdict would be
 // unmemoized and uncoalescible.

@@ -28,7 +28,7 @@ const cdgPath = "ebda/internal/cdg"
 // a *Cached wrapper — so responses are memoized, coalescible
 // and identical across requests. In those packages the uncached pooled
 // entry points (cdg.VerifyTurnSet / VerifyTurnSetCtx, VerifyChain,
-// BuildFromTurnSet, VerifyEdgeSet, VerifyMode, the Jobs-suffixed
+// BuildFromTurnSet, VerifyMode, the Jobs-suffixed
 // signatures the benchmark harness still calls, and the Workspace verify
 // methods) are also forbidden. The same contract covers incremental
 // verdicts: serving code reaches them only through the cache with a
@@ -65,7 +65,7 @@ var gatedGraphMethods = map[string]bool{
 var uncachedVerifyFuncs = map[string]bool{
 	"VerifyTurnSet": true, "VerifyTurnSetJobs": true, "VerifyTurnSetCtx": true,
 	"VerifyChain": true, "BuildFromTurnSet": true, "BuildFromTurnSetJobs": true,
-	"VerifyEdgeSet": true, "VerifyMode": true, "VerifyModeJobs": true,
+	"VerifyMode": true, "VerifyModeJobs": true,
 }
 
 // deltaBypassFuncs construct retained delta workspaces directly,
