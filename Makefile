@@ -108,10 +108,12 @@ graph-smoke:
 # fuzz-short gives the untrusted-input parsers — the /v1 verify, delta
 # and graph request decoders (the graph decoder differentially, against
 # encoding/json + the strings-based text parser it replaced), peer-lookup and forwarded answers from an owner
-# replica, the X-Ebda-Trace header, the graphio CDG parser and the
-# verify-cache snapshot loader — a brief native-fuzz shake on every
-# check; the seeded corpus alone regresses in milliseconds, the 5s
-# budget lets the mutator explore a little too.
+# replica, the X-Ebda-Trace header, the graphio CDG parser, the
+# verify-cache snapshot loader, the channel-class parser (held to its
+# grammar) and the partition-chain parser (differentially, against the
+# fmt.Sscanf-based class parser it replaced) — a brief native-fuzz shake
+# on every check; the seeded corpus alone regresses in milliseconds, the
+# 5s budget lets the mutator explore a little too.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeVerifyRequest -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDeltaRequest -fuzztime=5s ./internal/serve
@@ -120,6 +122,8 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParseHeader -fuzztime=5s ./internal/obs/trace
 	$(GO) test -run='^$$' -fuzz=FuzzParseCDG -fuzztime=5s ./internal/graphio
 	$(GO) test -run='^$$' -fuzz=FuzzLoadSnapshot -fuzztime=5s ./internal/cdg
+	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/channel
+	$(GO) test -run='^$$' -fuzz=FuzzParseChain -fuzztime=5s ./internal/core
 
 # race is part of check so the worker pools are race-tested routinely;
 # test and race also run the serving gate (TestServeSmoke), the process

@@ -18,7 +18,7 @@ import (
 	"math/bits"
 	"slices"
 	"sort"
-	"strings"
+	"strconv"
 
 	"ebda/internal/channel"
 	"ebda/internal/core"
@@ -77,9 +77,18 @@ func (c Channel) Class() channel.Class {
 	return channel.NewVC(c.Link.Dim, c.Link.Sign, c.VC)
 }
 
-// String renders the channel as "(0,1)->(1,1) X1+".
+// String renders the channel as "n1->n2 X1+": tail and head node IDs,
+// then the class.
 func (c Channel) String() string {
-	return fmt.Sprintf("n%d->n%d %s", c.Link.From, c.Link.To, c.Class())
+	var buf [32]byte
+	return string(c.appendTo(buf[:0]))
+}
+
+// appendTo appends the channel's String form to b.
+func (c Channel) appendTo(b []byte) []byte {
+	b = strconv.AppendInt(append(b, 'n'), int64(c.Link.From), 10)
+	b = strconv.AppendInt(append(b, "->n"...), int64(c.Link.To), 10)
+	return c.Class().AppendTo(append(b, ' '))
 }
 
 // Graph is a channel dependency graph over a concrete network.
@@ -660,11 +669,12 @@ func FormatCycle(cyc []Channel) string {
 	if len(cyc) == 0 {
 		return "<acyclic>"
 	}
-	parts := make([]string, len(cyc))
-	for i, c := range cyc {
-		parts[i] = c.String()
+	// "n12->n13 X1+ => " is 16 bytes; longer IDs grow the buffer once.
+	b := make([]byte, 0, 20*len(cyc)+8)
+	for _, c := range cyc {
+		b = append(c.appendTo(b), " => "...)
 	}
-	return strings.Join(parts, " => ") + " => (repeat)"
+	return string(append(b, "(repeat)"...))
 }
 
 // Report summarises a verification run.

@@ -279,6 +279,67 @@ func TestDeltaTurnToggleEquivalence(t *testing.T) {
 	}
 }
 
+// TestDeltaEnableParsedTurns enables turns the way /v1/verify/delta
+// receives them: parsed by core.ParseTurnList, which labels every turn
+// Source 0. Each delta verdict must equal a from-scratch verification of
+// the toggled set, built with a nonzero label so that a turn set treating
+// label 0 as "absent" cannot agree with itself; each fresh verdict is also
+// pinned, one acyclic and two cyclic.
+func TestDeltaEnableParsedTurns(t *testing.T) {
+	net := topology.NewMesh(6, 6)
+	xy := core.NewTurnSet()
+	for _, tn := range mustParseTurns(t, "X+>Y+,X+>Y-,X->Y+,X->Y-") {
+		xy.Add(tn.From, tn.To, core.ByTheorem1)
+	}
+	northLast := core.MustParseChain("PA[X+ X- Y-] -> PB[Y+]").AllTurns()
+	for _, tc := range []struct {
+		name, enable string
+		base         *core.TurnSet
+		acyclic      bool
+	}{
+		{"xy+north-east", "Y+>X+", xy, true},
+		{"xy+north-east+south-west", "Y+>X+, Y->X-", xy, false},
+		{"north-last+north-west", "Y+>X-", northLast, false},
+	} {
+		enable := mustParseTurns(t, tc.enable)
+		dw, err := NewDeltaWorkspace(net, nil, tc.base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := dw.VerifyDiff(Diff{EnableTurns: enable})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		toggled := tc.base.Clone()
+		for _, tn := range enable {
+			toggled.Add(tn.From, tn.To, core.ByTheorem1)
+		}
+		want := VerifyTurnSet(net, nil, toggled)
+		if want.Acyclic != tc.acyclic {
+			t.Fatalf("%s: fresh verdict acyclic=%v, want %v", tc.name, want.Acyclic, tc.acyclic)
+		}
+		if !reportsIdentical(got, want) {
+			t.Fatalf("%s:\ndelta: %s\nfresh: %s", tc.name, got, want)
+		}
+	}
+}
+
+// mustParseTurns parses a turn list and checks it carries ParseTurnList's
+// Source 0 label.
+func mustParseTurns(t *testing.T, s string) []core.Turn {
+	t.Helper()
+	turns, err := core.ParseTurnList(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tn := range turns {
+		if tn.Source != 0 {
+			t.Fatalf("ParseTurnList(%q) labelled %s with %v, want 0", s, tn, tn.Source)
+		}
+	}
+	return turns
+}
+
 // TestDeltaJobsInvariance: the delta signatures bench/ calls with an
 // ignored int argument (VerifyDiffJobs, VerifyDiffCtx) answer exactly as
 // VerifyDiff, on both paths: link-only diffs take the incremental

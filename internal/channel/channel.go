@@ -19,6 +19,7 @@ package channel
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -42,19 +43,30 @@ func (d Dim) String() string {
 	if d >= 0 && int(d) < len(dimNames) {
 		return dimNames[d]
 	}
-	return fmt.Sprintf("D%d", int(d))
+	return "D" + strconv.Itoa(int(d))
 }
 
-// ParseDim parses a dimension name as produced by Dim.String.
+// appendTo appends the dimension's String form to b.
+func (d Dim) appendTo(b []byte) []byte {
+	if d >= 0 && int(d) < len(dimNames) {
+		return append(b, dimNames[d]...)
+	}
+	return strconv.AppendInt(append(b, 'D'), int64(d), 10)
+}
+
+// ParseDim parses a dimension name as produced by Dim.String: X, Y, Z, T,
+// or D followed by a decimal number (D4, D12; D0-D3 name X-T). Nothing
+// may follow the name.
 func ParseDim(s string) (Dim, error) {
 	for i, n := range dimNames {
 		if s == n {
 			return Dim(i), nil
 		}
 	}
-	var n int
-	if _, err := fmt.Sscanf(s, "D%d", &n); err == nil && n >= 0 {
-		return Dim(n), nil
+	if len(s) > 1 && s[0] == 'D' && digitRun(s[1:]) == len(s)-1 {
+		if n, err := strconv.Atoi(s[1:]); err == nil {
+			return Dim(n), nil
+		}
 	}
 	return 0, fmt.Errorf("channel: unknown dimension %q", s)
 }
@@ -218,18 +230,19 @@ func (c Class) Overlaps(o Class) bool {
 // optional parity subscript, sign — e.g. "X1+", "Y2-", "Ye+" (parity classes
 // omit the VC number when it is 1, matching the paper's Ye*/Yo* notation).
 func (c Class) String() string {
-	var b strings.Builder
-	b.WriteString(c.Dim.String())
-	if c.Par != Any {
-		b.WriteString(c.Par.String())
-		if c.VC != 1 {
-			fmt.Fprintf(&b, "%d", c.VC)
-		}
-	} else {
-		fmt.Fprintf(&b, "%d", c.VC)
+	var buf [16]byte
+	return string(c.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the class's String form to b and returns the extended
+// buffer, so callers rendering many classes share one buffer.
+func (c Class) AppendTo(b []byte) []byte {
+	b = c.Dim.appendTo(b)
+	b = append(b, c.Par.String()...)
+	if c.Par == Any || c.VC != 1 {
+		b = strconv.AppendInt(b, int64(c.VC), 10)
 	}
-	b.WriteString(c.Sign.String())
-	return b.String()
+	return append(b, c.Sign.String()...)
 }
 
 // Plain renders the class without the VC number when it is 1: "X+", "Y2-".
@@ -262,17 +275,10 @@ func (c Class) Short() string {
 	if c.Sign == Minus {
 		letter = letters[1]
 	}
-	var b strings.Builder
-	b.WriteString(letter)
-	if c.Par != Any {
-		b.WriteString(c.Par.String())
-		if c.VC != 1 {
-			fmt.Fprintf(&b, "%d", c.VC)
-		}
-		return b.String()
+	if c.Par != Any && c.VC == 1 {
+		return letter + c.Par.String()
 	}
-	fmt.Fprintf(&b, "%d", c.VC)
-	return b.String()
+	return letter + c.Par.String() + strconv.Itoa(c.VC)
 }
 
 // ShortPlain is Short without the VC number when it is 1: E, W2, Ne, So.
@@ -329,69 +335,79 @@ func (c Class) Compare(o Class) int {
 // Y/Z/... channels and PDim = Y for X channels (column parity for non-X
 // channels, row parity for X channels), which covers the paper's Odd-Even
 // and Hamiltonian-path usage.
+//
+// The grammar, read in one pass with nothing left over:
+//
+//	class  = dim [ "e" | "o" ] [ vc ] sign
+//	dim    = "X" | "Y" | "Z" | "T" | "D" digit
+//	vc     = digit { digit }    (at least 1, and fits an int)
+//	sign   = "+" | "-"
+//
+// A D-dimension takes exactly one digit, so D4-D9 name the fifth to tenth
+// dimensions (D0-D3 alias X-T) and "D12+" reads as dimension D1 (Y), VC 2.
 func Parse(s string) (Class, error) {
-	orig := s
-	if len(s) < 2 {
-		return Class{}, fmt.Errorf("channel: malformed class %q", orig)
-	}
-	// Sign is the last byte.
-	var sign Sign
-	switch s[len(s)-1] {
-	case '+':
-		sign = Plus
-	case '-':
-		sign = Minus
-	default:
-		return Class{}, fmt.Errorf("channel: malformed class %q: missing sign", orig)
-	}
-	s = s[:len(s)-1]
-	// Dimension name is a leading run of letters/digits matching a known
-	// dimension; try the longest prefixes first (D10 before D1).
-	var dim Dim
-	var rest string
-	found := false
-	for i := len(s); i >= 1; i-- {
-		if d, err := ParseDim(s[:i]); err == nil {
-			// Guard against consuming parity/VC suffix into a D%d name:
-			// prefer the shortest valid prefix for single-letter dims.
-			dim, rest, found = d, s[i:], true
-			if i == 1 {
-				break
-			}
+	var c Class
+	i := 0
+	switch {
+	case s == "":
+		return Class{}, fmt.Errorf("channel: malformed class %q", s)
+	case s[0] == 'D':
+		if len(s) < 2 || s[1] < '0' || s[1] > '9' {
+			return Class{}, fmt.Errorf("channel: malformed class %q: unknown dimension", s)
 		}
+		c.Dim, i = Dim(s[1]-'0'), 2
+	default:
+		d := strings.IndexByte("XYZT", s[0])
+		if d < 0 {
+			return Class{}, fmt.Errorf("channel: malformed class %q: unknown dimension", s)
+		}
+		c.Dim, i = Dim(d), 1
 	}
-	// Prefer single-letter match when available.
-	if d, err := ParseDim(s[:1]); err == nil {
-		dim, rest, found = d, s[1:], true
-	}
-	if !found {
-		return Class{}, fmt.Errorf("channel: malformed class %q: unknown dimension", orig)
-	}
-	c := Class{Dim: dim, Sign: sign, VC: 1}
-	if rest != "" && (rest[0] == 'e' || rest[0] == 'o') {
-		if rest[0] == 'e' {
-			c.Par = Even
-		} else {
+	if i < len(s) && (s[i] == 'e' || s[i] == 'o') {
+		c.Par = Even
+		if s[i] == 'o' {
 			c.Par = Odd
 		}
-		if dim == X {
-			c.PDim = Y
-		} else {
+		if c.Dim != X {
 			c.PDim = X
+		} else {
+			c.PDim = Y
 		}
-		rest = rest[1:]
+		i++
 	}
-	if rest != "" {
-		var vc int
-		if _, err := fmt.Sscanf(rest, "%d", &vc); err != nil || vc < 1 {
-			return Class{}, fmt.Errorf("channel: malformed class %q: bad VC %q", orig, rest)
+	c.VC = 1
+	if j := i + digitRun(s[i:]); j > i {
+		vc, err := strconv.Atoi(s[i:j])
+		if err != nil || vc < 1 {
+			return Class{}, fmt.Errorf("channel: malformed class %q: bad VC %q", s, s[i:j])
 		}
-		c.VC = vc
+		c.VC, i = vc, j
+	}
+	switch {
+	case i == len(s):
+		return Class{}, fmt.Errorf("channel: malformed class %q: missing sign", s)
+	case i < len(s)-1:
+		return Class{}, fmt.Errorf("channel: malformed class %q: unexpected %q", s, s[i:])
+	case s[i] == '+':
+		c.Sign = Plus
+	case s[i] == '-':
+		c.Sign = Minus
+	default:
+		return Class{}, fmt.Errorf("channel: malformed class %q: missing sign", s)
 	}
 	if !c.Valid() {
-		return Class{}, fmt.Errorf("channel: invalid class %q", orig)
+		return Class{}, fmt.Errorf("channel: invalid class %q", s)
 	}
 	return c, nil
+}
+
+// digitRun returns the length of the run of decimal digits leading s.
+func digitRun(s string) int {
+	n := 0
+	for n < len(s) && s[n] >= '0' && s[n] <= '9' {
+		n++
+	}
+	return n
 }
 
 // MustParse is Parse that panics on error; intended for constants in tests

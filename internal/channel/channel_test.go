@@ -26,8 +26,11 @@ func TestParseDim(t *testing.T) {
 			t.Errorf("ParseDim(%q) = %v, want %v", d.String(), got, d)
 		}
 	}
-	if _, err := ParseDim("Q"); err == nil {
-		t.Error("ParseDim(Q) should fail")
+	// Nothing may follow the name, and the number takes no sign.
+	for _, s := range []string{"Q", "", "D", "Dx", "D+3", "D-1", "D3x", "X1", "D99999999999999999999"} {
+		if d, err := ParseDim(s); err == nil {
+			t.Errorf("ParseDim(%q) = %v, want an error", s, d)
+		}
 	}
 }
 
@@ -120,9 +123,36 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestParseErrors(t *testing.T) {
-	for _, s := range []string{"", "X", "+", "X0+", "Q1+", "X1", "Xq+", "Ye"} {
-		if _, err := Parse(s); err == nil {
-			t.Errorf("Parse(%q) should fail", s)
+	for _, s := range []string{
+		"", "X", "+", "X0+", "Q1+", "X1", "Xq+", "Ye",
+		// Trailing bytes, signs and separators inside the VC once read
+		// as a shorter class (X1x+ as X1+, D+3+ as T1+).
+		"X1x+", "Y2abc-", "X1.5+", "X+1+", "Xe1junk+", "D+3+", "Y2e+",
+		"X 1+", "X\t1+", "X-1+", "X1++",
+		// A D-dimension takes one digit: D10+ would be D1 (Y), VC 0.
+		"D10+", "D+", "Dx+",
+		// VCs that overflow an int.
+		"X99999999999999999999+",
+	} {
+		if c, err := Parse(s); err == nil {
+			t.Errorf("Parse(%q) = %v, want an error", s, c)
+		}
+	}
+}
+
+func TestParseDimensionDigits(t *testing.T) {
+	cases := map[string]Class{
+		"D4+":   NewVC(Dim(4), Plus, 1),
+		"D9-":   NewVC(Dim(9), Minus, 1),
+		"D1+":   NewVC(Y, Plus, 1),
+		"D12+":  NewVC(Y, Plus, 2),
+		"D5e3-": {Dim: Dim(5), Sign: Minus, VC: 3, PDim: X, Par: Even},
+		"X007+": NewVC(X, Plus, 7),
+	}
+	for s, want := range cases {
+		got, err := Parse(s)
+		if err != nil || got != want {
+			t.Errorf("Parse(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
 }

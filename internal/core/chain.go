@@ -115,7 +115,11 @@ func (c *Chain) Len() int { return len(c.parts) }
 
 // Channels returns every channel class of the chain, in partition order.
 func (c *Chain) Channels() []channel.Class {
-	var out []channel.Class
+	n := 0
+	for _, p := range c.parts {
+		n += len(p.channels)
+	}
+	out := make([]channel.Class, 0, n)
 	for _, p := range c.parts {
 		out = append(out, p.Channels()...)
 	}
@@ -163,9 +167,7 @@ var DefaultTurnOptions = TurnOptions{UITurns: true}
 //     90-degree, U- or I-turns.
 func (c *Chain) Turns(opts TurnOptions) *TurnSet {
 	s := NewTurnSet()
-	for _, cls := range c.Channels() {
-		s.Declare(cls)
-	}
+	s.Declare(c.Channels()...)
 	for _, p := range c.parts {
 		p.addInnerTurns(s, opts.UITurns)
 	}

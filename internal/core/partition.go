@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"ebda/internal/channel"
@@ -21,15 +22,13 @@ type Partition struct {
 // Duplicate or invalid classes are rejected.
 func NewPartition(name string, classes ...channel.Class) (*Partition, error) {
 	p := &Partition{name: name, channels: append([]channel.Class(nil), classes...)}
-	seen := make(map[channel.Class]bool, len(classes))
-	for _, c := range classes {
+	for i, c := range classes {
 		if !c.Valid() {
 			return nil, fmt.Errorf("core: partition %s: invalid channel class %+v", name, c)
 		}
-		if seen[c] {
+		if slices.Contains(classes[:i], c) {
 			return nil, fmt.Errorf("core: partition %s: duplicate channel %s", name, c)
 		}
-		seen[c] = true
 	}
 	return p, nil
 }
@@ -121,9 +120,8 @@ func (p *Partition) Contains(c channel.Class) bool {
 // Hamiltonian-path partitioning {Xe+ Xo- Y+} a legal Theorem-1 partition.
 func (p *Partition) CompletePairDims() []channel.Dim {
 	var dims []channel.Dim
-	seen := make(map[channel.Dim]bool)
 	for i, a := range p.channels {
-		if seen[a.Dim] {
+		if slices.Contains(dims, a.Dim) {
 			continue
 		}
 		for _, b := range p.channels[i+1:] {
@@ -133,7 +131,6 @@ func (p *Partition) CompletePairDims() []channel.Dim {
 			if !parityCompatible(a, b) {
 				continue
 			}
-			seen[a.Dim] = true
 			dims = append(dims, a.Dim)
 			break
 		}
@@ -223,9 +220,7 @@ func (p *Partition) InnerTurns(includeUI bool) *TurnSet {
 }
 
 func (p *Partition) addInnerTurns(s *TurnSet, includeUI bool) {
-	for _, c := range p.channels {
-		s.Declare(c)
-	}
+	s.Declare(p.channels...)
 	// Theorem 1: 90-degree turns between different dimensions.
 	for _, a := range p.channels {
 		for _, b := range p.channels {
@@ -237,40 +232,15 @@ func (p *Partition) addInnerTurns(s *TurnSet, includeUI bool) {
 	if !includeUI {
 		return
 	}
-	complete := make(map[channel.Dim]bool)
-	for _, d := range p.CompletePairDims() {
-		complete[d] = true
-	}
-	// Group channels by dimension preserving partition order.
-	byDim := make(map[channel.Dim][]channel.Class)
-	var dimOrder []channel.Dim
-	for _, c := range p.channels {
-		if _, ok := byDim[c.Dim]; !ok {
-			dimOrder = append(dimOrder, c.Dim)
-		}
-		byDim[c.Dim] = append(byDim[c.Dim], c)
-	}
-	for _, d := range dimOrder {
-		group := byDim[d]
-		if len(group) < 2 {
-			continue
-		}
-		if complete[d] {
-			// Theorem 2: strictly ascending in partition order.
-			for i := 0; i < len(group); i++ {
-				for j := i + 1; j < len(group); j++ {
-					s.Add(group[i], group[j], ByTheorem2)
-				}
-			}
-		} else {
-			// Corollary: single-direction dimensions cannot close a
-			// cycle; all I-turns are allowed both ways.
-			for _, a := range group {
-				for _, b := range group {
-					if a != b {
-						s.Add(a, b, ByTheorem2)
-					}
-				}
+	// Theorem 2: along a complete-pair dimension, transitions go strictly
+	// ascending in partition order. By its corollary, a single-direction
+	// dimension cannot close a cycle, so its I-turns go both ways.
+	complete := p.CompletePairDims()
+	for x, a := range p.channels {
+		ascending := slices.Contains(complete, a.Dim)
+		for y, b := range p.channels {
+			if x != y && a.Dim == b.Dim && (y > x || !ascending) {
+				s.Add(a, b, ByTheorem2)
 			}
 		}
 	}

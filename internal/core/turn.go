@@ -11,9 +11,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
+	"slices"
 	"strings"
-	"sync"
 
 	"ebda/internal/channel"
 )
@@ -107,120 +108,204 @@ func (t Turn) PlainString() string { return t.From.ShortPlain() + t.To.ShortPlai
 // concrete channel without turning) is always permitted for declared
 // classes — Definition 2's "arbitrarily and repeatedly" — and Allows
 // reflects that.
+//
+// The set is dense: the declared classes are interned once, sorted by
+// Class.Compare, and the turns are a bit-matrix over their indices with a
+// theorem label per cell beside it. A TurnSet is built by one goroutine;
+// once built, any number of goroutines may read it.
 type TurnSet struct {
-	turns    map[[2]channel.Class]Theorem
-	declared map[channel.Class]bool
-
-	// mu guards matrix, the memoized allow-matrix. Mutations (Add,
-	// Declare) invalidate it; Matrix rebuilds on demand. The maps above
-	// are not guarded: TurnSet construction is single-goroutine, and only
-	// the built set (and its immutable matrix) is shared across workers.
-	mu     sync.Mutex
-	matrix *AllowMatrix
+	// classes holds the declared classes in Class.Compare order; a
+	// class's position is its index in turns and labels. The slice is
+	// never written in place (declaring a class replaces it), so Clone
+	// and Matrix share it.
+	classes []channel.Class
+	// words is the number of uint64 words in one row of turns.
+	words int
+	// turns[i*words : (i+1)*words] has bit j set when the turn from
+	// class i to class j is in the set. The diagonal holds only explicit
+	// self-turns: same-class continuation is implied by declaration.
+	turns []uint64
+	// labels[i*len(classes)+j] is the theorem that admitted turn i -> j.
+	// It is read only where the turn's bit is set: 0 is a real label
+	// (ParseTurnList yields Source 0), so it cannot mark absence.
+	labels []uint8
 }
 
 // NewTurnSet returns an empty turn set.
-func NewTurnSet() *TurnSet {
-	return &TurnSet{
-		turns:    make(map[[2]channel.Class]Theorem),
-		declared: make(map[channel.Class]bool),
+func NewTurnSet() *TurnSet { return &TurnSet{} }
+
+// index returns the interned index of a class, or false if the class is
+// not declared.
+func (s *TurnSet) index(c channel.Class) (int, bool) {
+	return classIndex(s.classes, c)
+}
+
+// classIndex binary-searches a Class.Compare-sorted class list.
+func classIndex(classes []channel.Class, c channel.Class) (int, bool) {
+	lo, hi := 0, len(classes)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if classes[mid].Compare(c) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
+	return lo, lo < len(classes) && classes[lo] == c
+}
+
+// has reports whether the turn from class index i to class index j is
+// in the set.
+func (s *TurnSet) has(i, j int) bool {
+	return s.turns[i*s.words+j/64]&(1<<uint(j%64)) != 0
+}
+
+// each calls fn for every turn, in (from, to) index order — which is
+// (From, To) class order.
+func (s *TurnSet) each(fn func(i, j int)) {
+	for i := range s.classes {
+		for w, word := range s.turns[i*s.words : (i+1)*s.words] {
+			for ; word != 0; word &= word - 1 {
+				fn(i, w*64+bits.TrailingZeros64(word))
+			}
+		}
+	}
+}
+
+// turn returns the turn at class indices (i, j) with its label.
+func (s *TurnSet) turn(i, j int) Turn {
+	return Turn{From: s.classes[i], To: s.classes[j], Source: Theorem(s.labels[i*len(s.classes)+j])}
 }
 
 // Add inserts a turn and declares both endpoint classes. If the turn is
 // already present, the earliest theorem label is kept (a turn admitted by
 // Theorem 1 stays labelled T1 even if a later transition would also
-// produce it).
+// produce it). Labels are the package's theorem constants or 0; a label
+// outside 0..255 is a programming error and panics.
 func (s *TurnSet) Add(from, to channel.Class, src Theorem) {
-	s.invalidate()
-	s.declared[from] = true
-	s.declared[to] = true
-	key := [2]channel.Class{from, to}
-	if old, ok := s.turns[key]; ok && old <= src {
+	if src < 0 || src > math.MaxUint8 {
+		panic(fmt.Sprintf("core: theorem label %d out of range", int(src)))
+	}
+	i, okFrom := s.index(from)
+	j, okTo := s.index(to)
+	if !okFrom || !okTo {
+		s.Declare(from, to)
+		i, _ = s.index(from)
+		j, _ = s.index(to)
+	}
+	cell := i*len(s.classes) + j
+	if s.has(i, j) && Theorem(s.labels[cell]) <= src {
 		return
 	}
-	s.turns[key] = src
+	s.turns[i*s.words+j/64] |= 1 << uint(j%64)
+	s.labels[cell] = uint8(src)
 }
 
-// invalidate drops the memoized allow-matrix after a mutation.
-func (s *TurnSet) invalidate() {
-	s.mu.Lock()
-	s.matrix = nil
-	s.mu.Unlock()
+// Declare registers channel classes as part of the design without adding
+// any turn. Declared classes permit same-class continuation. Declaring
+// every class before adding turns sizes the tables once.
+func (s *TurnSet) Declare(cls ...channel.Class) {
+	var merged []channel.Class // s.classes plus the new classes, once one is found
+	for _, c := range cls {
+		if _, ok := s.index(c); ok {
+			continue
+		}
+		if merged == nil {
+			merged = append(make([]channel.Class, 0, len(s.classes)+len(cls)), s.classes...)
+		} else if slices.Contains(merged[len(s.classes):], c) {
+			continue
+		}
+		merged = append(merged, c)
+	}
+	if merged != nil {
+		slices.SortFunc(merged, channel.Class.Compare)
+		s.relayout(merged)
+	}
 }
 
-// Declare registers a channel class as part of the design without adding
-// any turn. Declared classes permit same-class continuation.
-func (s *TurnSet) Declare(cls channel.Class) {
-	s.invalidate()
-	s.declared[cls] = true
+// relayout moves the set onto a larger sorted class list, a superset of
+// the current one, carrying every turn and label to its new indices.
+func (s *TurnSet) relayout(classes []channel.Class) {
+	n, words := len(classes), (len(classes)+63)/64
+	turns := make([]uint64, n*words)
+	labels := make([]uint8, n*n)
+	s.each(func(i, j int) {
+		a, _ := classIndex(classes, s.classes[i])
+		b, _ := classIndex(classes, s.classes[j])
+		turns[a*words+b/64] |= 1 << uint(b%64)
+		labels[a*n+b] = s.labels[i*len(s.classes)+j]
+	})
+	s.classes, s.words, s.turns, s.labels = classes, words, turns, labels
 }
 
 // Declared reports whether a class is part of the design.
-func (s *TurnSet) Declared(cls channel.Class) bool { return s.declared[cls] }
+func (s *TurnSet) Declared(cls channel.Class) bool {
+	_, ok := s.index(cls)
+	return ok
+}
 
 // Allows reports whether the transition from one class to another is
 // permitted: either an explicit turn, or same-class continuation of a
 // declared class.
 func (s *TurnSet) Allows(from, to channel.Class) bool {
-	if from == to {
-		return s.declared[from]
+	i, ok := s.index(from)
+	if !ok || from == to {
+		return ok
 	}
-	_, ok := s.turns[[2]channel.Class{from, to}]
-	return ok
+	j, ok := s.index(to)
+	return ok && s.has(i, j)
 }
 
 // Contains reports whether the exact turn (including its theorem label) is
 // present.
 func (s *TurnSet) Contains(t Turn) bool {
-	src, ok := s.turns[[2]channel.Class{t.From, t.To}]
-	return ok && src == t.Source
+	i, okFrom := s.index(t.From)
+	j, okTo := s.index(t.To)
+	return okFrom && okTo && s.has(i, j) && Theorem(s.labels[i*len(s.classes)+j]) == t.Source
 }
 
 // Len returns the number of turns in the set.
-func (s *TurnSet) Len() int { return len(s.turns) }
+func (s *TurnSet) Len() int {
+	n := 0
+	for _, w := range s.turns {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
 
 // Turns returns all turns sorted by (From, To) class order.
 func (s *TurnSet) Turns() []Turn {
-	out := make([]Turn, 0, len(s.turns))
-	for key, src := range s.turns {
-		out = append(out, Turn{From: key[0], To: key[1], Source: src})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if c := out[i].From.Compare(out[j].From); c != 0 {
-			return c < 0
-		}
-		return out[i].To.Compare(out[j].To) < 0
-	})
+	out := make([]Turn, 0, s.Len())
+	s.each(func(i, j int) { out = append(out, s.turn(i, j)) })
 	return out
 }
 
 // ByKind returns the turns of one kind, sorted.
 func (s *TurnSet) ByKind(k TurnKind) []Turn {
 	var out []Turn
-	for _, t := range s.Turns() {
-		if t.Kind() == k {
-			out = append(out, t)
+	s.each(func(i, j int) {
+		if KindOf(s.classes[i], s.classes[j]) == k {
+			out = append(out, s.turn(i, j))
 		}
-	}
+	})
 	return out
 }
 
 // BySource returns the turns admitted by one theorem, sorted.
 func (s *TurnSet) BySource(src Theorem) []Turn {
 	var out []Turn
-	for _, t := range s.Turns() {
-		if t.Source == src {
+	s.each(func(i, j int) {
+		if t := s.turn(i, j); t.Source == src {
 			out = append(out, t)
 		}
-	}
+	})
 	return out
 }
 
 // Counts returns the number of 90-degree, U- and I-turns in the set.
 func (s *TurnSet) Counts() (n90, nU, nI int) {
-	for key := range s.turns {
-		switch KindOf(key[0], key[1]) {
+	s.each(func(i, j int) {
+		switch KindOf(s.classes[i], s.classes[j]) {
 		case Turn90:
 			n90++
 		case UTurn:
@@ -228,32 +313,27 @@ func (s *TurnSet) Counts() (n90, nU, nI int) {
 		case ITurn:
 			nI++
 		}
-	}
+	})
 	return
 }
 
 // Classes returns every declared channel class (which includes every turn
 // endpoint), sorted.
 func (s *TurnSet) Classes() []channel.Class {
-	out := make([]channel.Class, 0, len(s.declared))
-	for c := range s.declared {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	out := make([]channel.Class, len(s.classes))
+	copy(out, s.classes)
 	return out
 }
 
 // AllowMatrix is an immutable dense snapshot of a turn set's transition
 // relation over interned class indices. Hot loops (channel-dependency
-// extraction, path counting) use it in place of TurnSet.Allows to avoid
-// hashing struct keys per query: classes are interned once, then every
+// extraction, path counting) use it in place of TurnSet.Allows: every
 // Allows test is one bit probe.
 //
 // The matrix reflects the turn set at the time Matrix was called; turns
 // added later are not visible.
 type AllowMatrix struct {
 	classes []channel.Class
-	index   map[channel.Class]int32
 	words   int
 	// rows[i*words : (i+1)*words] is the bitset of classes reachable
 	// from class i.
@@ -262,39 +342,15 @@ type AllowMatrix struct {
 
 // Matrix returns the dense allow-matrix of the set's current state. Class
 // indices follow Classes() order (sorted), and same-class continuation of
-// declared classes is included, matching Allows. The matrix is memoized:
-// repeated calls between mutations return the same immutable snapshot, so
-// hot verification loops pay the dense build once per turn set.
+// declared classes is included, matching Allows. The snapshot copies the
+// set's turn bits and sets the diagonal; each call builds a new one.
 //
 //ebda:hotpath
 func (s *TurnSet) Matrix() *AllowMatrix {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.matrix == nil {
-		s.matrix = s.buildMatrix()
-	}
-	return s.matrix
-}
-
-// buildMatrix constructs a fresh dense snapshot; callers hold s.mu.
-func (s *TurnSet) buildMatrix() *AllowMatrix {
-	classes := s.Classes()
-	m := &AllowMatrix{
-		classes: classes,
-		index:   make(map[channel.Class]int32, len(classes)),
-		words:   (len(classes) + 63) / 64,
-	}
-	m.rows = make([]uint64, len(classes)*m.words)
-	for i, c := range classes {
-		m.index[c] = int32(i)
-	}
-	for i, from := range classes {
-		row := m.rows[i*m.words : (i+1)*m.words]
-		for j, to := range classes {
-			if s.Allows(from, to) {
-				row[j/64] |= 1 << uint(j%64)
-			}
-		}
+	m := &AllowMatrix{classes: s.classes, words: s.words, rows: make([]uint64, len(s.turns))}
+	copy(m.rows, s.turns)
+	for i := range s.classes {
+		m.rows[i*m.words+i/64] |= 1 << uint(i%64)
 	}
 	return m
 }
@@ -309,8 +365,7 @@ func (m *AllowMatrix) Classes() []channel.Class { return m.classes }
 // Index returns the interned index of a class, or false if the class was
 // not part of the set when the matrix was built.
 func (m *AllowMatrix) Index(c channel.Class) (int, bool) {
-	i, ok := m.index[c]
-	return int(i), ok
+	return classIndex(m.classes, c)
 }
 
 // Allows reports whether the transition from class index from to class
@@ -334,18 +389,15 @@ func (m *AllowMatrix) AllowsAny(from, to []int32) bool {
 }
 
 // Clone returns a deep copy of the set: same turns (with labels) and the
-// same declared classes. The memoized matrix is not shared; the clone
-// builds its own on first use. Delta verification clones the base relation
+// same declared classes. Delta verification clones the base relation
 // before toggling turns so the base set stays untouched.
 func (s *TurnSet) Clone() *TurnSet {
-	c := NewTurnSet()
-	for key, src := range s.turns {
-		c.turns[key] = src
+	return &TurnSet{
+		classes: s.classes,
+		words:   s.words,
+		turns:   slices.Clone(s.turns),
+		labels:  slices.Clone(s.labels),
 	}
-	for cls := range s.declared {
-		c.declared[cls] = true
-	}
-	return c
 }
 
 // Remove deletes the turn from one class to another and reports whether it
@@ -354,30 +406,27 @@ func (s *TurnSet) Clone() *TurnSet {
 // class set, which keeps interned class tables (and the VC configuration
 // they imply) stable across turn-toggle deltas.
 func (s *TurnSet) Remove(from, to channel.Class) bool {
-	key := [2]channel.Class{from, to}
-	if _, ok := s.turns[key]; !ok {
+	i, okFrom := s.index(from)
+	j, okTo := s.index(to)
+	if !okFrom || !okTo || !s.has(i, j) {
 		return false
 	}
-	s.invalidate()
-	delete(s.turns, key)
+	s.turns[i*s.words+j/64] &^= 1 << uint(j%64)
+	s.labels[i*len(s.classes)+j] = 0
 	return true
 }
 
 // Union returns a new set containing the turns and declared classes of
-// both sets.
+// both sets. A turn in both keeps the earlier theorem label.
 func (s *TurnSet) Union(o *TurnSet) *TurnSet {
 	u := NewTurnSet()
-	for key, src := range s.turns {
-		u.Add(key[0], key[1], src)
-	}
-	for key, src := range o.turns {
-		u.Add(key[0], key[1], src)
-	}
-	for c := range s.declared {
-		u.Declare(c)
-	}
-	for c := range o.declared {
-		u.Declare(c)
+	u.Declare(s.classes...)
+	u.Declare(o.classes...)
+	for _, x := range []*TurnSet{s, o} {
+		x.each(func(i, j int) {
+			t := x.turn(i, j)
+			u.Add(t.From, t.To, t.Source)
+		})
 	}
 	return u
 }
@@ -385,25 +434,29 @@ func (s *TurnSet) Union(o *TurnSet) *TurnSet {
 // Equal reports whether two sets permit exactly the same transitions
 // (theorem labels are ignored).
 func (s *TurnSet) Equal(o *TurnSet) bool {
-	if len(s.turns) != len(o.turns) {
-		return false
+	if slices.Equal(s.classes, o.classes) {
+		return slices.Equal(s.turns, o.turns)
 	}
-	for key := range s.turns {
-		if _, ok := o.turns[key]; !ok {
-			return false
-		}
-	}
-	return true
+	return s.Len() == o.Len() && s.Subset(o)
 }
 
 // Subset reports whether every turn in s is also in o.
 func (s *TurnSet) Subset(o *TurnSet) bool {
-	for key := range s.turns {
-		if _, ok := o.turns[key]; !ok {
-			return false
+	if slices.Equal(s.classes, o.classes) {
+		for w, word := range s.turns {
+			if word&^o.turns[w] != 0 {
+				return false
+			}
 		}
+		return true
 	}
-	return true
+	in := true
+	s.each(func(i, j int) {
+		oi, okFrom := o.index(s.classes[i])
+		oj, okTo := o.index(s.classes[j])
+		in = in && okFrom && okTo && o.has(oi, oj)
+	})
+	return in
 }
 
 // Fingerprint returns two independent 64-bit digests of the transition
@@ -411,9 +464,9 @@ func (s *TurnSet) Subset(o *TurnSet) bool {
 // labels are excluded — verification depends only on Allows — so two sets
 // that are Equal with the same declarations always share a fingerprint,
 // even when built by different derivations. Per-element digests combine by
-// addition, which is commutative, so map iteration order cannot change the
-// result. Verification caches key on the first digest and store the second
-// as a collision check.
+// addition, which is commutative, so the digest does not depend on the
+// order elements are visited in. Verification caches key on the first
+// digest and store the second as a collision check.
 func (s *TurnSet) Fingerprint() (uint64, uint64) {
 	const (
 		declSeedA = 0x9e3779b97f4a7c15
@@ -422,17 +475,20 @@ func (s *TurnSet) Fingerprint() (uint64, uint64) {
 		turnSeedB = 0xa0761d6478bd642f
 	)
 	var h1, h2 uint64
-	for c := range s.declared {
+	for i, c := range s.classes {
 		e := classCode(c)
 		h1 += mix64(e ^ declSeedA)
 		h2 += mix64(e ^ declSeedB)
-	}
-	for key := range s.turns {
 		// The pair combination is ordered (from*prime ^ to), so the turn
 		// a->b and its reverse b->a digest differently.
-		e := classCode(key[0])*0x100000001b3 ^ classCode(key[1])
-		h1 += mix64(e ^ turnSeedA)
-		h2 += mix64(e ^ turnSeedB)
+		from := e * 0x100000001b3
+		for w, word := range s.turns[i*s.words : (i+1)*s.words] {
+			for ; word != 0; word &= word - 1 {
+				e := from ^ classCode(s.classes[w*64+bits.TrailingZeros64(word)])
+				h1 += mix64(e ^ turnSeedA)
+				h2 += mix64(e ^ turnSeedB)
+			}
+		}
 	}
 	return h1, h2
 }

@@ -16,8 +16,8 @@ import (
 //     read or write of a guarded field must be preceded, somewhere
 //     earlier in the same function, by a Lock or RLock call on the same
 //     receiver's mu. This is how cdg.Cache.m, the WorkspacePool
-//     free lists, core.TurnSet's memoized matrix and routing.FromChain's
-//     reachability memo stay race-free;
+//     free lists and routing.FromChain's reachability memo stay
+//     race-free;
 //   - goroutines launched inside loops must receive loop variables as
 //     arguments rather than capturing them, as the repository's worker
 //     pools do (per-iteration semantics make capture safe since Go 1.22,

@@ -274,37 +274,46 @@ type builtVerify struct {
 }
 
 // build parses the design and resolves the network through the interning
-// cache, then applies the semantic limits that need the parsed form (VC
-// budget per dimension).
+// cache, applies the semantic limits that need the parsed form (VC budget
+// per dimension), and only then extracts the turn set.
 func (req *VerifyRequest) build(nets *networkCache) (*builtVerify, error) {
 	net := nets.get(req.Network.Kind, req.Network.Sizes)
 	b := &builtVerify{net: net}
+	var (
+		chain   *core.Chain
+		turns   []core.Turn
+		classes []channel.Class
+		err     error
+	)
 	if req.Chain != "" {
-		chain, err := core.ParseChain(req.Chain)
-		if err != nil {
+		if chain, err = core.ParseChain(req.Chain); err != nil {
 			return nil, fmt.Errorf("chain: %w", err)
 		}
-		opts := core.DefaultTurnOptions
-		if req.NoUITurns {
-			opts.UITurns = false
-		}
-		b.ts = chain.Turns(opts)
-		b.vcs = cdg.VCConfigFor(net.Dims(), chain.Channels())
+		classes = chain.Channels()
 	} else {
-		turns, err := core.ParseTurnList(req.Turns)
-		if err != nil {
+		if turns, err = core.ParseTurnList(req.Turns); err != nil {
 			return nil, fmt.Errorf("turns: %w", err)
 		}
-		ts := core.NewTurnSet()
+		classes = make([]channel.Class, 0, 2*len(turns))
 		for _, t := range turns {
-			ts.Add(t.From, t.To, core.ByTheorem1)
+			classes = append(classes, t.From, t.To)
 		}
-		b.ts = ts
-		b.vcs = cdg.VCConfigFor(net.Dims(), ts.Classes())
 	}
+	b.vcs = cdg.VCConfigFor(net.Dims(), classes)
 	for d := 0; d < net.Dims(); d++ {
 		if v := b.vcs.VCs(channel.Dim(d)); v > maxVCsPerDim {
 			return nil, fmt.Errorf("design implies %d VCs in dimension %d, limit %d", v, d, maxVCsPerDim)
+		}
+	}
+	if chain != nil {
+		opts := core.DefaultTurnOptions
+		opts.UITurns = !req.NoUITurns
+		b.ts = chain.Turns(opts)
+	} else {
+		b.ts = core.NewTurnSet()
+		b.ts.Declare(classes...)
+		for _, t := range turns {
+			b.ts.Add(t.From, t.To, core.ByTheorem1)
 		}
 	}
 	b.q = cdg.TurnSetQuery(net, b.vcs, b.ts)

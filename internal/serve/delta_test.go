@@ -188,6 +188,9 @@ func TestDeltaRejectsBadRequests(t *testing.T) {
 		{"negative coord", `{"base":` + mesh44 + `,"remove_links":[{"at":[-1,0],"dir":"X+"}]}`},
 		{"boundary link missing", `{"base":` + mesh44 + `,"remove_links":[{"at":[3,3],"dir":"X+"}]}`},
 		{"bad turn list", `{"base":` + mesh44 + `,"disable_turns":"garbage"}`},
+		// Once read as Y+ and as Y+>X- (both valid on this base).
+		{"dir with trailing bytes", `{"base":` + mesh44 + `,"remove_links":[{"at":[0,0],"dir":"D1x+"}]}`},
+		{"signed VC in a toggle", `{"base":` + mesh44 + `,"enable_turns":"Y+>X+1-"}`},
 		{"long base key", `{"base":` + mesh44 + `,"base_key":"00000000000000000","remove_links":[{"at":[0,0],"dir":"X+"}]}`},
 		// These two decode fine but fail diff validation inside the engine:
 		// the 400 flows back through statusFor's ErrBadDiff mapping.

@@ -133,6 +133,11 @@ func TestVerifyRejectsBadRequests(t *testing.T) {
 		{"both designs", `{"network":{"kind":"mesh","sizes":[4,4]},"chain":"PA[X+]","turns":"X+>Y+"}`},
 		{"bad chain", `{"network":{"kind":"mesh","sizes":[4,4]},"chain":"PA[Q*]"}`},
 		{"bad turns", `{"network":{"kind":"mesh","sizes":[4,4]},"turns":"garbage"}`},
+		// Class names with bytes after the VC, or a sign before it, once
+		// read as X1+, Y2- and T1+.
+		{"trailing class bytes", `{"network":{"kind":"mesh","sizes":[4,4]},"chain":"PA[X1x+ Y+]"}`},
+		{"trailing turn bytes", `{"network":{"kind":"mesh","sizes":[4,4]},"turns":"X+>Y2abc-"}`},
+		{"signed D number", `{"network":{"kind":"mesh","sizes":[4,4]},"turns":"D+3+>X+"}`},
 	}
 	for _, tc := range cases {
 		status, raw := post(t, ts, "/v1/verify", tc.body)
