@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build bench-vet test race bench bench-json bench-diff bench-delta bench-cluster cluster-soak repro fmt vet lint lint-sarif obs-smoke trace-smoke graph-smoke fuzz-short check clean
+.PHONY: all build bench-vet test race bench bench-json bench-diff bench-delta bench-cluster cluster-soak repro fmt fmt-check vet lint lint-sarif obs-smoke trace-smoke graph-smoke fuzz-short check clean
 
 all: check
 
@@ -70,6 +70,12 @@ repro:
 fmt:
 	gofmt -l -w .
 
+# fmt-check fails when a tracked Go file is not gofmt-clean. It scans
+# git's file list, so build output such as .bench_build/ stays out.
+fmt-check:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
 vet:
 	$(GO) vet ./...
 
@@ -125,6 +131,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/channel
 	$(GO) test -run='^$$' -fuzz=FuzzParseChain -fuzztime=5s ./internal/core
 
+# fmt-check keeps every tracked Go file gofmt-clean;
 # race is part of check so the worker pools are race-tested routinely;
 # test and race also run the serving gate (TestServeSmoke), the process
 # drain check (cmd/ebda-serve TestRunDrainsOnSIGTERM) and the delta gate
@@ -133,7 +140,7 @@ fuzz-short:
 # request traces; fuzz-short guards the untrusted HTTP inputs;
 # graph-smoke pins the arbitrary-network CLI's verdicts over the
 # committed goldens.
-check: build bench-vet lint test race obs-smoke trace-smoke graph-smoke fuzz-short
+check: fmt-check build bench-vet lint test race obs-smoke trace-smoke graph-smoke fuzz-short
 
 clean:
 	$(GO) clean ./...

@@ -174,46 +174,6 @@ func BenchmarkTurnEdges(b *testing.B) {
 	}
 }
 
-// BenchmarkAddEdges compares incremental single-edge insertion against the
-// batched sorted-merge path on interleaved batches (the worst case for
-// repeated O(n) inserts).
-func BenchmarkAddEdges(b *testing.B) {
-	net := topology.NewMesh(8, 8)
-	const batchLen = 64
-	evens := make([]int32, batchLen)
-	odds := make([]int32, batchLen)
-	for i := range evens {
-		evens[i] = int32(2 * i)
-		odds[i] = int32(2*i + 1)
-	}
-	b.Run("AddEdge", func(b *testing.B) {
-		b.ReportAllocs()
-		ws := cdg.NewWorkspace(net, nil)
-		g := ws.Graph()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ws.Reset()
-			for _, v := range evens {
-				g.AddEdge(0, int(v))
-			}
-			for _, v := range odds {
-				g.AddEdge(0, int(v))
-			}
-		}
-	})
-	b.Run("AddEdges", func(b *testing.B) {
-		b.ReportAllocs()
-		ws := cdg.NewWorkspace(net, nil)
-		g := ws.Graph()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ws.Reset()
-			g.AddEdges(0, evens...)
-			g.AddEdges(0, odds...)
-		}
-	})
-}
-
 // BenchmarkRoutingEdges times the Dally routing-relation construction
 // (per-destination closure) through the adaptive Figure 7 design and its
 // memoizing Candidates.

@@ -77,7 +77,7 @@ func TestExportJSONMatchesGolden(t *testing.T) {
 func TestVerifyUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{"verify", "-mode=bogus", goldenDir + "/cycle4.txt"},
-		{"verify", "-mode=escape", goldenDir + "/cycle4.txt"},          // missing -escape
+		{"verify", "-mode=escape", goldenDir + "/cycle4.txt"}, // missing -escape
 		{"verify", "-mode=escape", "-escape", "x", goldenDir + "/cycle4.txt"},
 		{"verify", "-mode=escape", "-escape", "99", goldenDir + "/cycle4.txt"},
 		{"verify"},

@@ -44,12 +44,8 @@ func Connectivity(net *topology.Network, vcs VCConfig, ts *core.TurnSet, minimal
 	// channels that terminate at the destination; a source can reach the
 	// destination if one of its outgoing channels is on such a path.
 	// Destinations are independent, so they are processed in parallel.
-	rev := make([][]int32, len(g.channels))
-	for a, succs := range g.adj {
-		for _, b := range succs {
-			rev[b] = append(rev[b], int32(a))
-		}
-	}
+	var rev csr
+	g.adj.reverse(&rev, nil)
 	productive := func(ch Channel, dst topology.NodeID) bool {
 		if !minimalOnly {
 			return true
@@ -72,15 +68,17 @@ func Connectivity(net *topology.Network, vcs VCConfig, ts *core.TurnSet, minimal
 		go func(w int) {
 			defer wg.Done()
 			report := &reports[w]
-			reach := make([]bool, len(g.channels))
-			queue := make([]int32, 0, len(g.channels))
+			reach := make([]bool, g.NumChannels())
+			queue := make([]int32, 0, g.NumChannels())
+			var in []int32
 			for dst := topology.NodeID(w); int(dst) < net.Nodes(); dst += topology.NodeID(workers) {
 				for i := range reach {
 					reach[i] = false
 				}
 				queue = queue[:0]
-				for _, ci := range g.into(dst) {
-					if productive(g.channels[ci], dst) {
+				in = g.appendInto(in[:0], dst)
+				for _, ci := range in {
+					if productive(g.Channel(int(ci)), dst) {
 						reach[ci] = true
 						queue = append(queue, ci)
 					}
@@ -88,8 +86,8 @@ func Connectivity(net *topology.Network, vcs VCConfig, ts *core.TurnSet, minimal
 				for len(queue) > 0 {
 					b := queue[0]
 					queue = queue[1:]
-					for _, a := range rev[b] {
-						if reach[a] || !productive(g.channels[a], dst) {
+					for _, a := range rev.row(b) {
+						if reach[a] || !productive(g.Channel(int(a)), dst) {
 							continue
 						}
 						reach[a] = true

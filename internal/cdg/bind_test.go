@@ -1,8 +1,8 @@
 package cdg
 
 import (
+	"context"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -12,8 +12,8 @@ import (
 )
 
 // bindNetworks are the enumeration oracle's networks: meshes and tori
-// (2-ary wraparound dimensions included), 3D, irregular, partially
-// connected 3D and faulty copies.
+// (2-ary wraparound dimensions included) in 1 to 4 dimensions, irregular,
+// partially connected 3D and faulty copies.
 func bindNetworks() []*topology.Network {
 	mesh := topology.NewMesh(5, 4)
 	torus := topology.NewTorus(4, 3)
@@ -29,13 +29,23 @@ func bindNetworks() []*topology.Network {
 			{From: 7, Dim: channel.Y, Sign: channel.Minus},
 		}),
 		torus.WithoutLinks([]topology.Link{{From: 3, Dim: channel.X, Sign: channel.Plus}}),
+		topology.NewTorus(2, 3, 2, 2), topology.NewMesh(2, 3, 2, 3), topology.NewTorus(5), topology.NewMesh(2),
+		topology.NewTorus(2, 2).WithoutLinks([]topology.Link{
+			{From: 0, Dim: channel.X, Sign: channel.Minus},
+			{From: 3, Dim: channel.Y, Sign: channel.Plus},
+		}),
+		topology.NewTorus(3, 2, 2, 3).WithoutLinks([]topology.Link{
+			{From: 5, Dim: channel.Dim(3), Sign: channel.Minus},
+			{From: 5, Dim: channel.Dim(1), Sign: channel.Plus},
+		}),
 	}
 }
 
 // checkBinding holds a bound graph against brute force over Links():
-// the channel table is every link expanded by VC in order, each node's
-// in-list and out-range equal a filter over the channel table, and
-// FindChannel finds exactly the enumerated channels.
+// Channel(i) is every link expanded by VC in order, each node's in-list
+// and out-range equal a filter over that table, and FindChannel finds
+// exactly the enumerated channels (VCs and dimensions beyond the
+// configuration miss).
 func checkBinding(t *testing.T, g *Graph, net *topology.Network, vcs VCConfig) {
 	t.Helper()
 	var want []Channel
@@ -44,21 +54,27 @@ func checkBinding(t *testing.T, g *Graph, net *topology.Network, vcs VCConfig) {
 			want = append(want, Channel{Link: l, VC: vc, Index: len(want)})
 		}
 	}
-	if !reflect.DeepEqual(g.Channels(), want) {
-		t.Fatalf("%s vcs %v: Channels() differs from Links() expanded by VC", net, vcs)
+	if g.NumChannels() != len(want) {
+		t.Fatalf("%s vcs %v: %d channels, want %d", net, vcs, g.NumChannels(), len(want))
 	}
+	for i, ch := range want {
+		if got := g.Channel(i); got != ch {
+			t.Fatalf("%s vcs %v: Channel(%d) = %+v, want %+v", net, vcs, i, got, ch)
+		}
+	}
+	var into []int32
 	for v := topology.NodeID(0); int(v) < net.Nodes(); v++ {
-		var into, out []int32
+		var wantInto, out []int32
 		for i, ch := range want {
 			if ch.Link.To == v {
-				into = append(into, int32(i))
+				wantInto = append(wantInto, int32(i))
 			}
 			if ch.Link.From == v {
 				out = append(out, int32(i))
 			}
 		}
-		if got := g.into(v); !slices.Equal(got, into) {
-			t.Fatalf("%s vcs %v: into(n%d) = %v, want %v", net, vcs, v, got, into)
+		if into = g.appendInto(into[:0], v); !slices.Equal(into, wantInto) {
+			t.Fatalf("%s vcs %v: into(n%d) = %v, want %v", net, vcs, v, into, wantInto)
 		}
 		lo, hi := g.outRange(v)
 		var got []int32
@@ -68,9 +84,9 @@ func checkBinding(t *testing.T, g *Graph, net *topology.Network, vcs VCConfig) {
 		if !slices.Equal(got, out) {
 			t.Fatalf("%s vcs %v: outRange(n%d) = [%d, %d), want %v", net, vcs, v, lo, hi, out)
 		}
-		for d := 0; d < net.Dims(); d++ {
+		for d := 0; d <= net.Dims(); d++ {
 			for _, sign := range []channel.Sign{channel.Plus, channel.Minus} {
-				for vc := 1; vc <= 3; vc++ {
+				for vc := 0; vc <= 4; vc++ {
 					ch, ok := g.FindChannel(v, channel.Dim(d), sign, vc)
 					i := slices.IndexFunc(want, func(c Channel) bool {
 						return c.Link.From == v && c.Link.Dim == channel.Dim(d) && c.Link.Sign == sign && c.VC == vc
@@ -83,20 +99,22 @@ func checkBinding(t *testing.T, g *Graph, net *topology.Network, vcs VCConfig) {
 			}
 		}
 	}
-	for i, ch := range want {
-		if g.head[i] != int32(ch.Link.To) {
-			t.Fatalf("%s vcs %v: head[%d] = %d, want %d", net, vcs, i, g.head[i], ch.Link.To)
-		}
-	}
 }
 
 // TestBindMatchesLinks is the enumeration oracle: on every network, with
-// 1-3 VCs per dimension, a fresh graph and one graph rebound across all
-// of them in turn (so larger shapes, smaller shapes and the same network
-// with new VCs follow each other) must both agree with brute force.
+// uniform and mixed 1-3 VCs per dimension, a fresh graph and one graph
+// rebound across all of them in turn (so larger shapes, smaller shapes
+// and the same network with new VCs follow each other) must both agree
+// with brute force. A second graph then rebinds across the shapes in a
+// shuffled order, and each binding must equal a fresh graph's tables.
 func TestBindMatchesLinks(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	rebound := NewGraph(topology.NewTorus(6, 6, 3), Uniform(3, 3))
+	type shape struct {
+		net *topology.Network
+		vcs VCConfig
+	}
+	var shapes []shape
 	for _, net := range bindNetworks() {
 		for rep := 0; rep < 3; rep++ {
 			vcs := make(VCConfig, net.Dims())
@@ -109,7 +127,14 @@ func TestBindMatchesLinks(t *testing.T) {
 			checkBinding(t, NewGraph(net, vcs), net, vcs)
 			rebound.bind(net, vcs)
 			checkBinding(t, rebound, net, vcs)
+			shapes = append(shapes, shape{net, vcs})
 		}
+	}
+	rng.Shuffle(len(shapes), func(i, j int) { shapes[i], shapes[j] = shapes[j], shapes[i] })
+	g := NewGraph(topology.NewMesh(2, 2), nil)
+	for step, s := range shapes {
+		g.bind(s.net, s.vcs)
+		sameGraph(t, step, g, NewGraph(s.net, s.vcs))
 	}
 }
 
@@ -195,11 +220,24 @@ func TestBindFreshNetworkAllocFree(t *testing.T) {
 	}
 }
 
+// coldShape draws a network shaped like the cold verification mix: 2D
+// sides 16..64 (a quarter of them tori) and 10% 3D meshes with sides
+// 8..16.
+func coldShape(rng *rand.Rand) *topology.Network {
+	if rng.Intn(10) == 0 {
+		return topology.NewMesh(8+rng.Intn(9), 8+rng.Intn(9), 8+rng.Intn(9))
+	}
+	x, y := 16+rng.Intn(49), 16+rng.Intn(49)
+	if rng.Intn(4) == 0 {
+		return topology.NewTorus(x, y)
+	}
+	return topology.NewMesh(x, y)
+}
+
 // BenchmarkBind times binding one graph to a seeded sequence of
-// never-seen networks shaped like the cold verification mix: 2D sides
-// 16..64 (a quarter of them tori) and 10% 3D meshes with sides 8..16,
-// 1-2 VCs per dimension. Networks are built in batches with the timer
-// stopped, so each bind meets a network nothing has enumerated yet.
+// never-seen networks from coldShape with 1-2 VCs per dimension.
+// Networks are built in batches with the timer stopped, so each bind
+// meets a network nothing has enumerated yet.
 func BenchmarkBind(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	type shape struct {
@@ -207,17 +245,8 @@ func BenchmarkBind(b *testing.B) {
 		vcs VCConfig
 	}
 	draw := func() shape {
-		var sizes []int
-		if rng.Intn(10) == 0 {
-			sizes = []int{8 + rng.Intn(9), 8 + rng.Intn(9), 8 + rng.Intn(9)}
-		} else {
-			sizes = []int{16 + rng.Intn(49), 16 + rng.Intn(49)}
-		}
-		net := topology.NewMesh(sizes...)
-		if len(sizes) == 2 && rng.Intn(4) == 0 {
-			net = topology.NewTorus(sizes...)
-		}
-		vcs := make(VCConfig, len(sizes))
+		net := coldShape(rng)
+		vcs := make(VCConfig, net.Dims())
 		for d := range vcs {
 			vcs[d] = 1 + rng.Intn(2)
 		}
@@ -238,5 +267,81 @@ func BenchmarkBind(b *testing.B) {
 		}
 		s := batch[i%len(batch)]
 		g.bind(s.net, s.vcs)
+	}
+}
+
+// coldDesigns are the designs BenchmarkVerifyColdShapes rotates over,
+// by dimension count: 2D chains on one and two VCs per dimension, and a
+// 3D chain.
+var coldDesigns = [2][]string{
+	{"PA[X-] -> PB[X+ Y+ Y-]", "PA[X1+ Y1+ Y1-] -> PB[X1- Y2+ Y2-]", "PA[X1+ X2+ Y1+ Y2+] -> PB[X1- X2- Y1- Y2-]"},
+	{"PA[X- Y- Z-] -> PB[X+ Y+ Z+]"},
+}
+
+// BenchmarkVerifyColdShapes is the in-process measure of a cold
+// verification: every iteration verifies a design through a pool on a
+// network no earlier iteration used, so the workspace rebinds, builds the
+// turn edges and peels each time. Networks come from coldShape, built in
+// batches with the timer stopped.
+func BenchmarkVerifyColdShapes(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	type design struct {
+		ts  *core.TurnSet
+		vcs VCConfig
+	}
+	var designs [2][]design
+	for i, specs := range coldDesigns {
+		for _, spec := range specs {
+			chain := core.MustParseChain(spec)
+			designs[i] = append(designs[i], design{chain.AllTurns(), VCConfigFor(2+i, chain.Channels())})
+		}
+	}
+	pool := &WorkspacePool{}
+	pool.Put(pool.Get(topology.NewTorus(64, 64), Uniform(2, 2)))
+	batch := make([]*topology.Network, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%len(batch) == 0 {
+			b.StopTimer()
+			for k := range batch {
+				batch[k] = coldShape(rng)
+			}
+			b.StartTimer()
+		}
+		net := batch[i%len(batch)]
+		ds := designs[net.Dims()-2]
+		d := ds[i%len(ds)]
+		ws := pool.Get(net, d.vcs)
+		ws.VerifyTurnSet(d.ts)
+		pool.Put(ws)
+	}
+}
+
+// TestColdVerifyAllocFree pins the cold path's kernel: once a workspace
+// has grown on a larger shape, rebinding it to a never-seen network of
+// equal or smaller size, building a design's turn edges and peeling them
+// allocates nothing. (A Report adds its network label on top.)
+func TestColdVerifyAllocFree(t *testing.T) {
+	chain := core.MustParseChain(coldDesigns[0][1])
+	ts, vcs := chain.AllTurns(), VCConfigFor(2, chain.Channels())
+	ws := NewWorkspace(topology.NewTorus(48, 48), vcs)
+	ws.VerifyTurnSet(ts) // grow every buffer on the largest shape
+	nets := make([]*topology.Network, 0, 32)
+	for i := 0; i < cap(nets); i++ {
+		nets = append(nets, topology.NewMesh(20+i, 40-i))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(20, func() {
+		ws.g.bind(nets[next], vcs)
+		next++
+		ws.Reset()
+		ws.g.AddTurnEdges(ts)
+		if peeled, _ := kahnPeel(context.Background(), &ws.g.adj, &ws.st); peeled != ws.g.NumChannels() {
+			t.Fatalf("%s on %s: peeled %d of %d", chain, ws.g.net, peeled, ws.g.NumChannels())
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("rebind, edge build and peel on a warm workspace: %v allocs, want 0", allocs)
 	}
 }

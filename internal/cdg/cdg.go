@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"strconv"
 
 	"ebda/internal/channel"
@@ -93,39 +92,43 @@ func (c Channel) appendTo(b []byte) []byte {
 
 // Graph is a channel dependency graph over a concrete network.
 //
-// Adjacency lists are kept sorted ascending at all times (AddEdge inserts
-// in order; the bulk constructors emit sorted runs), so membership tests
-// binary-search and all traversal output depends only on the edge set.
+// Channels are numbered in Links() order — source node, dimension, sign,
+// VC — and the graph keeps only the int32 tables the kernels read: the
+// channels leaving node v are the index range [tailOff[v], tailOff[v+1]),
+// channel i runs from tail[i] to head[i], and sig[i] names its signature.
+// Everything else about a channel derives from those in O(1) (Channel).
 //
 // A channel's signature is its dimension, sign and VC plus its tail
 // coordinate parities. Its classes depend on nothing else, and a network
 // has few signatures (at most 32 in 2D with 2 VCs), so turn-edge
 // construction evaluates the turn relation per signature pair.
+//
+// The dependency edges are one CSR adjacency whose rows are kept sorted
+// ascending, so membership tests binary-search and all traversal output
+// depends only on the edge set.
 type Graph struct {
-	net      *topology.Network
-	vcs      VCConfig
-	channels []Channel
-	// Channels are numbered in Links() order, so the channels leaving
-	// node v are the index range [tailOff[v], tailOff[v+1]). The channels
-	// entering v are headIdx[headOff[v]:headOff[v+1]], ascending, and
-	// head[i] is channel i's head node (its Link.To).
-	tailOff, headOff, headIdx, head []int32
-	adj                             [][]int32
-	edges                           int
-	// tailIndex is the dense (node, dim, sign, vc) -> channel index table
-	// behind the O(1) FindChannel; -1 marks absent channels. maxVC is the
-	// per-dimension stride.
-	tailIndex []int32
-	maxVC     int
-	// sig[i] is channel i's signature and sigs[s] the first channel with
-	// signature s. par[v] holds node v's coordinate parities (bit d set
-	// when odd); keySig maps a signature key to its index plus one.
-	sig, sigs, keySig []int32
-	par               []int
-	// walk is bind's enumeration scratch and tab the turn-edge kernel's
-	// per-build signature table.
+	net                 *topology.Network
+	vcs                 VCConfig
+	tailOff, head, tail []int32
+	adj                 csr
+	// sig[i] is channel i's signature, described by sigs[sig[i]]; keySig
+	// maps a signature key to its index plus one.
+	sig, keySig []int32
+	sigs        []sigInfo
+	// walk is bind's enumeration scratch; mat and tab are the turn-edge
+	// kernel's per-build allow-matrix and signature table.
 	walk topology.Walker
+	mat  core.AllowMatrix
 	tab  sigTable
+}
+
+// sigInfo describes one signature: the direction and VC its channels
+// share and their tail coordinate parities (bit d set when odd).
+type sigInfo struct {
+	dim  channel.Dim
+	sign channel.Sign
+	vc   int
+	par  int
 }
 
 // NewGraph enumerates the concrete channels of the network under the VC
@@ -139,123 +142,114 @@ func NewGraph(net *topology.Network, vcs VCConfig) *Graph {
 // bind enumerates the concrete channels of the network under the VC
 // configuration, with no edges: the one fill path of NewGraph and of a
 // pooled Workspace's rebind. One walk over the grid numbers the channels
-// in Links() order — source node, dimension, sign, VC — and fills the
-// out-ranges, signatures and tail index as it goes; a counting pass then
-// lays out the in-lists. No link list is built, tables are refilled in
-// place and adjacency rows reused by index, so binding to a network the
-// buffers already fit allocates nothing, however new the network.
+// and writes each one's tail, head and signature, nothing more. No link
+// list is built and every table is refilled in place, so binding to a
+// network the buffers already fit allocates nothing, however new the
+// network.
 //
 //ebda:hotpath
 func (g *Graph) bind(net *topology.Network, vcs VCConfig) {
 	dims, nodes := net.Dims(), net.Nodes()
 	g.net = net
 	g.vcs = g.vcs[:0]
-	g.maxVC = 1
-	perNode := 0
+	maxVC, perNode := 1, 0
 	for d := 0; d < dims; d++ {
 		v := vcs.VCs(channel.Dim(d))
 		g.vcs = append(g.vcs, v)
-		g.maxVC = max(g.maxVC, v)
+		maxVC = max(maxVC, v)
 		perNode += 2 * v
 	}
-	nodeSlots := dims * 2 * g.maxVC
-	slots := nodes * nodeSlots
-	g.tailIndex = slices.Grow(g.tailIndex[:0], slots)[:slots]
-	for i := range g.tailIndex {
-		g.tailIndex[i] = -1
-	}
-	g.par = slices.Grow(g.par[:0], nodes)[:nodes]
-	g.tailOff = slices.Grow(g.tailOff[:0], nodes+1)[:nodes+1]
-	g.headOff = slices.Grow(g.headOff[:0], nodes+1)[:nodes+1]
-	clear(g.headOff)
-	// A signature key is a channel's tail slot at node 0 (its dimension,
-	// sign and VC) shifted above its tail parities. Every network has at
-	// least 2^dims nodes, so keys stay below len(tailIndex) and fit an int.
-	keys := dims * 2 * g.maxVC << dims
+	// A signature key is a channel's direction slot (dimension, sign, VC)
+	// shifted above its tail parities.
+	keys := dims * 2 * maxVC << dims
 	g.keySig = slices.Grow(g.keySig[:0], keys)[:keys]
 	clear(g.keySig)
 	g.sigs = g.sigs[:0]
+	g.tailOff = slices.Grow(g.tailOff[:0], nodes+1)[:nodes+1]
 	// Every node has at most two links per dimension, so nodes*perNode
 	// bounds the channel count; the tables are cut to size after the walk.
 	limit := nodes * perNode
-	chans := slices.Grow(g.channels[:0], limit)[:limit]
 	sig := slices.Grow(g.sig[:0], limit)[:limit]
 	head := slices.Grow(g.head[:0], limit)[:limit]
+	tail := slices.Grow(g.tail[:0], limit)[:limit]
 	nc := 0
 	g.walk.Walk(net, func(v topology.NodeID, c topology.Coord, out []topology.Link) {
 		p := 0
 		for d, x := range c {
 			p |= (x & 1) << d
 		}
-		g.par[v] = p
 		g.tailOff[v] = int32(nc)
-		base := int(v) * nodeSlots
 		for _, link := range out {
-			// slot0 is the link's first VC's tail slot at node 0.
-			slot0 := g.tailSlot(0, link.Dim, link.Sign, 1)
+			slot := int(link.Dim) * 2
+			if link.Sign == channel.Minus {
+				slot++
+			}
+			slot *= maxVC
 			for vc := 1; vc <= g.vcs[link.Dim]; vc++ {
-				ch := &chans[nc]
-				ch.Link, ch.VC, ch.Index = link, vc, nc
-				head[nc] = int32(link.To)
-				g.headOff[link.To+1]++
-				slot := slot0 + vc - 1
-				g.tailIndex[base+slot] = int32(nc)
-				key := slot<<dims | p
+				key := (slot+vc-1)<<dims | p
 				if g.keySig[key] == 0 {
-					g.sigs = append(g.sigs, int32(nc))
+					g.sigs = append(g.sigs, sigInfo{dim: link.Dim, sign: link.Sign, vc: vc, par: p})
 					g.keySig[key] = int32(len(g.sigs))
 				}
-				sig[nc] = g.keySig[key] - 1
+				sig[nc], head[nc], tail[nc] = g.keySig[key]-1, int32(link.To), int32(v)
 				nc++
 			}
 		}
 	})
-	g.channels, g.sig, g.head = chans[:nc], sig[:nc], head[:nc]
+	g.sig, g.head, g.tail = sig[:nc], head[:nc], tail[:nc]
 	g.tailOff[nodes] = int32(nc)
-	// headOff[v+1] counted v's in-channels; after the prefix sum headOff[v]
-	// is v's first slot. Placing channels in ascending order advances each
-	// headOff[v] to v's end, which the final shift turns back into starts.
-	for v := 0; v < nodes; v++ {
-		g.headOff[v+1] += g.headOff[v]
-	}
-	g.headIdx = slices.Grow(g.headIdx[:0], nc)[:nc]
-	for i, h := range g.head {
-		g.headIdx[g.headOff[h]] = int32(i)
-		g.headOff[h]++
-	}
-	copy(g.headOff[1:], g.headOff[:nodes])
-	g.headOff[0] = 0
-	g.adj = resizeRows(g.adj, nc)
-	g.edges = 0
+	g.adj.reset(nc)
 }
 
-// into returns the channels whose head is node v, ascending. The slice
-// must not be modified.
-func (g *Graph) into(v topology.NodeID) []int32 { return g.headIdx[g.headOff[v]:g.headOff[v+1]] }
+// Channel returns channel i, derived from its tail, head and signature.
+// A link wraps around when it runs against its sign: node IDs order like
+// the coordinate of the one dimension the link moves in.
+func (g *Graph) Channel(i int) Channel {
+	s := &g.sigs[g.sig[i]]
+	from, to := g.tail[i], g.head[i]
+	return Channel{Link: topology.Link{
+		From: topology.NodeID(from), To: topology.NodeID(to), Dim: s.dim, Sign: s.sign,
+		Wrap: (s.sign == channel.Plus) == (to < from),
+	}, VC: s.vc, Index: i}
+}
+
+// appendInto appends the channels whose head is node v to dst, ascending.
+// Each leaves one of v's at most 2·dims grid neighbours (wraparound
+// included), so it scans those nodes' out-ranges in ascending node order.
+func (g *Graph) appendInto(dst []int32, v topology.NodeID) []int32 {
+	var buf [16]int32
+	nbs := buf[:0]
+	stride := 1
+	for d, size := range g.net.Sizes() {
+		x := int(v) / stride % size
+		for _, y := range [2]int{x - 1, x + 1} {
+			if y < 0 || y >= size {
+				if !g.net.Wrap(channel.Dim(d)) {
+					continue
+				}
+				y = (y + size) % size
+			}
+			// Both directions of a 2-wide ring reach the same node.
+			if u := int32(int(v) + (y-x)*stride); len(nbs) == 0 || nbs[len(nbs)-1] != u {
+				nbs = append(nbs, u)
+			}
+		}
+		stride *= size
+	}
+	slices.Sort(nbs)
+	for _, u := range nbs {
+		for i := g.tailOff[u]; i < g.tailOff[u+1]; i++ {
+			if g.head[i] == int32(v) {
+				dst = append(dst, i)
+			}
+		}
+	}
+	return dst
+}
 
 // outRange returns the index range [lo, hi) of the channels whose tail is
 // node v.
 func (g *Graph) outRange(v topology.NodeID) (lo, hi int32) { return g.tailOff[v], g.tailOff[v+1] }
-
-// resizeRows returns rows with length n, reusing the backing array and
-// every row already in it, each truncated to length zero so it keeps its
-// capacity.
-func resizeRows(rows [][]int32, n int) [][]int32 {
-	rows = slices.Grow(rows[:cap(rows)], max(0, n-cap(rows)))[:n]
-	for i := range rows {
-		rows[i] = rows[i][:0]
-	}
-	return rows
-}
-
-// tailSlot computes the dense tailIndex position of (from, d, sign, vc).
-func (g *Graph) tailSlot(from topology.NodeID, d channel.Dim, sign channel.Sign, vc int) int {
-	s := 0
-	if sign == channel.Minus {
-		s = 1
-	}
-	return ((int(from)*g.net.Dims()+int(d))*2+s)*g.maxVC + (vc - 1)
-}
 
 // Net returns the underlying network.
 func (g *Graph) Net() *topology.Network { return g.net }
@@ -263,116 +257,33 @@ func (g *Graph) Net() *topology.Network { return g.net }
 // VCs returns the effective per-dimension VC counts; do not modify them.
 func (g *Graph) VCs() VCConfig { return g.vcs }
 
-// Channels returns all concrete channels. The slice must not be modified.
-func (g *Graph) Channels() []Channel { return g.channels }
-
 // NumChannels returns the number of concrete channels.
-func (g *Graph) NumChannels() int { return len(g.channels) }
+func (g *Graph) NumChannels() int { return len(g.sig) }
 
 // NumEdges returns the number of dependency edges added so far.
-func (g *Graph) NumEdges() int { return g.edges }
+func (g *Graph) NumEdges() int { return len(g.adj.succ) }
 
 // AddEdge adds a dependency edge between two channel indices, keeping the
-// successor list sorted.
-func (g *Graph) AddEdge(from, to int) {
-	g.adj[from] = insertSorted(g.adj[from], int32(to))
-	g.edges++
-}
-
-// insertSorted places v into its ordered position in row. The common bulk
-// case (v not below the current maximum) is a plain append.
-//
-//ebda:hotpath
-func insertSorted(row []int32, v int32) []int32 {
-	if n := len(row); n == 0 || row[n-1] <= v {
-		return append(row, v)
-	}
-	i := sort.Search(len(row), func(k int) bool { return row[k] >= v })
-	row = append(row, 0)
-	copy(row[i+1:], row[i:])
-	row[i] = v
-	return row
-}
-
-// AddEdges adds dependency edges from one channel to every listed successor
-// in a single sorted merge — the batched counterpart of AddEdge, used by
-// the bulk constructors so incremental O(n) inserts stay off the hot path.
-// tos may be in any order (it is sorted in place when needed). Not safe for
-// concurrent use.
-//
-//ebda:hotpath
-func (g *Graph) AddEdges(from int, tos ...int32) {
-	if len(tos) == 0 {
-		return
-	}
-	if !sortedInt32(tos) {
-		sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
-	}
-	g.adj[from] = mergeSorted(g.adj[from], tos)
-	g.edges += len(tos)
-}
-
-// sortedInt32 reports whether the slice is ascending.
-func sortedInt32(s []int32) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i] < s[i-1] {
-			return false
-		}
-	}
-	return true
-}
-
-// mergeSorted merges the ascending batch into the ascending row in one
-// pass, keeping the result ascending. The common bulk case — the batch
-// entirely above the current maximum, which covers every first fill of a
-// freshly reset row — is a plain append. Otherwise the row grows once and
-// a backwards merge avoids any temporary buffer.
-//
-//ebda:hotpath
-func mergeSorted(row, batch []int32) []int32 {
-	if len(batch) == 0 {
-		return row
-	}
-	if n := len(row); n == 0 || row[n-1] <= batch[0] {
-		return append(row, batch...)
-	}
-	n, b := len(row), len(batch)
-	row = append(row, batch...)
-	i, j, k := n-1, b-1, n+b-1
-	for j >= 0 {
-		if i >= 0 && row[i] > batch[j] {
-			row[k] = row[i]
-			i--
-		} else {
-			row[k] = batch[j]
-			j--
-		}
-		k--
-	}
-	return row
-}
+// successor list sorted. Edges added to the last filled row or later
+// append; an earlier row costs a shift of every later edge.
+func (g *Graph) AddEdge(from, to int) { g.adj.add(int32(from), int32(to), true) }
 
 // Succs returns the dependency successors of a channel index, ascending.
 // The slice must not be modified.
-func (g *Graph) Succs(i int) []int32 { return g.adj[i] }
+func (g *Graph) Succs(i int) []int32 { return g.adj.row(int32(i)) }
 
 // HasEdge reports whether the dependency edge from one channel index to
 // another exists. Successor lists are sorted, so this is a binary search.
-func (g *Graph) HasEdge(from, to int) bool {
-	row := g.adj[from]
-	i := sort.Search(len(row), func(k int) bool { return row[k] >= int32(to) })
-	return i < len(row) && row[i] == int32(to)
-}
+func (g *Graph) HasEdge(from, to int) bool { return g.adj.has(int32(from), int32(to)) }
 
 // FindChannel locates the concrete channel leaving a node in the given
-// direction on the given VC via the dense tail-index table — O(1), no
-// scan of the node's channel list.
+// direction on the given VC by scanning the node's out-range, at most
+// 2·dims·maxVC channels, through the signature table.
 func (g *Graph) FindChannel(from topology.NodeID, d channel.Dim, sign channel.Sign, vc int) (Channel, bool) {
-	if int(d) >= g.net.Dims() || vc < 1 || vc > g.maxVC {
-		return Channel{}, false
-	}
-	if idx := g.tailIndex[g.tailSlot(from, d, sign, vc)]; idx >= 0 {
-		return g.channels[idx], true
+	for i := g.tailOff[from]; i < g.tailOff[from+1]; i++ {
+		if s := &g.sigs[g.sig[i]]; s.dim == d && s.sign == sign && s.vc == vc {
+			return g.Channel(int(i)), true
+		}
 	}
 	return Channel{}, false
 }
@@ -402,13 +313,13 @@ func (t *sigTable) list(s int32) []int32 { return t.cls[t.off[s]:t.off[s+1]] }
 func (g *Graph) buildSigTable(m *core.AllowMatrix) {
 	t := &g.tab
 	t.cls, t.off, t.id, t.first = t.cls[:0], append(t.off[:0], 0), t.id[:0], t.first[:0]
-	for s, c := range g.sigs {
-		ch, start := &g.channels[c], len(t.cls)
+	for s := range g.sigs {
+		si, start := &g.sigs[s], len(t.cls)
 		for i, cls := range m.Classes() {
-			if cls.Dim != ch.Link.Dim || cls.Sign != ch.Link.Sign || cls.VC != ch.VC {
+			if cls.Dim != si.dim || cls.Sign != si.sign || cls.VC != si.vc {
 				continue
 			}
-			if cls.Par != channel.Any && !cls.Par.Matches(g.par[ch.Link.From]>>cls.PDim&1) {
+			if cls.Par != channel.Any && !cls.Par.Matches(si.par>>cls.PDim&1) {
 				continue
 			}
 			t.cls = append(t.cls, int32(i))
@@ -436,51 +347,59 @@ func (g *Graph) buildSigTable(m *core.AllowMatrix) {
 	}
 }
 
+// buildTarget returns the adjacency a bulk build appends its rows to, in
+// channel order: the graph's own when it has no edges yet, else scratch
+// that mergeBuilt then folds in.
+func (g *Graph) buildTarget() *csr {
+	dst := &g.adj
+	if len(dst.succ) > 0 {
+		dst = &csr{}
+	}
+	dst.reset(g.NumChannels())
+	return dst
+}
+
+// mergeBuilt folds a build from buildTarget into the graph and returns
+// the number of edges it added.
+func (g *Graph) mergeBuilt(dst *csr) int {
+	if dst != &g.adj {
+		g.adj.merge(dst)
+	}
+	return len(dst.succ)
+}
+
 // AddTurnEdges adds a dependency edge for every pair of concrete channels
 // (a into v, b out of v) whose classes are related by the turn set and
 // returns the number of edges added. The turn relation is first evaluated
 // once per signature pair (buildSigTable); each channel pair then costs
 // one table lookup. Channel a's successors are the permitted channels out
-// of its head node, one contiguous, ascending index range, so an empty
-// row fills by appending and a non-empty one (a second build on the same
-// graph) takes one sorted merge.
+// of its head node, one contiguous, ascending index range, so the rows
+// fill in one sequential pass over the CSR.
 //
 //ebda:hotpath
 func (g *Graph) AddTurnEdges(ts *core.TurnSet) int {
-	g.buildSigTable(ts.Matrix())
+	ts.MatrixInto(&g.mat)
+	g.buildSigTable(&g.mat)
 	t, n := &g.tab, len(g.sigs)
-	added := 0
-	var batch []int32
-	for a := range g.channels {
-		lo, hi := g.outRange(topology.NodeID(g.head[a]))
+	dst := g.buildTarget()
+	off, succ := dst.off, dst.succ
+	for a, h := range g.head {
+		lo, hi := g.tailOff[h], g.tailOff[h+1]
 		allow := t.allow[int(t.id[g.sig[a]])*n:][:n]
-		if row := g.adj[a]; len(row) == 0 {
-			g.adj[a] = appendAllowed(row, lo, g.sig[lo:hi], allow)
-			added += len(g.adj[a])
-		} else {
-			batch = appendAllowed(batch[:0], lo, g.sig[lo:hi], allow)
-			g.adj[a] = mergeSorted(row, batch)
-			added += len(batch)
+		for k, s := range g.sig[lo:hi] {
+			if allow[s] {
+				succ = append(succ, lo+int32(k))
+			}
 		}
+		off = append(off, int32(len(succ)))
 	}
-	g.edges += added
-	return added
+	dst.off, dst.succ = off, succ
+	return g.mergeBuilt(dst)
 }
 
 // AddTurnEdgesJobs is AddTurnEdges. The int argument is ignored; bench/
 // calls this signature.
 func (g *Graph) AddTurnEdgesJobs(ts *core.TurnSet, _ int) int { return g.AddTurnEdges(ts) }
-
-// appendAllowed appends to dst every out-channel lo+k whose signature
-// sigs[k] the in-channel's allow row admits.
-func appendAllowed(dst []int32, lo int32, sigs []int32, allow []bool) []int32 {
-	for k, s := range sigs {
-		if allow[s] {
-			dst = append(dst, lo+int32(k))
-		}
-	}
-	return dst
-}
 
 // RoutingRelation describes a routing function for dependency extraction:
 // given the node a packet is at, the concrete channel it arrived on (nil at
@@ -495,9 +414,9 @@ type RoutingRelation func(g *Graph, at topology.NodeID, in *Channel, dst topolog
 // closure is computed from the injection candidates of every source, and
 // only transitions of reachable packet states become dependencies. The
 // edges every destination induces are recorded in one dense bitset, whose
-// rows are then expanded in ascending order into sorted successor lists.
+// rows are then expanded in ascending order into the CSR.
 func (g *Graph) AddRoutingEdges(route RoutingRelation) int {
-	nc := len(g.channels)
+	nc := g.NumChannels()
 	if nc == 0 {
 		return 0
 	}
@@ -508,9 +427,7 @@ func (g *Graph) AddRoutingEdges(route RoutingRelation) int {
 	usable := make([]bool, nc)
 	queue := make([]int32, 0, nc)
 	for dst := topology.NodeID(0); int(dst) < nodes; dst++ {
-		for i := range usable {
-			usable[i] = false
-		}
+		clear(usable)
 		queue = queue[:0]
 		// Injection states: the candidates offered to freshly injected
 		// packets at every source.
@@ -529,7 +446,7 @@ func (g *Graph) AddRoutingEdges(route RoutingRelation) int {
 		for len(queue) > 0 {
 			ai := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			ch := g.channels[ai]
+			ch := g.Channel(int(ai))
 			at := ch.Link.To
 			if at == dst {
 				continue
@@ -544,25 +461,17 @@ func (g *Graph) AddRoutingEdges(route RoutingRelation) int {
 			}
 		}
 	}
-	// Expand each row's set bits in ascending order and land the batch in
-	// a single sorted merge.
-	added := 0
-	var batch []int32
+	// Expand each row's set bits in ascending order.
+	out := g.buildTarget()
 	for a := 0; a < nc; a++ {
-		batch = batch[:0]
 		for i, word := range seen[a*words : (a+1)*words] {
 			for ; word != 0; word &= word - 1 {
-				batch = append(batch, int32(i*64+bits.TrailingZeros64(word)))
+				out.succ = append(out.succ, int32(i*64+bits.TrailingZeros64(word)))
 			}
 		}
-		if len(batch) == 0 {
-			continue
-		}
-		g.adj[a] = mergeSorted(g.adj[a], batch)
-		added += len(batch)
+		out.closeRow()
 	}
-	g.edges += added
-	return added
+	return g.mergeBuilt(out)
 }
 
 // BuildFromTurnSet constructs the dependency graph induced by a turn set on
@@ -583,7 +492,7 @@ func BuildFromTurnSetJobs(net *topology.Network, vcs VCConfig, ts *core.TurnSet,
 // or with a self-loop — the deadlock-capable cores of the graph. Components
 // are returned as channel index lists. An empty result means acyclic.
 func (g *Graph) SCCs() [][]int {
-	n := len(g.channels)
+	n := g.NumChannels()
 	index := make([]int32, n)
 	low := make([]int32, n)
 	onStack := make([]bool, n)
@@ -598,13 +507,6 @@ func (g *Graph) SCCs() [][]int {
 	type frame struct {
 		v    int32
 		next int
-	}
-	// Adjacency rows are sorted ascending, so the self-loop test is a
-	// binary search instead of a linear scan.
-	selfLoop := func(v int32) bool {
-		row := g.adj[v]
-		i := sort.Search(len(row), func(k int) bool { return row[k] >= v })
-		return i < len(row) && row[i] == v
 	}
 	for root := 0; root < n; root++ {
 		if index[root] != -1 {
@@ -622,8 +524,8 @@ func (g *Graph) SCCs() [][]int {
 				onStack[v] = true
 			}
 			advanced := false
-			for f.next < len(g.adj[v]) {
-				w := g.adj[v][f.next]
+			for row := g.adj.row(v); f.next < len(row); {
+				w := row[f.next]
 				f.next++
 				if index[w] == -1 {
 					call = append(call, frame{v: w})
@@ -648,7 +550,7 @@ func (g *Graph) SCCs() [][]int {
 						break
 					}
 				}
-				if len(comp) > 1 || (len(comp) == 1 && selfLoop(v)) {
+				if len(comp) > 1 || (len(comp) == 1 && g.adj.has(v, v)) {
 					out = append(out, comp)
 				}
 			}

@@ -58,7 +58,7 @@ func TestVerifyCtxCancelledBetweenKahnRounds(t *testing.T) {
 	vcs := VCConfigFor(net.Dims(), chain.Channels())
 	g := BuildFromTurnSet(net, vcs, ts)
 	var st acyclicState
-	peeled, err := g.kahnPeel(cancelledCtx(), &st)
+	peeled, err := kahnPeel(cancelledCtx(), &g.adj, &st)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("kahnPeel err = %v, want context.Canceled", err)
 	}

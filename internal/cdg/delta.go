@@ -175,17 +175,18 @@ type DeltaWorkspace struct {
 	baseCheck uint64
 	baseRep   Report
 	// baseFin is the canonical final state of the base peel: 0 for peeled
-	// channels, the in-residual in-degree for residual channels.
-	baseFin []int32
+	// channels, the in-residual in-degree for residual channels. baseIn is
+	// every channel's in-degree in the base graph.
+	baseFin, baseIn []int32
 
 	// Per-call scratch, reused across diffs. The peel state of a diff
 	// lives in ws.st.
 	masked    []bool
 	maskedIdx []int32
 	leaves    []int32
-	// rows is the second adjacency row set toggle diffs build into,
-	// allocated on the first toggle.
-	rows [][]int32
+	into      []int32
+	// rows is the second CSR adjacency toggle diffs build into.
+	rows csr
 }
 
 // NewDeltaWorkspace builds the base graph, runs the base verification and
@@ -218,6 +219,7 @@ func newDeltaWorkspace(ctx context.Context, key, check uint64, net *topology.Net
 		baseCheck: check,
 		baseRep:   rep,
 		baseFin:   append([]int32(nil), ws.st.indeg...),
+		baseIn:    ws.g.adj.inDegrees(nil),
 		masked:    make([]bool, ws.g.NumChannels()),
 	}
 	return dw, nil
@@ -293,29 +295,30 @@ func (dw *DeltaWorkspace) verifyDiff(ctx context.Context, diff Diff) (Report, er
 	if mod != nil {
 		// Build the toggled design into the second row set; the channel
 		// table and the base rows stay as they are.
-		dw.rows = resizeRows(dw.rows, len(g.channels))
 		g.adj, dw.rows = dw.rows, g.adj
-		defer func() { g.adj, dw.rows, g.edges = dw.rows, g.adj, dw.baseRep.Edges }()
-		g.edges = 0
+		defer func() { g.adj, dw.rows = dw.rows, g.adj }()
+		g.adj.reset(g.NumChannels())
 		g.AddTurnEdges(mod)
 	}
 	psp.SetInt("masked", int64(len(dw.maskedIdx)))
 	psp.End()
 	rsp := tc.StartSpan("cdg.repeel")
 	defer rsp.End()
+	var in []int32 // the toggled rows' in-degrees are not kept
 	if mod != nil {
 		obsDeltaFallbacks.Inc()
-		if _, err := g.kahnPeel(ctx, st); err != nil {
+		if _, err := kahnPeel(ctx, &g.adj, st); err != nil {
 			return Report{}, err
 		}
 	} else {
 		obsDeltaIncremental.Inc()
 		st.indeg = append(st.indeg[:0], dw.baseFin...)
+		in = dw.baseIn
 	}
 	rep := Report{
 		Network:  name,
-		Channels: len(g.channels) - len(dw.maskedIdx),
-		Edges:    g.edges - dw.retireMasked(st.indeg),
+		Channels: g.NumChannels() - len(dw.maskedIdx),
+		Edges:    g.NumEdges() - dw.retireMasked(st.indeg, in),
 		Acyclic:  true,
 	}
 	for _, d := range st.indeg {
@@ -326,7 +329,7 @@ func (dw *DeltaWorkspace) verifyDiff(ctx context.Context, diff Diff) (Report, er
 	}
 	if !rep.Acyclic {
 		obsResidualDFS.Inc()
-		rep.Cycle = g.findCycleResidual(st)
+		rep.Cycle = g.channelsOf(findCycleResidual(&g.adj, st))
 	}
 	return rep, nil
 }
@@ -390,24 +393,36 @@ func (dw *DeltaWorkspace) toggled(diff Diff) (*core.TurnSet, error) {
 }
 
 // retireMasked is the removal cascade. fin must be the canonical peel
-// state of the graph's current rows with every channel present; on return
-// it is the canonical state with the masked channels' edges removed. A
-// masked channel keeps no edges, so it peels, and every channel whose
-// last in-edge from the residual that takes away peels after it. The rows
-// are not modified: the masked channels' edges stay in them, so a residual
-// channel may still list a masked successor, which then reads as peeled.
-// It returns the number of edges the masks remove.
-func (dw *DeltaWorkspace) retireMasked(fin []int32) int {
+// state of the graph's current rows with every channel present, and in
+// their in-degrees, or nil to count a masked channel's in-edges over its
+// tail's in-list (a toggle diff's fresh rows); on return fin is the
+// canonical state with the masked channels' edges removed. A masked channel keeps no edges, so it peels,
+// and every channel whose last in-edge from the residual that takes away
+// peels after it. The rows are not modified: the masked channels' edges
+// stay in them, so a residual channel may still list a masked successor,
+// which then reads as peeled. It returns the number of edges the masks
+// remove.
+func (dw *DeltaWorkspace) retireMasked(fin, in []int32) int {
 	g := dw.ws.g
 	removed := 0
 	leaves := dw.leaves[:0]
-	// Edges between two masked channels are counted once, from the
-	// source's row.
 	for _, ci := range dw.maskedIdx {
-		removed += len(g.adj[ci])
-		for _, p := range g.into(g.channels[ci].Link.From) {
-			if !dw.masked[p] && g.HasEdge(int(p), int(ci)) {
-				removed++
+		removed += len(g.adj.row(ci))
+		if in != nil {
+			removed += int(in[ci])
+		} else {
+			dw.into = g.appendInto(dw.into[:0], topology.NodeID(g.tail[ci]))
+			for _, p := range dw.into {
+				if g.adj.has(p, ci) {
+					removed++
+				}
+			}
+		}
+		// An edge between two masked channels left one and entered the
+		// other: count it once.
+		for _, s := range g.adj.row(ci) {
+			if dw.masked[s] {
+				removed--
 			}
 		}
 		if fin[ci] > 0 {
@@ -418,7 +433,7 @@ func (dw *DeltaWorkspace) retireMasked(fin []int32) int {
 	for len(leaves) > 0 {
 		v := leaves[len(leaves)-1]
 		leaves = leaves[:len(leaves)-1]
-		for _, s := range g.adj[v] {
+		for _, s := range g.adj.row(v) {
 			if fin[s] > 0 {
 				if fin[s]--; fin[s] == 0 {
 					leaves = append(leaves, s)

@@ -67,10 +67,10 @@ func TestEdgeSetFingerprintOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestEdgeBuilderMatchesAddEdge pins that the builder yields the same
-// rows, edge count and duplicate answers as AddEdge, whether senders
-// ascend (the carved path), revisit finished rows, or arrive shuffled.
-func TestEdgeBuilderMatchesAddEdge(t *testing.T) {
+// TestEdgeSetAddEdgeOrders pins that AddEdge yields the same rows, edge
+// count and duplicate answers as a map-based reference, whether senders
+// ascend (the append path), revisit earlier rows, or arrive shuffled.
+func TestEdgeSetAddEdgeOrders(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(12)
@@ -79,35 +79,29 @@ func TestEdgeBuilderMatchesAddEdge(t *testing.T) {
 			edges = append(edges, [2]int{rng.Intn(n), rng.Intn(n)})
 		}
 		if trial%3 == 0 {
-			sort.Slice(edges, func(i, j int) bool { return edges[i][0] < edges[j][0] })
+			sort.SliceStable(edges, func(i, j int) bool { return edges[i][0] < edges[j][0] })
 		}
-		want := NewEdgeSet(n)
-		b := NewEdgeBuilder(n, rng.Intn(8))
+		got := NewEdgeSet(n)
+		want := map[[2]int]bool{}
 		for _, e := range edges {
-			if got, w := b.Add(e[0], e[1]), want.AddEdge(e[0], e[1]); got != w {
-				t.Fatalf("trial %d: Add(%d, %d) = %v, AddEdge = %v", trial, e[0], e[1], got, w)
+			if added := got.AddEdge(e[0], e[1]); added == want[e] {
+				t.Fatalf("trial %d: AddEdge(%d, %d) = %v on a repeat %v", trial, e[0], e[1], added, want[e])
 			}
+			want[e] = true
 		}
-		got := b.Finish()
-		if got.NumEdges() != want.NumEdges() {
-			t.Fatalf("trial %d: %d edges, want %d", trial, got.NumEdges(), want.NumEdges())
+		if got.NumEdges() != len(want) {
+			t.Fatalf("trial %d: %d edges, want %d", trial, got.NumEdges(), len(want))
 		}
-		same := func(stage string) {
-			t.Helper()
-			for v := 0; v < n; v++ {
-				if !slices.Equal(got.Succs(v), want.Succs(v)) {
-					t.Fatalf("trial %d %s: row %d = %v, want %v (edges %v)", trial, stage, v, got.Succs(v), want.Succs(v), edges)
+		for v := 0; v < n; v++ {
+			var row []int32
+			for to := 0; to < n; to++ {
+				if want[[2]int{v, to}] {
+					row = append(row, int32(to))
 				}
 			}
+			if !slices.Equal(got.Succs(v), row) {
+				t.Fatalf("trial %d: row %d = %v, want %v (edges %v)", trial, v, got.Succs(v), row, edges)
+			}
 		}
-		same("built")
-		// Finished rows are independent: growing one never writes into
-		// its neighbour in the shared backing array.
-		for v := 0; v < n; v++ {
-			to := rng.Intn(n)
-			got.AddEdge(v, to)
-			want.AddEdge(v, to)
-		}
-		same("grown")
 	}
 }

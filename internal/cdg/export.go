@@ -3,7 +3,6 @@ package cdg
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -16,15 +15,11 @@ import (
 // error when the graph is cyclic.
 func (g *Graph) TopoOrder() ([]Channel, error) {
 	var st acyclicState
-	if peeled, _ := g.kahnPeel(context.Background(), &st); peeled != len(g.channels) {
+	if peeled, _ := kahnPeel(context.Background(), &g.adj, &st); peeled != g.NumChannels() {
 		return nil, fmt.Errorf("cdg: graph is cyclic (%d of %d channels ordered)",
-			peeled, len(g.channels))
+			peeled, g.NumChannels())
 	}
-	out := make([]Channel, len(st.order))
-	for i, v := range st.order {
-		out[i] = g.channels[v]
-	}
-	return out, nil
+	return g.channelsOf(st.order), nil
 }
 
 // Certificate is a machine-checkable proof of deadlock freedom: a
@@ -58,16 +53,16 @@ func (g *Graph) CheckCertificate(c *Certificate) error {
 	if c == nil {
 		return fmt.Errorf("cdg: no certificate")
 	}
-	if len(c.Order) != len(g.channels) {
+	if len(c.Order) != g.NumChannels() {
 		return fmt.Errorf("cdg: certificate covers %d of %d channels",
-			len(c.Order), len(g.channels))
+			len(c.Order), g.NumChannels())
 	}
-	pos := make([]int, len(g.channels))
+	pos := make([]int, g.NumChannels())
 	for i := range pos {
 		pos[i] = -1
 	}
 	for i, idx := range c.Order {
-		if idx < 0 || idx >= len(g.channels) {
+		if idx < 0 || idx >= g.NumChannels() {
 			return fmt.Errorf("cdg: certificate index %d out of range", idx)
 		}
 		if pos[idx] != -1 {
@@ -75,11 +70,11 @@ func (g *Graph) CheckCertificate(c *Certificate) error {
 		}
 		pos[idx] = i
 	}
-	for a, succs := range g.adj {
-		for _, b := range succs {
+	for a := 0; a < g.NumChannels(); a++ {
+		for _, b := range g.Succs(a) {
 			if pos[a] >= pos[b] {
 				return fmt.Errorf("cdg: dependency %s => %s violates the certificate order",
-					g.channels[a], g.channels[b])
+					g.Channel(a), g.Channel(int(b)))
 			}
 		}
 	}
@@ -100,14 +95,8 @@ func (g *Graph) DOT(name string) string {
 			inSCC[v] = true
 		}
 	}
-	// Stable node order.
-	idx := make([]int, len(g.channels))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Ints(idx)
-	for _, i := range idx {
-		ch := g.channels[i]
+	for i := 0; i < g.NumChannels(); i++ {
+		ch := g.Channel(i)
 		attrs := ""
 		if inSCC[i] {
 			attrs = ", style=filled, fillcolor=\"#ffcccc\""
@@ -115,8 +104,8 @@ func (g *Graph) DOT(name string) string {
 		fmt.Fprintf(&b, "  c%d [label=\"n%d→n%d\\n%s\"%s];\n",
 			i, ch.Link.From, ch.Link.To, ch.Class(), attrs)
 	}
-	for _, i := range idx {
-		for _, s := range g.adj[i] {
+	for i := 0; i < g.NumChannels(); i++ {
+		for _, s := range g.Succs(i) {
 			attrs := ""
 			if inSCC[i] && inSCC[int(s)] {
 				attrs = " [color=red]"

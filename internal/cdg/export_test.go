@@ -70,7 +70,7 @@ func TestTopoOrderWitness(t *testing.T) {
 			for i, ch := range order {
 				pos[ch.Index] = i
 			}
-			for i := range g.Channels() {
+			for i := 0; i < g.NumChannels(); i++ {
 				for _, s := range g.Succs(i) {
 					if pos[i] >= pos[int(s)] {
 						t.Fatalf("dependency %d -> %d violates the witness ordering", i, s)

@@ -2,13 +2,14 @@ package cdg
 
 import (
 	"context"
+	"slices"
 
 	"ebda/internal/obs/trace"
 )
 
-// This file implements the acyclicity fast path: a Kahn topological peel,
-// with cycle extraction by three-colour DFS restricted to the unpeeled
-// residual.
+// This file implements the one acyclicity engine: a Kahn topological peel
+// over a compressed-sparse-row adjacency, with cycle extraction by
+// three-colour DFS restricted to the unpeeled residual.
 //
 // The peel repeatedly removes every channel whose dependency in-degree has
 // dropped to zero. The maximal peel is unique — a channel is peelable iff
@@ -21,7 +22,156 @@ import (
 // the rows while the peel state treats them as removed; the residual DFS
 // skips peeled successors, which only such a channel can be.
 
-// DFS colours of findCycleResidualAdj.
+// csr is the adjacency of every dependency graph in the package — the
+// concrete Graph, a delta's toggled rows, an EdgeSet and the mode
+// subgraphs: node v's successors are succ[off[v]:off[v+1]], ascending.
+// off covers a prefix of the n rows and the rows past it are empty, so an
+// empty graph is off = [0] and clearing one is O(1). Rows filled in
+// ascending order are plain appends (closeRow after each).
+type csr struct {
+	n    int
+	off  []int32
+	succ []int32
+}
+
+// reset empties the adjacency and sizes it to n nodes, keeping capacity.
+func (c *csr) reset(n int) {
+	c.n, c.off, c.succ = n, append(slices.Grow(c.off[:0], n+1), 0), c.succ[:0]
+}
+
+// closeRow ends the row being appended to succ; the next one opens.
+func (c *csr) closeRow() { c.off = append(c.off, int32(len(c.succ))) }
+
+// row returns v's successors, ascending. The slice must not be modified.
+func (c *csr) row(v int32) []int32 {
+	if int(v)+1 >= len(c.off) {
+		return nil
+	}
+	return c.succ[c.off[v]:c.off[v+1]]
+}
+
+// has reports whether the edge from -> to exists, by binary search.
+func (c *csr) has(from, to int32) bool {
+	_, found := slices.BinarySearch(c.row(from), to)
+	return found
+}
+
+// add inserts the edge from -> to in order and reports whether it was
+// new; with dup set a repeated edge is inserted again. Appending to the
+// last open row or opening a later one is amortised O(1); inserting into
+// an earlier row moves every later edge, O(E).
+func (c *csr) add(from, to int32, dup bool) bool {
+	for len(c.off) <= int(from)+1 {
+		c.closeRow()
+	}
+	// The last open row ends at len(succ): above its maximum, append.
+	if n := len(c.succ); int(from)+2 == len(c.off) && (n == int(c.off[from]) || c.succ[n-1] < to) {
+		c.succ = append(c.succ, to)
+		c.off[from+1]++
+		return true
+	}
+	lo := int(c.off[from])
+	row := c.succ[lo:c.off[from+1]]
+	i := len(row)
+	if i > 0 && row[i-1] >= to {
+		var found bool
+		if i, found = slices.BinarySearch(row, to); found && !dup {
+			return false
+		}
+	}
+	c.succ = slices.Insert(c.succ, lo+i, to)
+	for v := int(from) + 1; v < len(c.off); v++ {
+		c.off[v]++
+	}
+	return true
+}
+
+// merge adds every edge of o, an adjacency over the same nodes, keeping
+// rows ascending (a repeated edge is kept twice). Both are copied once
+// into fresh arrays: the rare second build onto a filled graph.
+func (c *csr) merge(o *csr) {
+	off := make([]int32, 1, c.n+1)
+	succ := make([]int32, 0, len(c.succ)+len(o.succ))
+	for v := int32(0); int(v) < c.n; v++ {
+		a, b := c.row(v), o.row(v)
+		for len(a) > 0 && len(b) > 0 {
+			if a[0] <= b[0] {
+				succ, a = append(succ, a[0]), a[1:]
+			} else {
+				succ, b = append(succ, b[0]), b[1:]
+			}
+		}
+		succ = append(append(succ, a...), b...)
+		off = append(off, int32(len(succ)))
+	}
+	c.off, c.succ = off, succ
+}
+
+// inDegrees returns every node's in-degree, in buf's storage.
+func (c *csr) inDegrees(buf []int32) []int32 {
+	buf = slices.Grow(buf[:0], c.n)[:c.n]
+	clear(buf)
+	for _, s := range c.succ {
+		buf[s]++
+	}
+	return buf
+}
+
+// subgraph fills dst with the rows of the nodes keep admits, each cut to
+// the successors to marks (to nil keeps them all); the other rows are
+// empty.
+func (c *csr) subgraph(dst *csr, keep func(v int32) bool, to []bool) {
+	dst.reset(c.n)
+	dst.succ = slices.Grow(dst.succ, len(c.succ))
+	for v := int32(0); int(v) < c.n; v++ {
+		switch {
+		case !keep(v):
+		case to == nil:
+			dst.succ = append(dst.succ, c.row(v)...)
+		default:
+			for _, s := range c.row(v) {
+				if to[s] {
+					dst.succ = append(dst.succ, s)
+				}
+			}
+		}
+		dst.closeRow()
+	}
+}
+
+// reverse fills r with the transpose of c, skipping the out-edges of
+// every node drop marks (drop may be nil). Senders are visited ascending,
+// so every reversed row comes out ascending.
+func (c *csr) reverse(r *csr, drop []bool) {
+	r.reset(c.n)
+	r.off = r.off[:c.n+1]
+	clear(r.off)
+	for v := int32(0); int(v) < c.n; v++ {
+		if drop == nil || !drop[v] {
+			for _, s := range c.row(v) {
+				r.off[s+1]++
+			}
+		}
+	}
+	for v := 0; v < c.n; v++ {
+		r.off[v+1] += r.off[v]
+	}
+	r.succ = slices.Grow(r.succ, int(r.off[c.n]))[:r.off[c.n]]
+	// off[s] is s's write cursor and ends at s's end, so a shift by one
+	// turns the ends back into starts.
+	for v := int32(0); int(v) < c.n; v++ {
+		if drop == nil || !drop[v] {
+			for _, s := range c.row(v) {
+				r.succ[r.off[s]] = v
+				r.off[s]++
+			}
+		}
+	}
+	copy(r.off[1:], r.off[:c.n])
+	r.off[0] = 0
+}
+
+// DFS colours of findCycleResidual.
 const (
 	dfsWhite = 0
 	dfsGrey  = 1
@@ -45,29 +195,15 @@ type acyclicState struct {
 	parent []int32
 }
 
-// ensure sizes the peel scratch for n channels, zeroing in-degrees.
-func (st *acyclicState) ensure(n int) {
-	if cap(st.indeg) < n {
-		st.indeg = make([]int32, n)
-	} else {
-		st.indeg = st.indeg[:n]
-		for i := range st.indeg {
-			st.indeg[i] = 0
-		}
-	}
-	if cap(st.order) < n {
-		st.order = make([]int32, 0, n)
-	}
-	st.order = st.order[:0]
-}
-
 // ctxPollRounds is how many Kahn rounds run between cancellation polls.
 const ctxPollRounds = 64
 
-// kahnPeel runs the topological peel and returns the number of channels
-// peeled; the graph is acyclic iff that equals NumChannels. On return
-// st.indeg marks the residual (indeg > 0) and st.order holds the peeled
-// channels in peel order.
+// kahnPeel runs the topological peel over adj and returns the number of
+// nodes peeled; the graph is acyclic iff that equals adj.n. It never
+// relies on row order, so any dependency graph — concrete channels or an
+// abstract EdgeSet — runs through this one engine. On return st.indeg
+// marks the residual (indeg > 0) and st.order holds the peeled nodes in
+// peel order.
 //
 // ctx is checked before the first frontier round and then every
 // ctxPollRounds rounds (rounds are the only unbounded dimension of the
@@ -78,30 +214,14 @@ const ctxPollRounds = 64
 // for a verdict.
 //
 //ebda:hotpath
-func (g *Graph) kahnPeel(ctx context.Context, st *acyclicState) (int, error) {
-	return kahnPeelAdj(ctx, g.adj, st)
-}
-
-// kahnPeelAdj is the representation-agnostic peel behind Graph.kahnPeel
-// and the mode verifications of abstract EdgeSets: it needs only the
-// adjacency rows (sorted or not — the peel never relies on row order), so
-// any dependency graph reduced to dense int32 successor lists runs through
-// the one engine.
-//
-//ebda:hotpath
-func kahnPeelAdj(ctx context.Context, adj [][]int32, st *acyclicState) (int, error) {
-	nc := len(adj)
-	st.ensure(nc)
+func kahnPeel(ctx context.Context, adj *csr, st *acyclicState) (int, error) {
+	nc := adj.n
+	indeg := adj.inDegrees(st.indeg)
+	st.indeg, st.order = indeg, slices.Grow(st.order[:0], nc)
 	if nc == 0 {
 		return 0, ctx.Err()
 	}
 	ksp := trace.FromContext(ctx).StartSpan("cdg.kahn")
-	indeg := st.indeg
-	for i := 0; i < nc; i++ {
-		for _, s := range adj[i] {
-			indeg[s]++
-		}
-	}
 	order := st.order
 	for i := 0; i < nc; i++ {
 		if indeg[i] == 0 {
@@ -109,6 +229,7 @@ func kahnPeelAdj(ctx context.Context, adj [][]int32, st *acyclicState) (int, err
 		}
 	}
 	rounds := uint64(0)
+	off, succ := adj.off, adj.succ
 	// Peel rounds: round k removes order[lo:hi], the channels the round
 	// before brought to in-degree zero, and appends the ones it does.
 	for lo, hi := 0, len(order); lo < hi; lo, hi = hi, len(order) {
@@ -125,7 +246,10 @@ func kahnPeelAdj(ctx context.Context, adj [][]int32, st *acyclicState) (int, err
 		}
 		rounds++
 		for _, v := range order[lo:hi] {
-			for _, s := range adj[v] {
+			if int(v)+1 >= len(off) {
+				continue // rows past off are empty
+			}
+			for _, s := range succ[off[v]:off[v+1]] {
 				if indeg[s]--; indeg[s] == 0 {
 					order = append(order, s)
 				}
@@ -142,33 +266,14 @@ func kahnPeelAdj(ctx context.Context, adj [][]int32, st *acyclicState) (int, err
 }
 
 // findCycleResidual extracts one dependency cycle from the residual left
-// by kahnPeel (st.indeg > 0), which must be non-empty. The three-colour
-// DFS visits residual channels in ascending index order over sorted
-// adjacency, so the reported cycle depends only on the graph.
-func (g *Graph) findCycleResidual(st *acyclicState) []Channel {
-	idx := findCycleResidualAdj(g.adj, st)
-	if idx == nil {
-		return nil
-	}
-	cyc := make([]Channel, len(idx))
-	for i, v := range idx {
-		cyc[i] = g.channels[v]
-	}
-	return cyc
-}
-
-// findCycleResidualAdj is findCycleResidual on bare adjacency rows,
-// returning the cycle as dense indices in dependency order (the last
-// element depends on the first). It is shared by the concrete Graph and
-// the mode verifications of abstract EdgeSets.
-func findCycleResidualAdj(adj [][]int32, st *acyclicState) []int32 {
-	nc := len(adj)
-	if cap(st.color) < nc {
-		st.color = make([]uint8, nc)
-		st.parent = make([]int32, nc)
-	}
-	st.color = st.color[:nc]
-	st.parent = st.parent[:nc]
+// by kahnPeel (st.indeg > 0), which must be non-empty, as node indices in
+// dependency order (the last element depends on the first). The
+// three-colour DFS visits residual nodes in ascending index order over
+// sorted rows, so the reported cycle depends only on the graph.
+func findCycleResidual(adj *csr, st *acyclicState) []int32 {
+	nc := adj.n
+	st.color = slices.Grow(st.color[:0], nc)[:nc]
+	st.parent = slices.Grow(st.parent[:0], nc)[:nc]
 	// Only residual entries need resetting: the DFS never reads the rest
 	// (it skips peeled successors).
 	for i := 0; i < nc; i++ {
@@ -177,60 +282,75 @@ func findCycleResidualAdj(adj [][]int32, st *acyclicState) []int32 {
 			st.parent[i] = -1
 		}
 	}
-	type frame struct {
-		node int32
-		next int
+	// A frame walks its node's row as succ[pos:end].
+	type frame struct{ node, pos, end int32 }
+	push := func(stack []frame, v int32) []frame {
+		f := frame{node: v}
+		if int(v)+1 < len(adj.off) {
+			f.pos, f.end = adj.off[v], adj.off[v+1]
+		}
+		return append(stack, f)
 	}
 	var stack []frame
-	for start := 0; start < nc; start++ {
+	for start := int32(0); int(start) < nc; start++ {
 		if st.indeg[start] == 0 || st.color[start] != dfsWhite {
 			continue
 		}
-		stack = append(stack[:0], frame{node: int32(start)})
+		stack = push(stack[:0], start)
 		st.color[start] = dfsGrey
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.next < len(adj[f.node]) {
-				succ := adj[f.node][f.next]
-				f.next++
-				if st.indeg[succ] == 0 {
-					continue
-				}
-				switch st.color[succ] {
-				case dfsWhite:
-					st.color[succ] = dfsGrey
-					st.parent[succ] = f.node
-					stack = append(stack, frame{node: succ})
-				case dfsGrey:
-					// Found a cycle: walk parents from f.node back to
-					// succ, then reverse into dependency order.
-					var cyc []int32
-					for v := f.node; ; v = st.parent[v] {
-						cyc = append(cyc, v)
-						if v == succ {
-							break
-						}
-					}
-					for i, j := 0, len(cyc)-1; i < j; i, j = i+1, j-1 {
-						cyc[i], cyc[j] = cyc[j], cyc[i]
-					}
-					return cyc
-				}
-			} else {
+			if f.pos == f.end {
 				st.color[f.node] = dfsBlack
 				stack = stack[:len(stack)-1]
+				continue
+			}
+			succ := adj.succ[f.pos]
+			f.pos++
+			if st.indeg[succ] == 0 {
+				continue
+			}
+			switch st.color[succ] {
+			case dfsWhite:
+				st.color[succ] = dfsGrey
+				st.parent[succ] = f.node
+				stack = push(stack, succ)
+			case dfsGrey:
+				// Found a cycle: walk parents from f.node back to succ,
+				// then reverse into dependency order.
+				var cyc []int32
+				for v := f.node; ; v = st.parent[v] {
+					cyc = append(cyc, v)
+					if v == succ {
+						break
+					}
+				}
+				slices.Reverse(cyc)
+				return cyc
 			}
 		}
 	}
 	return nil
 }
 
+// channelsOf resolves dense indices to the graph's channels.
+func (g *Graph) channelsOf(idx []int32) []Channel {
+	if idx == nil {
+		return nil
+	}
+	out := make([]Channel, len(idx))
+	for i, v := range idx {
+		out[i] = g.Channel(int(v))
+	}
+	return out
+}
+
 // Acyclic reports whether the dependency graph has no cycles by the Kahn
 // peel.
 func (g *Graph) Acyclic() bool {
 	var st acyclicState
-	peeled, _ := g.kahnPeel(context.Background(), &st)
-	return peeled == len(g.channels)
+	peeled, _ := kahnPeel(context.Background(), &g.adj, &st)
+	return peeled == g.NumChannels()
 }
 
 // FindCycle returns one dependency cycle (the last element depends on the
@@ -239,10 +359,10 @@ func (g *Graph) Acyclic() bool {
 // acyclic case is O(V+E) and the cyclic case hands the DFS a smaller graph.
 func (g *Graph) FindCycle() []Channel {
 	var st acyclicState
-	if peeled, _ := g.kahnPeel(context.Background(), &st); peeled == len(g.channels) {
+	if peeled, _ := kahnPeel(context.Background(), &g.adj, &st); peeled == g.NumChannels() {
 		return nil
 	}
-	return g.findCycleResidual(&st)
+	return g.channelsOf(findCycleResidual(&g.adj, &st))
 }
 
 // AcyclicJobs is Acyclic. The int argument is ignored; bench/ calls this

@@ -209,7 +209,7 @@ func markSet(n int, ids []int32) []bool {
 // must name non-output channels; all id sets are deduplicated and
 // order-independent.
 func VerifyMode(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) ModeReport {
-	n := len(e.adj)
+	n := e.adj.n
 	return reportOf(verifyModeCtx(context.Background(), e, mode,
 		canonSet(inputs, n, "input"), canonSet(outputs, n, "output"), canonSet(escape, n, "escape")))
 }
@@ -225,12 +225,12 @@ func VerifyModeJobs(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int, _
 // and by the BFS sweeps (every bfsCtxStride pops); a cancelled
 // verification's partial report must not be used.
 func verifyModeCtx(ctx context.Context, e *EdgeSet, mode GraphMode, in, out, esc []int32) (ModeReport, error) {
-	n := len(e.adj)
+	n := e.adj.n
 	isOut := markSet(n, out)
 	obsModeVerify(mode)
 	msp := phaseMode.Start()
 	defer msp.End()
-	rep := ModeReport{Mode: mode, Nodes: n, Edges: e.edges}
+	rep := ModeReport{Mode: mode, Nodes: n, Edges: e.NumEdges()}
 	var err error
 	switch mode {
 	case ModeLoop:
@@ -270,16 +270,16 @@ func obsModeVerify(mode GraphMode) {
 // loopMode is plain acyclicity of the full graph.
 func loopMode(ctx context.Context, e *EdgeSet, rep *ModeReport) error {
 	var st acyclicState
-	peeled, err := kahnPeelAdj(ctx, e.adj, &st)
+	peeled, err := kahnPeel(ctx, &e.adj, &st)
 	if err != nil {
 		return err
 	}
-	if peeled == len(e.adj) {
+	if peeled == e.adj.n {
 		rep.OK = true
 		return nil
 	}
 	rep.Reason = ReasonCycle
-	rep.Cycle = toInts(findCycleResidualAdj(e.adj, &st))
+	rep.Cycle = toInts(findCycleResidual(&e.adj, &st))
 	return nil
 }
 
@@ -289,7 +289,7 @@ const bfsCtxStride = 1 << 12
 // livenessMode explores the region reachable from the inputs (outputs
 // absorb), then rejects cycles and non-output dead ends inside it.
 func livenessMode(ctx context.Context, e *EdgeSet, in []int32, isOut []bool, rep *ModeReport) error {
-	n := len(e.adj)
+	n := e.adj.n
 	seen := make([]bool, n)
 	parent := make([]int32, n)
 	for i := range parent {
@@ -310,7 +310,7 @@ func livenessMode(ctx context.Context, e *EdgeSet, in []int32, isOut []bool, rep
 		if isOut[v] {
 			continue
 		}
-		for _, s := range e.adj[v] {
+		for _, s := range e.adj.row(v) {
 			if !seen[s] {
 				seen[s] = true
 				parent[s] = v
@@ -319,29 +319,24 @@ func livenessMode(ctx context.Context, e *EdgeSet, in []int32, isOut []bool, rep
 		}
 	}
 	// The region's adjacency: expanded rows are exactly the full rows
-	// (every successor of an expanded channel is in the region), so rows
-	// are shared, not copied. Outputs and unreached channels get empty
-	// rows and peel immediately.
-	radj := make([][]int32, n)
-	for v := 0; v < n; v++ {
-		if seen[v] && !isOut[v] {
-			radj[v] = e.adj[v]
-		}
-	}
+	// (every successor of an expanded channel is in the region). Outputs
+	// and unreached channels get empty rows and peel immediately.
+	var radj csr
+	e.adj.subgraph(&radj, func(v int32) bool { return seen[v] && !isOut[v] }, nil)
 	var st acyclicState
-	peeled, err := kahnPeelAdj(ctx, radj, &st)
+	peeled, err := kahnPeel(ctx, &radj, &st)
 	if err != nil {
 		return err
 	}
 	if peeled != n {
-		cyc := findCycleResidualAdj(radj, &st)
+		cyc := findCycleResidual(&radj, &st)
 		rep.Reason = ReasonCycle
 		rep.Cycle = toInts(cyc)
 		rep.Path = walkParents(parent, lowest(cyc))
 		return nil
 	}
 	for v := 0; v < n; v++ {
-		if seen[v] && !isOut[v] && len(e.adj[v]) == 0 {
+		if seen[v] && !isOut[v] && len(e.adj.row(int32(v))) == 0 {
 			rep.Reason = ReasonDeadEnd
 			rep.Path = walkParents(parent, int32(v))
 			return nil
@@ -356,7 +351,7 @@ func livenessMode(ctx context.Context, e *EdgeSet, in []int32, isOut []bool, rep
 // outputs within the escape subrelation, and every other non-output
 // channel can reach the escape set or an output.
 func escapeMode(ctx context.Context, e *EdgeSet, out, esc []int32, isOut []bool, rep *ModeReport) error {
-	n := len(e.adj)
+	n := e.adj.n
 	// An escape channel that is also an output is absorbing anyway;
 	// treat it as an output, not an escape member.
 	kept := make([]int32, 0, len(esc))
@@ -368,31 +363,21 @@ func escapeMode(ctx context.Context, e *EdgeSet, out, esc []int32, isOut []bool,
 	esc = kept
 	isEsc := markSet(n, esc)
 	// (1) induced escape subgraph acyclicity.
-	eadj := make([][]int32, n)
-	for _, c := range esc {
-		row := make([]int32, 0, len(e.adj[c]))
-		for _, s := range e.adj[c] {
-			if isEsc[s] {
-				row = append(row, s)
-			}
-		}
-		eadj[c] = row
-	}
+	var eadj csr
+	e.adj.subgraph(&eadj, func(v int32) bool { return isEsc[v] }, isEsc)
 	var st acyclicState
-	peeled, err := kahnPeelAdj(ctx, eadj, &st)
+	peeled, err := kahnPeel(ctx, &eadj, &st)
 	if err != nil {
 		return err
 	}
 	if peeled != n {
 		rep.Reason = ReasonEscapeCycle
-		rep.Cycle = toInts(findCycleResidualAdj(eadj, &st))
+		rep.Cycle = toInts(findCycleResidual(&eadj, &st))
 		return nil
 	}
-	rev, err := reverseAdj(ctx, e, isOut)
-	if err != nil {
-		return err
-	}
-	active := activeSet(e, rev)
+	var rev csr
+	e.adj.reverse(&rev, isOut)
+	active := activeSet(e, &rev)
 	// (2) escape channels drain within escape ∪ outputs: reverse BFS
 	// from the outputs crossing only escape-to-(escape|output) edges.
 	drained := make([]bool, n)
@@ -407,7 +392,7 @@ func escapeMode(ctx context.Context, e *EdgeSet, out, esc []int32, isOut []bool,
 				return err
 			}
 		}
-		for _, p := range rev[queue[qi]] {
+		for _, p := range rev.row(queue[qi]) {
 			if isEsc[p] && !drained[p] {
 				drained[p] = true
 				queue = append(queue, p)
@@ -437,7 +422,7 @@ func escapeMode(ctx context.Context, e *EdgeSet, out, esc []int32, isOut []bool,
 				return err
 			}
 		}
-		for _, p := range rev[queue[qi]] {
+		for _, p := range rev.row(queue[qi]) {
 			if !reach[p] {
 				reach[p] = true
 				queue = append(queue, p)
@@ -458,10 +443,10 @@ func escapeMode(ctx context.Context, e *EdgeSet, out, esc []int32, isOut []bool,
 // activeSet marks channels that participate in the dependency relation
 // (at least one incident edge after output absorption); the rest are
 // vacuous for escape and subrelation purposes.
-func activeSet(e *EdgeSet, rev [][]int32) []bool {
-	active := make([]bool, len(e.adj))
+func activeSet(e *EdgeSet, rev *csr) []bool {
+	active := make([]bool, e.adj.n)
 	for v := range active {
-		active[v] = len(e.adj[v]) > 0 || len(rev[v]) > 0
+		active[v] = len(e.adj.row(int32(v))) > 0 || len(rev.row(int32(v))) > 0
 	}
 	return active
 }
@@ -473,11 +458,9 @@ func activeSet(e *EdgeSet, rev [][]int32) []bool {
 // functional subgraph in which distance strictly decreases, hence
 // acyclic, and every maximal path ends at an output.
 func subrelMode(ctx context.Context, e *EdgeSet, out []int32, isOut []bool, rep *ModeReport) error {
-	n := len(e.adj)
-	rev, err := reverseAdj(ctx, e, isOut)
-	if err != nil {
-		return err
-	}
+	n := e.adj.n
+	var rev csr
+	e.adj.reverse(&rev, isOut)
 	dist := make([]int32, n)
 	for i := range dist {
 		dist[i] = -1
@@ -494,38 +477,32 @@ func subrelMode(ctx context.Context, e *EdgeSet, out []int32, isOut []bool, rep 
 			}
 		}
 		v := queue[qi]
-		for _, p := range rev[v] {
+		for _, p := range rev.row(v) {
 			if dist[p] < 0 {
 				dist[p] = dist[v] + 1
 				queue = append(queue, p)
 			}
 		}
 	}
-	active := activeSet(e, rev)
-	var strandedMin int32 = -1
-	stranded := false
-	sadj := make([][]int32, n)
-	for v := 0; v < n; v++ {
-		if active[v] && !isOut[v] && dist[v] < 0 {
-			if !stranded {
-				strandedMin = int32(v)
-				stranded = true
-			}
-			// Successors of a stranded channel are all stranded (a
-			// draining successor would drain it), so rows are shared.
-			sadj[v] = e.adj[v]
+	active := activeSet(e, &rev)
+	isStranded := func(v int32) bool { return active[v] && !isOut[v] && dist[v] < 0 }
+	for v := int32(0); int(v) < n; v++ {
+		if !isStranded(v) {
+			continue
 		}
-	}
-	if stranded {
 		rep.Reason = ReasonNoSubrel
-		rep.Path = []int{int(strandedMin)}
+		rep.Path = []int{int(v)}
+		// Successors of a stranded channel are all stranded (a draining
+		// successor would drain it), so its rows are kept whole.
+		var sadj csr
+		e.adj.subgraph(&sadj, isStranded, nil)
 		var st acyclicState
-		peeled, err := kahnPeelAdj(ctx, sadj, &st)
+		peeled, err := kahnPeel(ctx, &sadj, &st)
 		if err != nil {
 			return err
 		}
 		if peeled != n {
-			rep.Cycle = toInts(findCycleResidualAdj(sadj, &st))
+			rep.Cycle = toInts(findCycleResidual(&sadj, &st))
 		}
 		return nil
 	}
@@ -534,7 +511,7 @@ func subrelMode(ctx context.Context, e *EdgeSet, out []int32, isOut []bool, rep 
 		if !active[v] || isOut[v] || dist[v] < 0 {
 			continue
 		}
-		for _, s := range e.adj[v] {
+		for _, s := range e.adj.row(int32(v)) {
 			if dist[s] == dist[v]-1 {
 				rel = append(rel, [2]int{v, int(s)})
 				break
@@ -544,28 +521,6 @@ func subrelMode(ctx context.Context, e *EdgeSet, out []int32, isOut []bool, rep 
 	rep.OK = true
 	rep.Subrelation = rel
 	return nil
-}
-
-// reverseAdj builds the reversed adjacency with absorbing outputs
-// (edges out of outputs are dropped). Predecessor rows come out
-// ascending because senders are visited ascending.
-func reverseAdj(ctx context.Context, e *EdgeSet, isOut []bool) ([][]int32, error) {
-	n := len(e.adj)
-	rev := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		if i%bfsCtxStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if isOut[i] {
-			continue
-		}
-		for _, s := range e.adj[i] {
-			rev[s] = append(rev[s], int32(i))
-		}
-	}
-	return rev, nil
 }
 
 // walkParents rebuilds the BFS discovery path from a seed to target,
@@ -611,7 +566,7 @@ func toInts(v []int32) []int {
 // of the same graph — in particular, the four modes of one graph never
 // share keys (pinned by test).
 func ModeKey(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) (key, check uint64) {
-	n := len(e.adj)
+	n := e.adj.n
 	var esc []int32
 	if mode == ModeEscape {
 		esc = canonSet(escape, n, "escape")
@@ -653,7 +608,7 @@ func setDigest(ids []int32, seed uint64) uint64 {
 // The id sets are canonicalized once, for both the key and the compute;
 // a cancelled verification returns ctx's error and is never cached.
 func ModeQuery(e *EdgeSet, mode GraphMode, inputs, outputs, escape []int) Query[ModeReport] {
-	n := len(e.adj)
+	n := e.adj.n
 	in, out, esc := canonSet(inputs, n, "input"), canonSet(outputs, n, "output"), canonSet(escape, n, "escape")
 	key, check := modeKey(e, mode, in, out, esc)
 	return Query[ModeReport]{Key: key, Check: check, compute: func(ctx context.Context) (ModeReport, error) {

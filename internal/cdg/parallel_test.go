@@ -53,7 +53,7 @@ func addRoutingEdgesReference(g *Graph, route RoutingRelation) map[[2]int32]bool
 		for len(queue) > 0 {
 			ai := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			ch := g.Channels()[ai]
+			ch := g.Channel(int(ai))
 			if ch.Link.To == dst {
 				continue
 			}
@@ -76,7 +76,7 @@ func requireIdentical(t *testing.T, want, got *Graph, label string) {
 		t.Fatalf("%s: edges = %d, want %d", label, got.NumEdges(), want.NumEdges())
 	}
 	for i := 0; i < want.NumChannels(); i++ {
-		if !reflect.DeepEqual(want.Succs(i), got.Succs(i)) {
+		if !slices.Equal(want.Succs(i), got.Succs(i)) {
 			t.Fatalf("%s: adjacency of channel %d differs: %v vs %v",
 				label, i, want.Succs(i), got.Succs(i))
 		}
@@ -226,7 +226,8 @@ func TestFindChannelAndHasEdge(t *testing.T) {
 	net := topology.NewMesh(4, 3)
 	g := NewGraph(net, Uniform(2, 2))
 	// Every channel must be findable at its own coordinates.
-	for _, ch := range g.Channels() {
+	for i := 0; i < g.NumChannels(); i++ {
+		ch := g.Channel(i)
 		got, ok := g.FindChannel(ch.Link.From, ch.Link.Dim, ch.Link.Sign, ch.VC)
 		if !ok || got.Index != ch.Index {
 			t.Fatalf("FindChannel lost channel %v", ch)

@@ -10,8 +10,8 @@ func referenceFindCycle(g *Graph) []Channel {
 		grey  = 1
 		black = 2
 	)
-	color := make([]uint8, len(g.channels))
-	parent := make([]int32, len(g.channels))
+	color := make([]uint8, g.NumChannels())
+	parent := make([]int32, g.NumChannels())
 	for i := range parent {
 		parent[i] = -1
 	}
@@ -19,7 +19,7 @@ func referenceFindCycle(g *Graph) []Channel {
 		node int32
 		next int
 	}
-	for start := range g.channels {
+	for start := range color {
 		if color[start] != white {
 			continue
 		}
@@ -27,8 +27,8 @@ func referenceFindCycle(g *Graph) []Channel {
 		color[start] = grey
 		for len(stack) > 0 {
 			f := &stack[len(stack)-1]
-			if f.next < len(g.adj[f.node]) {
-				succ := g.adj[f.node][f.next]
+			if row := g.Succs(int(f.node)); f.next < len(row) {
+				succ := row[f.next]
 				f.next++
 				switch color[succ] {
 				case white:
@@ -40,7 +40,7 @@ func referenceFindCycle(g *Graph) []Channel {
 					// to succ.
 					var cyc []Channel
 					for v := f.node; ; v = parent[v] {
-						cyc = append(cyc, g.channels[v])
+						cyc = append(cyc, g.Channel(int(v)))
 						if v == succ {
 							break
 						}

@@ -16,12 +16,13 @@ import (
 // signature table replaced, kept as an independent oracle: every channel
 // lists the matrix classes it instantiates (parities read from net.Coord,
 // not from the graph's signature tables), and every channel pair at a node
-// asks AllowsAny of the two lists. Rows merge exactly as the kernel's do,
-// so a second build on a filled graph takes the same sorted merge.
+// asks AllowsAny of the two lists. Edges go in one AddEdge at a time, so
+// a second build on a filled graph inserts into sorted rows.
 func addTurnEdgesReference(g *Graph, ts *core.TurnSet) int {
 	m := ts.Matrix()
-	matched := make([][]int32, len(g.channels))
-	for i, ch := range g.channels {
+	matched := make([][]int32, g.NumChannels())
+	for i := range matched {
+		ch := g.Channel(i)
 		coord := g.net.Coord(ch.Link.From)
 		for k, cls := range m.Classes() {
 			if cls.Dim != ch.Link.Dim || cls.Sign != ch.Link.Sign || cls.VC != ch.VC {
@@ -34,20 +35,15 @@ func addTurnEdgesReference(g *Graph, ts *core.TurnSet) int {
 		}
 	}
 	added := 0
-	for v := 0; v < g.net.Nodes(); v++ {
-		lo, hi := g.outRange(topology.NodeID(v))
-		for _, ai := range g.into(topology.NodeID(v)) {
-			var batch []int32
-			for bi := lo; bi < hi; bi++ {
-				if m.AllowsAny(matched[ai], matched[bi]) {
-					batch = append(batch, bi)
-				}
+	for ai := range matched {
+		lo, hi := g.outRange(g.Channel(ai).Link.To)
+		for bi := lo; bi < hi; bi++ {
+			if m.AllowsAny(matched[ai], matched[bi]) {
+				g.AddEdge(ai, int(bi))
+				added++
 			}
-			g.adj[ai] = mergeSorted(g.adj[ai], batch)
-			added += len(batch)
 		}
 	}
-	g.edges += added
 	return added
 }
 

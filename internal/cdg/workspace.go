@@ -16,8 +16,7 @@ import (
 // repeated verifications reset buffers instead of reallocating them. The
 // channel table, head/tail indices and channel signatures depend only on
 // the (network, VC configuration) shape; rebinding to another shape
-// refills them in place. Adjacency rows are reused by index, truncated in
-// place so they keep their capacity.
+// refills them in place, and the CSR adjacency keeps its capacity.
 //
 // A Workspace is single-verification at a time: its methods must not be
 // called concurrently. Use a WorkspacePool to share workspaces across
@@ -50,14 +49,9 @@ func (ws *Workspace) boundTo(net *topology.Network, vcs VCConfig) bool {
 // verification; Reset or another verification invalidates its edges.
 func (ws *Workspace) Graph() *Graph { return ws.g }
 
-// Reset removes every dependency edge, keeping the channel table and the
-// adjacency rows' capacity for the next build.
-func (ws *Workspace) Reset() {
-	for i := range ws.g.adj {
-		ws.g.adj[i] = ws.g.adj[i][:0]
-	}
-	ws.g.edges = 0
-}
+// Reset removes every dependency edge, keeping the channel tables and the
+// adjacency's capacity for the next build.
+func (ws *Workspace) Reset() { ws.g.adj.reset(ws.g.NumChannels()) }
 
 // report runs the acyclicity fast path on the current graph and assembles
 // the Report. The Cycle channels are value copies, so the report stays
@@ -68,14 +62,14 @@ func (ws *Workspace) report(ctx context.Context) (Report, error) {
 	g := ws.g
 	var cyc []Channel
 	sp := phaseAcycl.Start()
-	peeled, err := g.kahnPeel(ctx, &ws.st)
+	peeled, err := kahnPeel(ctx, &g.adj, &ws.st)
 	if err != nil {
 		sp.End()
 		return Report{}, err
 	}
-	if peeled != len(g.channels) {
+	if peeled != g.NumChannels() {
 		obsResidualDFS.Inc()
-		cyc = g.findCycleResidual(&ws.st)
+		cyc = g.channelsOf(findCycleResidual(&g.adj, &ws.st))
 	}
 	sp.End()
 	obsVerifies.Inc()

@@ -347,12 +347,20 @@ type AllowMatrix struct {
 //
 //ebda:hotpath
 func (s *TurnSet) Matrix() *AllowMatrix {
-	m := &AllowMatrix{classes: s.classes, words: s.words, rows: make([]uint64, len(s.turns))}
-	copy(m.rows, s.turns)
+	m := &AllowMatrix{}
+	s.MatrixInto(m)
+	return m
+}
+
+// MatrixInto is Matrix written over m, whose buffer it reuses, so a
+// caller that keeps one matrix takes snapshots without allocating. No one
+// else may be reading m.
+func (s *TurnSet) MatrixInto(m *AllowMatrix) {
+	m.classes, m.words = s.classes, s.words
+	m.rows = append(m.rows[:0], s.turns...)
 	for i := range s.classes {
 		m.rows[i*m.words+i/64] |= 1 << uint(i%64)
 	}
-	return m
 }
 
 // NumClasses returns the number of interned classes.

@@ -109,7 +109,7 @@ func Find(net *topology.Network, vcs cdg.VCConfig, alg routing.Algorithm) *Confi
 		for len(queue) > 0 {
 			ci := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
-			ch := g.Channels()[ci]
+			ch := g.Channel(int(ci))
 			at := ch.Link.To
 			if at == dst {
 				continue
@@ -141,7 +141,7 @@ func Find(net *topology.Network, vcs cdg.VCConfig, alg routing.Algorithm) *Confi
 			if !inSet[c] {
 				continue
 			}
-			head := g.Channels()[c].Link.To
+			head := g.Channel(int(c)).Link.To
 			blocked := false
 			for d := 0; d < dsts && !blocked; d++ {
 				if !usable[d][c] || topology.NodeID(d) == head {
@@ -175,9 +175,9 @@ func Find(net *topology.Network, vcs cdg.VCConfig, alg routing.Algorithm) *Confi
 		if !inSet[c] {
 			continue
 		}
-		o := Occupant{Channel: g.Channels()[c], Dst: topology.NodeID(witness[c])}
+		o := Occupant{Channel: g.Channel(int(c)), Dst: topology.NodeID(witness[c])}
 		for _, r := range succ[witness[c]][c] {
-			o.Requests = append(o.Requests, g.Channels()[r])
+			o.Requests = append(o.Requests, g.Channel(int(r)))
 		}
 		cfg.Occupants = append(cfg.Occupants, o)
 	}

@@ -260,6 +260,10 @@ func TestParseErrors(t *testing.T) {
 		{"receiver out of range", "2\n0\n1\n0 9\n", ErrIDRange, 4},
 		{"duplicate edge", "3\n0\n2\n0 1\n0 1\n", ErrDuplicateEdge, 5},
 		{"duplicate edge one line", "3\n0\n2\n0 1 1\n", ErrDuplicateEdge, 4},
+		// Edges of a sender below an earlier one are merged at the end;
+		// a repeat among them still names its own line.
+		{"duplicate of an earlier row", "3\n0\n2\n1 2\n0 1\n1 2\n", ErrDuplicateEdge, 6},
+		{"duplicate within revisits", "3\n0\n2\n2 0\n0 1\n1 0\n0 1\n", ErrDuplicateEdge, 7},
 		{"duplicate input", "3\n0 0\n2\n", ErrDuplicateID, 2},
 		{"lonely sender", "3\n0\n2\n1\n", ErrSyntax, 4},
 		{"non-numeric edge", "3\n0\n2\n0 x\n", ErrSyntax, 4},

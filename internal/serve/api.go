@@ -274,8 +274,9 @@ type builtVerify struct {
 }
 
 // build parses the design and resolves the network through the interning
-// cache, applies the semantic limits that need the parsed form (VC budget
-// per dimension), and only then extracts the turn set.
+// cache, applies the semantic limits that need the parsed form (every
+// class within the network's dimensions, VC budget per dimension), and
+// only then extracts the turn set.
 func (req *VerifyRequest) build(nets *networkCache) (*builtVerify, error) {
 	net := nets.get(req.Network.Kind, req.Network.Sizes)
 	b := &builtVerify{net: net}
@@ -297,6 +298,13 @@ func (req *VerifyRequest) build(nets *networkCache) (*builtVerify, error) {
 		classes = make([]channel.Class, 0, 2*len(turns))
 		for _, t := range turns {
 			classes = append(classes, t.From, t.To)
+		}
+	}
+	// A class in a dimension the network lacks would escape the VC
+	// budget below, and its turns would still cost their extraction.
+	for _, c := range classes {
+		if int(c.Dim) >= net.Dims() || (c.Par != channel.Any && int(c.PDim) >= net.Dims()) {
+			return nil, fmt.Errorf("class %s names a dimension the %d-dimensional network lacks", c, net.Dims())
 		}
 	}
 	b.vcs = cdg.VCConfigFor(net.Dims(), classes)

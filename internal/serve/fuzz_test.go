@@ -42,6 +42,7 @@ func FuzzDecodeVerifyRequest(f *testing.F) {
 		`not json`,
 		`[1,2,3]`,
 		`{"network":{"kind":"mesh","sizes":[4,4]},"chain":"PA[X+ X- Y-] -> PB[Y+]"} trailing`,
+		foreignDimsBody(),
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -149,6 +150,51 @@ func TestVerifyRejectsBadRequests(t *testing.T) {
 		if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
 			t.Errorf("%s: error body %q is not the JSON envelope", tc.name, raw)
 		}
+	}
+}
+
+// foreignDimsBody is a 4 KiB verify request whose chain names classes
+// D91+, D92+, ... in dimensions a 4x4 mesh lacks. Such classes once
+// escaped the VC budget, so the body cost over 100 ms of I-turn
+// extraction on every request, cache hits included.
+func foreignDimsBody() string {
+	var chain strings.Builder
+	chain.WriteString("PA[")
+	for d := 91; chain.Len() < maxSpecLen-16; d++ {
+		fmt.Fprintf(&chain, "D%d+ ", d)
+	}
+	chain.WriteString("X+]")
+	return `{"network":{"kind":"mesh","sizes":[4,4]},"chain":"` + chain.String() + `"}`
+}
+
+// TestVerifyRejectsForeignDimensions pins that a design naming a
+// dimension the network lacks, as a class or as a parity dimension, is a
+// 400 decided before any turn is extracted: the 4 KiB foreignDimsBody
+// answers in well under 5 ms.
+func TestVerifyRejectsForeignDimensions(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	for _, body := range []string{
+		`{"network":{"kind":"mesh","sizes":[4,4]},"turns":"X+>Z+"}`,
+		`{"network":{"kind":"torus","sizes":[4,4,4]},"chain":"PA[X+ D3-] -> PB[X-]"}`,
+		`{"network":{"kind":"mesh","sizes":[8]},"chain":"PA[Xe+] -> PB[Xo+]"}`,
+	} {
+		if status, raw := post(t, ts, "/v1/verify", body); status != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400 (%s)", body, status, raw)
+		}
+	}
+	body := foreignDimsBody()
+	best := time.Hour
+	for i := 0; i < 3; i++ {
+		start := time.Now()
+		status, raw := post(t, ts, "/v1/verify", body)
+		best = min(best, time.Since(start))
+		if status != http.StatusBadRequest {
+			t.Fatalf("%d-byte foreign-dimension chain: status %d, want 400 (%s)", len(body), status, raw)
+		}
+	}
+	t.Logf("%d-byte foreign-dimension chain rejected in %v", len(body), best)
+	if !raceEnabled && best > 5*time.Millisecond {
+		t.Errorf("%d-byte foreign-dimension chain took %v to reject, want under 5ms", len(body), best)
 	}
 }
 
