@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build bench-vet test race bench bench-json bench-diff bench-delta bench-cluster cluster-soak repro fmt fmt-check vet lint lint-sarif obs-smoke trace-smoke graph-smoke fuzz-short check clean
+.PHONY: all build bench-vet test race bench bench-json bench-diff bench-delta bench-cluster cluster-soak repro fmt fmt-check vet lint lint-sarif fuzz-short check clean
 
 all: check
 
@@ -91,26 +91,6 @@ lint: vet
 lint-sarif: vet
 	$(GO) run ./cmd/ebda-lint -baseline lint.baseline -sarif lint.sarif ./...
 
-# obs-smoke runs the same deterministic verification twice with -obs-json
-# and asserts the dumps parse, carry the required engine series, and are
-# byte-identical after canonicalisation (timing fields zeroed).
-obs-smoke:
-	$(GO) run ./cmd/ebda-obssmoke
-
-# trace-smoke pins the tracing determinism contract: two identical
-# sampled runs on fresh in-process replicas must render byte-identical
-# canonical span trees (names, nesting, attributes — IDs and timings
-# stripped).
-trace-smoke:
-	$(GO) run ./cmd/ebda-obssmoke -trace
-
-# graph-smoke drives the built ebda-graph binary over the committed
-# testdata/graphio goldens in all four modes (loop, liveness, escape,
-# subrel), asserting the exact verdict lines and exit codes plus a
-# byte-stable text -> JSON -> text export round-trip.
-graph-smoke:
-	GO="$(GO)" ./scripts/graph-smoke.sh
-
 # fuzz-short gives the untrusted-input parsers — the /v1 verify, delta
 # and graph request decoders (the graph decoder differentially, against
 # encoding/json + the strings-based text parser it replaced), peer-lookup and forwarded answers from an owner
@@ -134,13 +114,13 @@ fuzz-short:
 # fmt-check keeps every tracked Go file gofmt-clean;
 # race is part of check so the worker pools are race-tested routinely;
 # test and race also run the serving gate (TestServeSmoke), the process
-# drain check (cmd/ebda-serve TestRunDrainsOnSIGTERM) and the delta gate
-# (TestDeltaLinkRatio, equivalence only under -race); obs-smoke keeps the
-# -obs-json determinism contract honest; trace-smoke does the same for
-# request traces; fuzz-short guards the untrusted HTTP inputs;
-# graph-smoke pins the arbitrary-network CLI's verdicts over the
-# committed goldens.
-check: fmt-check build bench-vet lint test race obs-smoke trace-smoke graph-smoke fuzz-short
+# drain check (cmd/ebda-serve TestRunDrainsOnSIGTERM), the delta gate
+# (TestDeltaLinkRatio, equivalence only under -race), the -obs-json and
+# trace determinism contracts (cmd/ebda-verify TestObsJSONDeterministic,
+# internal/serve TestTraceDeterministic) and the CLI goldens under
+# testdata/cli (every ebda-verify mode, ebda-repro -table/-fig);
+# fuzz-short guards the untrusted HTTP inputs.
+check: fmt-check build bench-vet lint test race fuzz-short
 
 clean:
 	$(GO) clean ./...

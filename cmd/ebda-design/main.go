@@ -14,8 +14,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -29,99 +31,121 @@ import (
 )
 
 func main() {
-	vcSpec := flag.String("vcs", "", "per-dimension VC counts, e.g. 1,2 or 3,2,3")
-	minN := flag.Int("n", 0, "instead of -vcs: build the minimum-channel fully adaptive design for n dimensions")
-	meshSpec := flag.String("mesh", "", "verification mesh (default 5x5 / 3x3x3 by dimension)")
-	ladder := flag.Bool("ladder", false, "also print the split ladder (reduced-adaptiveness variants)")
-	maxOptions := flag.Int("max", 24, "cap on printed options")
-	costTable := flag.Bool("cost", false, "print the router resource-cost comparison table")
-	pairings := flag.Bool("pairings", false, "include Arrangement-3 D-pair re-pairings of the leading set")
-	flag.Parse()
-
-	if *costTable {
-		printCostTable()
-		return
-	}
-	usePairings = *pairings
-
-	switch {
-	case *minN > 0:
-		designMin(*minN, *meshSpec)
-	case *vcSpec != "":
-		explore(*vcSpec, *meshSpec, *ladder, *maxOptions)
-	default:
-		fmt.Fprintln(os.Stderr, "ebda-design: -vcs or -n required")
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func designMin(n int, meshSpec string) {
+// run is the command with its arguments and output streams injected. It
+// returns 0 on success and 2 on usage or input errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ebda-design", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	vcSpec := fs.String("vcs", "", "per-dimension VC counts, e.g. 1,2 or 3,2,3")
+	minN := fs.Int("n", 0, "instead of -vcs: build the minimum-channel fully adaptive design for n dimensions")
+	meshSpec := fs.String("mesh", "", "verification mesh (default 5x5 / 3x3x3 by dimension)")
+	ladder := fs.Bool("ladder", false, "also print the split ladder (reduced-adaptiveness variants)")
+	maxOptions := fs.Int("max", 24, "cap on printed options")
+	costTable := fs.Bool("cost", false, "print the router resource-cost comparison table")
+	pairings := fs.Bool("pairings", false, "include Arrangement-3 D-pair re-pairings of the leading set")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	var err error
+	switch {
+	case *costTable:
+		err = printCostTable(stdout)
+	case *minN > 0:
+		err = designMin(stdout, *minN, *meshSpec)
+	case *vcSpec != "":
+		err = explore(stdout, *vcSpec, *meshSpec, *ladder, *pairings, *maxOptions)
+	default:
+		err = errors.New("-vcs or -n required")
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "ebda-design:", err)
+		return 2
+	}
+	return 0
+}
+
+func designMin(w io.Writer, n int, meshSpec string) error {
 	chain, err := partstrat.MinFullyAdaptiveChain(n)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("minimum-channel fully adaptive design for n=%d (%d channels, formula %d):\n",
+	net, err := defaultMesh(n, meshSpec)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "minimum-channel fully adaptive design for n=%d (%d channels, formula %d):\n",
 		n, len(chain.Channels()), core.MinChannelsFullyAdaptive(n))
 	for _, p := range chain.Partitions() {
-		fmt.Printf("  %s\n", p)
+		fmt.Fprintf(w, "  %s\n", p)
 	}
-	fmt.Printf("  VCs per dimension: %v\n", partstrat.VCRequirements(n))
-	net := defaultMesh(n, meshSpec)
-	report(net, chain, true)
+	fmt.Fprintf(w, "  VCs per dimension: %v\n", partstrat.VCRequirements(n))
+	report(w, net, chain, true)
+	return nil
 }
 
-func explore(vcSpec, meshSpec string, ladder bool, maxOptions int) {
+func explore(w io.Writer, vcSpec, meshSpec string, ladder, pairings bool, maxOptions int) error {
 	vcs, err := parseVCs(vcSpec)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	net := defaultMesh(len(vcs), meshSpec)
-	fmt.Printf("channel budget: %v VCs per dimension (%d channels), verifying on %s\n\n",
+	net, err := defaultMesh(len(vcs), meshSpec)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "channel budget: %v VCs per dimension (%d channels), verifying on %s\n\n",
 		vcs, 2*sum(vcs), net)
 
 	// Algorithm 2 over the canonical arrangement (optionally across the
 	// Arrangement-3 D-pair re-pairings of the leading set).
 	arr := partstrat.ArrangementFor(vcs)
 	var chains []*core.Chain
-	if usePairings {
+	if pairings {
 		chains, err = partstrat.DeriveWithPairings(arr)
 	} else {
 		chains, err = partstrat.Derive(arr)
 	}
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("Algorithm 1/2 options (%d):\n", len(chains))
+	fmt.Fprintf(w, "Algorithm 1/2 options (%d):\n", len(chains))
 	for i, c := range chains {
 		if i >= maxOptions {
-			fmt.Printf("  ... %d more\n", len(chains)-maxOptions)
+			fmt.Fprintf(w, "  ... %d more\n", len(chains)-maxOptions)
 			break
 		}
-		report(net, c, false)
+		report(w, net, c, false)
 	}
 
 	// The exceptional no-VC case.
 	if allOnes(vcs) {
 		exc := partstrat.ExceptionalCase(len(vcs))
-		fmt.Printf("\nexceptional-case options (%d):\n", len(exc))
+		fmt.Fprintf(w, "\nexceptional-case options (%d):\n", len(exc))
 		for i, c := range exc {
 			if i >= maxOptions {
 				break
 			}
-			report(net, c, false)
+			report(w, net, c, false)
 		}
 	}
 
 	if ladder && len(chains) > 0 {
-		fmt.Println("\nsplit ladder of the first option (adaptiveness vs partition count):")
+		fmt.Fprintln(w, "\nsplit ladder of the first option (adaptiveness vs partition count):")
 		base := chains[0]
 		for _, c := range []*core.Chain{base, partstrat.SplitLast(base), partstrat.FullSplit(base)} {
-			report(net, c, false)
+			report(w, net, c, false)
 		}
 	}
+	return nil
 }
 
-func report(net *topology.Network, chain *core.Chain, detail bool) {
+func report(w io.Writer, net *topology.Network, chain *core.Chain, detail bool) {
 	vcs := cdg.VCConfigFor(net.Dims(), chain.Channels())
 	rep := cdg.VerifyTurnSet(net, vcs, chain.AllTurns())
 	status := "ACYCLIC"
@@ -136,19 +160,16 @@ func report(net *topology.Network, chain *core.Chain, detail bool) {
 			adStr += " (fully adaptive)"
 		}
 	}
-	fmt.Printf("  %-52s %-9s adaptiveness %s\n", chain.PlainString(), status, adStr)
+	fmt.Fprintf(w, "  %-52s %-9s adaptiveness %s\n", chain.PlainString(), status, adStr)
 	if detail {
 		n90, nU, nI := chain.AllTurns().Counts()
-		fmt.Printf("    turns: %d 90-degree, %d U, %d I; %s\n", n90, nU, nI, rep)
+		fmt.Fprintf(w, "    turns: %d 90-degree, %d U, %d I; %s\n", n90, nU, nI, rep)
 	}
 }
 
-// usePairings toggles Arrangement-3 exploration (set from the flag).
-var usePairings bool
-
 // printCostTable renders the router resource comparison of the standard
 // 2D designs (the Section 5.4 / resource-trade-off discussion).
-func printCostTable() {
+func printCostTable(w io.Writer) error {
 	net := topology.NewMesh(5, 5)
 	rows := []struct {
 		name, spec string
@@ -166,7 +187,7 @@ func printCostTable() {
 		chain := core.MustParseChain(r.spec)
 		ad, err := cdg.Adaptiveness(net, cdg.VCConfig(r.vcs), chain.AllTurns())
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		router := cost.Estimate(r.vcs, cost.Params{})
 		if logic, err := synth.Generate(r.name, chain, 2); err == nil {
@@ -178,20 +199,21 @@ func printCostTable() {
 			Adaptiveness: ad.Degree(),
 		})
 	}
-	fmt.Print(cost.Table(comps))
-	fmt.Println("\nrouting-unit comparators (synthesized, Section 5.4):")
+	fmt.Fprint(w, cost.Table(comps))
+	fmt.Fprintln(w, "\nrouting-unit comparators (synthesized, Section 5.4):")
 	for _, c := range comps {
-		fmt.Printf("  %-16s %d\n", c.Name, c.Router.RoutingComparators)
+		fmt.Fprintf(w, "  %-16s %d\n", c.Name, c.Router.RoutingComparators)
 	}
+	return nil
 }
 
-func defaultMesh(dims int, spec string) *topology.Network {
+func defaultMesh(dims int, spec string) (*topology.Network, error) {
 	if spec != "" {
-		sizes, err := parseSizes(spec)
+		sizes, err := topology.ParseSizes(spec)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
-		return topology.NewMesh(sizes...)
+		return topology.NewMesh(sizes...), nil
 	}
 	sizes := make([]int, dims)
 	for i := range sizes {
@@ -203,7 +225,7 @@ func defaultMesh(dims int, spec string) *topology.Network {
 			sizes[i] = 2
 		}
 	}
-	return topology.NewMesh(sizes...)
+	return topology.NewMesh(sizes...), nil
 }
 
 func parseVCs(s string) ([]int, error) {
@@ -218,19 +240,6 @@ func parseVCs(s string) ([]int, error) {
 	}
 	if len(out) < 1 {
 		return nil, fmt.Errorf("need at least one dimension")
-	}
-	return out, nil
-}
-
-func parseSizes(s string) ([]int, error) {
-	parts := strings.Split(s, "x")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 2 {
-			return nil, fmt.Errorf("bad size %q", p)
-		}
-		out[i] = v
 	}
 	return out, nil
 }
@@ -250,9 +259,4 @@ func allOnes(xs []int) bool {
 		}
 	}
 	return true
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ebda-design:", err)
-	os.Exit(2)
 }

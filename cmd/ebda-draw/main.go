@@ -10,11 +10,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"ebda/internal/core"
 	"ebda/internal/routing"
@@ -25,14 +25,27 @@ import (
 )
 
 func main() {
-	chainSpec := flag.String("chain", "", "partition chain to draw as a turn diagram")
-	out := flag.String("o", "", "output SVG file (stdout when empty)")
-	heatmap := flag.Bool("heatmap", false, "render a traffic heatmap instead of a turn diagram")
-	algName := flag.String("alg", "xy", "heatmap: routing algorithm (xy, dyxy, odd-even, ...)")
-	patternName := flag.String("pattern", "uniform", "heatmap: traffic pattern")
-	meshSpec := flag.String("mesh", "8x8", "heatmap: mesh sizes")
-	rate := flag.Float64("rate", 0.25, "heatmap: injection rate (flits/node/cycle)")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams injected. It
+// returns 0 on success and 2 on usage, input or output errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ebda-draw", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	chainSpec := fs.String("chain", "", "partition chain to draw as a turn diagram")
+	out := fs.String("o", "", "output SVG file (stdout when empty)")
+	heatmap := fs.Bool("heatmap", false, "render a traffic heatmap instead of a turn diagram")
+	algName := fs.String("alg", "xy", "heatmap: routing algorithm (xy, dyxy, odd-even, ...)")
+	patternName := fs.String("pattern", "uniform", "heatmap: traffic pattern")
+	meshSpec := fs.String("mesh", "8x8", "heatmap: mesh sizes")
+	rate := fs.Float64("rate", 0.25, "heatmap: injection rate (flits/node/cycle)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var (
 		svg string
@@ -48,25 +61,22 @@ func main() {
 			svg, err = viz.TurnDiagram(chain.AllTurns())
 		}
 	default:
-		err = fmt.Errorf("one of -chain or -heatmap is required")
+		err = errors.New("one of -chain or -heatmap is required")
+	}
+	if err == nil && *out != "" {
+		err = os.WriteFile(*out, []byte(svg), 0o644)
+		svg = fmt.Sprintf("wrote %s (%d bytes)\n", *out, len(svg))
 	}
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "ebda-draw:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "ebda-draw:", err)
+		return 2
 	}
-	if *out == "" {
-		fmt.Print(svg)
-		return
-	}
-	if err := os.WriteFile(*out, []byte(svg), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, "ebda-draw:", err)
-		os.Exit(2)
-	}
-	fmt.Printf("wrote %s (%d bytes)\n", *out, len(svg))
+	io.WriteString(stdout, svg)
+	return 0
 }
 
 func renderHeatmap(meshSpec, algName, patternName string, rate float64) (string, error) {
-	sizes, err := parseSizes(meshSpec)
+	sizes, err := topology.ParseSizes(meshSpec)
 	if err != nil {
 		return "", err
 	}
@@ -103,17 +113,4 @@ func renderHeatmap(meshSpec, algName, patternName string, rate float64) (string,
 		return "", fmt.Errorf("simulation deadlocked: %s", res)
 	}
 	return viz.Heatmap(net, s.NodeLoad())
-}
-
-func parseSizes(s string) ([]int, error) {
-	parts := strings.Split(s, "x")
-	sizes := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 2 {
-			return nil, fmt.Errorf("bad size %q", p)
-		}
-		sizes[i] = v
-	}
-	return sizes, nil
 }

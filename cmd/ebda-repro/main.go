@@ -1,19 +1,26 @@
 // Command ebda-repro runs the full reproduction harness: every table,
 // figure and section-level claim of the EbDa paper (experiments E01..E16)
 // plus the extension experiments (X01..X07), printing paper-vs-measured
-// for each.
+// for each. With -table or -fig it prints the paper's tables or figures
+// themselves instead, each verified as it prints.
 //
 // Usage:
 //
 //	ebda-repro [-quick] [-details] [-markdown|-json] [-only E06] [-jobs N] [-benchjson FILE]
 //	ebda-repro -quick -obs :8080 -obs-json run.json -cachestats
+//	ebda-repro -table N|all    (N in 1..5)
+//	ebda-repro -fig N|all      (N in {0, 3..10, 14, 15})
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 
 	"ebda/internal/experiments"
@@ -22,22 +29,53 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "shrink simulation-based experiments")
-	details := flag.Bool("details", false, "print per-experiment detail lines")
-	only := flag.String("only", "", "run a single experiment by ID (e.g. E06)")
-	markdown := flag.Bool("markdown", false, "emit a Markdown summary table (EXPERIMENTS.md style)")
-	jsonOut := flag.Bool("json", false, "emit results as a JSON array")
-	jobs := flag.Int("jobs", 0, "worker pool size for running experiments (0 = all cores)")
-	benchJSON := flag.String("benchjson", "", "write a perf snapshot (wall time per experiment, CDG channels/sec) to this file, e.g. BENCH_verify.json")
-	cacheStats := flag.Bool("cachestats", false, "print this run's verification-cache counter deltas after the run")
-	obsAddr := flag.String("obs", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
-	obsJSON := flag.String("obs-json", "", "write the end-of-run metrics snapshot (JSON) to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams injected. It
+// returns the exit status: 0 when every experiment matches the paper, 1
+// on mismatches, 2 on usage or setup errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ebda-repro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "shrink simulation-based experiments")
+	details := fs.Bool("details", false, "print per-experiment detail lines")
+	only := fs.String("only", "", "run a single experiment by ID (e.g. E06)")
+	markdown := fs.Bool("markdown", false, "emit a Markdown summary table (EXPERIMENTS.md style)")
+	jsonOut := fs.Bool("json", false, "emit results as a JSON array")
+	jobs := fs.Int("jobs", 0, "worker pool size for running experiments (0 = all cores)")
+	benchJSON := fs.String("benchjson", "", "write a perf snapshot (wall time per experiment, CDG channels/sec) to this file, e.g. BENCH_verify.json")
+	cacheStats := fs.Bool("cachestats", false, "print this run's verification-cache counter deltas after the run")
+	obsAddr := fs.String("obs", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
+	obsJSON := fs.String("obs-json", "", "write the end-of-run metrics snapshot (JSON) to this file")
+	tables := &pick{valid: allTables}
+	figs := &pick{valid: allFigs}
+	fs.Var(tables, "table", "print paper table `N` (1-5), or all of them, instead of running the experiments")
+	fs.Var(figs, "fig", "print figure `N` (0 = Section 2, 3-10, 14 = Section 5, 15 = Section 6.2), or all of them, instead of running the experiments")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ebda-repro:", err)
+		return 2
+	}
+
+	if tables.sel != nil || figs.sel != nil {
+		if err := renderTables(stdout, tables.sel); err != nil {
+			return fail(err)
+		}
+		if err := renderFigures(stdout, figs.sel); err != nil {
+			return fail(err)
+		}
+		return 0
+	}
 
 	finishObs, err := obshttp.Setup(*obsAddr, *obsJSON)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(err)
 	}
 	// Snapshot before the run so -cachestats reports this invocation's
 	// traffic alone, not process-lifetime totals.
@@ -47,15 +85,13 @@ func main() {
 
 	if *benchJSON != "" {
 		if err := writeBench(*benchJSON, opts); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(err)
 		}
-		fmt.Printf("wrote %s\n", *benchJSON)
+		fmt.Fprintf(stdout, "wrote %s\n", *benchJSON)
 		if err := finishObs(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(err)
 		}
-		return
+		return 0
 	}
 
 	var selected []experiments.Runner
@@ -66,8 +102,7 @@ func main() {
 		selected = append(selected, r)
 	}
 	if len(selected) == 0 {
-		fmt.Fprintf(os.Stderr, "no experiment matches %q\n", *only)
-		os.Exit(2)
+		return fail(fmt.Errorf("no experiment matches %q", *only))
 	}
 
 	// Experiments fan out over the pool; results come back in canonical
@@ -87,71 +122,72 @@ func main() {
 			// Collected below; nothing to print per row.
 		case *markdown:
 			if !headerDone {
-				fmt.Println("| ID | Artifact | Paper claim | Measured | Match |")
-				fmt.Println("|---|---|---|---|---|")
+				fmt.Fprintln(stdout, "| ID | Artifact | Paper claim | Measured | Match |")
+				fmt.Fprintln(stdout, "|---|---|---|---|---|")
 				headerDone = true
 			}
 			mark := "✔"
 			if !res.Match {
 				mark = "✘"
 			}
-			fmt.Printf("| %s | %s | %s | %s | %s |\n",
+			fmt.Fprintf(stdout, "| %s | %s | %s | %s | %s |\n",
 				res.ID, res.Name, escapeMD(res.Paper), escapeMD(res.Measured), mark)
 		default:
-			fmt.Println(res)
+			fmt.Fprintln(stdout, res)
 			if *details {
 				for _, d := range res.Details {
-					fmt.Println("      " + d)
+					fmt.Fprintln(stdout, "      "+d)
 				}
 			}
 		}
 	}
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(results); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return fail(err)
 		}
-		if err := finishObs(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+	} else {
+		fmt.Fprintf(stdout, "\n%d experiments, %d mismatches\n", len(results), failures)
+		if *cacheStats {
+			if err := obshttp.WriteCacheDelta(stdout, obs.Default.Snapshot().Sub(obsBefore)); err != nil {
+				return fail(err)
+			}
 		}
-		if failures > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-	fmt.Printf("\n%d experiments, %d mismatches\n", len(results), failures)
-	if *cacheStats {
-		printCacheStats(obsBefore)
 	}
 	if err := finishObs(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(err)
 	}
 	if failures > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }
 
-// printCacheStats reports the verification cache's effectiveness over
-// this run alone — counter deltas against the pre-run snapshot, rendered
-// through the shared snapshot renderer — so repeated or long-lived
-// invocations do not accumulate stale process-lifetime totals.
-func printCacheStats(before obs.Snapshot) {
-	delta := obs.Default.Snapshot().Sub(before).Filter("ebda_verify_cache")
-	fmt.Println("verify cache (this run):")
-	if err := delta.WriteText(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+// pick is the value of -table and -fig: "all", or one number from valid.
+// sel stays nil until the flag is given.
+type pick struct {
+	valid, sel []int
+}
+
+func (p *pick) String() string {
+	if p == nil || len(p.sel) != 1 {
+		return ""
 	}
-	hits := delta.Counter("ebda_verify_cache_hits_total")
-	misses := delta.Counter("ebda_verify_cache_misses_total")
-	if hits+misses > 0 {
-		fmt.Printf("  hit rate: %.1f%% (%d/%d)\n",
-			float64(hits)/float64(hits+misses)*100, hits, hits+misses)
+	return strconv.Itoa(p.sel[0])
+}
+
+func (p *pick) Set(s string) error {
+	if s == "all" {
+		p.sel = p.valid
+		return nil
 	}
+	n, err := strconv.Atoi(s)
+	if err != nil || !slices.Contains(p.valid, n) {
+		return fmt.Errorf("want all or one of %v", p.valid)
+	}
+	p.sel = []int{n}
+	return nil
 }
 
 // writeBench runs the perf harness and writes the JSON snapshot.

@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -32,64 +34,82 @@ import (
 )
 
 func main() {
-	meshSpec := flag.String("mesh", "8x8", "mesh sizes, e.g. 8x8")
-	algNames := flag.String("algs", "xy,dyxy", "comma-separated algorithms: xy, yx, west-first, north-last, negative-first, odd-even, dyxy, duato, unrestricted")
-	rateSpec := flag.String("rates", "0.05:0.40:0.05", "rate sweep lo:hi:step (flits/node/cycle)")
-	patternName := flag.String("pattern", "uniform", "traffic pattern: uniform, transpose, bit-complement, neighbor, hotspot")
-	packetLen := flag.Int("packet", 5, "packet length in flits")
-	bufDepth := flag.Int("buffers", 4, "per-VC buffer depth in flits")
-	seed := flag.Int64("seed", 1, "random seed")
-	seeds := flag.Int("seeds", 1, "number of independent seeds to average over")
-	traceFile := flag.String("trace", "", "CSV trace file (cycle,srcX,srcY,dstX,dstY[,len]); replaces -pattern/-rates")
-	heatmap := flag.Bool("heatmap", false, "print a per-node traffic heatmap after each run (2D meshes)")
-	warm := flag.Int("warmup", 1000, "warmup cycles")
-	meas := flag.Int("measure", 4000, "measurement cycles")
-	drain := flag.Int("drain", 2000, "drain cycles")
-	obsAddr := flag.String("obs", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
-	obsJSON := flag.String("obs-json", "", "write the end-of-run metrics snapshot (JSON) to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the command with its arguments and output streams injected. It
+// returns 0 once the sweep has printed (a deadlocked run is a result,
+// not an error) and 2 on usage or input errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ebda-sim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	meshSpec := fs.String("mesh", "8x8", "mesh sizes, e.g. 8x8")
+	algNames := fs.String("algs", "xy,dyxy", "comma-separated algorithms: xy, yx, west-first, north-last, negative-first, odd-even, dyxy, duato, unrestricted")
+	rateSpec := fs.String("rates", "0.05:0.40:0.05", "rate sweep lo:hi:step (flits/node/cycle)")
+	patternName := fs.String("pattern", "uniform", "traffic pattern: uniform, transpose, bit-complement, neighbor, hotspot")
+	packetLen := fs.Int("packet", 5, "packet length in flits")
+	bufDepth := fs.Int("buffers", 4, "per-VC buffer depth in flits")
+	seed := fs.Int64("seed", 1, "random seed")
+	seeds := fs.Int("seeds", 1, "number of independent seeds to average over")
+	traceFile := fs.String("trace", "", "CSV trace file (cycle,srcX,srcY,dstX,dstY[,len]); replaces -pattern/-rates")
+	heatmap := fs.Bool("heatmap", false, "print a per-node traffic heatmap after each run (2D meshes)")
+	warm := fs.Int("warmup", 1000, "warmup cycles")
+	meas := fs.Int("measure", 4000, "measurement cycles")
+	drain := fs.Int("drain", 2000, "drain cycles")
+	obsAddr := fs.String("obs", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
+	obsJSON := fs.String("obs-json", "", "write the end-of-run metrics snapshot (JSON) to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "ebda-sim:", err)
+		return 2
+	}
 
 	finishObs, err := obshttp.Setup(*obsAddr, *obsJSON)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 
-	sizes, err := parseSizes(*meshSpec)
+	sizes, err := topology.ParseSizes(*meshSpec)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	net := topology.NewMesh(sizes...)
 	pattern, err := traffic.ByName(*patternName)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	rates, err := parseRates(*rateSpec)
 	if err != nil {
-		fatal(err)
+		return fail(err)
 	}
 	var trace []traffic.TraceEntry
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		trace, err = traffic.ParseTrace(f, net)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		rates = []float64{0} // one run, rate ignored
-		fmt.Printf("# trace %s: %d packets\n", *traceFile, len(trace))
+		fmt.Fprintf(stdout, "# trace %s: %d packets\n", *traceFile, len(trace))
 	}
 
-	fmt.Printf("# %s, pattern %s, packet %d flits, buffers %d\n",
+	fmt.Fprintf(stdout, "# %s, pattern %s, packet %d flits, buffers %d\n",
 		net, pattern.Name(), *packetLen, *bufDepth)
-	fmt.Printf("%-16s %-6s %10s %10s %12s %s\n",
+	fmt.Fprintf(stdout, "%-16s %-6s %10s %10s %12s %s\n",
 		"algorithm", "rate", "latency", "p99", "throughput", "status")
 	for _, name := range strings.Split(*algNames, ",") {
 		alg, vcs, err := buildAlg(strings.TrimSpace(name), net)
 		if err != nil {
-			fatal(err)
+			return fail(err)
 		}
 		for _, rate := range rates {
 			cfg := sim.Config{
@@ -103,9 +123,9 @@ func main() {
 			if *heatmap {
 				s := sim.New(cfg)
 				res := s.Run()
-				fmt.Printf("%-16s %-6.3f %10.1f %10d %12.4f\n",
+				fmt.Fprintf(stdout, "%-16s %-6.3f %10.1f %10d %12.4f\n",
 					alg.Name(), rate, res.AvgLatency, res.P99Latency, res.Throughput)
-				printHeatmap(net, s.NodeLoad())
+				printHeatmap(stdout, net, s.NodeLoad())
 				continue
 			}
 			if *seeds > 1 {
@@ -114,7 +134,7 @@ func main() {
 				if rep.Deadlocks > 0 {
 					status = fmt.Sprintf("DEADLOCK in %d/%d runs", rep.Deadlocks, rep.Runs)
 				}
-				fmt.Printf("%-16s %-6.3f %7.1f±%-5.1f %10s %7.4f±%-6.4f %s\n",
+				fmt.Fprintf(stdout, "%-16s %-6.3f %7.1f±%-5.1f %10s %7.4f±%-6.4f %s\n",
 					alg.Name(), rate, rep.Latency.Mean(), rep.Latency.Std(),
 					"-", rep.Throughput.Mean(), rep.Throughput.Std(), status)
 				continue
@@ -124,20 +144,21 @@ func main() {
 			if res.Deadlocked {
 				status = fmt.Sprintf("DEADLOCK (%d flits stuck)", res.StuckFlits)
 			}
-			fmt.Printf("%-16s %-6.3f %10.1f %10d %12.4f %s\n",
+			fmt.Fprintf(stdout, "%-16s %-6.3f %10.1f %10d %12.4f %s\n",
 				alg.Name(), rate, res.AvgLatency, res.P99Latency, res.Throughput, status)
 		}
 	}
 	if err := finishObs(); err != nil {
-		fatal(err)
+		return fail(err)
 	}
+	return 0
 }
 
 // printHeatmap renders per-node outbound traffic as a shaded 2D grid
 // (rows printed north to south).
-func printHeatmap(net *topology.Network, loads []int) {
+func printHeatmap(w io.Writer, net *topology.Network, loads []int) {
 	if net.Dims() != 2 {
-		fmt.Println("  (heatmap requires a 2D mesh)")
+		fmt.Fprintln(w, "  (heatmap requires a 2D mesh)")
 		return
 	}
 	max := 1
@@ -147,17 +168,17 @@ func printHeatmap(net *topology.Network, loads []int) {
 		}
 	}
 	shades := []rune(" .:-=+*#%@")
-	w, h := net.Sizes()[0], net.Sizes()[1]
+	width, h := net.Sizes()[0], net.Sizes()[1]
 	for y := h - 1; y >= 0; y-- {
-		fmt.Print("  ")
-		for x := 0; x < w; x++ {
+		fmt.Fprint(w, "  ")
+		for x := 0; x < width; x++ {
 			l := loads[net.ID(topology.Coord{x, y})]
 			idx := l * (len(shades) - 1) / max
-			fmt.Printf("%c%c", shades[idx], shades[idx])
+			fmt.Fprintf(w, "%c%c", shades[idx], shades[idx])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
-	fmt.Printf("  (darkest = %d flits/node during measurement)\n", max)
+	fmt.Fprintf(w, "  (darkest = %d flits/node during measurement)\n", max)
 }
 
 func buildAlg(name string, net *topology.Network) (routing.Algorithm, []int, error) {
@@ -191,19 +212,6 @@ func buildAlg(name string, net *topology.Network) (routing.Algorithm, []int, err
 	}
 }
 
-func parseSizes(s string) ([]int, error) {
-	parts := strings.Split(s, "x")
-	out := make([]int, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 2 {
-			return nil, fmt.Errorf("bad size %q", p)
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 func parseRates(s string) ([]float64, error) {
 	parts := strings.Split(s, ":")
 	if len(parts) != 3 {
@@ -222,9 +230,4 @@ func parseRates(s string) ([]float64, error) {
 		out = append(out, r)
 	}
 	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ebda-sim:", err)
-	os.Exit(2)
 }

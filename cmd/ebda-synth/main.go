@@ -11,8 +11,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"ebda/internal/core"
@@ -20,39 +22,61 @@ import (
 )
 
 func main() {
-	chainSpec := flag.String("chain", "", "partition chain to synthesize")
-	name := flag.String("name", "design", "design name")
-	dims := flag.Int("dims", 2, "network dimensions")
-	emitGo := flag.Bool("go", false, "emit compilable Go source instead of pseudo-code")
-	compare := flag.Bool("compare", false, "print the Section 5.4 cost comparison table")
-	flag.Parse()
-
-	if *compare {
-		printComparison()
-		return
-	}
-	if *chainSpec == "" {
-		fmt.Fprintln(os.Stderr, "ebda-synth: -chain or -compare required")
-		os.Exit(2)
-	}
-	chain, err := core.ParseChain(*chainSpec)
-	if err != nil {
-		fatal(err)
-	}
-	logic, err := synth.Generate(*name, chain, *dims)
-	if err != nil {
-		fatal(err)
-	}
-	if *emitGo {
-		fmt.Print(logic.GoSource("route" + *name))
-	} else {
-		fmt.Print(logic.Pseudo())
-	}
-	fmt.Printf("\ncost: %d rules, %d comparisons (%d input cases merged)\n",
-		logic.Leaves(), logic.Comparisons(), logic.Merged())
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func printComparison() {
+// run is the command with its arguments and output streams injected. It
+// returns 0 on success and 2 on usage or input errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ebda-synth", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	chainSpec := fs.String("chain", "", "partition chain to synthesize")
+	name := fs.String("name", "design", "design name")
+	dims := fs.Int("dims", 2, "network dimensions")
+	emitGo := fs.Bool("go", false, "emit compilable Go source instead of pseudo-code")
+	compare := fs.Bool("compare", false, "print the Section 5.4 cost comparison table")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	var err error
+	switch {
+	case *compare:
+		err = printComparison(stdout)
+	case *chainSpec != "":
+		err = synthesize(stdout, *chainSpec, *name, *dims, *emitGo)
+	default:
+		err = errors.New("-chain or -compare required")
+	}
+	if err != nil {
+		fmt.Fprintln(stderr, "ebda-synth:", err)
+		return 2
+	}
+	return 0
+}
+
+func synthesize(w io.Writer, spec, name string, dims int, emitGo bool) error {
+	chain, err := core.ParseChain(spec)
+	if err != nil {
+		return err
+	}
+	logic, err := synth.Generate(name, chain, dims)
+	if err != nil {
+		return err
+	}
+	if emitGo {
+		fmt.Fprint(w, logic.GoSource("route"+name))
+	} else {
+		fmt.Fprint(w, logic.Pseudo())
+	}
+	fmt.Fprintf(w, "\ncost: %d rules, %d comparisons (%d input cases merged)\n",
+		logic.Leaves(), logic.Comparisons(), logic.Merged())
+	return nil
+}
+
+func printComparison(w io.Writer) error {
 	designs := []struct{ name, spec string }{
 		{"xy", "PA[X+] -> PB[X-] -> PC[Y+] -> PD[Y-]"},
 		{"west-first", "PA[X-] -> PB[X+ Y+ Y-]"},
@@ -60,20 +84,16 @@ func printComparison() {
 		{"negative-first", "PA[X- Y-] -> PB[X+ Y+]"},
 		{"fully-adaptive", "PA[X1+ Y1+ Y1-] -> PB[X1- Y2+ Y2-]"},
 	}
-	fmt.Printf("%-16s %6s %6s %12s %8s\n", "design", "turns", "rules", "comparisons", "merged")
+	fmt.Fprintf(w, "%-16s %6s %6s %12s %8s\n", "design", "turns", "rules", "comparisons", "merged")
 	for _, d := range designs {
 		chain := core.MustParseChain(d.spec)
 		n90, _, _ := chain.Turns90().Counts()
 		logic, err := synth.Generate(d.name, chain, 2)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("%-16s %6d %6d %12d %8d\n",
+		fmt.Fprintf(w, "%-16s %6d %6d %12d %8d\n",
 			d.name, n90, logic.Leaves(), logic.Comparisons(), logic.Merged())
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "ebda-synth:", err)
-	os.Exit(2)
+	return nil
 }

@@ -3,9 +3,26 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"ebda/internal/obs"
 )
+
+// asCommand makes the test binary run the command instead of the tests,
+// for checks that need a fresh process.
+const asCommand = "EBDA_VERIFY_TEST_AS_COMMAND"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asCommand) == "1" {
+		os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	}
+	os.Exit(m.Run())
+}
 
 func runCLI(t *testing.T, args ...string) (int, string, string) {
 	t.Helper()
@@ -102,5 +119,60 @@ func TestWitness(t *testing.T) {
 	code, out, _ = runCLI(t, "-turns", "X+>Y+,Y+>X-,X->Y-,Y->X+", "-mesh", "3x3", "-witness")
 	if code != 1 || !strings.Contains(out, "\nno witness: cdg: graph is cyclic (8 of 24 channels ordered)\n") {
 		t.Fatalf("cyclic design: exit %d, output:\n%s", code, out)
+	}
+}
+
+// TestObsJSONDeterministic holds the -obs-json contract: two fresh
+// processes running the same serial verification write dumps that parse,
+// carry the engine series, and are byte-identical once timing fields are
+// canonicalised. Each run re-executes this test binary as the command.
+func TestObsJSONDeterministic(t *testing.T) {
+	dir := t.TempDir()
+	var canon [2]bytes.Buffer
+	for i := range canon {
+		dump := filepath.Join(dir, fmt.Sprintf("run%d.json", i+1))
+		cmd := exec.Command(os.Args[0], "-turns", "X+>Y+,X+>Y-,X->Y+,X->Y-", "-mesh", "8x8", "-obs-json", dump)
+		cmd.Env = append(os.Environ(), asCommand+"=1")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("run %d: %v\n%s", i+1, err, out)
+		}
+		data, err := os.ReadFile(dump)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := obs.ParseSnapshot(data)
+		if err != nil {
+			t.Fatalf("run %d: %v", i+1, err)
+		}
+		for _, name := range []string{
+			"ebda_verify_cache_hits_total",
+			"ebda_verify_cache_misses_total",
+			"ebda_cdg_verifies_total",
+			"ebda_cdg_kahn_rounds_total",
+			"ebda_workspace_pool_gets_total",
+			"ebda_workspace_pool_puts_total",
+		} {
+			if !slices.ContainsFunc(s.Counters, func(c obs.CounterVal) bool { return c.Name == name }) {
+				t.Errorf("run %d: counter %s missing from the dump", i+1, name)
+			}
+		}
+		if pv, ok := s.Phase("cdg.verify"); !ok || pv.Count != 1 {
+			t.Errorf("run %d: phase cdg.verify = %+v, want exactly one span", i+1, pv)
+		}
+		if _, ok := s.Histogram(obs.Label("ebda_phase_duration_seconds", "phase", "cdg.verify")); !ok {
+			t.Errorf("run %d: per-phase duration histogram missing from the dump", i+1)
+		}
+		if got := s.Counter("ebda_cdg_verifies_total"); got != 1 {
+			t.Errorf("run %d: ebda_cdg_verifies_total = %d, want 1", i+1, got)
+		}
+		if got := s.Counter("ebda_verify_cache_misses_total"); got != 1 {
+			t.Errorf("run %d: ebda_verify_cache_misses_total = %d, want 1 (fresh process)", i+1, got)
+		}
+		if err := s.Canonical().WriteJSON(&canon[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := canon[0].String(), canon[1].String(); a != b {
+		t.Fatalf("canonical dumps differ between identical runs:\n--- run 1\n%s\n--- run 2\n%s", a, b)
 	}
 }

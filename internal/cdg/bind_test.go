@@ -344,4 +344,37 @@ func TestColdVerifyAllocFree(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("rebind, edge build and peel on a warm workspace: %v allocs, want 0", allocs)
 	}
+
+	// A cyclic design adds the residual DFS, whose frame stack lives in
+	// the workspace too: the witness cycle is the only allocation.
+	turns, err := core.ParseTurnList("X+>Y+,Y+>X-,X->Y-,Y->X+")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cyclic := core.NewTurnSet()
+	for _, tn := range turns {
+		cyclic.Add(tn.From, tn.To, core.ByTheorem1)
+	}
+	cyclicVerify := func(net *topology.Network) {
+		ws.g.bind(net, nil)
+		ws.Reset()
+		ws.g.AddTurnEdges(cyclic)
+		if peeled, _ := kahnPeel(context.Background(), &ws.g.adj, &ws.st); peeled == ws.g.NumChannels() {
+			t.Fatalf("cyclic turn list on %s peeled every channel", ws.g.net)
+		}
+		if cyc := findCycleResidual(&ws.g.adj, &ws.st); len(cyc) == 0 {
+			t.Fatalf("cyclic turn list on %s: no witness", ws.g.net)
+		}
+	}
+	for _, net := range nets {
+		cyclicVerify(net) // grow the DFS scratch on every shape
+	}
+	next = 0
+	allocs = testing.AllocsPerRun(20, func() {
+		cyclicVerify(nets[next])
+		next++
+	})
+	if allocs != 1 {
+		t.Errorf("rebind, edge build, peel and residual DFS of a cyclic design: %v allocs, want 1 (the witness)", allocs)
+	}
 }

@@ -189,11 +189,16 @@ type acyclicState struct {
 	// order lists the peeled channels in peel order, one round after the
 	// other: a topological order of the peeled region.
 	order []int32
-	// color/parent are the residual DFS scratch, sized lazily because the
-	// common acyclic case never needs them.
+	// color/parent/stack are the residual DFS scratch, sized lazily
+	// because the common acyclic case never needs them.
 	color  []uint8
 	parent []int32
+	stack  []dfsFrame
 }
+
+// dfsFrame is one residual DFS frame: it walks node's row as
+// succ[pos:end].
+type dfsFrame struct{ node, pos, end int32 }
 
 // ctxPollRounds is how many Kahn rounds run between cancellation polls.
 const ctxPollRounds = 64
@@ -282,16 +287,14 @@ func findCycleResidual(adj *csr, st *acyclicState) []int32 {
 			st.parent[i] = -1
 		}
 	}
-	// A frame walks its node's row as succ[pos:end].
-	type frame struct{ node, pos, end int32 }
-	push := func(stack []frame, v int32) []frame {
-		f := frame{node: v}
+	push := func(stack []dfsFrame, v int32) []dfsFrame {
+		f := dfsFrame{node: v}
 		if int(v)+1 < len(adj.off) {
 			f.pos, f.end = adj.off[v], adj.off[v+1]
 		}
 		return append(stack, f)
 	}
-	var stack []frame
+	stack := st.stack[:0]
 	for start := int32(0); int(start) < nc; start++ {
 		if st.indeg[start] == 0 || st.color[start] != dfsWhite {
 			continue
@@ -316,20 +319,28 @@ func findCycleResidual(adj *csr, st *acyclicState) []int32 {
 				st.parent[succ] = f.node
 				stack = push(stack, succ)
 			case dfsGrey:
-				// Found a cycle: walk parents from f.node back to succ,
-				// then reverse into dependency order.
-				var cyc []int32
+				// Found a cycle: walk parents from f.node back to succ
+				// once to size it, then again filling it from the back
+				// into dependency order. The witness is the search's
+				// only allocation.
+				n := 1
+				for v := f.node; v != succ; v = st.parent[v] {
+					n++
+				}
+				cyc := make([]int32, n)
 				for v := f.node; ; v = st.parent[v] {
-					cyc = append(cyc, v)
+					n--
+					cyc[n] = v
 					if v == succ {
 						break
 					}
 				}
-				slices.Reverse(cyc)
+				st.stack = stack
 				return cyc
 			}
 		}
 	}
+	st.stack = stack
 	return nil
 }
 

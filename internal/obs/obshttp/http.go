@@ -79,6 +79,26 @@ func Serve(addr string, reg *obs.Registry) (*http.Server, string, error) {
 	return srv, ln.Addr().String(), nil
 }
 
+// WriteCacheDelta renders the verify-cache series of delta (a snapshot
+// difference, e.g. obs.Default.Snapshot().Sub(before)) through the shared
+// snapshot renderer, plus the derived hit rate: the -cachestats report
+// of the commands that call Setup, covering one run's traffic alone.
+func WriteCacheDelta(w io.Writer, delta obs.Snapshot) error {
+	delta = delta.Filter("ebda_verify_cache")
+	fmt.Fprintln(w, "verify cache (this run):")
+	if err := delta.WriteText(w); err != nil {
+		return err
+	}
+	hits := delta.Counter("ebda_verify_cache_hits_total")
+	misses := delta.Counter("ebda_verify_cache_misses_total")
+	if hits+misses > 0 {
+		_, err := fmt.Fprintf(w, "  hit rate: %.1f%% (%d/%d)\n",
+			float64(hits)/float64(hits+misses)*100, hits, hits+misses)
+		return err
+	}
+	return nil
+}
+
 // Setup wires the shared -obs/-obs-json command flags against the Default
 // registry: when addr is non-empty the endpoint starts immediately; the
 // returned finish function writes the end-of-run JSON dump when jsonPath

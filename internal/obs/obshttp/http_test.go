@@ -128,3 +128,39 @@ func TestServeBindsEphemeralPort(t *testing.T) {
 		t.Fatalf("bound addr = %q", addr)
 	}
 }
+
+// TestWriteCacheDelta renders a synthetic run delta: only the
+// verify-cache series print, followed by the derived hit rate.
+func TestWriteCacheDelta(t *testing.T) {
+	delta := obs.Snapshot{
+		Counters: []obs.CounterVal{
+			{Name: "ebda_cdg_verifies_total", Value: 9},
+			{Name: "ebda_verify_cache_hits_total", Value: 3},
+			{Name: "ebda_verify_cache_misses_total", Value: 1},
+		},
+		Gauges: []obs.GaugeVal{{Name: "ebda_verify_cache_entries", Value: 1}},
+	}
+	var b strings.Builder
+	if err := WriteCacheDelta(&b, delta); err != nil {
+		t.Fatal(err)
+	}
+	want := "verify cache (this run):\n" +
+		"counters:\n" +
+		"  ebda_verify_cache_hits_total                     3\n" +
+		"  ebda_verify_cache_misses_total                   1\n" +
+		"gauges:\n" +
+		"  ebda_verify_cache_entries                        1\n" +
+		"  hit rate: 75.0% (3/4)\n"
+	if b.String() != want {
+		t.Fatalf("got:\n%s\nwant:\n%s", b.String(), want)
+	}
+
+	// No cache traffic: the header alone, no hit-rate line.
+	b.Reset()
+	if err := WriteCacheDelta(&b, obs.Snapshot{}); err != nil {
+		t.Fatal(err)
+	}
+	if b.String() != "verify cache (this run):\n" {
+		t.Fatalf("empty delta rendered %q", b.String())
+	}
+}

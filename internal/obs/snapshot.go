@@ -49,7 +49,7 @@ type PhaseVal struct {
 // Snapshot is a point-in-time rendering of a registry: every series
 // sorted by name, so identical workloads serialise identically. It is the
 // unit the -obs-json dump, the /debug/vars endpoint, the -cachestats
-// delta and the obs-smoke determinism check all share.
+// delta and the -obs-json determinism test all share.
 type Snapshot struct {
 	Counters   []CounterVal   `json:"counters"`
 	Gauges     []GaugeVal     `json:"gauges,omitempty"`

@@ -143,8 +143,8 @@ func (tj TraceJSON) WriteText(w io.Writer) error {
 // WriteCanonicalText is WriteText with every nondeterministic field
 // omitted — trace IDs, span IDs and all timings — keeping names,
 // nesting, attributes, status and provenance. Two runs of an identical
-// sequential workload produce byte-identical canonical renderings; the
-// obssmoke trace check pins that.
+// sequential workload produce byte-identical canonical renderings;
+// internal/serve's TestTraceDeterministic pins that.
 func (tj TraceJSON) WriteCanonicalText(w io.Writer) error {
 	return tj.writeText(w, true)
 }

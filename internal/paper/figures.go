@@ -1,8 +1,9 @@
 // Package paper assembles the exact artifacts of the EbDa paper: the
 // partition chains behind every figure and table, the turn listings the
 // paper prints, and the section-level numeric claims. It is the shared
-// source of truth for the reproduction harness (cmd/ebda-repro,
-// cmd/ebda-tables, cmd/ebda-figures), the test suite, and the benchmarks.
+// source of truth for the reproduction harness (cmd/ebda-repro, whose
+// -table and -fig print the tables and figures themselves), the test
+// suite, and the benchmarks.
 //
 // Where the paper's listing contains an apparent typo the corrected value
 // is used and the deviation is recorded in the artifact's Notes field (see

@@ -10,6 +10,7 @@ package topology
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -422,9 +423,33 @@ func binomial(n, k int) int {
 
 // String describes the network, e.g. "8x8 mesh".
 func (n *Network) String() string {
-	parts := make([]string, len(n.dims))
+	// One stack buffer and one string allocation: every verification
+	// labels its Report with this.
+	var arr [64]byte
+	buf := arr[:0]
 	for i, s := range n.dims {
-		parts[i] = fmt.Sprintf("%d", s)
+		if i > 0 {
+			buf = append(buf, 'x')
+		}
+		buf = strconv.AppendInt(buf, int64(s), 10)
 	}
-	return strings.Join(parts, "x") + " " + n.name
+	buf = append(buf, ' ')
+	buf = append(buf, n.name...)
+	return string(buf)
+}
+
+// ParseSizes parses a per-dimension size list such as "8x8" or "4x4x4",
+// the spelling every command's -mesh and -torus flags take. Each size
+// must be at least 2.
+func ParseSizes(s string) ([]int, error) {
+	parts := strings.Split(s, "x")
+	sizes := make([]int, len(parts))
+	for i, p := range parts {
+		v, err := strconv.Atoi(strings.TrimSpace(p))
+		if err != nil || v < 2 {
+			return nil, fmt.Errorf("bad size %q", p)
+		}
+		sizes[i] = v
+	}
+	return sizes, nil
 }

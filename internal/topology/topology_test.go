@@ -257,3 +257,50 @@ func TestBuildPanics(t *testing.T) {
 	}()
 	NewMesh(1)
 }
+
+func TestParseSizes(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want []int
+	}{
+		{"8x8", []int{8, 8}},
+		{"4x4x4", []int{4, 4, 4}},
+		{" 6 x 6 ", []int{6, 6}},
+		{"1x4", nil},
+		{"8x", nil},
+		{"x8", nil},
+		{"", nil},
+		{"8,8", nil},
+	} {
+		got, err := ParseSizes(tc.in)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("ParseSizes(%q) = %v, want an error", tc.in, got)
+			}
+			continue
+		}
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("ParseSizes(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+}
+
+// TestNetworkStringAllocs pins the Report label: the rendered name is
+// the only allocation.
+func TestNetworkStringAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		net  *Network
+		want string
+	}{
+		{NewMesh(8, 8), "8x8 mesh"},
+		{NewTorus(16, 4, 128), "16x4x128 torus"},
+		{NewPartialMesh3D(4, 4, 3, [][2]int{{0, 0}}), "4x4x3 partial-3d"},
+	} {
+		if got := tc.net.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = tc.net.String() }); allocs != 1 {
+			t.Errorf("%s: String() made %v allocations, want 1", tc.want, allocs)
+		}
+	}
+}
