@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build bench-vet test race bench bench-json bench-diff bench-delta bench-cluster cluster-soak repro fmt fmt-check vet lint lint-sarif fuzz-short check clean
+.PHONY: all build bench-vet test race bench bench-cold bench-json bench-diff bench-delta bench-cluster cluster-soak repro fmt fmt-check vet lint lint-sarif fuzz-short check clean
 
 all: check
 
@@ -24,6 +24,13 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
+
+# Time the cold verification path: binding a graph to never-seen networks
+# and whole cold verifies through a pool (internal/cdg), then the turn-edge
+# kernel on one warm workspace (root package). Not part of check.
+bench-cold:
+	$(GO) test -run '^$$' -bench 'BenchmarkBind|BenchmarkVerifyColdShapes' -benchmem ./internal/cdg
+	$(GO) test -run '^$$' -bench 'BenchmarkTurnEdges' -benchmem .
 
 # Write the perf snapshot (per-experiment wall time, CDG channels/sec).
 bench-json:

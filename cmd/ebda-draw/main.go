@@ -16,8 +16,8 @@ import (
 	"io"
 	"os"
 
+	"ebda/internal/algs"
 	"ebda/internal/core"
-	"ebda/internal/routing"
 	"ebda/internal/sim"
 	"ebda/internal/topology"
 	"ebda/internal/traffic"
@@ -36,7 +36,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	chainSpec := fs.String("chain", "", "partition chain to draw as a turn diagram")
 	out := fs.String("o", "", "output SVG file (stdout when empty)")
 	heatmap := fs.Bool("heatmap", false, "render a traffic heatmap instead of a turn diagram")
-	algName := fs.String("alg", "xy", "heatmap: routing algorithm (xy, dyxy, odd-even, ...)")
+	algName := fs.String("alg", "xy", "heatmap: routing algorithm: "+algs.Usage())
 	patternName := fs.String("pattern", "uniform", "heatmap: traffic pattern")
 	meshSpec := fs.String("mesh", "8x8", "heatmap: mesh sizes")
 	rate := fs.Float64("rate", 0.25, "heatmap: injection rate (flits/node/cycle)")
@@ -85,23 +85,9 @@ func renderHeatmap(meshSpec, algName, patternName string, rate float64) (string,
 	if err != nil {
 		return "", err
 	}
-	var (
-		alg routing.Algorithm
-		vcs []int
-	)
-	switch algName {
-	case "xy":
-		alg = routing.NewXY()
-	case "odd-even", "oe":
-		alg = routing.NewOddEven()
-	case "west-first", "wf":
-		alg = routing.NewWestFirst()
-	case "dyxy", "ebda", "ebda-6ch":
-		fc := routing.NewFromChain("ebda-6ch",
-			core.MustParseChain("PA[X1+ Y1+ Y1-] -> PB[X1- Y2+ Y2-]"), net.Dims())
-		alg, vcs = fc, fc.VCs()
-	default:
-		return "", fmt.Errorf("unknown algorithm %q", algName)
+	alg, vcs, err := algs.ByName(algName, net)
+	if err != nil {
+		return "", err
 	}
 	s := sim.New(sim.Config{
 		Net: net, Alg: alg, VCs: vcs,

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ebda/internal/algs"
 )
 
 func runCLI(t *testing.T, args ...string) (int, string, string) {
@@ -47,6 +49,25 @@ func TestUsageErrorsExit2(t *testing.T) {
 	} {
 		if code, out, errb := runCLI(t, args...); code != 2 || out != "" || errb == "" {
 			t.Errorf("%v: exit %d stdout %q stderr %q, want exit 2 with a message", args, code, out, errb)
+		}
+	}
+}
+
+// TestHeatmapEveryAlgorithmName draws a heatmap once per name of the
+// shared algorithm table, aliases included: each is known and renders,
+// except that dateline routes only over wraparound links, which the
+// heatmap's mesh lacks, so its simulation deadlocks.
+func TestHeatmapEveryAlgorithmName(t *testing.T) {
+	for _, name := range algs.Names() {
+		code, out, errb := runCLI(t, "-heatmap", "-alg", name, "-mesh", "4x4", "-rate", "0.05")
+		if name == "dateline" {
+			if code != 2 || !strings.Contains(errb, "simulation deadlocked") {
+				t.Errorf("-alg %s: exit %d (stderr %q), want a deadlocked simulation", name, code, errb)
+			}
+			continue
+		}
+		if code != 0 || errb != "" || !strings.HasPrefix(out, "<svg") {
+			t.Errorf("-alg %s: exit %d (stderr %q)", name, code, errb)
 		}
 	}
 }

@@ -24,10 +24,8 @@ import (
 	// though a pure sweep only drives the simulator.
 	_ "ebda/internal/cdg"
 
-	"ebda/internal/core"
-	"ebda/internal/duato"
+	"ebda/internal/algs"
 	"ebda/internal/obs/obshttp"
-	"ebda/internal/routing"
 	"ebda/internal/sim"
 	"ebda/internal/topology"
 	"ebda/internal/traffic"
@@ -44,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ebda-sim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	meshSpec := fs.String("mesh", "8x8", "mesh sizes, e.g. 8x8")
-	algNames := fs.String("algs", "xy,dyxy", "comma-separated algorithms: xy, yx, west-first, north-last, negative-first, odd-even, dyxy, duato, unrestricted")
+	algNames := fs.String("algs", "xy,dyxy", "comma-separated algorithms: "+algs.Usage())
 	rateSpec := fs.String("rates", "0.05:0.40:0.05", "rate sweep lo:hi:step (flits/node/cycle)")
 	patternName := fs.String("pattern", "uniform", "traffic pattern: uniform, transpose, bit-complement, neighbor, hotspot")
 	packetLen := fs.Int("packet", 5, "packet length in flits")
@@ -107,7 +105,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%-16s %-6s %10s %10s %12s %s\n",
 		"algorithm", "rate", "latency", "p99", "throughput", "status")
 	for _, name := range strings.Split(*algNames, ",") {
-		alg, vcs, err := buildAlg(strings.TrimSpace(name), net)
+		alg, vcs, err := algs.ByName(strings.TrimSpace(name), net)
 		if err != nil {
 			return fail(err)
 		}
@@ -179,37 +177,6 @@ func printHeatmap(w io.Writer, net *topology.Network, loads []int) {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "  (darkest = %d flits/node during measurement)\n", max)
-}
-
-func buildAlg(name string, net *topology.Network) (routing.Algorithm, []int, error) {
-	switch name {
-	case "xy":
-		return routing.NewXY(), nil, nil
-	case "yx":
-		return routing.NewYX(), nil, nil
-	case "west-first", "wf":
-		return routing.NewWestFirst(), nil, nil
-	case "north-last", "nl":
-		return routing.NewNorthLast(), nil, nil
-	case "negative-first", "nf":
-		return routing.NewNegativeFirst(), nil, nil
-	case "odd-even", "oe":
-		return routing.NewOddEven(), nil, nil
-	case "dyxy", "ebda", "ebda-6ch":
-		chain := core.MustParseChain("PA[X1+ Y1+ Y1-] -> PB[X1- Y2+ Y2-]")
-		alg := routing.NewFromChain("ebda-6ch", chain, net.Dims())
-		return alg, alg.VCs(), nil
-	case "duato":
-		d := duato.New()
-		return d, d.VCsPerDim(net), nil
-	case "planar", "planar-adaptive":
-		p := routing.NewPlanarAdaptive()
-		return p, p.VCsPerDim(net), nil
-	case "unrestricted":
-		return routing.NewUnrestricted(), nil, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown algorithm %q", name)
-	}
 }
 
 func parseRates(s string) ([]float64, error) {

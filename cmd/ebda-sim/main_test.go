@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"ebda/internal/algs"
 )
 
 func runCLI(t *testing.T, args ...string) (int, string, string) {
@@ -47,5 +49,15 @@ func TestUsageErrorsExit2(t *testing.T) {
 		if code, out, errb := runCLI(t, args...); code != 2 || out != "" || errb == "" {
 			t.Errorf("%v: exit %d stdout %q stderr %q, want exit 2 with a message", args, code, out, errb)
 		}
+	}
+}
+
+// TestEveryAlgorithmName sweeps every name of the shared algorithm table,
+// aliases included, at one low rate: each is known and gets a row.
+func TestEveryAlgorithmName(t *testing.T) {
+	names := algs.Names()
+	code, out, errb := runCLI(t, append([]string{"-algs", strings.Join(names, ","), "-rates", "0.05:0.05:0.1"}, short...)...)
+	if rows := strings.Count(out, "\n") - 2; code != 0 || errb != "" || rows != len(names) {
+		t.Fatalf("exit %d (stderr %q), %d rows for %d names:\n%s", code, errb, rows, len(names), out)
 	}
 }

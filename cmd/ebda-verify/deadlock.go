@@ -5,12 +5,11 @@ import (
 	"fmt"
 	"io"
 
+	"ebda/internal/algs"
 	"ebda/internal/cdg"
 	"ebda/internal/core"
 	"ebda/internal/deadlock"
-	"ebda/internal/duato"
 	"ebda/internal/routing"
-	"ebda/internal/topology"
 )
 
 // runDeadlock is the deadlock mode: the Dally cycle check on the channel
@@ -22,7 +21,7 @@ import (
 func runDeadlock(args []string, stdout, stderr io.Writer) int {
 	fs := newFlags("deadlock", stderr)
 	chainSpec := fs.String("chain", "", "partition chain to analyse")
-	algName := fs.String("alg", "", "named algorithm: xy, odd-even, planar, duato, duato-torus, dateline, unrestricted")
+	algName := fs.String("alg", "", "named algorithm: "+algs.Usage())
 	network := networkFlags(fs)
 	if code, ok := parseFlags(fs, args, 0); !ok {
 		return code
@@ -48,7 +47,7 @@ func runDeadlock(args []string, stdout, stderr io.Writer) int {
 		alg, vcs = fc, cdg.VCConfig(fc.VCs())
 		fmt.Fprintf(stdout, "design: %s\n", chain)
 	case *algName != "":
-		alg, vcs, err = buildAlg(*algName, net)
+		alg, vcs, err = algs.ByName(*algName, net)
 		if err != nil {
 			return fail(stderr, err)
 		}
@@ -72,30 +71,5 @@ func runDeadlock(args []string, stdout, stderr io.Writer) int {
 	default:
 		fmt.Fprintln(stdout, "verdict: DEADLOCK-CAPABLE (concrete configuration above)")
 		return 1
-	}
-}
-
-func buildAlg(name string, net *topology.Network) (routing.Algorithm, cdg.VCConfig, error) {
-	switch name {
-	case "xy":
-		return routing.NewXY(), nil, nil
-	case "odd-even", "oe":
-		return routing.NewOddEven(), nil, nil
-	case "planar", "planar-adaptive":
-		p := routing.NewPlanarAdaptive()
-		return p, cdg.VCConfig(p.VCsPerDim(net)), nil
-	case "duato":
-		d := duato.New()
-		return d, cdg.VCConfig(d.VCsPerDim(net)), nil
-	case "duato-torus":
-		d := duato.NewTorus()
-		return d, cdg.VCConfig(d.VCsPerDim(net)), nil
-	case "dateline":
-		d := routing.NewDatelineTorus()
-		return d, cdg.VCConfig(d.VCsPerDim(net)), nil
-	case "unrestricted":
-		return routing.NewUnrestricted(), nil, nil
-	default:
-		return nil, nil, fmt.Errorf("unknown algorithm %q", name)
 	}
 }

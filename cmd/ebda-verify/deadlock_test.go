@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"ebda/internal/algs"
 )
 
 // TestDeadlockVerdicts pins the three verdicts on a 4x4 mesh: XY is acyclic,
@@ -66,6 +68,18 @@ func TestDeadlockUsageErrorsExit2(t *testing.T) {
 	} {
 		if code, out, errb := runCLI(t, args...); code != 2 || errb == "" || out != "" {
 			t.Errorf("%v: exit %d stdout %q stderr %q, want exit 2 with a message", args, code, out, errb)
+		}
+	}
+}
+
+// TestDeadlockEveryAlgorithmName runs the deadlock mode once per name of
+// the shared algorithm table, aliases included: each is known and gets a
+// verdict.
+func TestDeadlockEveryAlgorithmName(t *testing.T) {
+	for _, name := range algs.Names() {
+		code, out, errb := runCLI(t, "deadlock", "-alg", name, "-mesh", "4x4")
+		if (code != 0 && code != 1) || errb != "" || !strings.HasPrefix(out, "design: ") || !strings.Contains(out, "verdict: ") {
+			t.Errorf("-alg %s: exit %d (stderr %q):\n%s", name, code, errb, out)
 		}
 	}
 }

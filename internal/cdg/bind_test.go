@@ -198,17 +198,39 @@ func verifyKeyFromLinks(net *topology.Network, vcs VCConfig, ts *core.TurnSet) (
 	return h1, h2
 }
 
+// rebindNetworks returns never-seen networks for the warm rebind
+// sequences: 32 2D meshes from 20x40 to 51x9, with a 3D mesh and a
+// faulty mesh, whose class keys carry cut links, as the second and
+// third. Every call builds new networks.
+func rebindNetworks() []*topology.Network {
+	nets := make([]*topology.Network, 0, 34)
+	for i := 0; i < 32; i++ {
+		nets = append(nets, topology.NewMesh(20+i, 40-i))
+	}
+	return slices.Insert(nets, 1, topology.NewMesh(10, 12, 14), faultyMesh())
+}
+
+// faultyMesh returns a new 30x30 mesh with three links removed.
+func faultyMesh() *topology.Network {
+	return topology.NewMesh(30, 30).WithoutLinks([]topology.Link{
+		{From: 31, Dim: channel.X, Sign: channel.Plus},
+		{From: 400, Dim: channel.Y, Sign: channel.Minus},
+		{From: 899, Dim: channel.X, Sign: channel.Minus},
+	})
+}
+
 // TestBindFreshNetworkAllocFree pins the cold path's set-up cost: a warm
 // pooled workspace rebinds to a never-seen network whose shape fits its
-// buffers without allocating anything.
+// buffers without allocating anything. The workspace first meets one 3D
+// mesh and one faulty mesh, so its class and signature tables have grown
+// for both kinds; the sequence then crosses 2D, 3D and faulty networks.
 func TestBindFreshNetworkAllocFree(t *testing.T) {
 	pool := &WorkspacePool{}
 	vcs := VCConfig{2, 2}
 	pool.Put(pool.Get(topology.NewTorus(48, 48), vcs))
-	nets := make([]*topology.Network, 0, 32)
-	for i := 0; i < cap(nets); i++ {
-		nets = append(nets, topology.NewMesh(20+i, 40-i))
-	}
+	pool.Put(pool.Get(topology.NewMesh(10, 12, 14), vcs))
+	pool.Put(pool.Get(faultyMesh(), vcs))
+	nets := rebindNetworks()
 	next := 0
 	allocs := testing.AllocsPerRun(20, func() {
 		ws := pool.Get(nets[next], vcs)
@@ -321,16 +343,19 @@ func BenchmarkVerifyColdShapes(b *testing.B) {
 // TestColdVerifyAllocFree pins the cold path's kernel: once a workspace
 // has grown on a larger shape, rebinding it to a never-seen network of
 // equal or smaller size, building a design's turn edges and peeling them
-// allocates nothing. (A Report adds its network label on top.)
+// allocates nothing. (A Report adds its network label on top.) The
+// sequence crosses 2D, 3D and faulty meshes; the workspace has met one
+// of each of the latter two first.
 func TestColdVerifyAllocFree(t *testing.T) {
 	chain := core.MustParseChain(coldDesigns[0][1])
 	ts, vcs := chain.AllTurns(), VCConfigFor(2, chain.Channels())
 	ws := NewWorkspace(topology.NewTorus(48, 48), vcs)
 	ws.VerifyTurnSet(ts) // grow every buffer on the largest shape
-	nets := make([]*topology.Network, 0, 32)
-	for i := 0; i < cap(nets); i++ {
-		nets = append(nets, topology.NewMesh(20+i, 40-i))
+	for _, net := range []*topology.Network{topology.NewMesh(10, 12, 14), faultyMesh()} {
+		ws.g.bind(net, vcs)
+		ws.VerifyTurnSet(ts)
 	}
+	nets := rebindNetworks()
 	next := 0
 	allocs := testing.AllocsPerRun(20, func() {
 		ws.g.bind(nets[next], vcs)

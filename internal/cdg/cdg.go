@@ -103,6 +103,14 @@ func (c Channel) appendTo(b []byte) []byte {
 // has few signatures (at most 32 in 2D with 2 VCs), so turn-edge
 // construction evaluates the turn relation per signature pair.
 //
+// A node's out-channels depend only on its class (classKey): its
+// coordinate parities, the dimensions it sits on the low or high boundary
+// of and, on an irregular network, which of its grid links the filter
+// removes. A network has few classes (at most 16 in a regular 2D one), so
+// bind stamps every node's channels from its class's template, and the
+// turn-edge kernel evaluates the relation once per signature list and
+// head class.
+//
 // The dependency edges are one CSR adjacency whose rows are kept sorted
 // ascending, so membership tests binary-search and all traversal output
 // depends only on the edge set.
@@ -115,11 +123,17 @@ type Graph struct {
 	// maps a signature key to its index plus one.
 	sig, keySig []int32
 	sigs        []sigInfo
-	// walk is bind's enumeration scratch; mat and tab are the turn-edge
-	// kernel's per-build allow-matrix and signature table.
-	walk topology.Walker
-	mat  core.AllowMatrix
-	tab  sigTable
+	// cls[v] is node v's class. Class k's out-channels are the template
+	// slots [tplOff[k], tplOff[k+1]), slot j a channel with signature
+	// tplSig[j] whose head is its tail plus tplDelta[j]. classes interns
+	// the class keys, and coord is bind's odometer.
+	cls, tplOff, tplSig, tplDelta []int32
+	classes                       classTable
+	coord                         topology.Coord
+	// mat and tab are the turn-edge kernel's per-build allow-matrix and
+	// signature table.
+	mat core.AllowMatrix
+	tab sigTable
 }
 
 // sigInfo describes one signature: the direction and VC its channels
@@ -129,6 +143,50 @@ type sigInfo struct {
 	sign channel.Sign
 	vc   int
 	par  int
+}
+
+// classKey identifies a node class. state holds two bits per dimension d
+// at bit 2d: the coordinate's parity (0 or 1) inside the grid, 2 on the
+// low boundary, 3 on the high one. cut sets bit 2d (2d+1) when the
+// irregularity filter removes the node's + (−) grid link in d. Two bits
+// per dimension fit 32 dimensions, more than any network whose 2^dims
+// nodes can be enumerated has.
+type classKey struct{ state, cut uint64 }
+
+// classTable interns class keys: keys[k] is class k's key, and slot is an
+// open-addressed hash table of them holding the class index plus one (0
+// free), probed from the key's multiplicative hash shifted right by shift.
+type classTable struct {
+	keys  []classKey
+	slot  []int32
+	shift uint
+}
+
+// reset empties the table, sized for at most n classes.
+//
+//ebda:hotpath
+func (t *classTable) reset(n int) {
+	size, shift := 8, uint(61)
+	for size < 2*n {
+		size, shift = size<<1, shift-1
+	}
+	t.keys, t.shift = t.keys[:0], shift
+	t.slot = slices.Grow(t.slot[:0], size)[:size]
+	clear(t.slot)
+}
+
+// find returns the index of key's class, or -1 and the free slot that
+// records a new class with that key.
+//
+//ebda:hotpath
+func (t *classTable) find(key classKey) (int32, int) {
+	mask := len(t.slot) - 1
+	i := int((key.state*0x9e3779b97f4a7c15 ^ key.cut*0xc2b2ae3d27d4eb4f) >> t.shift)
+	for ; ; i = (i + 1) & mask {
+		if k := t.slot[i]; k == 0 || t.keys[k-1] == key {
+			return k - 1, i
+		}
+	}
 }
 
 // NewGraph enumerates the concrete channels of the network under the VC
@@ -141,15 +199,18 @@ func NewGraph(net *topology.Network, vcs VCConfig) *Graph {
 
 // bind enumerates the concrete channels of the network under the VC
 // configuration, with no edges: the one fill path of NewGraph and of a
-// pooled Workspace's rebind. One walk over the grid numbers the channels
-// and writes each one's tail, head and signature, nothing more. No link
-// list is built and every table is refilled in place, so binding to a
-// network the buffers already fit allocates nothing, however new the
-// network.
+// pooled Workspace's rebind, for regular and irregular networks alike.
+// It walks the node IDs with an odometer coordinate and keeps each node's
+// class key up to date; the first node of a class builds the class's
+// template (addClass), and every node copies its class's template into
+// the channel tables. No link list is built and every table is refilled
+// in place, so binding to a network the buffers already fit allocates
+// nothing, however new the network.
 //
 //ebda:hotpath
 func (g *Graph) bind(net *topology.Network, vcs VCConfig) {
-	dims, nodes := net.Dims(), net.Nodes()
+	dims, nodes, sizes := net.Dims(), net.Nodes(), net.Sizes()
+	irregular := !net.Regular()
 	g.net = net
 	g.vcs = g.vcs[:0]
 	maxVC, perNode := 1, 0
@@ -165,40 +226,140 @@ func (g *Graph) bind(net *topology.Network, vcs VCConfig) {
 	g.keySig = slices.Grow(g.keySig[:0], keys)[:keys]
 	clear(g.keySig)
 	g.sigs = g.sigs[:0]
+	// A dimension has at most four states and, on an irregular network,
+	// four cut patterns, which bounds the class count below the nodes'.
+	classes, keyBits := nodes, 2*dims
+	if irregular {
+		keyBits *= 2
+	}
+	if keyBits < 30 {
+		classes = min(classes, 1<<keyBits)
+	}
+	g.classes.reset(classes)
+	g.tplOff, g.tplSig, g.tplDelta = append(g.tplOff[:0], 0), g.tplSig[:0], g.tplDelta[:0]
+	g.cls = slices.Grow(g.cls[:0], nodes)[:nodes]
 	g.tailOff = slices.Grow(g.tailOff[:0], nodes+1)[:nodes+1]
+	c := slices.Grow(g.coord[:0], dims)[:dims]
+	clear(c)
+	g.coord = c
 	// Every node has at most two links per dimension, so nodes*perNode
 	// bounds the channel count; the tables are cut to size after the walk.
 	limit := nodes * perNode
 	sig := slices.Grow(g.sig[:0], limit)[:limit]
 	head := slices.Grow(g.head[:0], limit)[:limit]
 	tail := slices.Grow(g.tail[:0], limit)[:limit]
-	nc := 0
-	g.walk.Walk(net, func(v topology.NodeID, c topology.Coord, out []topology.Link) {
-		p := 0
-		for d, x := range c {
-			p |= (x & 1) << d
+	// Node 0 sits on the low boundary of every dimension.
+	var state uint64
+	for d := 0; d < dims; d++ {
+		state |= 2 << (2 * d)
+	}
+	nc := int32(0)
+	for v := int32(0); int(v) < nodes; v++ {
+		key := classKey{state: state}
+		if irregular {
+			key.cut = cuts(net, c)
 		}
-		g.tailOff[v] = int32(nc)
-		for _, link := range out {
-			slot := int(link.Dim) * 2
-			if link.Sign == channel.Minus {
-				slot++
+		k, at := g.classes.find(key)
+		if k < 0 {
+			k = g.addClass(key, at, c, maxVC)
+		}
+		g.cls[v] = k
+		g.tailOff[v] = nc
+		lo, hi := g.tplOff[k], g.tplOff[k+1]
+		end := nc + hi - lo
+		copy(sig[nc:end], g.tplSig[lo:hi])
+		hs, ts := head[nc:end], tail[nc:end]
+		for j, delta := range g.tplDelta[lo:hi] {
+			hs[j], ts[j] = v+delta, v
+		}
+		nc = end
+		// Advance the odometer and the state bits of every dimension it
+		// moves: a coordinate that wraps to 0 carries into the next one.
+		for d, size := range sizes {
+			x, st := c[d]+1, uint64(2)
+			switch {
+			case x == size:
+				x = 0
+			case x == size-1:
+				st = 3
+			default:
+				st = uint64(x & 1)
 			}
-			slot *= maxVC
-			for vc := 1; vc <= g.vcs[link.Dim]; vc++ {
-				key := (slot+vc-1)<<dims | p
-				if g.keySig[key] == 0 {
-					g.sigs = append(g.sigs, sigInfo{dim: link.Dim, sign: link.Sign, vc: vc, par: p})
-					g.keySig[key] = int32(len(g.sigs))
-				}
-				sig[nc], head[nc], tail[nc] = g.keySig[key]-1, int32(link.To), int32(v)
-				nc++
+			c[d] = x
+			state = state&^(3<<(2*d)) | st<<(2*d)
+			if x != 0 {
+				break
 			}
 		}
-	})
+	}
 	g.sig, g.head, g.tail = sig[:nc], head[:nc], tail[:nc]
-	g.tailOff[nodes] = int32(nc)
-	g.adj.reset(nc)
+	g.tailOff[nodes] = nc
+	g.adj.reset(int(nc))
+}
+
+// cuts returns the cut bits of a classKey for the node at coordinate c:
+// which of its grid links the irregularity filter removes.
+//
+//ebda:hotpath
+func cuts(net *topology.Network, c topology.Coord) uint64 {
+	var cut uint64
+	for d, size := range net.Sizes() {
+		dim, wrap := channel.Dim(d), net.Wrap(channel.Dim(d))
+		if (c[d]+1 < size || wrap) && !net.Allows(c, dim, channel.Plus) {
+			cut |= 1 << (2 * d)
+		}
+		if (c[d] > 0 || wrap) && !net.Allows(c, dim, channel.Minus) {
+			cut |= 2 << (2 * d)
+		}
+	}
+	return cut
+}
+
+// addClass records a new class, with key key, in the class table's free
+// slot at and appends its template, read off the node at coordinate c:
+// the node's out-channels in Links() order (dimension, sign + before −,
+// VC), each as its signature, interned on first sight, and its head's
+// node-ID delta, which on a boundary of a wrapped dimension is the
+// wraparound's. maxVC is bind's signature-key stride.
+//
+//ebda:hotpath
+func (g *Graph) addClass(key classKey, at int, c topology.Coord, maxVC int) int32 {
+	dims, p := len(c), 0
+	for d, x := range c {
+		p |= (x & 1) << d
+	}
+	stride := 1
+	for d, size := range g.net.Sizes() {
+		dim, x := channel.Dim(d), c[d]
+		for s, sign := range [2]channel.Sign{channel.Plus, channel.Minus} {
+			y := x + int(sign)
+			if y < 0 || y >= size {
+				if !g.net.Wrap(dim) {
+					continue
+				}
+				y = (y + size) % size
+			}
+			if key.cut>>(2*d+s)&1 != 0 {
+				continue
+			}
+			delta, slot := int32((y-x)*stride), (2*d+s)*maxVC
+			for vc := 1; vc <= g.vcs[d]; vc++ {
+				sk := (slot+vc-1)<<dims | p
+				if g.keySig[sk] == 0 {
+					g.sigs = append(g.sigs, sigInfo{dim: dim, sign: sign, vc: vc, par: p})
+					g.keySig[sk] = int32(len(g.sigs))
+				}
+				g.tplSig = append(g.tplSig, g.keySig[sk]-1)
+				g.tplDelta = append(g.tplDelta, delta)
+			}
+		}
+		stride *= size
+	}
+	g.tplOff = append(g.tplOff, int32(len(g.tplSig)))
+	t := &g.classes
+	t.keys = append(t.keys, key)
+	t.slot[at] = int32(len(t.keys))
+	return int32(len(t.keys) - 1)
 }
 
 // Channel returns channel i, derived from its tail, head and signature.
@@ -293,10 +454,14 @@ func (g *Graph) FindChannel(from topology.NodeID, d channel.Dim, sign channel.Si
 // matrix classes signature s instantiates; id[s] interns identical lists,
 // first[k] being the first signature holding list k; allow[k*S+s] (S
 // signatures) says whether a channel with list k may depend on one with
-// signature s. Buffers are reused, so a warm table allocates nothing.
+// signature s. pat[k*C+c] (C node classes) is 0 until pattern has
+// evaluated list k against class c, then r: offs[patOff[r-1]:patOff[r]]
+// are the allowed offsets within such a node's out-range. Buffers are
+// reused, so a warm table allocates nothing.
 type sigTable struct {
 	cls, off, id, first []int32
 	allow               []bool
+	pat, patOff, offs   []int32
 }
 
 // list returns the classes signature s instantiates.
@@ -308,6 +473,7 @@ func (t *sigTable) list(s int32) []int32 { return t.cls[t.off[s]:t.off[s+1]] }
 // restrictions read the signature's tail parities (a channel does not move
 // in dimensions other than its own, so head and tail agree there except on
 // its own-dimension wraparound, which parity classes may not reference).
+// The per-class patterns start empty.
 //
 //ebda:hotpath
 func (g *Graph) buildSigTable(m *core.AllowMatrix) {
@@ -345,6 +511,28 @@ func (g *Graph) buildSigTable(m *core.AllowMatrix) {
 			row[s] = row[t.first[t.id[s]]]
 		}
 	}
+	pats := len(t.first) * len(g.classes.keys)
+	t.pat = slices.Grow(t.pat[:0], pats)[:pats]
+	clear(t.pat)
+	t.patOff, t.offs = append(t.patOff[:0], 0), t.offs[:0]
+}
+
+// pattern evaluates signature list k against node class c: it appends
+// to g.tab.offs the ascending offsets, within a class-c node's out-range,
+// of the channels a channel with list k may depend on, and returns the
+// pattern's pat entry.
+//
+//ebda:hotpath
+func (g *Graph) pattern(k, c int32) int32 {
+	t, n := &g.tab, len(g.sigs)
+	allow := t.allow[int(k)*n:][:n]
+	for j, s := range g.tplSig[g.tplOff[c]:g.tplOff[c+1]] {
+		if allow[s] {
+			t.offs = append(t.offs, int32(j))
+		}
+	}
+	t.patOff = append(t.patOff, int32(len(t.offs)))
+	return int32(len(t.patOff) - 1)
 }
 
 // buildTarget returns the adjacency a bulk build appends its rows to, in
@@ -371,25 +559,29 @@ func (g *Graph) mergeBuilt(dst *csr) int {
 // AddTurnEdges adds a dependency edge for every pair of concrete channels
 // (a into v, b out of v) whose classes are related by the turn set and
 // returns the number of edges added. The turn relation is first evaluated
-// once per signature pair (buildSigTable); each channel pair then costs
-// one table lookup. Channel a's successors are the permitted channels out
-// of its head node, one contiguous, ascending index range, so the rows
-// fill in one sequential pass over the CSR.
+// once per signature pair (buildSigTable), and then once per signature
+// list and head class into the offsets it allows within the head's
+// out-range (pattern); channel a's successors are its head's out-range
+// base plus each offset of its pattern, ascending, so the rows fill in one
+// sequential pass over the CSR with no per-candidate test.
 //
 //ebda:hotpath
 func (g *Graph) AddTurnEdges(ts *core.TurnSet) int {
 	ts.MatrixInto(&g.mat)
 	g.buildSigTable(&g.mat)
-	t, n := &g.tab, len(g.sigs)
+	t, classes := &g.tab, int32(len(g.classes.keys))
 	dst := g.buildTarget()
 	off, succ := dst.off, dst.succ
 	for a, h := range g.head {
-		lo, hi := g.tailOff[h], g.tailOff[h+1]
-		allow := t.allow[int(t.id[g.sig[a]])*n:][:n]
-		for k, s := range g.sig[lo:hi] {
-			if allow[s] {
-				succ = append(succ, lo+int32(k))
-			}
+		k, c := t.id[g.sig[a]], g.cls[h]
+		r := t.pat[k*classes+c]
+		if r == 0 {
+			r = g.pattern(k, c)
+			t.pat[k*classes+c] = r
+		}
+		base := g.tailOff[h]
+		for _, o := range t.offs[t.patOff[r-1]:t.patOff[r]] {
+			succ = append(succ, base+o)
 		}
 		off = append(off, int32(len(succ)))
 	}

@@ -119,23 +119,43 @@ func (c *csr) inDegrees(buf []int32) []int32 {
 
 // subgraph fills dst with the rows of the nodes keep admits, each cut to
 // the successors to marks (to nil keeps them all); the other rows are
-// empty.
+// empty. With to nil, every run of consecutive kept rows is one copy and
+// its offsets are c's, shifted.
 func (c *csr) subgraph(dst *csr, keep func(v int32) bool, to []bool) {
 	dst.reset(c.n)
 	dst.succ = slices.Grow(dst.succ, len(c.succ))
-	for v := int32(0); int(v) < c.n; v++ {
-		switch {
-		case !keep(v):
-		case to == nil:
-			dst.succ = append(dst.succ, c.row(v)...)
-		default:
-			for _, s := range c.row(v) {
-				if to[s] {
-					dst.succ = append(dst.succ, s)
+	if to != nil {
+		for v := int32(0); int(v) < c.n; v++ {
+			if keep(v) {
+				for _, s := range c.row(v) {
+					if to[s] {
+						dst.succ = append(dst.succ, s)
+					}
 				}
 			}
+			dst.closeRow()
 		}
-		dst.closeRow()
+		return
+	}
+	// off may cover a prefix of the rows; the rows past it are empty and
+	// start where succ ends.
+	start := func(v int32) int32 { return c.off[min(int(v), len(c.off)-1)] }
+	for v := int32(0); int(v) < c.n; {
+		if !keep(v) {
+			dst.closeRow()
+			v++
+			continue
+		}
+		w := v + 1
+		for int(w) < c.n && keep(w) {
+			w++
+		}
+		shift := int32(len(dst.succ)) - start(v)
+		dst.succ = append(dst.succ, c.succ[start(v):start(w)]...)
+		for u := v + 1; u <= w; u++ {
+			dst.off = append(dst.off, start(u)+shift)
+		}
+		v = w
 	}
 }
 

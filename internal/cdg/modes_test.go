@@ -2,7 +2,9 @@ package cdg
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -491,6 +493,50 @@ func checkPath(t *testing.T, e *EdgeSet, path []int, inputs []int) {
 	for i := 0; i+1 < len(path); i++ {
 		if !e.HasEdge(path[i], path[i+1]) {
 			t.Fatalf("path %v: missing edge %d->%d", path, path[i], path[i+1])
+		}
+	}
+}
+
+// TestSubgraphMatchesRows holds csr.subgraph, which copies runs of kept
+// rows whole, against a row-by-row filter on seeded random graphs whose
+// offsets may cover only a prefix of the rows, with and without a
+// successor mask, kept sets from none to all.
+func TestSubgraphMatchesRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for step := 0; step < 200; step++ {
+		n := 1 + rng.Intn(40)
+		e := NewEdgeSet(n)
+		// Senders lie below a random bound, so the last rows may lie past
+		// off.
+		senders := 1 + rng.Intn(n)
+		for i := rng.Intn(4 * n); i > 0; i-- {
+			e.AddEdge(rng.Intn(senders), rng.Intn(n))
+		}
+		p := []float64{0, 0.3, 0.8, 1}[rng.Intn(4)]
+		kept, mark := make([]bool, n), make([]bool, n)
+		for v := range kept {
+			kept[v], mark[v] = rng.Float64() < p, rng.Intn(2) == 0
+		}
+		for _, to := range [][]bool{nil, mark} {
+			var got csr
+			got.succ = append(got.succ, 99) // stale content must go
+			e.adj.subgraph(&got, func(v int32) bool { return kept[v] }, to)
+			for v := int32(0); int(v) < n; v++ {
+				var want []int32
+				if kept[v] {
+					for _, s := range e.adj.row(v) {
+						if to == nil || to[s] {
+							want = append(want, s)
+						}
+					}
+				}
+				if row := got.row(v); !slices.Equal(row, want) {
+					t.Fatalf("step %d (to mask %t): row %d = %v, want %v", step, to != nil, v, row, want)
+				}
+			}
+			if len(got.off) != n+1 || int(got.off[n]) != len(got.succ) {
+				t.Fatalf("step %d: %d offsets ending at %d for %d rows and %d edges", step, len(got.off), got.off[len(got.off)-1], n, len(got.succ))
+			}
 		}
 	}
 }

@@ -150,22 +150,20 @@ func oracleNetwork(rng *rand.Rand) *topology.Network {
 	return net
 }
 
-// TestTurnEdgesMatchOracle holds the signature-table kernel against the
+// TestTurnEdgesMatchOracle holds the class kernel against the
 // per-channel oracle on seeded random designs: 2D and 3D meshes, tori,
 // irregular, partially connected and faulty networks; 1-3 VCs per
 // dimension; parity-restricted classes on another dimension; and a
-// second build on the filled graph, which takes the merge path.
+// second build on the filled graph, which takes the merge path. Two 5D
+// tori with 7-8 VCs per dimension follow, one faulty, whose nodes have
+// up to 76 out-channels, so an offset list is wider than any 64-bit mask;
+// they skip the merge build, whose oracle is quadratic in the edges.
 // Rows, edge counts and reports must be identical.
 func TestTurnEdgesMatchOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var parity, cyclic, acyclic int
-	for step := 0; step < 60; step++ {
-		net := oracleNetwork(rng)
-		vcs := make(VCConfig, net.Dims())
-		for d := range vcs {
-			vcs[d] = 1 + rng.Intn(3)
-		}
-		classes := oracleClasses(rng, net.Dims(), vcs)
+	check := func(label string, net *topology.Network, vcs VCConfig, classes []channel.Class, merge bool) {
+		t.Helper()
 		for _, c := range classes {
 			if c.Par != channel.Any {
 				parity++
@@ -173,23 +171,26 @@ func TestTurnEdgesMatchOracle(t *testing.T) {
 			}
 		}
 		ts, ts2 := oracleTurnSet(rng, classes), oracleTurnSet(rng, classes)
-		label := fmt.Sprintf("step %d (%s, vcs %v)", step, net, vcs)
+		label = fmt.Sprintf("%s (%s, vcs %v)", label, net, vcs)
 
 		want := NewGraph(net, vcs)
 		wantAdded := addTurnEdgesReference(want, ts)
-		want2 := NewGraph(net, vcs)
-		addTurnEdgesReference(want2, ts)
-		wantMerged := addTurnEdgesReference(want2, ts2)
 		wantRep := referenceReport(net, vcs, ts)
 		g := NewGraph(net, vcs)
 		if added := g.AddTurnEdges(ts); added != wantAdded {
 			t.Fatalf("%s: added %d, oracle %d", label, added, wantAdded)
 		}
 		requireIdentical(t, want, g, label)
-		if added := g.AddTurnEdges(ts2); added != wantMerged {
-			t.Fatalf("%s: merge added %d, oracle %d", label, added, wantMerged)
+		if merge {
+			// The oracle inserts into sorted rows, quadratic in the edges.
+			want2 := NewGraph(net, vcs)
+			addTurnEdgesReference(want2, ts)
+			wantMerged := addTurnEdgesReference(want2, ts2)
+			if added := g.AddTurnEdges(ts2); added != wantMerged {
+				t.Fatalf("%s: merge added %d, oracle %d", label, added, wantMerged)
+			}
+			requireIdentical(t, want2, g, label+" merge")
 		}
-		requireIdentical(t, want2, g, label+" merge")
 		if rep := NewWorkspace(net, vcs).VerifyTurnSet(ts); !reflect.DeepEqual(rep, wantRep) {
 			t.Fatalf("%s: report %s, oracle %s", label, rep, wantRep)
 		}
@@ -198,6 +199,33 @@ func TestTurnEdgesMatchOracle(t *testing.T) {
 		} else {
 			cyclic++
 		}
+	}
+	for step := 0; step < 60; step++ {
+		net := oracleNetwork(rng)
+		vcs := make(VCConfig, net.Dims())
+		for d := range vcs {
+			vcs[d] = 1 + rng.Intn(3)
+		}
+		check(fmt.Sprintf("step %d", step), net, vcs, oracleClasses(rng, net.Dims(), vcs), true)
+	}
+	wide := []*topology.Network{
+		topology.NewTorus(2, 2, 2, 2, 2),
+		topology.NewTorus(3, 2, 2, 2, 2).WithoutLinks([]topology.Link{
+			{From: 4, Dim: channel.X, Sign: channel.Plus},
+			{From: 4, Dim: channel.Dim(4), Sign: channel.Plus},
+		}),
+	}
+	for i, net := range wide {
+		vcs := VCConfig{8, 7, 8, 7, 8}
+		g := NewGraph(net, vcs)
+		widest := int32(0)
+		for v := 0; v < net.Nodes(); v++ {
+			widest = max(widest, g.tailOff[v+1]-g.tailOff[v])
+		}
+		if widest <= 64 {
+			t.Fatalf("%s: widest node has %d out-channels, want more than 64", net, widest)
+		}
+		check(fmt.Sprintf("wide %d", i), net, vcs, oracleClasses(rng, net.Dims(), vcs), false)
 	}
 	if parity == 0 || cyclic == 0 || acyclic == 0 {
 		t.Errorf("sequence missed a case: %d parity designs, %d cyclic, %d acyclic", parity, cyclic, acyclic)

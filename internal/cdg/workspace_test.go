@@ -124,13 +124,16 @@ func TestWorkspacePoolReuse(t *testing.T) {
 }
 
 // sameGraph fails unless got (a rebound graph) holds exactly want's
-// channel tables, signature table and edges.
+// channel tables, signature table, node classes and templates, and edges.
 func sameGraph(t *testing.T, step int, got, want *Graph) {
 	t.Helper()
 	if got.net != want.net || !reflect.DeepEqual(got.vcs, want.vcs) ||
 		!reflect.DeepEqual(got.tailOff, want.tailOff) || !reflect.DeepEqual(got.head, want.head) ||
 		!reflect.DeepEqual(got.tail, want.tail) || !reflect.DeepEqual(got.sig, want.sig) ||
-		!reflect.DeepEqual(got.sigs, want.sigs) || !reflect.DeepEqual(got.keySig, want.keySig) {
+		!reflect.DeepEqual(got.sigs, want.sigs) || !reflect.DeepEqual(got.keySig, want.keySig) ||
+		!reflect.DeepEqual(got.cls, want.cls) || !reflect.DeepEqual(got.tplOff, want.tplOff) ||
+		!reflect.DeepEqual(got.tplSig, want.tplSig) || !reflect.DeepEqual(got.tplDelta, want.tplDelta) ||
+		!reflect.DeepEqual(got.classes.keys, want.classes.keys) {
 		t.Fatalf("step %d: rebound graph tables differ from a fresh graph of %s", step, want.net)
 	}
 	if got.NumEdges() != want.NumEdges() || got.adj.n != want.adj.n {

@@ -60,7 +60,7 @@ func TestSuiteCleanOnEngine(t *testing.T) {
 // stays annotated: losing a directive silently un-guards the function.
 func TestHotpathAnnotationsPresent(t *testing.T) {
 	want := map[string][]string{
-		"internal/cdg":  {"VerifyTurnSet", "kahnPeel", "bind", "AddTurnEdges", "buildSigTable"},
+		"internal/cdg":  {"VerifyTurnSet", "kahnPeel", "bind", "addClass", "cuts", "find", "AddTurnEdges", "buildSigTable", "pattern"},
 		"internal/core": {"Matrix"},
 	}
 	for rel, names := range want {

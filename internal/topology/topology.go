@@ -238,10 +238,18 @@ func (n *Network) Neighbor(id NodeID, d channel.Dim, sign channel.Sign) (to Node
 	return n.step(id, n.Coord(id), d, sign)
 }
 
+// Allows reports whether the irregularity filter keeps the link leaving
+// coordinate c in direction (d, sign). It does not check that the link
+// stays inside the grid, and on a regular network it is always true. c is
+// only read.
+func (n *Network) Allows(c Coord, d channel.Dim, sign channel.Sign) bool {
+	return n.filter == nil || n.filter(c, d, sign)
+}
+
 // step is Neighbor for a node whose coordinate c is already known; c is
 // only read.
 func (n *Network) step(id NodeID, c Coord, d channel.Dim, sign channel.Sign) (to NodeID, wrapped, ok bool) {
-	if n.filter != nil && !n.filter(c, d, sign) {
+	if !n.Allows(c, d, sign) {
 		return 0, false, false
 	}
 	x := c[int(d)] + int(sign)
