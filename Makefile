@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build bench-vet test race bench bench-cold bench-json bench-diff bench-delta bench-cluster cluster-soak repro fmt fmt-check vet lint lint-sarif fuzz-short check clean
+.PHONY: all build bench-vet test race bench bench-smoke bench-cold bench-delta bench-cluster cluster-soak repro fmt fmt-check vet lint lint-sarif fuzz-short check clean
 
 all: check
 
@@ -25,23 +25,20 @@ race:
 bench:
 	$(GO) test -bench=. -benchmem .
 
+# bench-smoke runs every Go benchmark in the module once. The timings
+# mean nothing at one iteration; the point is the result checks inside
+# the benchmarks (b.Fatalf on a wrong verdict or experiment mismatch),
+# which no other target runs. Performance itself is measured end to end
+# by bench/ (bash bench/run.sh) and in process by bench and bench-cold.
+bench-smoke:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
 # Time the cold verification path: binding a graph to never-seen networks
 # and whole cold verifies through a pool (internal/cdg), then the turn-edge
 # kernel on one warm workspace (root package). Not part of check.
 bench-cold:
 	$(GO) test -run '^$$' -bench 'BenchmarkBind|BenchmarkVerifyColdShapes' -benchmem ./internal/cdg
 	$(GO) test -run '^$$' -bench 'BenchmarkTurnEdges' -benchmem .
-
-# Write the perf snapshot (per-experiment wall time, CDG channels/sec).
-bench-json:
-	$(GO) run ./cmd/ebda-repro -quick -benchjson BENCH_verify.json
-
-# Compare the committed snapshot against a fresh one; fails on >20%
-# wall-time regression. Usage: make bench-diff [OLD=BENCH_verify.json]
-OLD ?= BENCH_verify.json
-bench-diff:
-	$(GO) run ./cmd/ebda-repro -quick -benchjson BENCH_new.json
-	$(GO) run ./cmd/ebda-benchdiff $(OLD) BENCH_new.json
 
 # Gate incremental (delta) verification: TestDeltaLinkRatio checks every
 # single-link diff of the 8x8-mesh north-last design against a
@@ -126,8 +123,9 @@ fuzz-short:
 # trace determinism contracts (cmd/ebda-verify TestObsJSONDeterministic,
 # internal/serve TestTraceDeterministic) and the CLI goldens under
 # testdata/cli (every ebda-verify mode, ebda-repro -table/-fig);
+# bench-smoke runs each benchmark's result checks once;
 # fuzz-short guards the untrusted HTTP inputs.
-check: fmt-check build bench-vet lint test race fuzz-short
+check: fmt-check build bench-vet lint test race bench-smoke fuzz-short
 
 clean:
 	$(GO) clean ./...

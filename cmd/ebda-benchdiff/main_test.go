@@ -8,169 +8,33 @@ import (
 	"strings"
 	"testing"
 
-	"ebda/internal/experiments"
 	"ebda/internal/serve"
 )
 
-// snapshot builds a Bench fixture with one experiment and one CDG case at
-// the given wall times (seconds).
-func snapshot(expWall, cdgWall float64) experiments.Bench {
-	return experiments.Bench{
-		GoVersion:  "go1.22",
-		NumCPU:     8,
-		GoMaxProcs: 8,
-		Experiments: []experiments.BenchExperiment{
-			{ID: "fig7", Name: "Figure 7", WallSeconds: expWall, Match: true},
-		},
-		CDG: []experiments.BenchCDG{
-			{Network: "16x16 mesh", Channels: 480, Edges: 1000, Acyclic: true,
-				WallSeconds: cdgWall, ChannelsPerSec: float64(480) / cdgWall},
-		},
-	}
-}
+// engineSnapshot is shaped like the retired engine snapshot that
+// `ebda-repro -quick` used to write: per-experiment wall times and CDG
+// rates, and no kind.
+const engineSnapshot = `{"generated_at":"2026-08-05T00:00:00Z","go_version":"go1.24.0",` +
+	`"num_cpu":1,"gomaxprocs":1,"quick":true,` +
+	`"experiments":[{"id":"E01","name":"Table 1","wall_seconds":0.0002,"match":true}],` +
+	`"cdg":[{"network":"16x16 mesh","channels":960,"edges":1828,"acyclic":true,"wall_seconds":0.0006}],` +
+	`"verify_cache":{"hits":0,"misses":1}}`
 
-// writeSnapshot marshals b into dir and returns the file path.
-func writeSnapshot(t *testing.T, dir, name string, b experiments.Bench) string {
+// writeFile writes body into dir and returns the file path.
+func writeFile(t *testing.T, dir, name, body string) string {
 	t.Helper()
-	data, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
 	path := filepath.Join(dir, name)
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
-// TestEqualSnapshots diffs a snapshot against itself: exit 0, no
-// regressions.
-func TestEqualSnapshots(t *testing.T) {
-	dir := t.TempDir()
-	old := writeSnapshot(t, dir, "old.json", snapshot(1.0, 0.5))
-	cur := writeSnapshot(t, dir, "new.json", snapshot(1.0, 0.5))
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, want 0; stderr: %s", code, errw.String())
-	}
-	if !strings.Contains(out.String(), "no wall-time or cache hit-rate regressions") {
-		t.Errorf("missing clean verdict in output:\n%s", out.String())
-	}
-}
-
-// TestRegression diffs against a snapshot >20% slower: exit 1 and a
-// REGRESSION row.
-func TestRegression(t *testing.T) {
-	dir := t.TempDir()
-	old := writeSnapshot(t, dir, "old.json", snapshot(1.0, 0.5))
-	cur := writeSnapshot(t, dir, "new.json", snapshot(1.5, 0.5))
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 1 {
-		t.Fatalf("run = %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSION") {
-		t.Errorf("missing REGRESSION row in output:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "1 regression(s)") {
-		t.Errorf("missing regression summary in output:\n%s", out.String())
-	}
-}
-
-// TestBelowMinwallSkipped checks that a huge ratio on a sub-minwall
-// baseline is noise, not a regression.
-func TestBelowMinwallSkipped(t *testing.T) {
-	dir := t.TempDir()
-	old := writeSnapshot(t, dir, "old.json", snapshot(0.001, 0.002))
-	cur := writeSnapshot(t, dir, "new.json", snapshot(0.004, 0.004))
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, want 0; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "skip (below minwall)") {
-		t.Errorf("missing minwall skip in output:\n%s", out.String())
-	}
-}
-
-// TestThresholdFlag tightens the threshold so a 10% slowdown fails.
-func TestThresholdFlag(t *testing.T) {
-	dir := t.TempDir()
-	old := writeSnapshot(t, dir, "old.json", snapshot(1.0, 0.5))
-	cur := writeSnapshot(t, dir, "new.json", snapshot(1.1, 0.5))
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 0 {
-		t.Fatalf("default threshold: run = %d, want 0", code)
-	}
-	out.Reset()
-	if code := run([]string{"-threshold", "1.05", old, cur}, &out, &errw); code != 1 {
-		t.Fatalf("-threshold 1.05: run = %d, want 1; output:\n%s", code, out.String())
-	}
-}
-
-// cacheSnapshot builds a Bench fixture whose single experiment carries
-// the given verify-cache traffic (equal wall times, so only the hit-rate
-// diff can fail).
-func cacheSnapshot(hits, misses uint64) experiments.Bench {
-	b := snapshot(1.0, 0.5)
-	b.Experiments[0].CacheHits = hits
-	b.Experiments[0].CacheMisses = misses
-	if hits+misses > 0 {
-		b.Experiments[0].CacheHitRate = float64(hits) / float64(hits+misses)
-	}
-	return b
-}
-
-// TestHitRateRegression fails the diff when an experiment's cache hit
-// rate drops past -hitrate-drop, and passes when the drop is within it.
-func TestHitRateRegression(t *testing.T) {
-	dir := t.TempDir()
-	old := writeSnapshot(t, dir, "old.json", cacheSnapshot(90, 10)) // 90%
-	cur := writeSnapshot(t, dir, "new.json", cacheSnapshot(50, 50)) // 50%
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 1 {
-		t.Fatalf("run = %d, want 1; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "verify-cache hit rates:") ||
-		!strings.Contains(out.String(), "REGRESSION") {
-		t.Errorf("missing hit-rate regression row in output:\n%s", out.String())
-	}
-
-	// A 5-point drop stays within the default 10-point budget.
-	out.Reset()
-	cur = writeSnapshot(t, dir, "new2.json", cacheSnapshot(85, 15)) // 85%
-	if code := run([]string{old, cur}, &out, &errw); code != 0 {
-		t.Fatalf("small drop: run = %d, want 0; output:\n%s", code, out.String())
-	}
-
-	// Tightening -hitrate-drop makes the same small drop fail.
-	out.Reset()
-	if code := run([]string{"-hitrate-drop", "0.02", old, cur}, &out, &errw); code != 1 {
-		t.Fatalf("-hitrate-drop 0.02: run = %d, want 1; output:\n%s", code, out.String())
-	}
-}
-
-// TestHitRateSkipsNoTraffic ignores experiments without cache traffic on
-// either side — no traffic means no rate to compare.
-func TestHitRateSkipsNoTraffic(t *testing.T) {
-	dir := t.TempDir()
-	old := writeSnapshot(t, dir, "old.json", cacheSnapshot(90, 10))
-	cur := writeSnapshot(t, dir, "new.json", cacheSnapshot(0, 0))
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, want 0; output:\n%s", code, out.String())
-	}
-	if strings.Contains(out.String(), "verify-cache hit rates:") {
-		t.Errorf("traffic-less experiment compared anyway:\n%s", out.String())
-	}
-}
-
 // TestMalformedJSON checks load failures exit 2.
 func TestMalformedJSON(t *testing.T) {
 	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	good := writeSnapshot(t, dir, "good.json", snapshot(1.0, 0.5))
+	bad := writeFile(t, dir, "bad.json", "{not json")
+	good := writeClusterSnapshot(t, dir, "good.json", clusterSnapshot(3.5, 60, 30, 0))
 	var out, errw bytes.Buffer
 	if code := run([]string{bad, good}, &out, &errw); code != 2 {
 		t.Fatalf("malformed old: run = %d, want 2", code)
@@ -204,11 +68,11 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestMixedKindsRejected refuses to diff an engine snapshot against a
-// cluster snapshot.
+// TestMixedKindsRejected refuses to diff a kind-less engine snapshot
+// against a cluster snapshot.
 func TestMixedKindsRejected(t *testing.T) {
 	dir := t.TempDir()
-	eng := writeSnapshot(t, dir, "engine.json", snapshot(1.0, 0.5))
+	eng := writeFile(t, dir, "engine.json", engineSnapshot)
 	clu := writeClusterSnapshot(t, dir, "cluster.json", clusterSnapshot(3.5, 60, 30, 0))
 	var out, errw bytes.Buffer
 	if code := run([]string{eng, clu}, &out, &errw); code != 2 {
@@ -368,11 +232,11 @@ func TestClusterZeroBaselineSkipped(t *testing.T) {
 }
 
 // TestClusterMixedKindsRejected refuses to diff a cluster snapshot
-// against an engine snapshot.
+// against a kind-less engine snapshot.
 func TestClusterMixedKindsRejected(t *testing.T) {
 	dir := t.TempDir()
 	clu := writeClusterSnapshot(t, dir, "cluster.json", clusterSnapshot(3.5, 60, 30, 0))
-	eng := writeSnapshot(t, dir, "engine.json", snapshot(1.0, 0.5))
+	eng := writeFile(t, dir, "engine.json", engineSnapshot)
 	var out, errw bytes.Buffer
 	if code := run([]string{clu, eng}, &out, &errw); code != 2 {
 		t.Fatalf("mixed kinds: run = %d, want 2; stderr: %s", code, errw.String())
@@ -383,73 +247,37 @@ func TestClusterMixedKindsRejected(t *testing.T) {
 }
 
 // TestRetiredKindsRejected: the retired serve and delta snapshot kinds
-// are unknown, so a pair of them is a usage error rather than being
-// diffed as engine snapshots.
+// are unknown, and so is a kind-less engine snapshot, so a pair of any of
+// them is a usage error rather than being diffed.
 func TestRetiredKindsRejected(t *testing.T) {
 	dir := t.TempDir()
-	for _, kind := range []string{"serve", "delta"} {
-		path := filepath.Join(dir, kind+".json")
-		if err := os.WriteFile(path, []byte(`{"kind":"`+kind+`"}`), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range []struct{ name, body string }{
+		{"serve", `{"kind":"serve"}`},
+		{"delta", `{"kind":"delta"}`},
+		{"engine", engineSnapshot},
+	} {
+		path := writeFile(t, dir, c.name+".json", c.body)
 		var out, errw bytes.Buffer
 		if code := run([]string{path, path}, &out, &errw); code != 2 {
-			t.Fatalf("%s snapshots: run = %d, want 2; stderr: %s", kind, code, errw.String())
+			t.Fatalf("%s snapshots: run = %d, want 2; stderr: %s", c.name, code, errw.String())
 		}
 		if !strings.Contains(errw.String(), "unknown snapshot kind") {
-			t.Errorf("%s snapshots: missing unknown-kind message: %s", kind, errw.String())
+			t.Errorf("%s snapshots: missing unknown-kind message: %s", c.name, errw.String())
 		}
 	}
 }
 
 // TestDeltaMixedKindsRejected refuses to diff a retired delta snapshot
-// against a retired serve snapshot: the kinds differ, so neither is read
-// as an engine snapshot.
+// against a retired serve snapshot: the kinds differ.
 func TestDeltaMixedKindsRejected(t *testing.T) {
 	dir := t.TempDir()
-	del := filepath.Join(dir, "delta.json")
-	srv := filepath.Join(dir, "serve.json")
-	if err := os.WriteFile(del, []byte(`{"kind":"delta","rounds":256}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(srv, []byte(`{"kind":"serve","requests":200}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	del := writeFile(t, dir, "delta.json", `{"kind":"delta","rounds":256}`)
+	srv := writeFile(t, dir, "serve.json", `{"kind":"serve","requests":200}`)
 	var out, errw bytes.Buffer
 	if code := run([]string{del, srv}, &out, &errw); code != 2 {
 		t.Fatalf("mixed kinds: run = %d, want 2; stderr: %s", code, errw.String())
 	}
 	if !strings.Contains(errw.String(), "kinds differ") {
 		t.Errorf("missing kind mismatch message: %s", errw.String())
-	}
-}
-
-// TestZeroWallBaselineSkipped: a baseline row with wall time 0 is
-// skipped explicitly even when -minwall is disabled.
-func TestZeroWallBaselineSkipped(t *testing.T) {
-	dir := t.TempDir()
-	old := writeSnapshot(t, dir, "old.json", snapshot(0.0, 0.5))
-	cur := writeSnapshot(t, dir, "new.json", snapshot(3.0, 0.5))
-	var out, errw bytes.Buffer
-	if code := run([]string{"-minwall", "0", old, cur}, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, want 0; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "skip (zero baseline)") {
-		t.Errorf("missing zero-baseline skip:\n%s", out.String())
-	}
-}
-
-// TestHitRateZeroBaselineSkipped: quick-mode rows carry hit rate 0 with
-// real miss traffic; they have no rate to regress from.
-func TestHitRateZeroBaselineSkipped(t *testing.T) {
-	dir := t.TempDir()
-	old := writeSnapshot(t, dir, "old.json", cacheSnapshot(0, 10)) // rate 0, traffic 10
-	cur := writeSnapshot(t, dir, "new.json", cacheSnapshot(5, 5))
-	var out, errw bytes.Buffer
-	if code := run([]string{old, cur}, &out, &errw); code != 0 {
-		t.Fatalf("run = %d, want 0; output:\n%s", code, out.String())
-	}
-	if !strings.Contains(out.String(), "skip (zero baseline)") {
-		t.Errorf("missing zero-baseline skip:\n%s", out.String())
 	}
 }

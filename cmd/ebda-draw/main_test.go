@@ -56,13 +56,14 @@ func TestUsageErrorsExit2(t *testing.T) {
 // TestHeatmapEveryAlgorithmName draws a heatmap once per name of the
 // shared algorithm table, aliases included: each is known and renders,
 // except that dateline routes only over wraparound links, which the
-// heatmap's mesh lacks, so its simulation deadlocks.
+// heatmap's mesh lacks, so naming it is a usage error before anything
+// is simulated.
 func TestHeatmapEveryAlgorithmName(t *testing.T) {
 	for _, name := range algs.Names() {
 		code, out, errb := runCLI(t, "-heatmap", "-alg", name, "-mesh", "4x4", "-rate", "0.05")
 		if name == "dateline" {
-			if code != 2 || !strings.Contains(errb, "simulation deadlocked") {
-				t.Errorf("-alg %s: exit %d (stderr %q), want a deadlocked simulation", name, code, errb)
+			if code != 2 || out != "" || !strings.Contains(errb, "needs them in every dimension") {
+				t.Errorf("-alg %s: exit %d stdout %q stderr %q, want exit 2 naming the missing wraparound links", name, code, out, errb)
 			}
 			continue
 		}

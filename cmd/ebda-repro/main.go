@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	ebda-repro [-quick] [-details] [-markdown|-json] [-only E06] [-jobs N] [-benchjson FILE]
+//	ebda-repro [-quick] [-details] [-markdown|-json] [-only E06] [-jobs N]
 //	ebda-repro -quick -obs :8080 -obs-json run.json -cachestats
 //	ebda-repro -table N|all    (N in 1..5)
 //	ebda-repro -fig N|all      (N in {0, 3..10, 14, 15})
@@ -44,7 +44,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	markdown := fs.Bool("markdown", false, "emit a Markdown summary table (EXPERIMENTS.md style)")
 	jsonOut := fs.Bool("json", false, "emit results as a JSON array")
 	jobs := fs.Int("jobs", 0, "worker pool size for running experiments (0 = all cores)")
-	benchJSON := fs.String("benchjson", "", "write a perf snapshot (wall time per experiment, CDG channels/sec) to this file, e.g. BENCH_verify.json")
 	cacheStats := fs.Bool("cachestats", false, "print this run's verification-cache counter deltas after the run")
 	obsAddr := fs.String("obs", "", "serve /metrics, /debug/vars and /debug/pprof on this address (e.g. :8080)")
 	obsJSON := fs.String("obs-json", "", "write the end-of-run metrics snapshot (JSON) to this file")
@@ -81,19 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// traffic alone, not process-lifetime totals.
 	obsBefore := obs.Default.Snapshot()
 
-	opts := experiments.Options{Quick: *quick}
-
-	if *benchJSON != "" {
-		if err := writeBench(*benchJSON, opts); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "wrote %s\n", *benchJSON)
-		if err := finishObs(); err != nil {
-			return fail(err)
-		}
-		return 0
-	}
-
 	var selected []experiments.Runner
 	for _, r := range experiments.All() {
 		if *only != "" && !strings.EqualFold(r.ID, *only) {
@@ -107,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	// Experiments fan out over the pool; results come back in canonical
 	// All() order, so every output mode prints deterministically.
-	results := experiments.RunRunnersJobs(selected, opts, *jobs)
+	results := experiments.RunRunnersJobs(selected, experiments.Options{Quick: *quick}, *jobs)
 
 	failures := 0
 	// The Markdown header is emitted lazily, once the first matching
@@ -188,20 +174,6 @@ func (p *pick) Set(s string) error {
 	}
 	p.sel = []int{n}
 	return nil
-}
-
-// writeBench runs the perf harness and writes the JSON snapshot.
-func writeBench(path string, opts experiments.Options) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	b := experiments.RunBench(opts)
-	if err := b.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // escapeMD keeps table cells on one line and pipe-free.

@@ -26,6 +26,7 @@ import (
 
 	"ebda/internal/algs"
 	"ebda/internal/obs/obshttp"
+	"ebda/internal/routing"
 	"ebda/internal/sim"
 	"ebda/internal/topology"
 	"ebda/internal/traffic"
@@ -77,6 +78,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail(err)
 	}
 	net := topology.NewMesh(sizes...)
+	// Resolve every algorithm before anything prints, so an unknown name
+	// or one the network cannot carry is a usage error with no output.
+	type named struct {
+		alg routing.Algorithm
+		vcs []int
+	}
+	var runs []named
+	for _, name := range strings.Split(*algNames, ",") {
+		alg, vcs, err := algs.ByName(strings.TrimSpace(name), net)
+		if err != nil {
+			return fail(err)
+		}
+		runs = append(runs, named{alg, vcs})
+	}
 	pattern, err := traffic.ByName(*patternName)
 	if err != nil {
 		return fail(err)
@@ -104,11 +119,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		net, pattern.Name(), *packetLen, *bufDepth)
 	fmt.Fprintf(stdout, "%-16s %-6s %10s %10s %12s %s\n",
 		"algorithm", "rate", "latency", "p99", "throughput", "status")
-	for _, name := range strings.Split(*algNames, ",") {
-		alg, vcs, err := algs.ByName(strings.TrimSpace(name), net)
-		if err != nil {
-			return fail(err)
-		}
+	for _, r := range runs {
+		alg, vcs := r.alg, r.vcs
 		for _, rate := range rates {
 			cfg := sim.Config{
 				Net: net, Alg: alg, VCs: vcs,

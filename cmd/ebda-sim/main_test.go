@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -53,11 +54,17 @@ func TestUsageErrorsExit2(t *testing.T) {
 }
 
 // TestEveryAlgorithmName sweeps every name of the shared algorithm table,
-// aliases included, at one low rate: each is known and gets a row.
+// aliases included, at one low rate: each is known and gets a row, except
+// dateline, which routes only over wraparound links: the simulator's mesh
+// has none, so naming it is a usage error that prints nothing.
 func TestEveryAlgorithmName(t *testing.T) {
-	names := algs.Names()
+	names := slices.DeleteFunc(algs.Names(), func(n string) bool { return n == "dateline" })
 	code, out, errb := runCLI(t, append([]string{"-algs", strings.Join(names, ","), "-rates", "0.05:0.05:0.1"}, short...)...)
 	if rows := strings.Count(out, "\n") - 2; code != 0 || errb != "" || rows != len(names) {
 		t.Fatalf("exit %d (stderr %q), %d rows for %d names:\n%s", code, errb, rows, len(names), out)
+	}
+	code, out, errb = runCLI(t, append([]string{"-algs", "xy,dateline"}, short...)...)
+	if code != 2 || out != "" || !strings.Contains(errb, "needs them in every dimension") {
+		t.Errorf("dateline on a mesh: exit %d stdout %q stderr %q, want exit 2 naming the missing wraparound links", code, out, errb)
 	}
 }

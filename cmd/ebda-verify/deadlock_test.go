@@ -60,6 +60,7 @@ func TestDeadlockUsageErrorsExit2(t *testing.T) {
 		{"deadlock", "-mesh", "4x4"},
 		{"deadlock", "-alg", "xy", "-chain", "PA[X+ X- Y-] -> PB[Y+]"},
 		{"deadlock", "-alg", "nope"},
+		{"deadlock", "-alg", "dateline", "-mesh", "4x4"},
 		{"deadlock", "-alg", "xy", "-mesh", "1x4"},
 		{"deadlock", "-alg", "xy", "-mesh", "4x4", "-torus", "4x4"},
 		{"deadlock", "-alg", "xy", "-torus"},
@@ -74,10 +75,15 @@ func TestDeadlockUsageErrorsExit2(t *testing.T) {
 
 // TestDeadlockEveryAlgorithmName runs the deadlock mode once per name of
 // the shared algorithm table, aliases included: each is known and gets a
-// verdict.
+// verdict. Dateline routes only over wraparound links, so it runs on a
+// torus (on a mesh it is a usage error, pinned by a testdata/cli golden).
 func TestDeadlockEveryAlgorithmName(t *testing.T) {
 	for _, name := range algs.Names() {
-		code, out, errb := runCLI(t, "deadlock", "-alg", name, "-mesh", "4x4")
+		network := "-mesh"
+		if name == "dateline" {
+			network = "-torus"
+		}
+		code, out, errb := runCLI(t, "deadlock", "-alg", name, network, "4x4")
 		if (code != 0 && code != 1) || errb != "" || !strings.HasPrefix(out, "design: ") || !strings.Contains(out, "verdict: ") {
 			t.Errorf("-alg %s: exit %d (stderr %q):\n%s", name, code, errb, out)
 		}

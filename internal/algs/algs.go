@@ -7,63 +7,74 @@ package algs
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
+	"ebda/internal/channel"
 	"ebda/internal/core"
 	"ebda/internal/duato"
 	"ebda/internal/routing"
 	"ebda/internal/topology"
 )
 
-// entry is one algorithm: its names (the first is the primary one) and
-// its constructor, which returns the algorithm and its VC vector (nil for
-// one VC per dimension).
+// entry is one algorithm: its names (the first is the primary one), its
+// constructor, which returns the algorithm and its VC vector (nil for one
+// VC per dimension), and whether it needs wraparound links in every
+// dimension. Such an algorithm routes only over them, so on a network
+// without them it would route nothing and verify vacuously.
 type entry struct {
-	names []string
-	build func(net *topology.Network) (routing.Algorithm, []int)
+	names   []string
+	build   func(net *topology.Network) (routing.Algorithm, []int)
+	wrapAll bool
 }
 
 // table lists every named algorithm in the order Names reports them.
 var table = []entry{
-	{[]string{"xy"}, func(*topology.Network) (routing.Algorithm, []int) { return routing.NewXY(), nil }},
-	{[]string{"yx"}, func(*topology.Network) (routing.Algorithm, []int) { return routing.NewYX(), nil }},
-	{[]string{"west-first", "wf"}, func(*topology.Network) (routing.Algorithm, []int) { return routing.NewWestFirst(), nil }},
-	{[]string{"north-last", "nl"}, func(*topology.Network) (routing.Algorithm, []int) { return routing.NewNorthLast(), nil }},
-	{[]string{"negative-first", "nf"}, func(*topology.Network) (routing.Algorithm, []int) { return routing.NewNegativeFirst(), nil }},
-	{[]string{"odd-even", "oe"}, func(*topology.Network) (routing.Algorithm, []int) { return routing.NewOddEven(), nil }},
-	{[]string{"dyxy", "ebda", "ebda-6ch"}, func(net *topology.Network) (routing.Algorithm, []int) {
+	{names: []string{"xy"}, build: func(*topology.Network) (routing.Algorithm, []int) { return routing.NewXY(), nil }},
+	{names: []string{"yx"}, build: func(*topology.Network) (routing.Algorithm, []int) { return routing.NewYX(), nil }},
+	{names: []string{"west-first", "wf"}, build: func(*topology.Network) (routing.Algorithm, []int) { return routing.NewWestFirst(), nil }},
+	{names: []string{"north-last", "nl"}, build: func(*topology.Network) (routing.Algorithm, []int) { return routing.NewNorthLast(), nil }},
+	{names: []string{"negative-first", "nf"}, build: func(*topology.Network) (routing.Algorithm, []int) { return routing.NewNegativeFirst(), nil }},
+	{names: []string{"odd-even", "oe"}, build: func(*topology.Network) (routing.Algorithm, []int) { return routing.NewOddEven(), nil }},
+	{names: []string{"dyxy", "ebda", "ebda-6ch"}, build: func(net *topology.Network) (routing.Algorithm, []int) {
 		fc := routing.NewFromChain("ebda-6ch", core.MustParseChain("PA[X1+ Y1+ Y1-] -> PB[X1- Y2+ Y2-]"), net.Dims())
 		return fc, fc.VCs()
 	}},
-	{[]string{"planar", "planar-adaptive"}, func(net *topology.Network) (routing.Algorithm, []int) {
+	{names: []string{"planar", "planar-adaptive"}, build: func(net *topology.Network) (routing.Algorithm, []int) {
 		p := routing.NewPlanarAdaptive()
 		return p, p.VCsPerDim(net)
 	}},
-	{[]string{"duato"}, func(net *topology.Network) (routing.Algorithm, []int) {
+	{names: []string{"duato"}, build: func(net *topology.Network) (routing.Algorithm, []int) {
 		d := duato.New()
 		return d, d.VCsPerDim(net)
 	}},
-	{[]string{"duato-torus"}, func(net *topology.Network) (routing.Algorithm, []int) {
+	{names: []string{"duato-torus"}, build: func(net *topology.Network) (routing.Algorithm, []int) {
 		d := duato.NewTorus()
 		return d, d.VCsPerDim(net)
 	}},
-	{[]string{"dateline"}, func(net *topology.Network) (routing.Algorithm, []int) {
+	{names: []string{"dateline"}, wrapAll: true, build: func(net *topology.Network) (routing.Algorithm, []int) {
 		d := routing.NewDatelineTorus()
 		return d, d.VCsPerDim(net)
 	}},
-	{[]string{"unrestricted"}, func(*topology.Network) (routing.Algorithm, []int) { return routing.NewUnrestricted(), nil }},
+	{names: []string{"unrestricted"}, build: func(*topology.Network) (routing.Algorithm, []int) { return routing.NewUnrestricted(), nil }},
 }
 
 // ByName builds the algorithm a name (primary or alias) stands for on a
-// network, with its per-dimension VC counts.
+// network, with its per-dimension VC counts. An algorithm that needs
+// wraparound links is an error on a network that lacks them.
 func ByName(name string, net *topology.Network) (routing.Algorithm, []int, error) {
 	for _, e := range table {
-		for _, n := range e.names {
-			if n == name {
-				alg, vcs := e.build(net)
-				return alg, vcs, nil
+		if !slices.Contains(e.names, name) {
+			continue
+		}
+		for d := range net.Dims() {
+			if e.wrapAll && !net.Wrap(channel.Dim(d)) {
+				return nil, nil, fmt.Errorf("algorithm %q routes only over wraparound links and needs them in every dimension; %s has none in %s",
+					name, net, channel.Dim(d))
 			}
 		}
+		alg, vcs := e.build(net)
+		return alg, vcs, nil
 	}
 	return nil, nil, fmt.Errorf("unknown algorithm %q", name)
 }

@@ -79,15 +79,6 @@ type CacheStats struct {
 	Entries   int    `json:"entries"`
 }
 
-// HitRate returns hits / (hits + misses), or 0 when empty.
-func (s CacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // cacheSeries are the process-wide counters one report type's caches
 // feed: every VerifyCache instance counts into ebda_verify_cache_*, every
 // ModeCache into ebda_mode_cache_*.
@@ -119,19 +110,6 @@ func (c *Cache[R]) Stats() CacheStats {
 		Evictions: c.evictions.Load(),
 		Entries:   n,
 	}
-}
-
-// Reset clears all entries and counters. Entries dropped here are not
-// counted as evictions: Reset marks an intentional epoch boundary (the
-// bench harness isolates experiments with it), not capacity pressure.
-func (c *Cache[R]) Reset() {
-	c.mu.Lock()
-	c.m = nil
-	c.mu.Unlock()
-	c.hits.Store(0)
-	c.misses.Store(0)
-	c.evictions.Store(0)
-	c.publish(0)
 }
 
 // Lookup probes the cache by dual-hash identity without computing on a

@@ -26,9 +26,6 @@ func TestCacheHitOnRepeat(t *testing.T) {
 	if s.Misses != 1 || s.Hits != 1 || s.Entries != 1 {
 		t.Errorf("stats = %+v, want 1 miss, 1 hit, 1 entry", s)
 	}
-	if s.HitRate() != 0.5 {
-		t.Errorf("hit rate = %v, want 0.5", s.HitRate())
-	}
 }
 
 func TestCacheHitsAcrossInstances(t *testing.T) {
@@ -119,18 +116,19 @@ func TestCacheIrregularNetworksDistinct(t *testing.T) {
 func TestCacheChainEntryPoint(t *testing.T) {
 	// VerifyChainCached must hit across chain re-parses: AllTurns builds
 	// a fresh TurnSet per call, but the relation is identical.
-	DefaultCache.Reset()
+	// DefaultCache is process-wide, so the first call may already hit
+	// (another test, or -count 2); only the re-parse is pinned.
 	net := topology.NewMesh(4, 4)
-	before := DefaultCache.Stats()
 	spec := "PA[X1+ Y1+ Y1-] -> PB[X1- Y2+ Y2-]"
 	first := VerifyChainCached(net, core.MustParseChain(spec))
+	before := DefaultCache.Stats()
 	second := VerifyChainCached(net, core.MustParseChain(spec))
 	if !reflect.DeepEqual(first, second) {
 		t.Fatalf("chain reports diverged: %+v vs %+v", first, second)
 	}
 	after := DefaultCache.Stats()
-	if after.Hits != before.Hits+1 || after.Misses != before.Misses+1 {
-		t.Errorf("stats before %+v after %+v, want one miss then one hit", before, after)
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Errorf("stats before %+v after %+v, want one hit and no miss for the re-parse", before, after)
 	}
 }
 
@@ -242,11 +240,6 @@ func countEvictions[R any](t *testing.T, c *Cache[R], cc cacheCase[R]) {
 	if got := c.series().evictions.Value() - series; got != 2 {
 		t.Fatalf("process-wide eviction series moved by %d, want 2", got)
 	}
-	// Reset is an intentional epoch boundary, not capacity pressure.
-	c.Reset()
-	if s := c.Stats(); s.Evictions != 0 || s.Entries != 0 {
-		t.Fatalf("stats after reset = %+v, want zeroed", s)
-	}
 }
 
 func TestCacheHitAllocFree(t *testing.T) {
@@ -257,8 +250,8 @@ func TestCacheHitAllocFree(t *testing.T) {
 	if _, err := c.Verify(ctx, q); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(100, func() { c.Verify(ctx, q) }); n != 0 {
-		t.Fatalf("cache hit allocates %v times per call, want 0", n)
+	if n := mallocs(100, func() { c.Verify(ctx, q) }); n != 0 {
+		t.Fatalf("100 cache hits allocated %d times, want 0", n)
 	}
 }
 
@@ -278,7 +271,6 @@ func TestCacheEntriesGaugeIsDefaultCacheOnly(t *testing.T) {
 	if _, err := LoadSnapshot(&VerifyCache{}, &snap); err != nil {
 		t.Fatal(err)
 	}
-	(&VerifyCache{}).Reset()
 	if got := obsCacheEntries.Value(); got != want {
 		t.Fatalf("ebda_verify_cache_entries = %d after private-cache traffic, want DefaultCache's %d", got, want)
 	}

@@ -284,7 +284,7 @@ func TestWorkspacePoolRebindAllocs(t *testing.T) {
 	ts := xyTurnSet()
 	ts.Matrix()
 	allocs := func(a, b *topology.Network) float64 {
-		return testing.AllocsPerRun(20, func() {
+		verify := func() {
 			for _, net := range []*topology.Network{a, b} {
 				ws := pool.Get(net, nil)
 				if rep := ws.VerifyTurnSet(ts); !rep.Acyclic {
@@ -292,7 +292,9 @@ func TestWorkspacePoolRebindAllocs(t *testing.T) {
 				}
 				pool.Put(ws)
 			}
-		})
+		}
+		verify() // warm-up
+		return float64(mallocs(20, verify)) / 20
 	}
 	small := allocs(topology.NewMesh(10, 10), topology.NewMesh(12, 11))
 	large := allocs(topology.NewMesh(40, 40), topology.NewMesh(45, 38))
@@ -335,13 +337,15 @@ func TestVerifyDesignAllocsFlat(t *testing.T) {
 	var counts []float64
 	for _, net := range []*topology.Network{topology.NewMesh(10, 10), topology.NewMesh(40, 40), topology.NewMesh(45, 38)} {
 		for _, ts := range designs {
-			counts = append(counts, testing.AllocsPerRun(10, func() {
+			verify := func() {
 				ws := pool.Get(net, vcs)
 				if rep := ws.VerifyTurnSet(ts); !rep.Acyclic {
 					t.Fatalf("chain design cyclic on %s: %s", net, rep)
 				}
 				pool.Put(ws)
-			}))
+			}
+			verify() // warm-up
+			counts = append(counts, float64(mallocs(10, verify))/10)
 		}
 	}
 	// Equal without the race detector; its runtime adds the odd
