@@ -103,7 +103,9 @@ lint-sarif: vet
 # grammar) and the partition-chain parser (differentially, against the
 # fmt.Sscanf-based class parser it replaced) — a brief native-fuzz shake
 # on every check; the seeded corpus alone regresses in milliseconds, the
-# 5s budget lets the mutator explore a little too.
+# 5s budget lets the mutator explore a little too. FuzzQuotientSound
+# holds the size-free quotient verdict against the concrete CDG on
+# fuzzer-drawn designs and meshes.
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeVerifyRequest -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDeltaRequest -fuzztime=5s ./internal/serve
@@ -112,6 +114,7 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParseHeader -fuzztime=5s ./internal/obs/trace
 	$(GO) test -run='^$$' -fuzz=FuzzParseCDG -fuzztime=5s ./internal/graphio
 	$(GO) test -run='^$$' -fuzz=FuzzLoadSnapshot -fuzztime=5s ./internal/cdg
+	$(GO) test -run='^$$' -fuzz=FuzzQuotientSound -fuzztime=5s ./internal/cdg
 	$(GO) test -run='^$$' -fuzz=FuzzParse -fuzztime=5s ./internal/channel
 	$(GO) test -run='^$$' -fuzz=FuzzParseChain -fuzztime=5s ./internal/core
 

@@ -148,6 +148,7 @@ func TestObsJSONDeterministic(t *testing.T) {
 			"ebda_verify_cache_hits_total",
 			"ebda_verify_cache_misses_total",
 			"ebda_cdg_verifies_total",
+			"ebda_cdg_quotient_answers_total",
 			"ebda_cdg_kahn_rounds_total",
 			"ebda_workspace_pool_gets_total",
 			"ebda_workspace_pool_puts_total",
@@ -162,8 +163,13 @@ func TestObsJSONDeterministic(t *testing.T) {
 		if _, ok := s.Histogram(obs.Label("ebda_phase_duration_seconds", "phase", "cdg.verify")); !ok {
 			t.Errorf("run %d: per-phase duration histogram missing from the dump", i+1)
 		}
-		if got := s.Counter("ebda_cdg_verifies_total"); got != 1 {
-			t.Errorf("run %d: ebda_cdg_verifies_total = %d, want 1", i+1, got)
+		// The design is XY routing on a mesh: its quotient answers, and no
+		// concrete graph is built.
+		if got := s.Counter("ebda_cdg_quotient_answers_total"); got != 1 {
+			t.Errorf("run %d: ebda_cdg_quotient_answers_total = %d, want 1", i+1, got)
+		}
+		if got := s.Counter("ebda_cdg_verifies_total"); got != 0 {
+			t.Errorf("run %d: ebda_cdg_verifies_total = %d, want 0 (concrete verifications)", i+1, got)
 		}
 		if got := s.Counter("ebda_verify_cache_misses_total"); got != 1 {
 			t.Errorf("run %d: ebda_verify_cache_misses_total = %d, want 1 (fresh process)", i+1, got)

@@ -45,7 +45,8 @@ type cacheEntry[R any] struct {
 }
 
 // VerifyCache holds full and delta verification Reports, ModeCache
-// multi-mode verdicts over abstract edge sets.
+// multi-mode verdicts over abstract edge sets. A third, unexported one
+// holds size-free quotient verdicts (quotient.go).
 type (
 	VerifyCache = Cache[Report]
 	ModeCache   = Cache[ModeReport]
@@ -81,18 +82,22 @@ type CacheStats struct {
 
 // cacheSeries are the process-wide counters one report type's caches
 // feed: every VerifyCache instance counts into ebda_verify_cache_*, every
-// ModeCache into ebda_mode_cache_*.
+// ModeCache into ebda_mode_cache_*, the quotient cache into
+// ebda_cdg_quotient_*.
 type cacheSeries struct{ hits, misses, evictions *obs.Counter }
 
 var (
-	verifySeries = cacheSeries{obsCacheHits, obsCacheMisses, obsCacheEvictions}
-	modeSeries   = cacheSeries{obsModeCacheHits, obsModeCacheMisses, obsModeCacheEvictions}
+	verifySeries   = cacheSeries{obsCacheHits, obsCacheMisses, obsCacheEvictions}
+	modeSeries     = cacheSeries{obsModeCacheHits, obsModeCacheMisses, obsModeCacheEvictions}
+	quotientSeries = cacheSeries{obsQuotientHits, obsQuotientBuilds, obsQuotientEvictions}
 )
 
 func (c *Cache[R]) series() *cacheSeries {
 	switch any((*R)(nil)).(type) {
 	case *Report:
 		return &verifySeries
+	case *quotient:
+		return &quotientSeries
 	default:
 		return &modeSeries
 	}
@@ -187,27 +192,22 @@ func reportOf[R any](rep R, _ error) R { return rep }
 // contributes its effective per-dimension counts; the turn set contributes
 // its order-independent relation fingerprint.
 func verifyKey(net *topology.Network, vcs VCConfig, ts *core.TurnSet) (key, check uint64) {
-	h1 := uint64(0x9e3779b97f4a7c15)
-	h2 := uint64(0xc2b2ae3d27d4eb4f)
-	put := func(v uint64) {
-		h1 = mix64(h1 ^ v)
-		h2 = mix64(h2*0x100000001b3 + v)
-	}
+	h := dualHash{0x9e3779b97f4a7c15, 0xc2b2ae3d27d4eb4f}
 	name := net.Name()
-	put(uint64(len(name)))
+	h.put(uint64(len(name)))
 	for i := 0; i < len(name); i++ {
-		put(uint64(name[i]))
+		h.put(uint64(name[i]))
 	}
 	dims := net.Dims()
-	put(uint64(dims))
+	h.put(uint64(dims))
 	for d := 0; d < dims; d++ {
-		put(uint64(net.Size(channel.Dim(d))))
+		h.put(uint64(net.Size(channel.Dim(d))))
 		if net.Wrap(channel.Dim(d)) {
-			put(1)
+			h.put(1)
 		} else {
-			put(0)
+			h.put(0)
 		}
-		put(uint64(vcs.VCs(channel.Dim(d))))
+		h.put(uint64(vcs.VCs(channel.Dim(d))))
 	}
 	if !net.Regular() {
 		// The link count leads the links, so one walk counts and a second
@@ -215,10 +215,10 @@ func verifyKey(net *topology.Network, vcs VCConfig, ts *core.TurnSet) (key, chec
 		var walk topology.Walker
 		count := 0
 		walk.Walk(net, func(_ topology.NodeID, _ topology.Coord, out []topology.Link) { count += len(out) })
-		put(uint64(count))
+		h.put(uint64(count))
 		walk.Walk(net, func(_ topology.NodeID, _ topology.Coord, out []topology.Link) {
 			for _, l := range out {
-				put(uint64(uint32(l.From))<<32 | uint64(uint32(l.To)))
+				h.put(uint64(uint32(l.From))<<32 | uint64(uint32(l.To)))
 				w := uint64(0)
 				if l.Wrap {
 					w = 1
@@ -227,14 +227,23 @@ func verifyKey(net *topology.Network, vcs VCConfig, ts *core.TurnSet) (key, chec
 				if l.Sign == channel.Minus {
 					s = 1
 				}
-				put(uint64(l.Dim)<<2 | s<<1 | w)
+				h.put(uint64(l.Dim)<<2 | s<<1 | w)
 			}
 		})
 	}
 	f1, f2 := ts.Fingerprint()
-	put(f1)
-	put(f2)
-	return h1, h2
+	h.put(f1)
+	h.put(f2)
+	return h.a, h.b
+}
+
+// dualHash folds key components into two independently mixed 64-bit
+// hashes: a cache key and its check.
+type dualHash struct{ a, b uint64 }
+
+func (h *dualHash) put(v uint64) {
+	h.a = mix64(h.a ^ v)
+	h.b = mix64(h.b*0x100000001b3 + v)
 }
 
 // VerifyKey exposes the cache's dual-hash identity of a verification:
@@ -257,12 +266,13 @@ func mix64(x uint64) uint64 {
 }
 
 // TurnSetQuery is the cache query for one (network, VC configuration,
-// turn set) verification under VerifyKey, computed on a miss through the
-// pooled context-aware path.
+// turn set) verification under VerifyKey. A miss asks the design's
+// quotient first and builds the concrete graph in a pooled workspace only
+// when the quotient cannot answer (verifyDesign).
 func TurnSetQuery(net *topology.Network, vcs VCConfig, ts *core.TurnSet) Query[Report] {
 	key, check := verifyKey(net, vcs, ts)
 	return Query[Report]{Key: key, Check: check, compute: func(ctx context.Context) (Report, error) {
-		return VerifyTurnSetCtx(ctx, net, vcs, ts)
+		return verifyDesign(ctx, nil, net, vcs, ts)
 	}}
 }
 

@@ -573,6 +573,8 @@ func (g *Graph) AddTurnEdges(ts *core.TurnSet) int {
 	dst := g.buildTarget()
 	off, succ := dst.off, dst.succ
 	for a, h := range g.head {
+		// allowed(g.sig[a], g.cls[h]), written out: the call costs the
+		// kernel about a tenth.
 		k, c := t.id[g.sig[a]], g.cls[h]
 		r := t.pat[k*classes+c]
 		if r == 0 {
@@ -587,6 +589,22 @@ func (g *Graph) AddTurnEdges(ts *core.TurnSet) int {
 	}
 	dst.off, dst.succ = off, succ
 	return g.mergeBuilt(dst)
+}
+
+// allowed returns the offsets, within a class-c node's out-range, of the
+// channels a channel with signature s into such a node may depend on,
+// evaluating the pattern on first use.
+//
+//ebda:hotpath
+func (g *Graph) allowed(s, c int32) []int32 {
+	t := &g.tab
+	i := t.id[s]*int32(len(g.classes.keys)) + c
+	r := t.pat[i]
+	if r == 0 {
+		r = g.pattern(t.id[s], c)
+		t.pat[i] = r
+	}
+	return t.offs[t.patOff[r-1]:t.patOff[r]]
 }
 
 // AddTurnEdgesJobs is AddTurnEdges. The int argument is ignored; bench/

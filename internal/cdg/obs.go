@@ -9,7 +9,7 @@ import "ebda/internal/obs"
 // calls through the cached entry points.
 var (
 	obsVerifies = obs.NewCounter("ebda_cdg_verifies_total",
-		"turn-set and relation verifications run through pooled workspaces")
+		"turn-set and relation verifications run on a concrete graph")
 	obsVerifyCyclic = obs.NewCounter("ebda_cdg_verify_cyclic_total",
 		"verifications whose dependency graph contained a cycle")
 	obsKahnRounds = obs.NewCounter("ebda_cdg_kahn_rounds_total",
@@ -18,6 +18,16 @@ var (
 		"residual cycle-extraction DFS runs (one per cyclic verification)")
 	obsVerifyCancelled = obs.NewCounter("ebda_cdg_verify_cancelled_total",
 		"verifications abandoned by context cancellation before a verdict")
+	obsQuotientAnswers = obs.NewCounter("ebda_cdg_quotient_answers_total",
+		"verify-cache misses answered by a design's quotient without a concrete graph")
+	obsQuotientUndecided = obs.NewCounter("ebda_cdg_quotient_undecided_total",
+		"verify-cache misses the quotient left undecided, verified concretely")
+	obsQuotientBuilds = obs.NewCounter("ebda_cdg_quotient_builds_total",
+		"quotients built and decided: quotient cache misses")
+	obsQuotientHits = obs.NewCounter("ebda_cdg_quotient_cache_hits_total",
+		"quotient verdicts answered from the quotient cache")
+	obsQuotientEvictions = obs.NewCounter("ebda_cdg_quotient_cache_evictions_total",
+		"entries dropped by quotient cache epoch flushes")
 
 	obsModeLoop = obs.NewCounter(obs.Label("ebda_cdg_mode_verifies_total", "mode", "loop"),
 		"loop-mode (full-graph acyclicity) verifications of imported channel graphs")
@@ -67,9 +77,10 @@ var (
 	obsPoolPuts = obs.NewCounter("ebda_workspace_pool_puts_total",
 		"workspaces returned to the pool")
 
-	phaseMode   = obs.NewPhase("cdg.mode", "")
-	phaseVerify = obs.NewPhase("cdg.verify", "")
-	phaseEdges  = obs.NewPhase("cdg.addTurnEdges", "cdg.verify")
-	phaseAcycl  = obs.NewPhase("cdg.acyclicity", "cdg.verify")
-	phaseDelta  = obs.NewPhase("cdg.delta", "")
+	phaseMode     = obs.NewPhase("cdg.mode", "")
+	phaseVerify   = obs.NewPhase("cdg.verify", "")
+	phaseEdges    = obs.NewPhase("cdg.addTurnEdges", "cdg.verify")
+	phaseAcycl    = obs.NewPhase("cdg.acyclicity", "cdg.verify")
+	phaseQuotient = obs.NewPhase("cdg.quotient", "cdg.verify")
+	phaseDelta    = obs.NewPhase("cdg.delta", "")
 )

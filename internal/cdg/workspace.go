@@ -94,6 +94,17 @@ func (ws *Workspace) report(ctx context.Context) (Report, error) {
 //
 //ebda:hotpath
 func (ws *Workspace) verify(ctx context.Context, ts *core.TurnSet) (Report, error) {
+	return verifyDesign(ctx, ws, ws.g.net, ws.g.vcs, ts)
+}
+
+// verifyDesign is the one turn-set verification, under one cdg.verify
+// span. Given a workspace it builds the concrete graph there. Given none,
+// as on a verify-cache miss, a mesh quotientServes is first put to the
+// design's quotient, and only a design the quotient leaves undecided
+// checks a workspace out of DefaultPool for the concrete build.
+//
+//ebda:hotpath
+func verifyDesign(ctx context.Context, ws *Workspace, net *topology.Network, vcs VCConfig, ts *core.TurnSet) (Report, error) {
 	if err := ctx.Err(); err != nil {
 		obsVerifyCancelled.Inc()
 		return Report{}, err
@@ -101,14 +112,31 @@ func (ws *Workspace) verify(ctx context.Context, ts *core.TurnSet) (Report, erro
 	tc := trace.FromContext(ctx)
 	vsp := tc.StartSpan("cdg.verify")
 	sp := phaseVerify.Start()
-	ws.Reset()
-	tesp := tc.StartSpan("cdg.edges")
-	esp := phaseEdges.Start()
-	ws.g.AddTurnEdges(ts)
-	esp.End()
-	tesp.SetInt("edges", int64(ws.g.NumEdges()))
-	tesp.End()
-	rep, err := ws.report(ctx)
+	var (
+		rep Report
+		err error
+		ok  bool
+	)
+	if ws == nil && quotientServes(net, vcs) {
+		rep, ok = quotientReport(ctx, net, vcs, ts)
+	}
+	if !ok {
+		pooled := ws == nil
+		if pooled {
+			ws = DefaultPool.Get(net, vcs)
+		}
+		ws.Reset()
+		tesp := tc.StartSpan("cdg.edges")
+		esp := phaseEdges.Start()
+		ws.g.AddTurnEdges(ts)
+		esp.End()
+		tesp.SetInt("edges", int64(ws.g.NumEdges()))
+		tesp.End()
+		rep, err = ws.report(ctx)
+		if pooled {
+			DefaultPool.Put(ws)
+		}
+	}
 	sp.End()
 	vsp.SetInt("channels", int64(rep.Channels))
 	if rep.Acyclic {

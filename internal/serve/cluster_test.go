@@ -68,7 +68,9 @@ func testCluster(t *testing.T, names, ringMembers []string, noForward bool) map[
 }
 
 // designOwnedBy searches a family of designs for one whose verify key
-// the ring assigns to wantOwner, returning the request body and key.
+// the ring assigns to wantOwner, returning the request body and key. The
+// probes are tori, so the owner always builds and peels a concrete graph:
+// a mesh design could be answered by its quotient instead.
 func designOwnedBy(t testing.TB, ring *cluster.Ring, wantOwner string) (string, uint64) {
 	t.Helper()
 	nets := newNetworkCache()
@@ -79,7 +81,7 @@ func designOwnedBy(t testing.TB, ring *cluster.Ring, wantOwner string) (string, 
 			"PA[X1+ Y1+ Y1-] -> PB[X1- Y2+ Y2-]",
 		} {
 			req := VerifyRequest{
-				Network: NetworkSpec{Kind: "mesh", Sizes: []int{size, size}},
+				Network: NetworkSpec{Kind: "torus", Sizes: []int{size, size}},
 				Chain:   chain,
 			}
 			b, err := req.build(nets)

@@ -146,6 +146,68 @@ func TestClusterTraceOneRequest(t *testing.T) {
 	}
 }
 
+// TestTraceQuotientAnswer pins where a mesh verification runs: an
+// acyclic design is answered by its quotient, so cdg.verify holds a
+// decided cdg.quotient span and no graph build or peel, while a cyclic
+// design's quotient is undecided and the concrete cdg.edges and cdg.kahn
+// follow under the same cdg.verify.
+func TestTraceQuotientAnswer(t *testing.T) {
+	rec := trace.NewRecorder(64, 16)
+	tr := trace.New(trace.Config{Fragment: "q", SampleEvery: 1, SlowThreshold: -1, Recorder: rec})
+	srv := NewReplica(Config{Workers: 1, Tracer: tr}, &cdg.VerifyCache{})
+	defer srv.Shutdown(context.Background())
+	mux := http.NewServeMux()
+	srv.Register(mux)
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	seen := map[string]bool{}
+	for _, c := range []struct {
+		body    string
+		decided string
+		spans   map[string]bool // span name -> must be present
+	}{
+		{`{"network":{"kind":"mesh","sizes":[23,19]},"chain":"PA[X+ X- Y-] -> PB[Y+]"}`, "1",
+			map[string]bool{"cdg.quotient": true, "cdg.edges": false, "cdg.kahn": false}},
+		{`{"network":{"kind":"mesh","sizes":[23,19]},"turns":"X+>Y+,Y+>X-,X->Y-,Y->X+"}`, "0",
+			map[string]bool{"cdg.quotient": true, "cdg.edges": true, "cdg.kahn": true}},
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", c.body, resp.StatusCode)
+		}
+		var tj trace.TraceJSON
+		for _, x := range trace.Collect(rec.Snapshot()) {
+			if !seen[x.ID] {
+				seen[x.ID], tj = true, x
+			}
+		}
+		byName := map[string]trace.SpanJSON{}
+		for _, sp := range tj.Spans {
+			byName[sp.Name] = sp
+		}
+		verify, ok := byName["cdg.verify"]
+		if !ok {
+			t.Fatalf("%s: no cdg.verify span: %+v", c.body, tj.Spans)
+		}
+		for name, want := range c.spans {
+			sp, got := byName[name]
+			if got != want {
+				t.Errorf("%s: span %s present = %t, want %t", c.body, name, got, want)
+			}
+			if got && sp.Parent != verify.ID {
+				t.Errorf("%s: %s parent = %q, want cdg.verify %q", c.body, name, sp.Parent, verify.ID)
+			}
+		}
+		if q := byName["cdg.quotient"]; len(q.Attrs) != 1 || q.Attrs[0] != (trace.AttrJSON{Key: "decided", Value: c.decided}) {
+			t.Errorf("%s: cdg.quotient attrs %+v, want decided=%s", c.body, q.Attrs, c.decided)
+		}
+	}
+}
+
 // TestClusterMetricsMerge pins /v1/cluster/metrics: the merged snapshot
 // equals the per-replica sum on exercised counters, an unreachable
 // member is labelled rather than silently dropped, and two aggregations
