@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build bench-vet test race bench bench-smoke bench-cold bench-delta bench-cluster cluster-soak repro fmt fmt-check vet lint lint-sarif fuzz-short check clean
+.PHONY: all build bench-vet test race bench bench-smoke bench-cold bench-delta repro fmt fmt-check vet lint lint-sarif fuzz-short check clean
 
 all: check
 
@@ -48,24 +48,6 @@ bench-cold:
 # measured ratio.
 bench-delta:
 	$(GO) test -count=1 -run '^TestDeltaLinkRatio$$' -v ./internal/cdg
-
-# Drive the in-process replica cluster through the shard ring (-smoke:
-# zero 5xx, peer and forward paths exercised, byte-identical verdicts
-# from every replica, snapshot warm starts answer from cache, modeled
-# scaling at or above 0.75x per replica), write a fresh cluster snapshot
-# and hold it against the committed one (ebda-benchdiff's
-# -cluster-scaling gate: a 4-replica run must reach 3.0x modeled).
-OLD_CLUSTER ?= BENCH_cluster.json
-bench-cluster:
-	$(GO) run ./cmd/ebda-loadgen -replicas 4 -smoke -out BENCH_cluster_new.json
-	$(GO) run ./cmd/ebda-benchdiff $(OLD_CLUSTER) BENCH_cluster_new.json
-
-# cluster-soak is bench-cluster's race-detector twin: the same 4-replica
-# smoke run compiled with -race, gating only the invariants (the race
-# build's walls still clear the relative scaling floor because baseline
-# and phases slow down together).
-cluster-soak:
-	$(GO) run -race ./cmd/ebda-loadgen -replicas 4 -smoke -out /dev/null
 
 # Regenerate every table and figure of the paper (paper-vs-measured).
 repro:
@@ -119,15 +101,17 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParseChain -fuzztime=5s ./internal/core
 
 # fmt-check keeps every tracked Go file gofmt-clean;
-# race is part of check so the worker pools are race-tested routinely;
-# test and race also run the serving gate (TestServeSmoke), the process
-# drain check (cmd/ebda-serve TestRunDrainsOnSIGTERM), the delta gate
-# (TestDeltaLinkRatio, equivalence only under -race), the -obs-json and
-# trace determinism contracts (cmd/ebda-verify TestObsJSONDeterministic,
-# internal/serve TestTraceDeterministic) and the CLI goldens under
-# testdata/cli (every ebda-verify mode, ebda-repro -table/-fig);
-# bench-smoke runs each benchmark's result checks once;
-# fuzz-short guards the untrusted HTTP inputs.
+# bench-vet type-checks the bench/ harness against this tree;
+# race is part of check so the worker pools and the replica cluster are
+# race-tested routinely; test and race also run the serving gate
+# (TestServeSmoke), the replica-cluster soak (TestClusterSoak), the
+# process drain check (cmd/ebda-serve TestRunDrainsOnSIGTERM), the delta
+# gate (TestDeltaLinkRatio, equivalence only under -race), the -obs-json
+# and trace determinism contracts (cmd/ebda-verify
+# TestObsJSONDeterministic, internal/serve TestTraceDeterministic) and
+# the CLI goldens under testdata/cli (every ebda-verify mode, ebda-repro
+# -table/-fig); bench-smoke runs each benchmark's result checks once;
+# fuzz-short shakes the untrusted inputs and the quotient's soundness.
 check: fmt-check build bench-vet lint test race bench-smoke fuzz-short
 
 clean:

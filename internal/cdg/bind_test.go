@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 
@@ -225,8 +226,14 @@ func faultyMesh() *topology.Network {
 // that total by n in integers, so it reads 0 for up to n-1 stray
 // allocations; here every one counts. It makes no warm-up call: a test
 // writes its warm-up out.
+//
+// The count is process-wide, so the collector is off for the calls: that
+// leaves the runtime's background scavenger no goal, and it parks instead
+// of re-arming its sleep timer, whose insertion into the timer heap
+// (runtime.(*timers).addHeap) can allocate inside the measured window.
 func mallocs(n int, f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {

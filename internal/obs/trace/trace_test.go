@@ -3,6 +3,7 @@ package trace
 import (
 	"context"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,8 +23,14 @@ func newTestTracer(cfg Config) *Tracer {
 // that total by n in integers, so it reads 0 for up to n-1 stray
 // allocations; here every one counts. It makes no warm-up call: a test
 // writes its warm-up out.
+//
+// The count is process-wide, so the collector is off for the calls: that
+// leaves the runtime's background scavenger no goal, and it parks instead
+// of re-arming its sleep timer, whose insertion into the timer heap
+// (runtime.(*timers).addHeap) can allocate inside the measured window.
 func mallocs(n int, f func()) uint64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {

@@ -3,10 +3,13 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -99,16 +102,35 @@ func designOwnedBy(t testing.TB, ring *cluster.Ring, wantOwner string) (string, 
 	return "", 0
 }
 
-// sameVerdict compares every verdict field except provenance and fails
-// on a mismatch — the cluster's byte-identical-verdicts contract.
-func sameVerdict(t *testing.T, a, b VerifyResponse, label string) {
+// sameVerdict compares two verify or delta responses, decoded or raw
+// JSON, field for field except provenance and fails on a mismatch — the
+// cluster's byte-identical-verdicts contract.
+func sameVerdict(t *testing.T, a, b any, label string) {
 	t.Helper()
-	a.Provenance, b.Provenance = "", ""
-	aj, _ := json.Marshal(a)
-	bj, _ := json.Marshal(b)
-	if string(aj) != string(bj) {
+	aj, bj := withoutProvenance(t, a), withoutProvenance(t, b)
+	if aj != bj {
 		t.Fatalf("%s: verdicts diverged:\n%s\nvs\n%s", label, aj, bj)
 	}
+}
+
+// withoutProvenance renders a response as canonical JSON (sorted keys)
+// with its provenance field dropped.
+func withoutProvenance(t *testing.T, v any) string {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	delete(fields, "provenance")
+	canon, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(canon)
 }
 
 func TestClusterRoutingProvenance(t *testing.T) {
@@ -385,12 +407,7 @@ func TestClusterDeltaRouting(t *testing.T) {
 	if peer.Provenance != provPeer {
 		t.Fatalf("warm misrouted delta provenance = %q, want %q", peer.Provenance, provPeer)
 	}
-	fwd.Provenance, peer.Provenance = "", ""
-	aj, _ := json.Marshal(fwd)
-	bj, _ := json.Marshal(peer)
-	if string(aj) != string(bj) {
-		t.Fatalf("delta verdicts diverged:\n%s\nvs\n%s", aj, bj)
-	}
+	sameVerdict(t, fwd, peer, "forwarded vs peer delta")
 }
 
 func TestClusterEdgeRouterOwnsNothing(t *testing.T) {
@@ -491,14 +508,207 @@ func TestClusterConfigValidate(t *testing.T) {
 	}
 }
 
-func TestReadClusterBenchRejectsOtherKinds(t *testing.T) {
-	if _, err := ReadClusterBench([]byte(`{"kind":"serve"}`)); err == nil {
-		t.Error("serve snapshot accepted as cluster")
+// engineVerdict holds the verdict fields every verify and delta response
+// carries.
+type engineVerdict struct {
+	Network  string `json:"network"`
+	Channels int    `json:"channels"`
+	Edges    int    `json:"edges"`
+	Acyclic  bool   `json:"acyclic"`
+	Cycle    string `json:"cycle"`
+}
+
+// verdictOf renders an engine report's verdict fields, the way a
+// response should carry them.
+func verdictOf(rep cdg.Report) engineVerdict {
+	v := engineVerdict{Network: rep.Network, Channels: rep.Channels, Edges: rep.Edges, Acyclic: rep.Acyclic}
+	if !rep.Acyclic {
+		v.Cycle = cdg.FormatCycle(rep.Cycle)
 	}
-	if _, err := ReadClusterBench([]byte(`{"kind":"cluster","replicas":4}`)); err != nil {
-		t.Errorf("cluster snapshot rejected: %v", err)
+	return v
+}
+
+// soakProbe is one design or delta of the soak stream: its request, the
+// replica the ring assigns it to and the verdict a concrete, uncached
+// verification outside the serving layer gives it.
+type soakProbe struct {
+	path, body, owner string
+	want              engineVerdict
+}
+
+// soakProbes builds the soak's request set: EbDa chains on meshes, which
+// the size-free quotient answers, and on tori, whose wraparound links
+// send them to the concrete engine, plus single-link removals from the
+// delta base design.
+func soakProbes(t *testing.T, ring *cluster.Ring) []soakProbe {
+	t.Helper()
+	nets := newNetworkCache()
+	var probes []soakProbe
+	for _, chain := range []string{
+		"PA[X+ X- Y-] -> PB[Y+]",
+		"PA[X+ X- Y+] -> PB[Y-]",
+		"PA[X- Y+ Y-] -> PB[X+]",
+		"PA[X1+ Y1+ Y1-] -> PB[X1- Y2+ Y2-]",
+	} {
+		for _, spec := range []NetworkSpec{
+			{Kind: "mesh", Sizes: []int{4, 4}},
+			{Kind: "mesh", Sizes: []int{6, 6}},
+			{Kind: "mesh", Sizes: []int{8, 8}},
+			{Kind: "torus", Sizes: []int{4, 4}},
+			{Kind: "torus", Sizes: []int{5, 5}},
+		} {
+			req := VerifyRequest{Network: spec, Chain: chain}
+			b, err := req.build(nets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := json.Marshal(req)
+			probes = append(probes, soakProbe{
+				path:  "/v1/verify",
+				body:  string(body),
+				owner: ring.Owner(b.q.Key),
+				want:  verdictOf(cdg.VerifyTurnSet(b.net, b.vcs, b.ts)),
+			})
+		}
 	}
-	if _, err := ReadClusterBench([]byte(`not json`)); err == nil {
-		t.Error("malformed snapshot accepted")
+	for _, link := range []LinkSpec{
+		{At: []int{1, 1}, Dir: "X+"},
+		{At: []int{2, 3}, Dir: "Y+"},
+		{At: []int{4, 4}, Dir: "X-"},
+		{At: []int{3, 2}, Dir: "Y-"},
+	} {
+		req := DeltaRequest{RemoveLinks: []LinkSpec{link}}
+		if err := json.Unmarshal([]byte(deltaBaseBody), &req.Base); err != nil {
+			t.Fatal(err)
+		}
+		b, err := req.Base.build(nets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		diff, err := req.buildDiff(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, _ := cdg.DeltaKey(b.net, b.vcs, b.ts, diff)
+		body, _ := json.Marshal(req)
+		probes = append(probes, soakProbe{
+			path:  "/v1/verify/delta",
+			body:  string(body),
+			owner: ring.Owner(key),
+			want:  verdictOf(cdg.VerifyTurnSet(b.net.WithoutLinks(diff.RemoveLinks), b.vcs, b.ts)),
+		})
 	}
+	return probes
+}
+
+// TestClusterSoak drives four replicas with a seeded, concurrent stream
+// of verify and delta requests, every tenth sent to a replica that does
+// not own its key. A cold round asks each probe once, so its misroutes
+// are forwarded to the owner; a hot round repeats probes at random, so
+// its misroutes are answered from the owner's cache. Every request must
+// succeed with the engine's verdict, and afterwards every replica must
+// answer every probe with the same bytes, provenance aside.
+func TestClusterSoak(t *testing.T) {
+	names := []string{"r0", "r1", "r2", "r3"}
+	reps := testCluster(t, names, names, false)
+	ring := reps["r0"].srv.cluster.ring
+	probes := soakProbes(t, ring)
+	rng := rand.New(rand.NewSource(1))
+
+	type item struct {
+		probe *soakProbe
+		entry string
+	}
+	var cold, hot []item
+	for _, i := range rng.Perm(len(probes)) {
+		cold = append(cold, item{probe: &probes[i]})
+	}
+	for i := 0; i < 300; i++ {
+		hot = append(hot, item{probe: &probes[rng.Intn(len(probes))]})
+	}
+	for _, round := range [][]item{cold, hot} {
+		for i := range round {
+			it := &round[i]
+			it.entry = it.probe.owner
+			if i%10 == 9 {
+				for it.entry == it.probe.owner {
+					it.entry = names[rng.Intn(len(names))]
+				}
+			}
+		}
+	}
+
+	var (
+		mu    sync.Mutex
+		provs = make(map[string]int)
+	)
+	drive := func(round []item) {
+		const workers = 8
+		next := make(chan item)
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for it := range next {
+					ts := reps[it.entry].ts
+					resp, err := ts.Client().Post(ts.URL+it.probe.path, "application/json", strings.NewReader(it.probe.body))
+					if err != nil {
+						t.Error(err)
+						continue
+					}
+					raw, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK {
+						t.Errorf("%s at %s = %d (%v): %s", it.probe.path, it.entry, resp.StatusCode, err, raw)
+						continue
+					}
+					var got struct {
+						engineVerdict
+						Provenance string `json:"provenance"`
+					}
+					if err := json.Unmarshal(raw, &got); err != nil {
+						t.Error(err)
+						continue
+					}
+					if got.engineVerdict != it.probe.want {
+						t.Errorf("%s at %s (%s): verdict %+v, engine says %+v",
+							it.probe.body, it.entry, got.Provenance, got.engineVerdict, it.probe.want)
+					}
+					mu.Lock()
+					provs[got.Provenance]++
+					mu.Unlock()
+				}
+			}()
+		}
+		for _, it := range round {
+			next <- it
+		}
+		close(next)
+		wg.Wait()
+	}
+	drive(cold)
+	drive(hot)
+	if t.Failed() {
+		t.FailNow()
+	}
+	if provs[provPeer] == 0 || provs[provForwarded] == 0 {
+		t.Fatalf("provenances %v: want both peer and forwarded verdicts", provs)
+	}
+
+	for _, p := range probes {
+		var first []byte
+		for _, name := range names {
+			status, raw := post(t, reps[name].ts, p.path, p.body)
+			if status != http.StatusOK {
+				t.Fatalf("%s at %s = %d: %s", p.path, name, status, raw)
+			}
+			if first == nil {
+				first = raw
+				continue
+			}
+			sameVerdict(t, json.RawMessage(first), json.RawMessage(raw), p.body+" at r0 vs "+name)
+		}
+	}
+	t.Logf("%d requests over %d probes, provenances %v", len(cold)+len(hot), len(probes), provs)
 }

@@ -386,20 +386,3 @@ func TestNetworkCacheInterns(t *testing.T) {
 		t.Fatal("distinct sizes interned together")
 	}
 }
-
-func TestQuantile(t *testing.T) {
-	if q := Quantile(nil, 0.5); q != 0 {
-		t.Fatalf("empty quantile = %v", q)
-	}
-	one := []float64{7}
-	if q := Quantile(one, 0.99); q != 7 {
-		t.Fatalf("single-sample p99 = %v", q)
-	}
-	xs := []float64{5, 1, 4, 2, 3}
-	if q := Quantile(xs, 0.5); q != 3 {
-		t.Fatalf("p50 of 1..5 = %v, want 3", q)
-	}
-	if q := Quantile(xs, 1); q != 5 {
-		t.Fatalf("p100 of 1..5 = %v, want 5", q)
-	}
-}
