@@ -87,7 +87,8 @@ lint-sarif: vet
 # on every check; the seeded corpus alone regresses in milliseconds, the
 # 5s budget lets the mutator explore a little too. FuzzQuotientSound
 # holds the size-free quotient verdict against the concrete CDG on
-# fuzzer-drawn designs and meshes.
+# fuzzer-drawn designs, meshes and tori (a torus's whole report, cycle
+# witness included).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeVerifyRequest -fuzztime=5s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeDeltaRequest -fuzztime=5s ./internal/serve

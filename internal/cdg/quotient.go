@@ -11,15 +11,17 @@ import (
 	"ebda/internal/topology"
 )
 
-// This file decides a turn set on every mesh with sides ≥ 3 at once. A
-// node's class is the tuple of its coordinates' local classes (below). A
-// design's quotient Q has one node per (class, out-channel) pair and an
-// edge a → b, labelled with a's link vector, wherever a channel a out of
-// a node of one class may depend on a channel b out of its head. Every
-// dependency edge of every such mesh maps onto a Q edge, and a cycle's
-// link vectors sum to zero, so if Q has no closed walk of zero sum no
-// such mesh has a cyclic CDG. DESIGN.md §13 proves it and the exact
-// channel and edge counts.
+// This file decides a turn set on every mesh, or every torus, with sides
+// ≥ 3 at once. A node's class is the tuple of its coordinates' local
+// classes (below). A design's quotient Q has one node per (class,
+// out-channel) pair and an edge a → b, labelled with a's link vector,
+// wherever a channel a out of a node of one class may depend on a channel
+// b out of its head. Every dependency edge of every such mesh maps onto a
+// Q edge, and a cycle's link vectors sum to zero, so if Q has no closed
+// walk of zero sum no such mesh has a cyclic CDG. On a torus, if every
+// channel may continue straight, every channel lies on its own ring and
+// the concrete engine's witness is the X+ ring through node 0. DESIGN.md
+// §13 proves both and the exact channel and edge counts.
 
 // quotientMaxDims bounds the dimensions the quotient serves. Q has 5^n
 // classes, which past three dimensions costs more to decide than the
@@ -28,13 +30,17 @@ const quotientMaxDims = 3
 
 // Local classes: an interior coordinate is even or odd; the low boundary
 // is 0, so even; the high boundary has the parity of its side minus one.
+// A wrapped side has no boundaries, only the two parities.
 const (
 	lcEven, lcOdd, lcLow, lcHighEven, lcHighOdd = 0, 1, 2, 3, 4
 	numLocal                                    = 5
 )
 
 // localClass returns the local class of coordinate x on a side of s ≥ 3.
-func localClass(x, s int) int {
+func localClass(x, s int, wrap bool) int {
+	if wrap {
+		return x & 1
+	}
 	switch x {
 	case 0:
 		return lcLow
@@ -44,14 +50,19 @@ func localClass(x, s int) int {
 	return x & 1
 }
 
-// steps[s][l] lists the local classes one step in sign s (0 for +, 1
-// for −) leads to from local class l, on any side ≥ 3: these five
-// neighbour pairs and their reverses are all a mesh has. Each list
-// ascends, so Q's rows do, as the Graph's rows must.
-var steps = [2][numLocal][]uint8{
+// steps[w][s][l] lists the local classes one step in sign s (0 for +, 1
+// for −) leads to from local class l, on any side ≥ 3, unwrapped (w = 0)
+// or wrapped (w = 1): these five neighbour pairs and their reverses are
+// all a mesh has; a torus steps between parities, and its wrap step on an
+// odd side goes even → even. Each list ascends, so Q's rows do, as the
+// Graph's rows must.
+var steps = [2][2][numLocal][]uint8{{
 	{lcEven: {lcOdd, lcHighOdd}, lcOdd: {lcEven, lcHighEven}, lcLow: {lcOdd}},
 	{lcEven: {lcOdd}, lcOdd: {lcEven, lcLow}, lcHighEven: {lcOdd}, lcHighOdd: {lcEven}},
-}
+}, {
+	{lcEven: {lcEven, lcOdd}, lcOdd: {lcEven}},
+	{lcEven: {lcEven, lcOdd}, lcOdd: {lcEven}},
+}}
 
 // group is one step of eachGroup: out-channel j, with signature sig, of
 // class c, whose local classes are tail, in dimension d and sign s; head
@@ -63,20 +74,24 @@ type group struct {
 }
 
 // eachGroup walks Q's groups in one fixed order: every class (numbered by
-// the base-5 digits of its local classes), every out-channel of it in the
-// order bind stamps them (dimension, sign, VC) and every local class one
-// step away. All channels of a mesh in one group have the same
-// successors.
-func eachGroup(n int, vcs VCConfig, f func(group)) {
+// the base-5 digits of its local classes, base 2 when wrapped), every
+// out-channel of it in the order bind stamps them (dimension, sign, VC)
+// and every local class one step away. All channels of a mesh or torus
+// in one group have the same successors.
+func eachGroup(n int, wrap bool, vcs VCConfig, f func(group)) {
+	base, w := numLocal, 0
+	if wrap {
+		base, w = 2, 1
+	}
 	pow := [quotientMaxDims + 1]int{1}
 	for d := 0; d < n; d++ {
-		pow[d+1] = pow[d] * numLocal
+		pow[d+1] = pow[d] * base
 	}
 	var gr group
 	for gr.c = 0; gr.c < pow[n]; gr.c++ {
 		par := 0
 		for d := 0; d < n; d++ {
-			gr.tail[d] = uint8(gr.c / pow[d] % numLocal)
+			gr.tail[d] = uint8(gr.c / pow[d] % base)
 			if gr.tail[d] == lcOdd || gr.tail[d] == lcHighOdd {
 				par |= 1 << d
 			}
@@ -86,7 +101,7 @@ func eachGroup(n int, vcs VCConfig, f func(group)) {
 			vc := vcs.VCs(channel.Dim(gr.d))
 			for gr.s = 0; gr.s < 2; gr.s, slot = gr.s+1, slot+vc {
 				// No step, no channel: nothing leaves across a boundary.
-				heads := steps[gr.s][gr.tail[gr.d]]
+				heads := steps[w][gr.s][gr.tail[gr.d]]
 				for v := 0; v < vc && len(heads) > 0; v++ {
 					gr.sig = (slot+v)<<n | par
 					for _, head := range heads {
@@ -101,32 +116,34 @@ func eachGroup(n int, vcs VCConfig, f func(group)) {
 	}
 }
 
-// quotient is a design's size-free verdict. When acyclic, weights[i] is
-// the successor count of every channel in the i-th group of eachGroup.
+// quotient is a design's size-free verdict. decided means acyclic on
+// every mesh, and on every torus that every channel may continue
+// straight, so cyclic. When decided, weights[i] is the successor count of
+// every channel in the i-th group of eachGroup.
 type quotient struct {
-	acyclic bool
+	decided bool
 	weights []uint8
 }
 
 // counts returns the design's channel and dependency counts on the mesh
-// with the given sides. A group's channels number the product of the
-// other dimensions' class multiplicities and its dimension's
+// or torus with the given sides. A group's channels number the product of
+// the other dimensions' class multiplicities and its dimension's
 // neighbour-pair multiplicity; each has the group's weight in successors.
 //
 //ebda:hotpath
-func (q *quotient) counts(vcs VCConfig, sizes []int) (channels, edges int) {
+func (q *quotient) counts(wrap bool, vcs VCConfig, sizes []int) (channels, edges int) {
 	var m [quotientMaxDims][numLocal]int
-	var pairs [quotientMaxDims][numLocal][numLocal]int // x → x+1
+	var pairs [quotientMaxDims][numLocal][numLocal]int // x → x+1, wrapping
 	for d, s := range sizes {
 		for x := 0; x < s; x++ {
-			m[d][localClass(x, s)]++
-			if x+1 < s {
-				pairs[d][localClass(x, s)][localClass(x+1, s)]++
+			m[d][localClass(x, s, wrap)]++
+			if x+1 < s || wrap {
+				pairs[d][localClass(x, s, wrap)][localClass((x+1)%s, s, wrap)]++
 			}
 		}
 	}
 	i := 0
-	eachGroup(len(sizes), vcs, func(gr group) {
+	eachGroup(len(sizes), wrap, vcs, func(gr group) {
 		n := pairs[gr.d][gr.tail[gr.d]][gr.head]
 		if gr.s == 1 {
 			n = pairs[gr.d][gr.head][gr.tail[gr.d]]
@@ -144,15 +161,16 @@ func (q *quotient) counts(vcs VCConfig, sizes []int) (channels, edges int) {
 }
 
 // quotientServes reports whether the quotient can answer for net and
-// vcs: a regular mesh of at most quotientMaxDims dimensions, every side
-// ≥ 3, whose nodes have at most 255 out-channels (a weight is a byte).
+// vcs: a regular mesh or torus of at most quotientMaxDims dimensions,
+// every side ≥ 3, whose nodes have at most 255 out-channels (a weight is
+// a byte).
 func quotientServes(net *topology.Network, vcs VCConfig) bool {
 	if !net.Regular() || net.Dims() > quotientMaxDims {
 		return false
 	}
 	out := 0
 	for d, s := range net.Sizes() {
-		if s < 3 || net.Wrap(channel.Dim(d)) {
+		if s < 3 || net.Wrap(channel.Dim(d)) != net.Wrap(channel.X) {
 			return false
 		}
 		out += 2 * vcs.VCs(channel.Dim(d))
@@ -160,17 +178,18 @@ func quotientServes(net *topology.Network, vcs VCConfig) bool {
 	return out <= 255
 }
 
-// quotientReport answers a verification of a mesh quotientServes from the
-// design's quotient. ok is false when the quotient leaves the design
+// quotientReport answers a verification of a network quotientServes from
+// the design's quotient. ok is false when the quotient leaves the design
 // undecided; the caller builds the concrete graph then.
 //
 //ebda:hotpath
 func quotientReport(ctx context.Context, net *topology.Network, vcs VCConfig, ts *core.TurnSet) (rep Report, ok bool) {
 	sp := trace.FromContext(ctx).StartSpan("cdg.quotient")
 	ph := phaseQuotient.Start()
-	q := quotientOf(ctx, net.Dims(), vcs, ts)
+	wrap := net.Wrap(channel.X)
+	q := quotientOf(ctx, net.Dims(), wrap, vcs, ts)
 	ph.End()
-	if !q.acyclic {
+	if !q.decided {
 		sp.SetInt("decided", 0)
 		sp.End()
 		obsQuotientUndecided.Inc()
@@ -179,20 +198,46 @@ func quotientReport(ctx context.Context, net *topology.Network, vcs VCConfig, ts
 	sp.SetInt("decided", 1)
 	sp.End()
 	obsQuotientAnswers.Inc()
-	channels, edges := q.counts(vcs, net.Sizes())
-	return Report{Network: net.String(), Channels: channels, Edges: edges, Acyclic: true}, true
+	channels, edges := q.counts(wrap, vcs, net.Sizes())
+	rep = Report{Network: net.String(), Channels: channels, Edges: edges, Acyclic: !wrap}
+	if wrap {
+		rep.Cycle = xRing(net, channels/net.Nodes())
+	}
+	return rep, true
+}
+
+// xRing returns the cycle the concrete engine reports for a torus design
+// whose every channel may continue straight: the peel removes nothing, the
+// residual DFS starts at channel 0, node 0's X+ VC 1, and each channel's
+// lowest successor is its straight continuation, the first out-channel of
+// its head. So it is the X+ VC-1 ring through node 0, node x's channel
+// being index x·per.
+func xRing(net *topology.Network, per int) []Channel {
+	s := net.Size(channel.X)
+	cyc := make([]Channel, s)
+	for x := range cyc {
+		cyc[x] = Channel{Link: topology.Link{
+			From: topology.NodeID(x), To: topology.NodeID((x + 1) % s), Dim: channel.X, Sign: channel.Plus,
+			Wrap: x == s-1,
+		}, VC: 1, Index: x * per}
+	}
+	return cyc
 }
 
 // quotients caches verdicts, undecided ones too, under quotientKey: the
-// dimension count, the VC counts and the turn set's fingerprint, no
-// sizes.
+// dimension count, whether the sides wrap, the VC counts and the turn
+// set's fingerprint, no sizes.
 var quotients = &Cache[quotient]{}
 
 var quotientBuilders = sync.Pool{New: func() any { return new(quotientBuilder) }}
 
-func quotientKey(n int, vcs VCConfig, ts *core.TurnSet) (key, check uint64) {
+func quotientKey(n int, wrap bool, vcs VCConfig, ts *core.TurnSet) (key, check uint64) {
 	h := dualHash{0x243f6a8885a308d3, 0x13198a2e03707344}
-	h.put(uint64(n))
+	w := uint64(0)
+	if wrap {
+		w = 1
+	}
+	h.put(uint64(n)<<1 | w)
 	for d := 0; d < n; d++ {
 		h.put(uint64(vcs.VCs(channel.Dim(d))))
 	}
@@ -207,15 +252,15 @@ func quotientKey(n int, vcs VCConfig, ts *core.TurnSet) (key, check uint64) {
 // cost every hit an allocation.
 //
 //ebda:hotpath
-func quotientOf(ctx context.Context, n int, vcs VCConfig, ts *core.TurnSet) quotient {
-	key, check := quotientKey(n, vcs, ts)
+func quotientOf(ctx context.Context, n int, wrap bool, vcs VCConfig, ts *core.TurnSet) quotient {
+	key, check := quotientKey(n, wrap, vcs, ts)
 	if q, ok := quotients.Lookup(key, check); ok {
 		return q
 	}
 	q, _ := quotients.Verify(ctx, Query[quotient]{Key: key, Check: check, compute: func(context.Context) (quotient, error) {
 		b := quotientBuilders.Get().(*quotientBuilder)
 		defer quotientBuilders.Put(b)
-		return b.build(n, vcs, ts), nil
+		return b.build(n, wrap, vcs, ts), nil
 	}})
 	return q
 }
@@ -229,8 +274,10 @@ type quotientBuilder struct {
 
 // build enumerates Q and decides it. Class c's template is its
 // out-channels, and the turn-edge kernel's pattern of one against a class
-// one step away is the group's successors: its Q edges and its weight.
-func (b *quotientBuilder) build(n int, vcs VCConfig, ts *core.TurnSet) quotient {
+// one step away is the group's successors: its Q edges and its weight. On
+// a torus every class has every out-channel in the same slot, and the
+// design is decided when each group's successors hold its own slot.
+func (b *quotientBuilder) build(n int, wrap bool, vcs VCConfig, ts *core.TurnSet) quotient {
 	g := &b.g
 	g.sigs = g.sigs[:0]
 	for d := 0; d < n; d++ {
@@ -243,7 +290,7 @@ func (b *quotientBuilder) build(n int, vcs VCConfig, ts *core.TurnSet) quotient 
 		}
 	}
 	g.tplOff, g.tplSig = g.tplOff[:0], g.tplSig[:0]
-	eachGroup(n, vcs, func(gr group) {
+	eachGroup(n, wrap, vcs, func(gr group) {
 		if gr.c == len(g.tplOff) {
 			g.tplOff = append(g.tplOff, int32(gr.j))
 		}
@@ -259,9 +306,15 @@ func (b *quotientBuilder) build(n int, vcs VCConfig, ts *core.TurnSet) quotient 
 	g.buildSigTable(&g.mat)
 	g.adj.reset(len(g.sig))
 	b.weights = b.weights[:0]
-	eachGroup(n, vcs, func(gr group) {
+	straight := true
+	eachGroup(n, wrap, vcs, func(gr group) {
 		offs := g.allowed(int32(gr.sig), int32(gr.h))
 		b.weights = append(b.weights, uint8(len(offs)))
+		if wrap {
+			_, ok := slices.BinarySearch(offs, int32(gr.j)-g.tplOff[gr.c])
+			straight = straight && ok
+			return
+		}
 		for len(g.adj.off) <= gr.j {
 			g.adj.closeRow()
 		}
@@ -272,10 +325,14 @@ func (b *quotientBuilder) build(n int, vcs VCConfig, ts *core.TurnSet) quotient 
 	for len(g.adj.off) <= g.adj.n {
 		g.adj.closeRow()
 	}
-	if !b.decide(n) {
+	decided := straight
+	if !wrap {
+		decided = b.decide(n)
+	}
+	if !decided {
 		return quotient{}
 	}
-	return quotient{acyclic: true, weights: slices.Clone(b.weights)}
+	return quotient{decided: true, weights: slices.Clone(b.weights)}
 }
 
 // decide runs sign pruning over Q and reports whether no edge survives,

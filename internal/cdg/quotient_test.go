@@ -105,9 +105,10 @@ func randomQuotientDesign(rng *rand.Rand, dims int) quotientDesign {
 	return quotientDesign{name: "random", dims: dims, vcs: vcs, ts: ts}
 }
 
-// quotientGrid lists the meshes the soundness test checks: 2D sides
-// 3-12, 3D sides 3-6, mixed sides included. Under -race every third mesh.
-func quotientGrid(dims int) []*topology.Network {
+// quotientGrid lists the meshes, or the tori, the soundness test checks:
+// 2D sides 3-12, 3D sides 3-6, mixed sides included. Under -race every
+// third network.
+func quotientGrid(dims int, wrap bool) []*topology.Network {
 	hi := 12
 	if dims == 3 {
 		hi = 6
@@ -117,7 +118,7 @@ func quotientGrid(dims int) []*topology.Network {
 	var walk func(d int)
 	walk = func(d int) {
 		if d == dims {
-			out = append(out, topology.NewMesh(sizes...))
+			out = append(out, network(wrap, sizes...))
 			return
 		}
 		for s := 3; s <= hi; s++ {
@@ -135,9 +136,19 @@ func quotientGrid(dims int) []*topology.Network {
 	return out
 }
 
-// checkQuotient holds one design to the quotient's contract on net: if
-// the quotient proves the design acyclic, the concrete graph is acyclic
-// and the quotient's report equals the concrete one field for field.
+// network returns the torus with the given sides when wrap is set, else
+// the mesh.
+func network(wrap bool, sizes ...int) *topology.Network {
+	if wrap {
+		return topology.NewTorus(sizes...)
+	}
+	return topology.NewMesh(sizes...)
+}
+
+// checkQuotient holds one design to the quotient's contract on net:
+// wherever the quotient decides the design, the concrete graph has the
+// same verdict and the quotient's report equals the concrete one field
+// for field, a torus's cycle channel for channel.
 func checkQuotient(t *testing.T, ws *Workspace, net *topology.Network, d quotientDesign) {
 	t.Helper()
 	rep, ok := quotientReport(context.Background(), net, d.vcs, d.ts)
@@ -146,8 +157,8 @@ func checkQuotient(t *testing.T, ws *Workspace, net *topology.Network, d quotien
 	}
 	ws.g.bind(net, d.vcs)
 	want := ws.VerifyTurnSet(d.ts)
-	if !want.Acyclic {
-		t.Fatalf("%s on %s: quotient says acyclic, concrete graph is cyclic: %s", d.name, net, FormatCycle(want.Cycle))
+	if want.Acyclic != rep.Acyclic {
+		t.Fatalf("%s on %s: quotient says acyclic = %t, concrete graph %s", d.name, net, rep.Acyclic, want)
 	}
 	if !reflect.DeepEqual(rep, want) {
 		t.Fatalf("%s on %s: quotient report %+v, concrete %+v", d.name, net, rep, want)
@@ -156,40 +167,45 @@ func checkQuotient(t *testing.T, ws *Workspace, net *topology.Network, d quotien
 
 // TestQuotientSound is the differential soundness check: for every chain
 // design and 320 seeded random turn sets, wherever the quotient answers,
-// the concrete graph on every grid mesh is acyclic with the same channel
-// and edge counts. On this sample sign pruning is also complete: every
-// design it leaves undecided is cyclic on the grid's largest mesh.
+// the concrete graph on every grid mesh is acyclic, the one on every grid
+// torus cyclic, with the same report: counts, and a torus's cycle. On
+// this sample sign pruning is also complete: every design it leaves
+// undecided is cyclic on the grid's largest mesh.
 func TestQuotientSound(t *testing.T) {
 	designs := quotientChainDesigns(t)
 	rng := rand.New(rand.NewSource(27))
 	for i := 0; i < 320; i++ {
 		designs = append(designs, randomQuotientDesign(rng, 2+rng.Intn(4)/3))
 	}
-	grids := map[int][]*topology.Network{2: quotientGrid(2), 3: quotientGrid(3)}
 	largest := map[int]*topology.Network{2: topology.NewMesh(12, 12), 3: topology.NewMesh(6, 6, 6)}
 	ws := NewWorkspace(topology.NewMesh(3, 3), nil)
-	decided, random := 0, 0
-	for _, d := range designs {
-		if q := quotientOf(context.Background(), d.dims, d.vcs, d.ts); q.acyclic {
-			decided++
-			if d.name == "random" {
-				random++
+	for _, wrap := range []bool{false, true} {
+		grids := map[int][]*topology.Network{2: quotientGrid(2, wrap), 3: quotientGrid(3, wrap)}
+		decided, random := 0, 0
+		for _, d := range designs {
+			if q := quotientOf(context.Background(), d.dims, wrap, d.vcs, d.ts); q.decided {
+				decided++
+				if d.name == "random" {
+					random++
+				}
+			} else if !wrap {
+				if rep := VerifyTurnSet(largest[d.dims], d.vcs, d.ts); rep.Acyclic {
+					t.Errorf("%s: undecided, yet acyclic on %s", d.name, rep.Network)
+				}
 			}
-		} else if rep := VerifyTurnSet(largest[d.dims], d.vcs, d.ts); rep.Acyclic {
-			t.Errorf("%s: undecided, yet acyclic on %s", d.name, rep.Network)
+			for _, net := range grids[d.dims] {
+				checkQuotient(t, ws, net, d)
+			}
 		}
-		for _, net := range grids[d.dims] {
-			checkQuotient(t, ws, net, d)
-		}
+		t.Logf("wrap=%t: %d designs, %d decided for every size (%d of 320 random)", wrap, len(designs), decided, random)
 	}
-	t.Logf("%d designs, %d proved acyclic for every size (%d of 320 random)", len(designs), decided, random)
 }
 
-// FuzzQuotientSound draws a design and a mesh from the fuzzer's bytes and
-// holds them to checkQuotient.
+// FuzzQuotientSound draws a design and a mesh or torus from the fuzzer's
+// bytes and holds them to checkQuotient.
 func FuzzQuotientSound(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
-		f.Add(seed, uint8(seed), uint8(3*seed), uint8(seed%2), uint8(seed))
+		f.Add(seed, uint8(seed), uint8(3*seed), uint8(seed%4), uint8(seed))
 	}
 	chains := quotientChainDesigns(f)
 	f.Fuzz(func(t *testing.T, seed int64, a, b, c, pick uint8) {
@@ -208,7 +224,7 @@ func FuzzQuotientSound(f *testing.F) {
 		if dims == 3 {
 			sizes = []int{3 + int(a%4), 3 + int(b%4), 3 + int(pick/4%4)}
 		}
-		checkQuotient(t, NewWorkspace(topology.NewMesh(3, 3), nil), topology.NewMesh(sizes...), d)
+		checkQuotient(t, NewWorkspace(topology.NewMesh(3, 3), nil), network(c/2%2 == 1, sizes...), d)
 	})
 }
 
@@ -258,7 +274,7 @@ func TestQuotientSufficiency(t *testing.T) {
 			n = max(n, int(cls.Dim)+1)
 		}
 		vcs, ts := VCConfigFor(n, c.Channels()), c.AllTurns()
-		if !quotientOf(context.Background(), n, vcs, ts).acyclic {
+		if !quotientOf(context.Background(), n, false, vcs, ts).decided {
 			t.Errorf("%s: the quotient leaves a derived chain undecided", c.PlainString())
 			continue
 		}
@@ -299,25 +315,29 @@ func TestQuotientHitAllocs(t *testing.T) {
 }
 
 // TestQuotientServes pins which networks the quotient answers for: only
-// regular meshes of at most three dimensions with every side ≥ 3. On the
-// others a verify-cache miss builds the concrete graph, with the same
-// report as a workspace.
+// regular meshes and tori of at most three dimensions with every side ≥ 3.
+// On the others a verify-cache miss builds the concrete graph, with the
+// same report as a workspace.
 func TestQuotientServes(t *testing.T) {
 	c, err := core.ParseChain("PA[X+ X- Y-] -> PB[Y+]")
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := topology.NewMesh(6, 6).WithoutLinks([]topology.Link{{From: 7, Dim: channel.X, Sign: channel.Plus}})
+	cut := []topology.Link{{From: 7, Dim: channel.X, Sign: channel.Plus}}
 	for _, tc := range []struct {
 		net  *topology.Network
 		want bool
 	}{
 		{topology.NewMesh(3, 7), true},
 		{topology.NewMesh(3, 4, 5), true},
+		{topology.NewTorus(6, 6), true},
+		{topology.NewTorus(7), true},
 		{topology.NewMesh(2, 8), false},
-		{topology.NewTorus(6, 6), false},
-		{faulty, false},
+		{topology.NewTorus(2, 8), false},
+		{topology.NewMesh(6, 6).WithoutLinks(cut), false},
+		{topology.NewTorus(6, 6).WithoutLinks(cut), false},
 		{topology.NewMesh(3, 3, 3, 3), false},
+		{topology.NewTorus(3, 3, 3, 3), false},
 	} {
 		vcs := VCConfigFor(tc.net.Dims(), c.Channels())
 		if got := quotientServes(tc.net, vcs); got != tc.want {
@@ -331,6 +351,59 @@ func TestQuotientServes(t *testing.T) {
 		if want := NewWorkspace(tc.net, vcs).VerifyTurnSet(c.AllTurns()); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: report %+v, workspace %+v", tc.net, got, want)
 		}
+	}
+}
+
+// TestQuotientWrapKey verifies one design, XY routing, on a mesh and on a
+// torus of the same sides through the process-wide quotient cache. The
+// mesh's verdict
+// is acyclic and the torus's cyclic, so a key without the wrap bit would
+// answer the second from the first's entry.
+func TestQuotientWrapKey(t *testing.T) {
+	ts, err := core.ParseTurnList("X+>Y+,X+>Y-,X->Y+,X->Y-")
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := core.NewTurnSet()
+	for _, tr := range ts {
+		set.Add(tr.From, tr.To, core.ByTheorem1)
+	}
+	vcs := VCConfig{1, 1}
+	for _, net := range []*topology.Network{topology.NewMesh(5, 5), topology.NewTorus(5, 5)} {
+		answers := obsQuotientAnswers.Value()
+		got, _ := verifyDesign(context.Background(), nil, net, vcs, set)
+		if obsQuotientAnswers.Value() == answers {
+			t.Errorf("%s: not answered by the quotient", net)
+		}
+		want := NewWorkspace(net, vcs).VerifyTurnSet(set)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: report %v, workspace %v", net, got, want)
+		}
+		if got.Acyclic != !net.Wrap(channel.X) {
+			t.Errorf("%s: acyclic = %t", net, got.Acyclic)
+		}
+	}
+}
+
+// TestQuotientTorusFallback pins a torus design that fails the
+// straight-continuation check: X− and Y− are undeclared, so their
+// channels have no successors. The quotient leaves it undecided and the
+// concrete engine answers, with a workspace's report.
+func TestQuotientTorusFallback(t *testing.T) {
+	set := core.NewTurnSet()
+	set.Add(channel.NewVC(channel.X, channel.Plus, 1), channel.NewVC(channel.Y, channel.Plus, 1), core.ByTheorem1)
+	net, vcs := topology.NewTorus(5, 4), VCConfig{1, 1}
+	if q := quotientOf(context.Background(), 2, true, vcs, set); q.decided {
+		t.Fatal("quotient decided a torus design with undeclared classes")
+	}
+	undecided, verifies := obsQuotientUndecided.Value(), obsVerifies.Value()
+	got, _ := verifyDesign(context.Background(), nil, net, vcs, set)
+	if obsQuotientUndecided.Value() == undecided || obsVerifies.Value() == verifies {
+		t.Error("not verified concretely after the quotient")
+	}
+	want := NewWorkspace(net, vcs).VerifyTurnSet(set)
+	if !reflect.DeepEqual(got, want) || want.Acyclic {
+		t.Errorf("report %v, workspace %v", got, want)
 	}
 }
 

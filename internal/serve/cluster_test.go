@@ -72,20 +72,22 @@ func testCluster(t *testing.T, names, ringMembers []string, noForward bool) map[
 
 // designOwnedBy searches a family of designs for one whose verify key
 // the ring assigns to wantOwner, returning the request body and key. The
-// probes are tori, so the owner always builds and peels a concrete graph:
-// a mesh design could be answered by its quotient instead.
+// probes are tori whose turn sets leave one direction undeclared, so its
+// channels cannot continue straight and the owner always builds and
+// peels a concrete graph: a mesh design, or a torus design whose every
+// channel may continue straight, could be answered by its quotient.
 func designOwnedBy(t testing.TB, ring *cluster.Ring, wantOwner string) (string, uint64) {
 	t.Helper()
 	nets := newNetworkCache()
 	for size := 4; size <= 9; size++ {
-		for _, chain := range []string{
-			"PA[X+ X- Y-] -> PB[Y+]",
-			"PA[X+ X- Y+] -> PB[Y-]",
-			"PA[X1+ Y1+ Y1-] -> PB[X1- Y2+ Y2-]",
+		for _, turns := range []string{
+			"X+>Y+,X+>Y-,Y+>X+",
+			"X->Y+,X->Y-,Y->X-",
+			"Y+>X+,Y+>X-,X+>Y+",
 		} {
 			req := VerifyRequest{
 				Network: NetworkSpec{Kind: "torus", Sizes: []int{size, size}},
-				Chain:   chain,
+				Turns:   turns,
 			}
 			b, err := req.build(nets)
 			if err != nil {
@@ -283,6 +285,68 @@ func TestClusterForwardLoopProtection(t *testing.T) {
 	// The owner's cache stayed cold: the request really did stop here.
 	if reps["r0"].cache.Stats().Entries != 0 {
 		t.Fatal("loop-protected request still reached the owner")
+	}
+}
+
+// TestClusterForwardSetsHeader pins the sending side of loop protection:
+// a non-owner proxies a request to its owner marked with ForwardHeader,
+// naming itself. The owner is a stub that misses every peer lookup and
+// records the headers of what it is forwarded.
+func TestClusterForwardSetsHeader(t *testing.T) {
+	ring, err := cluster.New([]string{"r0", "r1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		mu  sync.Mutex
+		got []http.Header
+	)
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			http.NotFound(w, r)
+			return
+		}
+		mu.Lock()
+		got = append(got, r.Header.Clone())
+		mu.Unlock()
+		io.Copy(io.Discard, r.Body)
+		writeJSON(w, http.StatusOK, VerifyResponse{Network: "stub", Provenance: provComputed})
+	}))
+	t.Cleanup(stub.Close)
+	srv := NewReplica(Config{Cluster: &ClusterConfig{
+		Self:  "r1",
+		Ring:  ring,
+		Peers: map[string]string{"r0": stub.URL},
+	}}, &cdg.VerifyCache{})
+	mux := http.NewServeMux()
+	srv.Register(mux)
+	hts := httptest.NewServer(mux)
+	t.Cleanup(func() {
+		hts.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
+
+	body, _ := designOwnedBy(t, ring, "r0")
+	status, raw := post(t, hts, "/v1/verify", body)
+	if status != http.StatusOK {
+		t.Fatalf("POST = %d: %s", status, raw)
+	}
+	var vr VerifyResponse
+	if err := json.Unmarshal(raw, &vr); err != nil {
+		t.Fatal(err)
+	}
+	if vr.Provenance != provForwarded {
+		t.Fatalf("provenance = %q, want %q", vr.Provenance, provForwarded)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 1 {
+		t.Fatalf("owner stub received %d forwards, want 1", len(got))
+	}
+	if h := got[0].Get(ForwardHeader); h != "r1" {
+		t.Fatalf("forwarded request %s = %q, want the sender %q", ForwardHeader, h, "r1")
 	}
 }
 
@@ -536,10 +600,10 @@ type soakProbe struct {
 	want              engineVerdict
 }
 
-// soakProbes builds the soak's request set: EbDa chains on meshes, which
-// the size-free quotient answers, and on tori, whose wraparound links
-// send them to the concrete engine, plus single-link removals from the
-// delta base design.
+// soakProbes builds the soak's request set: EbDa chains on meshes and
+// tori, which the size-free quotient answers (acyclic on a mesh, the X+
+// ring on a torus), plus single-link removals from the delta base
+// design, which the concrete delta path verifies.
 func soakProbes(t *testing.T, ring *cluster.Ring) []soakProbe {
 	t.Helper()
 	nets := newNetworkCache()
