@@ -43,7 +43,8 @@ var (
 // for the net/http and encoding/json internals of other releases. With a
 // map-based turn set and fmt-based class parsing and witness formatting
 // the four hits made 171, 207, 773 and 1,592 allocations; now 87, 74,
-// 377 and 298.
+// 377 and 298. The delta and graph hits were pinned later at 91 and 48
+// (go1.24, where the first four read 83, 70, 347 and 270).
 type hitCase struct {
 	name, path, body string
 	ceiling          float64
@@ -58,6 +59,9 @@ func hitCases() []hitCase {
 		{"single-cyclic", "/v1/verify", hitCyclic[0], 80},
 		{"batch-acyclic", "/v1/batch", batch(hitAcyclic), 410},
 		{"batch-cyclic", "/v1/batch", batch(hitCyclic), 325},
+		{"delta-acyclic", "/v1/verify/delta",
+			`{"base":` + hitAcyclic[0] + `,"remove_links":[{"at":[3,5],"dir":"Y+"}]}`, 98},
+		{"graph-cyclic", "/v1/verify/graph", graphBody("liveness", ""), 52},
 	}
 }
 
@@ -85,6 +89,9 @@ func serveHit(h http.Handler, path, body string) *httptest.ResponseRecorder {
 
 // warmHit answers c once so every verdict it names is cached, and checks
 // that the repeat is answered from the cache with the expected verdicts.
+// Delta and graph answers decode into VerifyResponse too: a delta answer
+// carries the same verdict fields, and a graph answer has no "acyclic"
+// field, so only a cyclic graph verdict (with its cycle) passes.
 func warmHit(tb testing.TB, h http.Handler, c hitCase) {
 	tb.Helper()
 	if rec := serveHit(h, c.path, c.body); rec.Code != http.StatusOK {
@@ -124,8 +131,8 @@ func warmHit(tb testing.TB, h http.Handler, c hitCase) {
 	}
 }
 
-// TestVerifyHitAllocs pins the allocations of a whole /v1/verify and
-// /v1/batch cache hit, body in to encoded response out through the mux:
+// TestVerifyHitAllocs pins the allocations of a whole /v1/verify,
+// /v1/batch, /v1/verify/delta and /v1/verify/graph cache hit, body in to encoded response out through the mux:
 // decode, design parse, turn extraction, keying, the cache probe, the
 // verdict's witness text and the JSON encode.
 func TestVerifyHitAllocs(t *testing.T) {
