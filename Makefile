@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build bench-vet test race bench bench-smoke bench-cold bench-delta repro fmt fmt-check vet lint lint-sarif fuzz-short check clean
+.PHONY: all build bench-vet bench-test test race bench bench-smoke bench-cold bench-delta repro fmt fmt-check vet lint lint-sarif fuzz-short check clean
 
 all: check
 
@@ -15,6 +15,14 @@ build:
 # module (replace ebda => ../), so it works offline and writes nothing.
 bench-vet:
 	cd bench && $(GO) vet ./...
+
+# bench-test runs the benchmark harness's own tests (-short: about 5 s on
+# 2 vCPUs), among them TestRequestsPassServerDecoders (every generated
+# body passes the server's decoders) and TestOracleRejectsWrongVerdicts.
+# A serving change that breaks what bench/ sends or checks fails here,
+# not when the benchmark runs.
+bench-test:
+	cd bench && $(GO) test -short ./...
 
 test:
 	$(GO) test ./...
@@ -102,7 +110,8 @@ fuzz-short:
 	$(GO) test -run='^$$' -fuzz=FuzzParseChain -fuzztime=5s ./internal/core
 
 # fmt-check keeps every tracked Go file gofmt-clean;
-# bench-vet type-checks the bench/ harness against this tree;
+# bench-vet type-checks the bench/ harness against this tree and
+# bench-test runs its tests;
 # race is part of check so the worker pools and the replica cluster are
 # race-tested routinely; test and race also run the serving gate
 # (TestServeSmoke), the replica-cluster soak (TestClusterSoak), the
@@ -113,7 +122,7 @@ fuzz-short:
 # the CLI goldens under testdata/cli (every ebda-verify mode, ebda-repro
 # -table/-fig); bench-smoke runs each benchmark's result checks once;
 # fuzz-short shakes the untrusted inputs and the quotient's soundness.
-check: fmt-check build bench-vet lint test race bench-smoke fuzz-short
+check: fmt-check build bench-vet bench-test lint test race bench-smoke fuzz-short
 
 clean:
 	$(GO) clean ./...

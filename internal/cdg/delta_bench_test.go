@@ -95,9 +95,9 @@ const maxLinkRatio = 0.05
 // TestDeltaLinkRatio gates the delta path on the 8x8-mesh north-last
 // design with every link removed in turn as a single-link diff. Each
 // distinct diff's delta report must first equal the from-scratch report.
-// Then 256 rotating diffs are timed through the retained workspace and
-// 256 the pre-delta way (derive the faulty network, verify it through
-// the pool), best of five passes. Every timed diff must take the
+// Then rotating diffs are timed the pre-delta way (derive the faulty
+// network, verify it through the pool) and, interleaved with them in
+// slices of equal wall-clock time, through the retained workspace. Every timed diff must take the
 // incremental path, and the delta/full cost ratio must stay at or below
 // maxLinkRatio, and so below 1. The race detector inflates the
 // incremental path's constant costs, so race runs check equivalence
@@ -131,37 +131,56 @@ func TestDeltaLinkRatio(t *testing.T) {
 		t.Skip("race detector: delta/full timing is skewed; equivalence checked above")
 	}
 
-	// Each side's cost is the mean over 256 rotating diffs, taken as the
-	// best of five passes: a preemption or GC pause lands in one pass's
-	// sub-millisecond delta window and would swamp it, while a genuinely
-	// slower path is slower in every pass.
-	const rounds, passes = 256, 5
-	timed := func(verify func(Diff)) float64 {
-		runtime.GC()
-		t0 := time.Now()
-		for i := 0; i < rounds; i++ {
-			verify(diffs[i%len(diffs)])
-		}
-		return float64(time.Since(t0).Nanoseconds()) / rounds
-	}
-	incremental := obsDeltaIncremental.Value()
-	deltaNS, fullNS := math.Inf(1), math.Inf(1)
-	for p := 0; p < passes; p++ {
-		deltaNS = min(deltaNS, timed(func(d Diff) {
-			if _, err := dw.VerifyDiff(d); err != nil {
+	// The two sides alternate in short slices that span the same
+	// wall-clock time: 16 full diffs, then as many delta diffs as take as
+	// long (a delta diff costs a few percent of a full one). Each side's
+	// cost is its best slice's mean over five passes of 16 slices each.
+	// Contention from other processes then lands on both sides alike,
+	// and a preemption or GC pause spoils only the slice it lands in,
+	// while a genuinely slower path is slower in every slice.
+	const fullSlice, slices, passes = 16, 16, 5
+	var deltaAt, fullAt int
+	verifyDelta := func(n int) {
+		for i := 0; i < n; i++ {
+			if _, err := dw.VerifyDiff(diffs[deltaAt%len(diffs)]); err != nil {
 				t.Fatal(err)
 			}
-		}))
-		fullNS = min(fullNS, timed(func(d Diff) {
-			if rep := full(d); rep.Channels == 0 {
+			deltaAt++
+		}
+	}
+	verifyFull := func(n int) {
+		for i := 0; i < n; i++ {
+			if rep := full(diffs[fullAt%len(diffs)]); rep.Channels == 0 {
 				t.Fatal("empty from-scratch report")
 			}
-		}))
+			fullAt++
+		}
+	}
+	// perDiff times n diffs and returns their mean cost in ns.
+	perDiff := func(run func(int), n int) float64 {
+		t0 := time.Now()
+		run(n)
+		return float64(time.Since(t0).Nanoseconds()) / float64(n)
+	}
+	incremental := obsDeltaIncremental.Value()
+	// Calibrate the delta slice on a pass's worth of each side.
+	runtime.GC()
+	scale := perDiff(verifyFull, slices*fullSlice) / perDiff(verifyDelta, slices*fullSlice)
+	deltaSlice := int(math.Ceil(min(max(scale, 1), 64) * fullSlice))
+	deltaNS, fullNS := math.Inf(1), math.Inf(1)
+	for p := 0; p < passes; p++ {
+		runtime.GC()
+		for i := 0; i < slices; i++ {
+			fullNS = min(fullNS, perDiff(verifyFull, fullSlice))
+			deltaNS = min(deltaNS, perDiff(verifyDelta, deltaSlice))
+		}
 	}
 	incremental = obsDeltaIncremental.Value() - incremental
+	timedDiffs := uint64(deltaAt)
 
-	t.Logf("full %.0f ns  delta %.0f ns  ratio %.4f  incremental %d/%d", fullNS, deltaNS, deltaNS/fullNS, incremental, rounds*passes)
-	for _, msg := range linkRatioGate(deltaNS, fullNS, incremental, rounds*passes) {
+	t.Logf("full %.0f ns  delta %.0f ns  ratio %.4f  delta slice %d diffs  incremental %d/%d",
+		fullNS, deltaNS, deltaNS/fullNS, deltaSlice, incremental, timedDiffs)
+	for _, msg := range linkRatioGate(deltaNS, fullNS, incremental, timedDiffs) {
 		t.Error(msg)
 	}
 }

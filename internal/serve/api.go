@@ -1,12 +1,24 @@
-// Package serve exposes the verification engine as a small HTTP JSON
-// API: /v1/verify checks one routing design, /v1/design derives and
-// verifies the Algorithm 1/2 option family for a channel budget, and
-// /v1/batch verifies up to maxBatch designs in one request. The package
-// owns admission control (a bounded queue in front of a fixed worker
-// pool, with explicit 429/503 backpressure), per-request deadlines
-// threaded into the engine's context-aware verify path, and
-// singleflight coalescing keyed on the verify cache's dual-hash
-// identity — so a burst of identical requests costs one computation.
+// Package serve exposes the verification engine as an HTTP JSON API with
+// eight endpoints: POST /v1/verify (one routing design), POST
+// /v1/verify/delta (a design perturbed by removed links or toggled
+// turns), POST /v1/verify/graph (an arbitrary channel dependence graph
+// in one graph mode), POST /v1/design (the Algorithm 1/2 option family
+// for a channel budget), POST /v1/batch (up to maxBatch designs) and,
+// for a replica ring, GET /v1/peer/lookup/{key}, GET /v1/peer/metrics
+// and GET /v1/cluster/metrics.
+//
+// Every traced endpoint is one adapter, Server.handle, around a handler
+// that only decodes, builds its query and answers it; the adapter owns
+// the request counter, the trace, the serve.* phase, the POST check, the
+// per-request deadline and the mapping from error to status. Every
+// cdg.Report verdict (verify, delta, batch items, design options) takes
+// one answer path, Server.answer: the verify-cache probe, the cluster
+// route when another replica owns the key, then a singleflight group
+// keyed on the cache's dual-hash identity whose leader computes on a
+// bounded queue in front of a fixed worker pool (explicit 429/503
+// backpressure), the deadline threaded into the engine's context-aware
+// verify path. Graph-mode verdicts take the same probe and flight on the
+// mode cache.
 //
 // Every served verdict flows through the cached verify API
 // (cdg.Cache.Lookup / cdg.Cache.Verify); the verifygate
@@ -19,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 
 	"ebda/internal/cdg"
@@ -375,6 +388,29 @@ func (req *DeltaRequest) validate() error {
 		return fmt.Errorf("base_key %q is not a 64-bit hex key", req.BaseKey)
 	}
 	return nil
+}
+
+// build resolves the base design, checks base_key against its key, and
+// lowers the diff into the delta query. It returns the query and the
+// base key; every error is a client error.
+func (req *DeltaRequest) build(nets *networkCache) (cdg.Query[cdg.Report], uint64, error) {
+	var none cdg.Query[cdg.Report]
+	b, err := req.Base.build(nets)
+	if err != nil {
+		return none, 0, err
+	}
+	baseKey := b.q.Key
+	if req.BaseKey != "" {
+		if want, err := strconv.ParseUint(req.BaseKey, 16, 64); err != nil || want != baseKey {
+			return none, 0, errors.New("base_key " + req.BaseKey + " does not match the base design (key " +
+				strconv.FormatUint(baseKey, 16) + ")")
+		}
+	}
+	diff, err := req.buildDiff(b)
+	if err != nil {
+		return none, 0, err
+	}
+	return cdg.DeltaQuery(b.net, b.vcs, b.ts, diff), baseKey, nil
 }
 
 // parseDir splits a direction spec ("X+", "Y-") into dimension and sign.

@@ -139,41 +139,33 @@ type PeerLookupResponse struct {
 	Cycle    string `json:"cycle,omitempty"`
 }
 
-// handlePeerLookup serves GET /v1/peer/lookup/{key}?check=<hex>: a pure
+// servePeerLookup serves GET /v1/peer/lookup/{key}?check=<hex>: a pure
 // probe of this replica's verify cache by raw dual-hash identity. It
 // submits nothing to the admission queue and ignores the drain state —
 // a map read is always affordable, and a draining owner sharing its
 // cache is exactly what lets peers absorb its keyspace.
-func (s *Server) handlePeerLookup(w http.ResponseWriter, r *http.Request) {
-	obsReqPeerLookup.Inc()
-	t, sw, r := s.startTrace(w, r, "peer.lookup")
-	defer func() { t.Finish(sw.status) }()
-	w = sw
+func (s *Server) servePeerLookup(ctx context.Context, w http.ResponseWriter, r *http.Request) (any, string, error) {
 	key, err := strconv.ParseUint(r.PathValue("key"), 16, 64)
 	if err != nil {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, "key is not a 64-bit hex value")
-		return
+		return bad(errors.New("key is not a 64-bit hex value"))
 	}
 	check, err := strconv.ParseUint(r.URL.Query().Get("check"), 16, 64)
 	if err != nil {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, "check query parameter is not a 64-bit hex value")
-		return
+		return bad(errors.New("check query parameter is not a 64-bit hex value"))
 	}
-	lsp := trace.FromContext(r.Context()).StartSpan("cache.lookup")
-	rep, ok := s.cache.Lookup(key, check)
+	rep, ok := lookup(ctx, s.cache, key, check)
 	if !ok {
-		lsp.SetInt("hit", 0)
-		lsp.End()
-		writeJSON(w, http.StatusNotFound, &PeerLookupResponse{Found: false})
-		return
+		return nil, "", peerMiss
 	}
-	lsp.SetInt("hit", 1)
-	lsp.End()
 	obsPeerLookupHits.Inc()
-	writeJSON(w, http.StatusOK, verdictFields(rep))
+	return verdictFields(rep), "", nil
 }
+
+// peerMiss is a peer lookup's 404 answer, encoded as writeJSON would.
+var peerMiss = func() *answered {
+	body, _ := json.Marshal(&PeerLookupResponse{Found: false})
+	return &answered{status: http.StatusNotFound, body: append(body, '\n')}
+}()
 
 // lookup probes the owner's cache for a key. A nil response with a nil
 // error means a clean miss (owner answered 404); transport and decode
@@ -253,82 +245,81 @@ func (cp *clusterPeers) forward(ctx context.Context, owner, path string, body []
 	return resp.StatusCode, respBody, nil
 }
 
-// route decides whether a /v1/verify or /v1/verify/delta request for a
-// key this replica does not own is answered off-path (local cache, peer
-// cache, or a forward of body to the owner's path). It returns true when
-// it wrote the response; false falls through to the normal local
-// pipeline — either because this replica owns the key, the request
-// already made its one hop, or every remote path failed (degrade to
-// local compute). reply renders verdict fields as the endpoint's
-// response under a provenance; fwd receives an owner's forwarded answer.
-func (s *Server) route(w http.ResponseWriter, r *http.Request, q cdg.Query[cdg.Report], path string, body []byte, reply func(*PeerLookupResponse, string) any, fwd relayed) bool {
+// remoteOwner names the replica that should answer a client request
+// for key, or "" when this replica answers it: outside cluster mode, for
+// a key it owns, for no request (batch items and design options are
+// never routed), and for a request a peer already forwarded here.
+func (s *Server) remoteOwner(key uint64, r *http.Request) string {
 	cp := s.cluster
-	if cp == nil {
-		return false
+	if cp == nil || r == nil {
+		return ""
 	}
-	owner := cp.ring.Owner(q.Key)
+	owner := cp.ring.Owner(key)
 	if owner == cp.self {
-		return false
+		return ""
 	}
 	if r.Header.Get(ForwardHeader) != "" {
 		// Single-hop protection: a forwarded request is served here no
 		// matter what this replica's ring says.
 		obsClusterForwardServed.Inc()
-		return false
+		return ""
 	}
-	tc := trace.FromContext(r.Context())
-	// Step 1: this replica's own cache (seeded by snapshots, earlier
-	// forwards, or degraded computes).
-	if rep, ok := s.cache.Lookup(q.Key, q.Check); ok {
-		obsVerdictCache.Inc()
-		tc.SetProvenance(provCache)
-		writeJSON(w, http.StatusOK, reply(verdictFields(rep), provCache))
-		return true
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
+	return owner
+}
+
+// route tries the remote steps for a key owner holds, once this
+// replica's own cache has missed: the owner's cache, then a forward of
+// body to the owner's path. A nil verdict with a nil error means every
+// remote path failed (or forwarding is off) and the request degrades to
+// local compute; an answered error is the owner's rejection.
+func (s *Server) route(ctx context.Context, owner string, q cdg.Query[cdg.Report], path string, body []byte) (*PeerLookupResponse, string, error) {
+	cp := s.cluster
 	// Step 2: the owner's cache, one GET away.
 	if pl, err := cp.lookup(ctx, owner, q.Key, q.Check); err == nil && pl != nil {
 		obsVerdictPeer.Inc()
-		tc.SetProvenance(provPeer)
-		writeJSON(w, http.StatusOK, reply(pl, provPeer))
-		return true
+		return pl, provPeer, nil
 	}
 	if cp.noForward {
-		return false
+		return nil, "", nil
 	}
 	// Step 3: proxy to the owner, which computes and memoizes in the
 	// shard the key belongs to.
 	status, respBody, err := cp.forward(ctx, owner, path, body)
 	if err != nil {
 		obsClusterForwardFails.Inc()
-		return false
+		return nil, "", nil
 	}
 	if status != http.StatusOK {
 		// The owner rejected the request (bad design, backpressure, ...);
 		// its verdict-free answer passes through verbatim.
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		w.WriteHeader(status)
-		w.Write(respBody)
-		return true
+		return nil, "", &answered{status: status, body: respBody}
 	}
-	if err := json.Unmarshal(respBody, fwd); err != nil {
+	var fwd forwardedAnswer
+	if err := json.Unmarshal(respBody, &fwd); err != nil {
 		obsClusterForwardFails.Inc()
-		return false
+		return nil, "", nil
 	}
-	fwd.relabel(provForwarded)
-	tc.SetProvenance(provForwarded)
 	obsVerdictForwarded.Inc()
-	writeJSON(w, http.StatusOK, fwd)
-	return true
+	return &PeerLookupResponse{
+		Found:    true,
+		Network:  fwd.Network,
+		Channels: fwd.Channels,
+		Edges:    fwd.Edges,
+		Acyclic:  fwd.Acyclic,
+		Cycle:    fwd.Cycle,
+	}, provForwarded, nil
 }
 
-// relayed is a response body a non-owner relays from the owner under its
-// own provenance.
-type relayed interface{ relabel(prov string) }
-
-func (r *VerifyResponse) relabel(prov string) { r.Provenance = prov }
-func (r *DeltaResponse) relabel(prov string)  { r.Provenance = prov }
+// forwardedAnswer decodes an owner's 200 answer to a forwarded
+// /v1/verify or /v1/verify/delta request. It has every field either
+// response has, so a body that does not decode as the endpoint's own
+// response never becomes a verdict. Only the verdict fields are kept:
+// the endpoint renders the rest from its own request, as it does for a
+// peer lookup's answer.
+type forwardedAnswer struct {
+	VerifyResponse
+	BaseKey string `json:"base_key"`
+}
 
 // verdictFields carries a report's verdict in peer-lookup form, the one
 // shape every response builder reads — whether the verdict came from

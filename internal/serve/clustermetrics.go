@@ -50,14 +50,9 @@ func (s *Server) handlePeerMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleClusterMetrics fans out to the ring and answers the merged
+// serveClusterMetrics fans out to the ring and answers the merged
 // fleet view. Outside cluster mode the "fleet" is this process alone.
-func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
-	obsReqClusterMetrics.Inc()
-	t, sw, r := s.startTrace(w, r, "cluster.metrics")
-	defer func() { t.Finish(sw.status) }()
-	w = sw
-
+func (s *Server) serveClusterMetrics(ctx context.Context, w http.ResponseWriter, r *http.Request) (any, string, error) {
 	self := "local"
 	if s.cluster != nil {
 		self = s.cluster.self
@@ -71,8 +66,6 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	merged := own
 
 	if s.cluster != nil {
-		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-		defer cancel()
 		members := append([]string(nil), s.cluster.ring.Replicas()...)
 		sort.Strings(members)
 		for _, name := range members {
@@ -92,7 +85,7 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 		sort.Strings(resp.Replicas)
 	}
 	resp.Merged = merged
-	writeJSON(w, http.StatusOK, resp)
+	return resp, "", nil
 }
 
 // fetchMetrics pulls one peer's snapshot.

@@ -245,37 +245,22 @@ func (req *graphRequest) build() (cdg.Query[cdg.ModeReport], error) {
 	return cdg.ModeQuery(g.Edges, req.mode, g.Inputs, g.Outputs, req.escape), nil
 }
 
-func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
-	obsReqGraph.Inc()
-	t, sw, r := s.startTrace(w, r, "serve.graph")
-	defer func() { t.Finish(sw.status) }()
-	w = sw
-	sp := phaseServeGraph.Start()
-	defer sp.End()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+func (s *Server) serveGraph(ctx context.Context, w http.ResponseWriter, r *http.Request) (any, string, error) {
 	req, err := decodeGraphRequest(http.MaxBytesReader(w, r.Body, MaxBodyBytes), r.ContentLength)
 	if err != nil {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, sanitizeErr(err))
-		return
+		return bad(err)
 	}
 	q, err := req.build()
 	if err != nil {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, sanitizeErr(err))
-		return
+		return bad(err)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	rep, prov, err := verdict(ctx, s, s.modes, s.gflight, q, provComputed)
-	if err != nil {
-		writeError(w, statusFor(err), sanitizeErr(err))
-		return
+	rep, ok := lookup(ctx, s.modes, q.Key, q.Check)
+	prov := provCache
+	if ok {
+		obsVerdictCache.Inc()
+	} else if rep, prov, err = fly(ctx, s, s.modes, s.gflight, q, provComputed); err != nil {
+		return nil, "", err
 	}
-	t.SetProvenance(prov)
 	resp := &GraphVerifyResponse{
 		Mode:       rep.Mode.String(),
 		Channels:   rep.Nodes,
@@ -294,5 +279,5 @@ func (s *Server) handleGraph(w http.ResponseWriter, r *http.Request) {
 	if rep.OK && rep.Mode == cdg.ModeSubrel {
 		resp.SubrelationEdges = len(rep.Subrelation)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, prov, nil
 }

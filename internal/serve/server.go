@@ -167,14 +167,14 @@ func newServer(cfg Config, cache *cdg.VerifyCache) *Server {
 
 // Register mounts the API on mux.
 func (s *Server) Register(mux *http.ServeMux) {
-	mux.HandleFunc("/v1/verify", s.handleVerify)
-	mux.HandleFunc("/v1/verify/delta", s.handleDelta)
-	mux.HandleFunc("/v1/verify/graph", s.handleGraph)
-	mux.HandleFunc("/v1/design", s.handleDesign)
-	mux.HandleFunc("/v1/batch", s.handleBatch)
-	mux.HandleFunc("GET /v1/peer/lookup/{key}", s.handlePeerLookup)
+	mux.HandleFunc("/v1/verify", s.handle("serve.verify", obsReqVerify, phaseServeVerify, s.serveVerify))
+	mux.HandleFunc("/v1/verify/delta", s.handle("serve.delta", obsReqDelta, phaseServeDelta, s.serveDelta))
+	mux.HandleFunc("/v1/verify/graph", s.handle("serve.graph", obsReqGraph, phaseServeGraph, s.serveGraph))
+	mux.HandleFunc("/v1/design", s.handle("serve.design", obsReqDesign, phaseServeDesign, s.serveDesign))
+	mux.HandleFunc("/v1/batch", s.handle("serve.batch", obsReqBatch, phaseServeBatch, s.serveBatch))
+	mux.HandleFunc("GET /v1/peer/lookup/{key}", s.handle("peer.lookup", obsReqPeerLookup, nil, s.servePeerLookup))
 	mux.HandleFunc("GET /v1/peer/metrics", s.handlePeerMetrics)
-	mux.HandleFunc("GET /v1/cluster/metrics", s.handleClusterMetrics)
+	mux.HandleFunc("GET /v1/cluster/metrics", s.handle("cluster.metrics", obsReqClusterMetrics, nil, s.serveClusterMetrics))
 }
 
 // Tracer returns the tracer this server mints request traces from.
@@ -194,18 +194,84 @@ func (sw *statusWriter) WriteHeader(code int) {
 	sw.ResponseWriter.WriteHeader(code)
 }
 
-// startTrace mints the request's trace — joining the distributed trace
-// a peer propagated when the request carries an X-Ebda-Trace header —
-// and threads it through the request context, wrapping the response
-// writer so Finish sees the status the handler wrote.
-func (s *Server) startTrace(w http.ResponseWriter, r *http.Request, root string) (*trace.Trace, *statusWriter, *http.Request) {
-	var t *trace.Trace
-	if h := r.Header.Get(trace.Header); h != "" {
-		t = s.tracer.StartRemote(h, root)
-	} else {
-		t = s.tracer.Start(root)
+// endpoint is one traced handler's own work: decode the request, build
+// its query and answer it under ctx, which carries the request's trace
+// and deadline. It returns the 200 answer and the verdict's provenance
+// ("" when the answer is not one verdict), or an error for the adapter
+// to map to a status.
+type endpoint func(ctx context.Context, w http.ResponseWriter, r *http.Request) (any, string, error)
+
+// handle adapts an endpoint to net/http. It owns what every traced
+// handler shares: the request counter, the request's trace (finished
+// with the status written), the endpoint's serve.* phase and POST check,
+// the per-request deadline and the mapping from error to status. phase
+// is nil for the GET-only cluster endpoints: they time no phase, and
+// their mux patterns already check the method.
+func (s *Server) handle(root string, requests *obs.Counter, phase *obs.Phase, serve endpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		requests.Inc()
+		// Join the distributed trace a peer propagated, if any, and
+		// thread the request's trace through its context.
+		var t *trace.Trace
+		if h := r.Header.Get(trace.Header); h != "" {
+			t = s.tracer.StartRemote(h, root)
+		} else {
+			t = s.tracer.Start(root)
+		}
+		r = r.WithContext(trace.NewContext(r.Context(), t))
+		sw := &statusWriter{ResponseWriter: w}
+		defer func() { t.Finish(sw.status) }()
+		if phase != nil {
+			sp := phase.Start()
+			defer sp.End()
+			if r.Method != http.MethodPost {
+				writeJSON(sw, http.StatusMethodNotAllowed, errorBody{Error: "POST only"})
+				return
+			}
+		}
+		ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
+		defer cancel()
+		resp, prov, err := serve(ctx, sw, r)
+		if err != nil {
+			writeFailure(sw, err)
+			return
+		}
+		if prov != "" {
+			t.SetProvenance(prov)
+		}
+		writeJSON(sw, http.StatusOK, resp)
 	}
-	return t, &statusWriter{ResponseWriter: w}, r.WithContext(trace.NewContext(r.Context(), t))
+}
+
+// badRequest marks a client error: a body that does not decode or
+// validate, or a design the network cannot carry. It answers 400 and
+// counts as bad_request.
+type badRequest struct{ error }
+
+// bad is an endpoint's return for a client error.
+func bad(err error) (any, string, error) { return nil, "", badRequest{err} }
+
+// answered is a whole non-200 answer, written as is and counted nowhere:
+// an owner's rejection of a forwarded request, relayed verbatim, or a
+// peer lookup's miss.
+type answered struct {
+	status int
+	body   []byte
+}
+
+func (a *answered) Error() string { return "serve: answered " + strconv.Itoa(a.status) }
+
+// writeFailure answers a failed request: an answered error as is,
+// anything else as the JSON error envelope under statusFor's status.
+func writeFailure(w http.ResponseWriter, err error) {
+	var a *answered
+	if errors.As(err, &a) {
+		w.Header().Set("Content-Type", "application/json; charset=utf-8")
+		w.WriteHeader(a.status)
+		w.Write(a.body)
+		return
+	}
+	writeJSON(w, statusFor(err), errorBody{Error: sanitizeErr(err)})
 }
 
 // Ready reports whether the server accepts new work; it is the /readyz
@@ -269,24 +335,49 @@ const (
 	provDelta     = "delta"
 )
 
-// verdict produces one verdict for q: cache probe first, then a
-// coalesced flight whose leader computes on a queue worker. The
-// provenance string reports which path answered; lead is the leader's
-// ("delta" when the verdict came from a retained delta workspace,
-// "computed" otherwise). Every endpoint's verdicts — full,
-// delta and graph mode — flow through here.
-func verdict[R any](ctx context.Context, s *Server, c *cdg.Cache[R], fg *flightGroup[R], q cdg.Query[R], lead string) (R, string, error) {
-	tc := trace.FromContext(ctx)
-	lsp := tc.StartSpan("cache.lookup")
-	if rep, ok := c.Lookup(q.Key, q.Check); ok {
-		lsp.SetInt("hit", 1)
-		lsp.End()
+// answer is the one path a cdg.Report verdict takes to a client: the
+// cache probe, then — for a client request (r non-nil) whose key
+// another replica owns — the cluster route, then a coalesced flight
+// whose leader computes on a queue worker. The verdict comes back in
+// peer-lookup form with its provenance; lead is the leader's ("delta"
+// when the verdict came from a retained delta workspace, "computed"
+// otherwise). Batch items and design options pass no request: they are
+// answered here, never routed.
+func (s *Server) answer(ctx context.Context, q cdg.Query[cdg.Report], lead string, r *http.Request, body []byte) (*PeerLookupResponse, string, error) {
+	owner := s.remoteOwner(q.Key, r)
+	if rep, ok := lookup(ctx, s.cache, q.Key, q.Check); ok {
 		obsVerdictCache.Inc()
-		return rep, provCache, nil
+		return verdictFields(rep), provCache, nil
 	}
-	lsp.SetInt("hit", 0)
-	lsp.End()
-	fsp := tc.StartSpan("flight")
+	if owner != "" {
+		if v, prov, err := s.route(ctx, owner, q, r.URL.Path, body); v != nil || err != nil {
+			return v, prov, err
+		}
+	}
+	rep, prov, err := fly(ctx, s, s.cache, s.flight, q, lead)
+	if err != nil {
+		return nil, "", err
+	}
+	return verdictFields(rep), prov, nil
+}
+
+// lookup probes c under a cache.lookup span.
+func lookup[R any](ctx context.Context, c *cdg.Cache[R], key, check uint64) (R, bool) {
+	sp := trace.FromContext(ctx).StartSpan("cache.lookup")
+	rep, ok := c.Lookup(key, check)
+	if ok {
+		sp.SetInt("hit", 1)
+	} else {
+		sp.SetInt("hit", 0)
+	}
+	sp.End()
+	return rep, ok
+}
+
+// fly answers a cache miss through a coalesced flight whose leader
+// computes on a queue worker, reporting which role answered.
+func fly[R any](ctx context.Context, s *Server, c *cdg.Cache[R], fg *flightGroup[R], q cdg.Query[R], lead string) (R, string, error) {
+	fsp := trace.FromContext(ctx).StartSpan("flight")
 	defer fsp.End()
 	rep, leader, err := fg.do(ctx, q.Key, q.Check, s.cfg.Timeout, func(fctx context.Context) (R, error) {
 		return compute(fctx, s, c, q)
@@ -350,7 +441,7 @@ func compute[R any](ctx context.Context, s *Server, c *cdg.Cache[R], q cdg.Query
 // rejection.
 func statusFor(err error) int {
 	switch {
-	case errors.Is(err, cdg.ErrBadDiff):
+	case errors.As(err, new(badRequest)), errors.Is(err, cdg.ErrBadDiff):
 		obsRejectBad.Inc()
 		return http.StatusBadRequest
 	case errors.Is(err, ErrQueueFull):
@@ -382,235 +473,121 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-func writeError(w http.ResponseWriter, status int, msg string) {
-	writeJSON(w, status, errorBody{Error: msg})
-}
-
-// verifyOne runs one built request end to end.
-func (s *Server) verifyOne(ctx context.Context, b *builtVerify) (*VerifyResponse, int, error) {
-	rep, prov, err := verdict(ctx, s, s.cache, s.flight, b.q, provComputed)
-	if err != nil {
-		return nil, statusFor(err), err
-	}
-	return respondVerify(b, verdictFields(rep), prov), http.StatusOK, nil
-}
-
-func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
-	obsReqVerify.Inc()
-	t, sw, r := s.startTrace(w, r, "serve.verify")
-	defer func() { t.Finish(sw.status) }()
-	w = sw
-	sp := phaseServeVerify.Start()
-	defer sp.End()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+func (s *Server) serveVerify(ctx context.Context, w http.ResponseWriter, r *http.Request) (any, string, error) {
 	// The raw body is retained: cluster mode may replay it verbatim to
 	// the owning replica.
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, sanitizeErr(err))
-		return
+		return bad(err)
 	}
 	req, err := DecodeVerifyRequest(bytes.NewReader(body))
 	if err != nil {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, sanitizeErr(err))
-		return
+		return bad(err)
 	}
 	b, err := req.build(s.nets)
 	if err != nil {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, sanitizeErr(err))
-		return
+		return bad(err)
 	}
-	reply := func(v *PeerLookupResponse, prov string) any { return respondVerify(b, v, prov) }
-	if s.route(w, r, b.q, "/v1/verify", body, reply, &VerifyResponse{}) {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	resp, status, err := s.verifyOne(ctx, b)
+	v, prov, err := s.answer(ctx, b.q, provComputed, r, body)
 	if err != nil {
-		writeError(w, status, sanitizeErr(err))
-		return
+		return nil, "", err
 	}
-	t.SetProvenance(resp.Provenance)
-	writeJSON(w, status, resp)
+	return respondVerify(b, v, prov), prov, nil
 }
 
-func (s *Server) handleDelta(w http.ResponseWriter, r *http.Request) {
-	obsReqDelta.Inc()
-	t, sw, r := s.startTrace(w, r, "serve.delta")
-	defer func() { t.Finish(sw.status) }()
-	w = sw
-	sp := phaseServeDelta.Start()
-	defer sp.End()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+func (s *Server) serveDelta(ctx context.Context, w http.ResponseWriter, r *http.Request) (any, string, error) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, MaxBodyBytes))
 	if err != nil {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, sanitizeErr(err))
-		return
+		return bad(err)
 	}
 	req, err := DecodeDeltaRequest(bytes.NewReader(body))
 	if err != nil {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, sanitizeErr(err))
-		return
+		return bad(err)
 	}
-	b, err := req.Base.build(s.nets)
+	q, baseKey, err := req.build(s.nets)
 	if err != nil {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, sanitizeErr(err))
-		return
+		return bad(err)
 	}
-	baseKey := b.q.Key
-	if req.BaseKey != "" {
-		want, perr := strconv.ParseUint(req.BaseKey, 16, 64)
-		if perr != nil || want != baseKey {
-			obsRejectBad.Inc()
-			writeError(w, http.StatusBadRequest,
-				"base_key "+req.BaseKey+" does not match the base design (key "+
-					strconv.FormatUint(baseKey, 16)+")")
-			return
-		}
-	}
-	diff, err := req.buildDiff(b)
+	v, prov, err := s.answer(ctx, q, provDelta, r, body)
 	if err != nil {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, sanitizeErr(err))
-		return
+		return nil, "", err
 	}
-	q := cdg.DeltaQuery(b.net, b.vcs, b.ts, diff)
-	reply := func(v *PeerLookupResponse, prov string) any { return respondDelta(v, prov, q.Key, baseKey) }
-	if s.route(w, r, q, "/v1/verify/delta", body, reply, &DeltaResponse{}) {
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	rep, prov, err := verdict(ctx, s, s.cache, s.flight, q, provDelta)
-	if err != nil {
-		writeError(w, statusFor(err), sanitizeErr(err))
-		return
-	}
-	t.SetProvenance(prov)
-	writeJSON(w, http.StatusOK, reply(verdictFields(rep), prov))
+	return respondDelta(v, prov, q.Key, baseKey), prov, nil
 }
 
-func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
-	obsReqDesign.Inc()
-	t, sw, r := s.startTrace(w, r, "serve.design")
-	defer func() { t.Finish(sw.status) }()
-	w = sw
-	sp := phaseServeDesign.Start()
-	defer sp.End()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+func (s *Server) serveDesign(ctx context.Context, w http.ResponseWriter, r *http.Request) (any, string, error) {
 	var req DesignRequest
 	if err := decodeStrict(http.MaxBytesReader(w, r.Body, MaxBodyBytes), &req); err != nil {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, sanitizeErr(err))
-		return
+		return bad(err)
 	}
 	if err := req.validate(); err != nil {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, sanitizeErr(err))
-		return
+		return bad(err)
 	}
 	chains, err := partstrat.Derive(partstrat.ArrangementFor(req.VCs))
 	if err != nil {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, sanitizeErr(err))
-		return
+		return bad(err)
 	}
 	max := req.Max
 	if max <= 0 || max > maxDesignOptions {
 		max = maxDesignOptions
 	}
 	net := req.designNet(s.nets)
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	resp := DesignResponse{Network: net.String(), Derived: len(chains)}
+	resp := &DesignResponse{Network: net.String(), Derived: len(chains)}
 	for _, chain := range chains {
 		if len(resp.Options) >= max {
 			break
 		}
 		vcs, ts := cdg.VCConfigFor(net.Dims(), chain.Channels()), chain.AllTurns()
-		rep, prov, err := verdict(ctx, s, s.cache, s.flight, cdg.TurnSetQuery(net, vcs, ts), provComputed)
+		v, prov, err := s.answer(ctx, cdg.TurnSetQuery(net, vcs, ts), provComputed, nil, nil)
 		if err != nil {
-			writeError(w, statusFor(err), sanitizeErr(err))
-			return
+			return nil, "", err
 		}
 		resp.Options = append(resp.Options, DesignOption{
 			Chain:      chain.PlainString(),
-			Channels:   rep.Channels,
-			Acyclic:    rep.Acyclic,
+			Channels:   v.Channels,
+			Acyclic:    v.Acyclic,
 			Provenance: prov,
 		})
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, "", nil
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	obsReqBatch.Inc()
-	t, sw, r := s.startTrace(w, r, "serve.batch")
-	defer func() { t.Finish(sw.status) }()
-	w = sw
-	sp := phaseServeBatch.Start()
-	defer sp.End()
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST only")
-		return
-	}
+func (s *Server) serveBatch(ctx context.Context, w http.ResponseWriter, r *http.Request) (any, string, error) {
 	var req BatchRequest
 	if err := decodeStrict(http.MaxBytesReader(w, r.Body, MaxBodyBytes), &req); err != nil {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, sanitizeErr(err))
-		return
+		return bad(err)
 	}
 	if len(req.Requests) == 0 {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest, "requests is empty")
-		return
+		return bad(errors.New("requests is empty"))
 	}
 	if len(req.Requests) > maxBatch {
-		obsRejectBad.Inc()
-		writeError(w, http.StatusBadRequest,
-			"batch has "+strconv.Itoa(len(req.Requests))+" requests, limit "+strconv.Itoa(maxBatch))
-		return
+		return bad(errors.New("batch has " + strconv.Itoa(len(req.Requests)) + " requests, limit " + strconv.Itoa(maxBatch)))
 	}
 	// One deadline covers the whole batch; items run in request order so
 	// a batch's results are deterministic (repeats after the first hit
 	// the cache). Per-item failures stay per-item — a batch is a
 	// convenience wrapper, not a transaction.
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.Timeout)
-	defer cancel()
-	resp := BatchResponse{Results: make([]BatchResult, len(req.Requests))}
+	resp := &BatchResponse{Results: make([]BatchResult, len(req.Requests))}
 	for i := range req.Requests {
-		item := &req.Requests[i]
-		if err := item.validate(); err != nil {
-			resp.Results[i] = BatchResult{Error: sanitizeErr(err), Status: http.StatusBadRequest}
-			continue
-		}
-		b, err := item.build(s.nets)
-		if err != nil {
-			resp.Results[i] = BatchResult{Error: sanitizeErr(err), Status: http.StatusBadRequest}
-			continue
-		}
-		ok, status, err := s.verifyOne(ctx, b)
-		if err != nil {
-			resp.Results[i] = BatchResult{Error: sanitizeErr(err), Status: status}
-			continue
-		}
-		resp.Results[i] = BatchResult{OK: ok}
+		resp.Results[i] = s.batchItem(ctx, &req.Requests[i])
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, "", nil
+}
+
+// batchItem answers one batch entry. A client error is the item's 400
+// and counts as no rejection: the batch itself was answered.
+func (s *Server) batchItem(ctx context.Context, item *VerifyRequest) BatchResult {
+	var b *builtVerify
+	err := item.validate()
+	if err == nil {
+		b, err = item.build(s.nets)
+	}
+	if err != nil {
+		return BatchResult{Error: sanitizeErr(err), Status: http.StatusBadRequest}
+	}
+	v, prov, err := s.answer(ctx, b.q, provComputed, nil, nil)
+	if err != nil {
+		return BatchResult{Error: sanitizeErr(err), Status: statusFor(err)}
+	}
+	return BatchResult{OK: respondVerify(b, v, prov)}
 }
