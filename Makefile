@@ -27,8 +27,13 @@ bench-test:
 test:
 	$(GO) test ./...
 
+# race runs the whole module under the race detector, then stresses the
+# coalesced-flight group alone (twenty passes of its TestFlight* tests,
+# a few seconds): the flight's refcount, abandonment and publish paths
+# race with their queued task, and one pass rarely shows an interleaving.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=20 -run '^TestFlight' ./internal/serve
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -112,8 +117,9 @@ fuzz-short:
 # fmt-check keeps every tracked Go file gofmt-clean;
 # bench-vet type-checks the bench/ harness against this tree and
 # bench-test runs its tests;
-# race is part of check so the worker pools and the replica cluster are
-# race-tested routinely; test and race also run the serving gate
+# race is part of check so the worker pools, the replica cluster and
+# (twenty times over) the coalesced flight are race-tested routinely;
+# test and race also run the serving gate
 # (TestServeSmoke), the replica-cluster soak (TestClusterSoak), the
 # process drain check (cmd/ebda-serve TestRunDrainsOnSIGTERM), the delta
 # gate (TestDeltaLinkRatio, equivalence only under -race), the -obs-json

@@ -215,17 +215,7 @@ func defaultMesh(dims int, spec string) (*topology.Network, error) {
 		}
 		return topology.NewMesh(sizes...), nil
 	}
-	sizes := make([]int, dims)
-	for i := range sizes {
-		if dims <= 2 {
-			sizes[i] = 5
-		} else if dims == 3 {
-			sizes[i] = 3
-		} else {
-			sizes[i] = 2
-		}
-	}
-	return topology.NewMesh(sizes...), nil
+	return topology.NewMesh(partstrat.DefaultMeshSizes(dims)...), nil
 }
 
 func parseVCs(s string) ([]int, error) {

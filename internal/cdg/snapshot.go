@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"slices"
 
@@ -66,36 +67,6 @@ const (
 
 var snapshotMagic = [8]byte{'E', 'B', 'D', 'A', 'S', 'N', 'A', 'P'}
 
-// fnvWriter hashes every byte it forwards (FNV-1a 64); the running sum
-// is the snapshot's integrity trailer.
-type fnvWriter struct {
-	w   io.Writer
-	sum uint64
-}
-
-func (f *fnvWriter) Write(p []byte) (int, error) {
-	for _, b := range p {
-		f.sum = (f.sum ^ uint64(b)) * 0x100000001b3
-	}
-	return f.w.Write(p)
-}
-
-// fnvReader is the reading side of fnvWriter.
-type fnvReader struct {
-	r   io.Reader
-	sum uint64
-}
-
-func (f *fnvReader) Read(p []byte) (int, error) {
-	n, err := f.r.Read(p)
-	for _, b := range p[:n] {
-		f.sum = (f.sum ^ uint64(b)) * 0x100000001b3
-	}
-	return n, err
-}
-
-const fnvOffset = 0xcbf29ce484222325
-
 // keyedEntry is one verify-cache entry with its key, the snapshot's unit.
 type keyedEntry struct {
 	key uint64
@@ -116,7 +87,10 @@ func SaveSnapshot(c *VerifyCache, w io.Writer) (int, error) {
 	c.mu.RUnlock()
 	slices.SortFunc(entries, func(a, b keyedEntry) int { return cmp.Compare(a.key, b.key) })
 
-	fw := &fnvWriter{w: bufio.NewWriter(w), sum: fnvOffset}
+	// Every byte before the trailer passes through the integrity hash.
+	bw := bufio.NewWriter(w)
+	h := fnv.New64a()
+	fw := io.MultiWriter(bw, h)
 	if _, err := fw.Write(snapshotMagic[:]); err != nil {
 		return 0, err
 	}
@@ -143,14 +117,11 @@ func SaveSnapshot(c *VerifyCache, w io.Writer) (int, error) {
 		}
 	}
 	// The trailer is the hash of everything before it, so it bypasses
-	// the hashing writer.
-	sum := fw.sum
-	var tail [8]byte
-	binary.LittleEndian.PutUint64(tail[:], sum)
-	if _, err := fw.w.Write(tail[:]); err != nil {
+	// the hash.
+	if err := putU64(bw, h.Sum64()); err != nil {
 		return 0, err
 	}
-	if err := fw.w.(*bufio.Writer).Flush(); err != nil {
+	if err := bw.Flush(); err != nil {
 		return 0, err
 	}
 	obsSnapshotSaved.Add(uint64(len(entries)))
@@ -169,7 +140,9 @@ func SaveSnapshot(c *VerifyCache, w io.Writer) (int, error) {
 // an entry with a report for a different verification (keys carry their
 // independent check hashes through the file).
 func LoadSnapshot(c *VerifyCache, r io.Reader) (int, error) {
-	fr := &fnvReader{r: bufio.NewReader(r), sum: fnvOffset}
+	br := bufio.NewReader(r)
+	h := fnv.New64a()
+	fr := io.TeeReader(br, h)
 	var magic [8]byte
 	if _, err := io.ReadFull(fr, magic[:]); err != nil {
 		return 0, fmt.Errorf("%w: short magic: %v", ErrSnapshotCorrupt, err)
@@ -224,17 +197,17 @@ func LoadSnapshot(c *VerifyCache, r io.Reader) (int, error) {
 		}
 		entries = append(entries, keyedEntry{key: key, e: cacheEntry[Report]{check: check, rep: rep}})
 	}
-	// The trailer hash covers everything read so far; capture the sum
-	// before the trailer itself passes through the hashing reader.
-	want := fr.sum
-	got, err := getU64(fr)
+	// The trailer hash covers everything read so far; the trailer itself
+	// comes from the underlying reader, past the hash.
+	want := h.Sum64()
+	got, err := getU64(br)
 	if err != nil {
 		return 0, fmt.Errorf("%w: short trailer: %v", ErrSnapshotCorrupt, err)
 	}
 	if got != want {
 		return 0, fmt.Errorf("%w: integrity hash mismatch (file %x, computed %x)", ErrSnapshotCorrupt, got, want)
 	}
-	if _, err := fr.Read(make([]byte, 1)); err != io.EOF {
+	if _, err := br.ReadByte(); err != io.EOF {
 		return 0, fmt.Errorf("%w: trailing data after trailer", ErrSnapshotCorrupt)
 	}
 

@@ -133,7 +133,7 @@ func RunRunnersJobs(runners []Runner, opts Options, jobs int) []Result {
 	for w := 0; w < jobs; w++ {
 		go func(w int) {
 			defer wg.Done()
-			sp := phaseRunners.StartWorker(w)
+			sp := phaseRunners.Start()
 			for i := w; i < len(runners); i += jobs {
 				run(i)
 			}

@@ -6,8 +6,8 @@ package obs
 // gauges sum (a gauge like queue depth reads as the fleet total);
 // histogram bucket counts sum when both series share a bucket shape
 // (otherwise the merged series keeps the receiver's buckets and only
-// Sum/Count combine); phase counts, totals and worker attributions sum
-// while maxima take the larger side. Series present on either side
+// Sum/Count combine); phase counts and totals sum while maxima take the
+// larger side. Series present on either side
 // appear in the result, which keeps every section sorted by name as
 // long as both inputs were — Registry.Snapshot and ParseSnapshot both
 // guarantee that.
@@ -111,24 +111,6 @@ func mergePhase(a, b PhaseVal) PhaseVal {
 	}
 	if b.MaxSeconds > m.MaxSeconds {
 		m.MaxSeconds = b.MaxSeconds
-	}
-	// Worker rows are sorted by index on both sides (Snapshot emits them
-	// in index order); merge them the same way the sections merge.
-	for i, j := 0, 0; i < len(a.Workers) || j < len(b.Workers); {
-		switch {
-		case j == len(b.Workers) || (i < len(a.Workers) && a.Workers[i].Worker < b.Workers[j].Worker):
-			m.Workers = append(m.Workers, a.Workers[i])
-			i++
-		case i == len(a.Workers) || b.Workers[j].Worker < a.Workers[i].Worker:
-			m.Workers = append(m.Workers, b.Workers[j])
-			j++
-		default:
-			m.Workers = append(m.Workers, WorkerVal{
-				Worker:  a.Workers[i].Worker,
-				Seconds: a.Workers[i].Seconds + b.Workers[j].Seconds,
-			})
-			i, j = i+1, j+1
-		}
 	}
 	return m
 }

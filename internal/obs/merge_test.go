@@ -14,7 +14,6 @@ func TestMergeSumsAndUnions(t *testing.T) {
 		}},
 		Phases: []PhaseVal{{
 			Name: "verify", Count: 4, TotalSeconds: 1.5, MaxSeconds: 0.5,
-			Workers: []WorkerVal{{Worker: 0, Seconds: 1.0}, {Worker: 2, Seconds: 0.5}},
 		}},
 	}
 	b := Snapshot{
@@ -25,7 +24,6 @@ func TestMergeSumsAndUnions(t *testing.T) {
 		}},
 		Phases: []PhaseVal{{
 			Name: "verify", Count: 2, TotalSeconds: 0.5, MaxSeconds: 0.9,
-			Workers: []WorkerVal{{Worker: 1, Seconds: 0.3}, {Worker: 2, Seconds: 0.2}},
 		}},
 	}
 
@@ -48,10 +46,6 @@ func TestMergeSumsAndUnions(t *testing.T) {
 	p := m.Phases[0]
 	if p.Count != 6 || p.TotalSeconds != 2.0 || p.MaxSeconds != 0.9 {
 		t.Errorf("phase = %+v, want count 6 total 2.0 max 0.9", p)
-	}
-	wantWorkers := []WorkerVal{{Worker: 0, Seconds: 1.0}, {Worker: 1, Seconds: 0.3}, {Worker: 2, Seconds: 0.7}}
-	if !reflect.DeepEqual(p.Workers, wantWorkers) {
-		t.Errorf("workers = %+v, want %+v", p.Workers, wantWorkers)
 	}
 }
 

@@ -83,7 +83,7 @@ func TestPhaseTableAndSpans(t *testing.T) {
 	r := NewRegistry()
 	p := r.Phase("child", "root")
 	for w := 0; w < 3; w++ {
-		sp := p.StartWorker(w)
+		sp := p.Start()
 		sp.End()
 	}
 	s := r.Snapshot()
@@ -161,7 +161,7 @@ func TestCanonicalDropsTimingKeepsStructure(t *testing.T) {
 	if !bytes.Equal(bufA.Bytes(), bufB.Bytes()) {
 		t.Fatalf("canonical snapshots differ:\n%s\n%s", bufA.String(), bufB.String())
 	}
-	if pv, ok := a.Phase("ph"); !ok || pv.Count != 2 || pv.TotalSeconds != 0 || pv.Workers != nil {
+	if pv, ok := a.Phase("ph"); !ok || pv.Count != 2 || pv.TotalSeconds != 0 {
 		t.Fatalf("canonical phase = %+v, want count 2, zero timings", pv)
 	}
 }
@@ -268,7 +268,7 @@ func TestConcurrentRecording(t *testing.T) {
 			for i := 0; i < each; i++ {
 				c.Inc()
 				h.Observe(0.5)
-				sp := p.StartWorker(w)
+				sp := p.Start()
 				sp.End()
 			}
 		}(w)
@@ -329,7 +329,7 @@ func TestRecordPathAllocFree(t *testing.T) {
 		t.Fatalf("1000 Histogram.Observe calls allocated %d times", n)
 	}
 	if n := mallocs(1000, func() {
-		sp := p.StartWorker(3)
+		sp := p.Start()
 		sp.End()
 	}); n != 0 {
 		t.Fatalf("1000 Span start/end pairs allocated %d times", n)

@@ -30,20 +30,13 @@ type HistogramVal struct {
 	Count  uint64    `json:"count"`
 }
 
-// WorkerVal attributes part of a phase's wall time to one worker index.
-type WorkerVal struct {
-	Worker  int     `json:"worker"`
-	Seconds float64 `json:"seconds"`
-}
-
 // PhaseVal is one row of the phase table.
 type PhaseVal struct {
-	Name         string      `json:"name"`
-	Parent       string      `json:"parent,omitempty"`
-	Count        uint64      `json:"count"`
-	TotalSeconds float64     `json:"total_seconds"`
-	MaxSeconds   float64     `json:"max_seconds"`
-	Workers      []WorkerVal `json:"workers,omitempty"`
+	Name         string  `json:"name"`
+	Parent       string  `json:"parent,omitempty"`
+	Count        uint64  `json:"count"`
+	TotalSeconds float64 `json:"total_seconds"`
+	MaxSeconds   float64 `json:"max_seconds"`
 }
 
 // Snapshot is a point-in-time rendering of a registry: every series
@@ -109,19 +102,13 @@ func (r *Registry) Snapshot() Snapshot {
 	sort.Strings(pnames)
 	for _, n := range pnames {
 		p := r.phases[n]
-		pv := PhaseVal{
+		s.Phases = append(s.Phases, PhaseVal{
 			Name:         n,
 			Parent:       p.parent,
 			Count:        p.count.Load(),
 			TotalSeconds: float64(p.totalNanos.Load()) / 1e9,
 			MaxSeconds:   float64(p.maxNanos.Load()) / 1e9,
-		}
-		for w := 0; w < maxWorkers; w++ {
-			if ns := p.workerNanos[w].Load(); ns != 0 {
-				pv.Workers = append(pv.Workers, WorkerVal{Worker: w, Seconds: float64(ns) / 1e9})
-			}
-		}
-		s.Phases = append(s.Phases, pv)
+		})
 	}
 	return s
 }
@@ -158,7 +145,7 @@ func (s Snapshot) Histogram(name string) (HistogramVal, bool) {
 }
 
 // Sub returns this snapshot minus prev: counters, histogram counts/sums
-// and phase count/total/worker columns subtract series-wise (series
+// and phase count/total columns subtract series-wise (series
 // missing from prev pass through whole); gauges and phase maxima are
 // instantaneous, so the current value is kept. Use a before/after pair
 // around a run to report that run alone.
@@ -209,29 +196,19 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 			out.Phases = append(out.Phases, ph)
 			continue
 		}
-		d := PhaseVal{
+		out.Phases = append(out.Phases, PhaseVal{
 			Name:         ph.Name,
 			Parent:       ph.Parent,
 			Count:        ph.Count - p.Count,
 			TotalSeconds: ph.TotalSeconds - p.TotalSeconds,
 			MaxSeconds:   ph.MaxSeconds, // maxima do not subtract
-		}
-		prevW := make(map[int]float64, len(p.Workers))
-		for _, w := range p.Workers {
-			prevW[w.Worker] = w.Seconds
-		}
-		for _, w := range ph.Workers {
-			if sec := w.Seconds - prevW[w.Worker]; sec != 0 {
-				d.Workers = append(d.Workers, WorkerVal{Worker: w.Worker, Seconds: sec})
-			}
-		}
-		out.Phases = append(out.Phases, d)
+		})
 	}
 	return out
 }
 
 // Canonical returns the snapshot with every timing-dependent field zeroed
-// — phase totals, maxima and worker attributions, histogram bucket counts
+// — phase totals and maxima, histogram bucket counts
 // and sums — keeping the deterministic structure: series names, counter
 // values, gauge values, phase and histogram observation counts. Two runs
 // of a deterministic workload have equal Canonical snapshots.

@@ -5,14 +5,9 @@ import (
 	"time"
 )
 
-// maxWorkers bounds the per-phase worker attribution table. Worker
-// indices wrap modulo this (a power of two, so the hot path masks rather
-// than divides); the engine's pools run far fewer workers than 64.
-const maxWorkers = 64
-
 // Phase aggregates span-style regions of the pipeline ("cdg.verify",
 // "sim.run", ...) into a phase table: span count, total and maximum wall
-// duration, per-worker attribution, and a duration histogram shared under
+// duration, and a duration histogram shared under
 // ebda_phase_duration_seconds{phase="name"}. Recording is a few atomic
 // adds; there is no per-event storage.
 type Phase struct {
@@ -20,10 +15,9 @@ type Phase struct {
 	parent string
 	hist   *Histogram
 
-	count       atomic.Uint64
-	totalNanos  atomic.Int64
-	maxNanos    atomic.Int64
-	workerNanos [maxWorkers]atomic.Int64
+	count      atomic.Uint64
+	totalNanos atomic.Int64
+	maxNanos   atomic.Int64
 }
 
 // Name returns the phase name.
@@ -34,23 +28,15 @@ func (p *Phase) Name() string { return p.name }
 // no-op, so spans can be threaded through code paths that only sometimes
 // trace.
 type Span struct {
-	phase  *Phase
-	start  time.Time
-	worker int
+	phase *Phase
+	start time.Time
 }
 
-// Start opens a span attributed to worker 0.
+// Start opens a span.
 //
 //ebda:hotpath
-func (p *Phase) Start() Span { return p.StartWorker(0) }
-
-// StartWorker opens a span attributed to the given worker index (wrapped
-// modulo the attribution table size), so parallel stages can see how wall
-// time split across their pool.
-//
-//ebda:hotpath
-func (p *Phase) StartWorker(w int) Span {
-	return Span{phase: p, start: time.Now(), worker: w & (maxWorkers - 1)} //ebda:allow detlint spans measure wall durations by design; snapshots separate timing from logic fields
+func (p *Phase) Start() Span {
+	return Span{phase: p, start: time.Now()} //ebda:allow detlint spans measure wall durations by design; snapshots separate timing from logic fields
 }
 
 // End closes the span, folding its wall duration into the phase table and
@@ -66,7 +52,6 @@ func (s Span) End() {
 	n := d.Nanoseconds()
 	p.count.Add(1)
 	p.totalNanos.Add(n)
-	p.workerNanos[s.worker].Add(n)
 	for {
 		old := p.maxNanos.Load()
 		if n <= old || p.maxNanos.CompareAndSwap(old, n) {

@@ -87,9 +87,9 @@ type span struct {
 
 // Trace is one request's recorded fragment: a bounded tree of spans plus
 // the verdict metadata Finish stamps. All span recording goes through a
-// mutex — only the flight-recorder ring is lock-free — so a flight
-// leader's detached compute goroutine can keep recording while the
-// handler finishes the trace.
+// mutex — only the flight-recorder ring is lock-free — so a flight's
+// queued computation can keep recording on a worker while the handler
+// finishes the trace.
 type Trace struct {
 	tracer      *Tracer
 	seq         uint64
@@ -264,7 +264,7 @@ func (t *Trace) SetCoalescedWith(leaderID string) {
 
 // Retain takes an extra reference: the trace will not return to the
 // pool until the matching Release. The flight group retains the leader's
-// trace across its detached compute goroutine.
+// trace until its queued computation has published.
 func (t *Trace) Retain() {
 	if t != nil {
 		t.refs.Add(1)
@@ -287,7 +287,7 @@ func (t *Trace) Release() {
 // Finish stamps the trace with the response status, routes it to the
 // flight recorder (slow/error lane first, then the sampled main lane)
 // and drops the minting reference. The trace must not be used by the
-// finisher afterwards; a retained flight goroutine may keep recording
+// finisher afterwards; a retained flight task may keep recording
 // through its own reference.
 func (t *Trace) Finish(status int) {
 	if t == nil {

@@ -146,6 +146,24 @@ func ArrangementFor(vcCounts []int) Arrangement {
 	return ArrangeByPairs(sets...)
 }
 
+// DefaultMeshSizes is the mesh a dims-dimensional design is verified on
+// when none is named: 5 per side up to 2D, 3 in 3D, 2 beyond, so the
+// graph stays small as the dimension grows.
+func DefaultMeshSizes(dims int) []int {
+	side := 2
+	switch {
+	case dims <= 2:
+		side = 5
+	case dims == 3:
+		side = 3
+	}
+	sizes := make([]int, dims)
+	for i := range sizes {
+		sizes[i] = side
+	}
+	return sizes
+}
+
 // clone deep-copies the arrangement.
 func (a Arrangement) clone() Arrangement {
 	out := make(Arrangement, len(a))

@@ -14,10 +14,11 @@
 // cdg.Report verdict (verify, delta, batch items, design options) takes
 // one answer path, Server.answer: the verify-cache probe, the cluster
 // route when another replica owns the key, then a singleflight group
-// keyed on the cache's dual-hash identity whose leader computes on a
-// bounded queue in front of a fixed worker pool (explicit 429/503
-// backpressure), the deadline threaded into the engine's context-aware
-// verify path. Graph-mode verdicts take the same probe and flight on the
+// keyed on the cache's dual-hash identity. A flight's computation is one
+// task on a bounded queue in front of a fixed worker pool (explicit
+// 429/503 backpressure): the handler's goroutine submits it and waits,
+// and the worker runs the engine's context-aware verify path and
+// publishes the verdict to every waiter. Graph-mode verdicts take the same probe and flight on the
 // mode cache.
 //
 // Every served verdict flows through the cached verify API
@@ -37,6 +38,7 @@ import (
 	"ebda/internal/cdg"
 	"ebda/internal/channel"
 	"ebda/internal/core"
+	"ebda/internal/partstrat"
 	"ebda/internal/topology"
 )
 
@@ -530,19 +532,7 @@ func (req *DesignRequest) designNet(nets *networkCache) *topology.Network {
 	if req.Network != nil {
 		return nets.get(req.Network.Kind, req.Network.Sizes)
 	}
-	dims := len(req.VCs)
-	sizes := make([]int, dims)
-	for i := range sizes {
-		switch {
-		case dims <= 2:
-			sizes[i] = 5
-		case dims == 3:
-			sizes[i] = 3
-		default:
-			sizes[i] = 2
-		}
-	}
-	return nets.get("mesh", sizes)
+	return nets.get("mesh", partstrat.DefaultMeshSizes(len(req.VCs)))
 }
 
 // sanitizeErr trims an error for the response body: single line, capped

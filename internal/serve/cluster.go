@@ -254,17 +254,17 @@ func (s *Server) remoteOwner(key uint64, r *http.Request) string {
 	if cp == nil || r == nil {
 		return ""
 	}
-	owner := cp.ring.Owner(key)
-	if owner == cp.self {
-		return ""
-	}
 	if r.Header.Get(ForwardHeader) != "" {
 		// Single-hop protection: a forwarded request is served here no
-		// matter what this replica's ring says.
+		// matter what this replica's ring says, and counted whether or
+		// not the ring agrees that this replica owns it.
 		obsClusterForwardServed.Inc()
 		return ""
 	}
-	return owner
+	if owner := cp.ring.Owner(key); owner != cp.self {
+		return owner
+	}
+	return ""
 }
 
 // route tries the remote steps for a key owner holds, once this

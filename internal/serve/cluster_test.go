@@ -15,6 +15,7 @@ import (
 
 	"ebda/internal/cdg"
 	"ebda/internal/cluster"
+	"ebda/internal/obs"
 )
 
 // testReplica is one member of an in-process test cluster.
@@ -347,6 +348,31 @@ func TestClusterForwardSetsHeader(t *testing.T) {
 	}
 	if h := got[0].Get(ForwardHeader); h != "r1" {
 		t.Fatalf("forwarded request %s = %q, want the sender %q", ForwardHeader, h, "r1")
+	}
+}
+
+// TestClusterForwardServedCounted pins the forward counters' invariant
+// on agreeing rings: one misrouted /v1/verify adds one to the sender's
+// forwards and one to the owner's forward_served. The replicas share the
+// process-wide registry, so the test reads both series as a before/after
+// delta and must not run in parallel with other cluster traffic.
+func TestClusterForwardServedCounted(t *testing.T) {
+	names := []string{"r0", "r1"}
+	reps := testCluster(t, names, names, false)
+	body, _ := designOwnedBy(t, reps["r0"].srv.cluster.ring, "r0")
+	forwards := obs.Default.Counter("ebda_cluster_forwards_total", "")
+	served := obs.Default.Counter("ebda_cluster_forward_served_total", "")
+	beforeForwards, beforeServed := forwards.Value(), served.Value()
+
+	status, raw := post(t, reps["r1"].ts, "/v1/verify", body)
+	if status != http.StatusOK {
+		t.Fatalf("misrouted POST = %d: %s", status, raw)
+	}
+	if got := forwards.Value() - beforeForwards; got != 1 {
+		t.Errorf("forwards +%d, want +1", got)
+	}
+	if got := served.Value() - beforeServed; got != 1 {
+		t.Errorf("forward_served +%d, want +1", got)
 	}
 }
 

@@ -91,10 +91,11 @@ func (c Config) withDefaults() Config {
 // zero-sentinels of an unconfigured field.
 func (c Config) Resolved() Config { return c.withDefaults() }
 
-// Server is the verification service: decoded requests are admitted to a
-// bounded queue, executed by a fixed worker pool through the cached
-// context-aware verify path, and coalesced through a singleflight group.
-// Create with New, mount with Register, stop with Shutdown.
+// Server is the verification service: a cache miss is coalesced through
+// a singleflight group whose one computation is admitted to a bounded
+// queue and executed by a fixed worker pool through the cached
+// context-aware verify path. Create with New, mount with Register, stop
+// with Shutdown.
 type Server struct {
 	cfg     Config
 	nets    *networkCache
@@ -158,6 +159,7 @@ func newServer(cfg Config, cache *cdg.VerifyCache) *Server {
 		go func() {
 			defer s.workers.Done()
 			for task := range s.queue {
+				obsQueueDepth.Add(-1)
 				task()
 			}
 		}()
@@ -338,7 +340,7 @@ const (
 // answer is the one path a cdg.Report verdict takes to a client: the
 // cache probe, then — for a client request (r non-nil) whose key
 // another replica owns — the cluster route, then a coalesced flight
-// whose leader computes on a queue worker. The verdict comes back in
+// whose computation is one queue task. The verdict comes back in
 // peer-lookup form with its provenance; lead is the leader's ("delta"
 // when the verdict came from a retained delta workspace, "computed"
 // otherwise). Batch items and design options pass no request: they are
@@ -374,13 +376,13 @@ func lookup[R any](ctx context.Context, c *cdg.Cache[R], key, check uint64) (R, 
 	return rep, ok
 }
 
-// fly answers a cache miss through a coalesced flight whose leader
-// computes on a queue worker, reporting which role answered.
+// fly answers a cache miss through a coalesced flight whose
+// computation is one queue task, reporting which role answered.
 func fly[R any](ctx context.Context, s *Server, c *cdg.Cache[R], fg *flightGroup[R], q cdg.Query[R], lead string) (R, string, error) {
 	fsp := trace.FromContext(ctx).StartSpan("flight")
 	defer fsp.End()
-	rep, leader, err := fg.do(ctx, q.Key, q.Check, s.cfg.Timeout, func(fctx context.Context) (R, error) {
-		return compute(fctx, s, c, q)
+	rep, leader, err := fg.do(ctx, q.Key, q.Check, s.cfg.Timeout, s.submit, func(fctx context.Context) (R, error) {
+		return c.Verify(fctx, q)
 	})
 	switch {
 	case err != nil:
@@ -397,44 +399,6 @@ func fly[R any](ctx context.Context, s *Server, c *cdg.Cache[R], fg *flightGroup
 		obsVerdictComputed.Inc()
 	}
 	return rep, lead, nil
-}
-
-// compute answers q through the cache on a queue worker under ctx,
-// reporting admission failures to the caller.
-func compute[R any](ctx context.Context, s *Server, c *cdg.Cache[R], q cdg.Query[R]) (R, error) {
-	type result struct {
-		rep R
-		err error
-	}
-	res := make(chan result, 1)
-	// The queued task may outlive the trace's Finish (an abandoned
-	// deadline); the extra reference keeps the trace out of the pool
-	// until the task's spans have landed.
-	tc := trace.FromContext(ctx)
-	tc.Retain()
-	qsp := tc.StartSpan("queue.wait")
-	err := s.submit(func() {
-		qsp.End()
-		obsQueueDepth.Add(-1)
-		rep, err := c.Verify(ctx, q)
-		res <- result{rep, err}
-		tc.Release()
-	})
-	var zero R
-	if err != nil {
-		qsp.SetInt("rejected", 1)
-		qsp.End()
-		tc.Release()
-		return zero, err
-	}
-	select {
-	case r := <-res:
-		return r.rep, r.err
-	case <-ctx.Done():
-		// The queued task still runs (quickly, its context is dead) and
-		// parks its result in the buffered channel for the collector.
-		return zero, ctx.Err()
-	}
 }
 
 // statusFor maps pipeline errors to HTTP statuses and counts the

@@ -377,10 +377,10 @@ func checkCoalescedOverHTTP(t *testing.T, s *Server, hts *httptest.Server) {
 	release := make(chan struct{})
 	leaderDone := make(chan error, 1)
 	go func() {
-		_, _, err := s.flight.do(context.Background(), b.q.Key, b.q.Check, time.Minute,
+		_, _, err := s.flight.do(context.Background(), b.q.Key, b.q.Check, time.Minute, s.submit,
 			func(ctx context.Context) (cdg.Report, error) {
 				<-release
-				return compute(ctx, s, s.cache, b.q)
+				return s.cache.Verify(ctx, b.q)
 			})
 		leaderDone <- err
 	}()

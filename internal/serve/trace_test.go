@@ -296,7 +296,7 @@ func TestCoalescedFollowerLinksLeaderTrace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		ctx := trace.NewContext(context.Background(), leaderT)
-		g.do(ctx, 1, 2, time.Minute, func(context.Context) (cdg.Report, error) {
+		g.do(ctx, 1, 2, time.Minute, runTask, func(context.Context) (cdg.Report, error) {
 			<-release
 			return cdg.Report{}, nil
 		})
@@ -314,7 +314,7 @@ func TestCoalescedFollowerLinksLeaderTrace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		ctx := trace.NewContext(context.Background(), followerT)
-		g.do(ctx, 1, 2, time.Minute, func(context.Context) (cdg.Report, error) {
+		g.do(ctx, 1, 2, time.Minute, runTask, func(context.Context) (cdg.Report, error) {
 			t.Error("follower led its own flight; it should have joined the leader's")
 			return cdg.Report{}, nil
 		})

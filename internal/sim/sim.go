@@ -348,7 +348,7 @@ func RunSeedsJobs(cfg Config, n, jobs int) Replicated {
 		for w := 0; w < jobs; w++ {
 			go func(w int) {
 				defer wg.Done()
-				sp := phaseSeeds.StartWorker(w)
+				sp := phaseSeeds.Start()
 				for i := w; i < n; i += jobs {
 					c := cfg
 					c.Seed = cfg.Seed + int64(i)
